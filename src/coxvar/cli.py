@@ -14,8 +14,7 @@ reports:
   gram        the 22x22 Gram matrix with a per-pair classification
 
 Exit codes: 0 success, 1 verification failure, 2 bad input,
-3 numerical failure.  RACG_THREADS caps grid/trial parallelism; output
-bytes do not depend on the thread count.
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,21 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("RACG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write(args, text):
@@ -157,18 +139,14 @@ def cmd_trace(args):
     def row(t):
         lift = standard_lift(t, args.geometry)
         res = residual_max(system, lift)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = kernel_report(system, lift, tol=args.rank_tol)
+        rep = kernel_report(system, lift, tol=args.rank_tol)
         gap = "inf" if not np.isfinite(rep.gap_ratio) else format_scalar(rep.gap_ratio)
         return (f"{format_scalar(t)},{args.geometry},{args.system},"
                 f"{format_scalar(res)},{rep.numeric_rank},{rep.kernel_dim},{gap}")
 
     lines = ["# coxvar trace v1",
              "t,geometry,system,residual_max,rank,kernel_dim,gap_ratio"]
-    lines.extend(_ordered_map(row, grid))
+    lines.extend(row(t) for t in grid)
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -27,10 +27,12 @@ import numpy as np
 
 from .coxeter import gamma_cube, gamma_rect
 from .geometry import (MixedTypePair, PairClassAdS, PairClassHyp, QuadraticSpace,
-                       classify_pair_ads, classify_pair_hyp, eval_bilinear, eval_form)
+                       classify_pair_ads, classify_pair_hyp, coincident, eval_bilinear,
+                       eval_form)
 from .halfpipe import (DegenerateReflection, HPPointsClass, NonDegenerateReflection,
                        classify_hp_dual_points, hp_commute, reflection_span_coefficient)
-from .repvar import Lift, NoConvergence, build_constraints, project_to_variety, residual_max
+from .repvar import (ConstraintSystem, Lift, NoConvergence, Pair, build_constraints,
+                     gauss_newton, project_to_variety, residual_max)
 
 DEFAULT_CLASS_TOL = 1e-7
 
@@ -72,12 +74,6 @@ _CUBE_ADJACENT = tuple((i, j) for i in range(6) for j in range(i + 1, 6)
                        if (i, j) not in ((0, 3), (1, 4), (2, 5)))
 
 
-def _coincident(x, y, tol):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return min(np.max(np.abs(x - y)), np.max(np.abs(x + y))) <= tol
-
-
 def _check_pattern_vectors(space, vectors, adjacent, tol):
     for i, j in adjacent:
         b = float(eval_bilinear(space, vectors[i], vectors[j]))
@@ -99,7 +95,7 @@ def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
     space = QuadraticSpace.hyperbolic(n) if geometry == "hyp" else QuadraticSpace.anti_de_sitter(n)
     _check_pattern_vectors(space, vectors, _RECT_ADJACENT, tol)
     for i, j in _RECT_OPPOSITE:
-        if _coincident(vectors[i], vectors[j], tol):
+        if coincident(vectors[i], vectors[j], tol):
             return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
     if geometry == "hyp":
         classes = [classify_pair_hyp(vectors[i], vectors[j], tol) for i, j in _RECT_OPPOSITE]
@@ -157,7 +153,7 @@ def _classify_rect_hp(data, tol):
         return CuspClass(CuspKind.COLLAPSED, pair=nondeg)
     x1 = np.asarray(data[deg[0]].X, dtype=float)
     x2 = np.asarray(data[deg[1]].X, dtype=float)
-    if _coincident(x1, x2, tol) and isos[deg[0]].max_difference(isos[deg[1]]) <= tol:
+    if coincident(x1, x2, tol) and isos[deg[0]].max_difference(isos[deg[1]]) <= tol:
         return CuspClass(CuspKind.COLLAPSED, pair=deg)
     deg_class = classify_pair_hyp(x1, x2, tol)
     pt_class = classify_hp_dual_points(p1, p2, tol)
@@ -218,7 +214,8 @@ def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
                 if np.max(np.abs(np.asarray(a.p, dtype=float)
                                  - np.asarray(b.p, dtype=float))) <= tol:
                     return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
-            elif (_coincident(a.X, b.X, tol) and isos[i].max_difference(isos[j]) <= tol):
+            elif (coincident(np.asarray(a.X, dtype=float), np.asarray(b.X, dtype=float), tol)
+                  and isos[i].max_difference(isos[j]) <= tol):
                 return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
     else:
         vectors = [np.asarray(v, dtype=float) for v in data]
@@ -227,7 +224,7 @@ def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
                  else QuadraticSpace.anti_de_sitter(n))
         _check_pattern_vectors(space, vectors, _CUBE_ADJACENT, tol)
         for i, j in _CUBE_OPPOSITE:
-            if _coincident(vectors[i], vectors[j], tol):
+            if coincident(vectors[i], vectors[j], tol):
                 return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
     rows, null_form = _common_point_rows(geometry, data)
     u, s, vt = np.linalg.svd(rows)
@@ -296,98 +293,49 @@ def _project_vectors(geometry, group, vectors, tol_res, max_iter):
 _HP_ADJ = {"rect": _RECT_ADJACENT, "cube": _CUBE_ADJACENT}
 
 
-def _hp_pack(data):
-    params = []
-    layout = []
-    for r in data:
-        if isinstance(r, NonDegenerateReflection):
-            p = np.asarray(r.p, dtype=float)
-            layout.append(("p", len(params), len(p)))
-            params.extend(p)
-        else:
-            X = np.asarray(r.X, dtype=float)
-            c = float(reflection_span_coefficient(r))
-            layout.append(("X", len(params), len(X)))
-            params.extend(X)
-            params.append(c)
-    return np.array(params), layout
-
-
-def _hp_unpack(params, layout):
-    out = []
-    for kind, off, d in layout:
-        if kind == "p":
-            out.append(NonDegenerateReflection(params[off:off + d].copy()))
-        else:
-            X = params[off:off + d].copy()
-            c = params[off + d]
-            out.append(DegenerateReflection(X, c * X))
-    return out
-
-
-def _hp_residual_jacobian(params, layout, group):
-    """Norm and commutation constraints of the half-pipe configuration.
+def _hp_problem(group, base):
+    """Unknowns and constraint maps of a half-pipe configuration.
 
     Unknowns per degenerate slot: the normal X and the coefficient c of
     its translation c X; per non-degenerate slot: the dual point p.
     Constraints: q_1(X) = 1; b_1(X_i, X_j) = 0 for adjacent degenerate
     pairs; b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate
     pairs ((r_X, cX) and (-id, 2p) commute iff (id - r_X)(2p) = 2 c X).
+    Returns (params, start, F, J): the packed unknowns, the offset of
+    each block (slot k is "k", its c is "ck") and the two maps.
     """
-    dim = layout[0][2]
-    J = np.array([-1.0] + [1.0] * (dim - 1))
-    res = []
-    jac = []
-    npar = len(params)
-
-    def b(u, v):
-        return float(np.sum(J * u * v))
-
-    for kind, off, d in layout:
-        if kind == "X":
-            X = params[off:off + d]
-            res.append(b(X, X) - 1.0)
-            row = np.zeros(npar)
-            row[off:off + d] = 2.0 * J * X
-            jac.append(row)
+    params = []
+    start = {}
+    deg = []
+    for k, r in enumerate(base):
+        start[str(k)] = len(params)
+        vec = np.asarray(r.X if isinstance(r, DegenerateReflection) else r.p, dtype=float)
+        params.extend(vec)
+        if isinstance(r, DegenerateReflection):
+            start[f"c{k}"] = len(params)
+            params.append(float(reflection_span_coefficient(r)))
+            deg.append(k)
+    cons = [Pair(str(k), str(k), 1) for k in deg]
     for i, j in _HP_ADJ[group]:
-        ki, oi, d = layout[i]
-        kj, oj, _ = layout[j]
-        if ki == "X" and kj == "X":
-            Xi = params[oi:oi + d]
-            Xj = params[oj:oj + d]
-            res.append(b(Xi, Xj))
-            row = np.zeros(npar)
-            row[oi:oi + d] = J * Xj
-            row[oj:oj + d] = J * Xi
-            jac.append(row)
+        if i in deg and j in deg:
+            cons.append(Pair(str(i), str(j), 0))
         else:
-            if ki == "X":
-                ox, op = oi, oj
-            else:
-                ox, op = oj, oi
-            X = params[ox:ox + d]
-            c = params[ox + d]
-            p = params[op:op + d]
-            res.append(b(X, 2.0 * p) - c)
-            row = np.zeros(npar)
-            row[ox:ox + d] = 2.0 * J * p
-            row[op:op + d] = 2.0 * J * X
-            row[ox + d] = -1.0
-            jac.append(row)
-    return np.array(res), np.array(jac)
+            x, p = (i, j) if i in deg else (j, i)
+            cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
+    signature = QuadraticSpace.minkowski(len(vec)).signature
+    return (np.array(params), start) + ConstraintSystem(tuple(cons)).maps(signature, start)
 
 
-def _project_hp(params, layout, group, tol_res, max_iter):
-    for it in range(max_iter + 1):
-        res, jac = _hp_residual_jacobian(params, layout, group)
-        if np.max(np.abs(res)) <= tol_res:
-            return _hp_unpack(params, layout), float(np.max(np.abs(res))), it
-        if it == max_iter:
-            break
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        params = params + step
-    raise NoConvergence(f"half-pipe projection residual {np.max(np.abs(res)):.3g}")
+def _hp_unpack(params, start, base):
+    out = []
+    for k, r in enumerate(base):
+        off = start[str(k)]
+        if isinstance(r, NonDegenerateReflection):
+            out.append(NonDegenerateReflection(params[off:off + len(r.p)].copy()))
+        else:
+            X = params[off:off + len(r.X)].copy()
+            out.append(DegenerateReflection(X, params[start[f"c{k}"]] * X))
+    return out
 
 
 def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
@@ -404,6 +352,8 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     base_class = classify(geometry, group, base, tol_class)
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
         raise ValueError(f"base configuration classifies as {base_class.name}, need a cusp")
+    if geometry == "hp":
+        params, start, F, J = _hp_problem(group, base)
     counts = {}
     records = []
 
@@ -415,9 +365,9 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
         rng = np.random.default_rng([seed, k])
         try:
             if geometry == "hp":
-                params, layout = _hp_pack(base)
-                params = params + rng.uniform(-noise, noise, size=len(params))
-                data, res, iters = _project_hp(params, layout, group, tol_res, max_iter)
+                x0 = params + rng.uniform(-noise, noise, size=len(params))
+                x, iters, res = gauss_newton(F, J, x0, None, max_iter, tol_res)
+                data = _hp_unpack(x, start, base)
             else:
                 vectors = [np.asarray(v, dtype=float)
                            + rng.uniform(-noise, noise, size=len(v)) for v in base]

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg_exact import exact_identity
-from .scalars import QSqrt2
+from .scalars import QSqrt2, is_exact
 
 DEFAULT_TOL = 1e-9
 
@@ -118,10 +118,6 @@ class HyperplaneTypeAdS(Enum):
     LIGHTLIKE = "lightlike"
 
 
-def is_exact_vector(x):
-    return len(x) > 0 and isinstance(np.asarray(x, dtype=object).reshape(-1)[0], QSqrt2)
-
-
 def eval_form(space, x):
     """q(x) for the space's diagonal form."""
     if len(x) != space.dim:
@@ -141,7 +137,7 @@ def reflection_matrix(space, X, tol=None):
 
     r_X(v) = v - 2 b(X, v)/q(X) * X, an involution in O(q).
     """
-    exact = is_exact_vector(X)
+    exact = is_exact(X)
     q = eval_form(space, X)
     if exact:
         if q == 0:
@@ -164,7 +160,8 @@ def reflection_matrix(space, X, tol=None):
     return out
 
 
-def _coincident(space, X, Y, tol):
+def coincident(X, Y, tol):
+    """Is X = +-Y within tol (the same hyperplane, the same reflection)?"""
     d1 = max(abs(xi - yi) for xi, yi in zip(X, Y))
     d2 = max(abs(xi + yi) for xi, yi in zip(X, Y))
     return d1 <= tol or d2 <= tol
@@ -173,7 +170,7 @@ def _coincident(space, X, Y, tol):
 def _resolve_tol(X, tol):
     if tol is not None:
         return tol
-    return 0 if is_exact_vector(X) else DEFAULT_TOL
+    return 0 if is_exact(X) else DEFAULT_TOL
 
 
 def classify_pair_hyp(X, Y, tol=None):
@@ -188,7 +185,7 @@ def classify_pair_hyp(X, Y, tol=None):
     for v in (X, Y):
         if abs(eval_form(space, v) - 1) > tol:
             raise NotUnitSpacelike("normals must satisfy q_1 = 1")
-    if _coincident(space, X, Y, tol):
+    if coincident(X, Y, tol):
         raise CoincidentHyperplanes("X = +-Y defines a single hyperplane")
     ab = abs(eval_bilinear(space, X, Y))
     if ab < 1 - tol:
@@ -230,7 +227,7 @@ def classify_pair_ads(X, Y, tol=None):
         raise NotUnitSpacelike("normals must satisfy q_{-1} = +-1")
     if (x_space and y_time) or (x_time and y_space):
         raise MixedTypePair("no classification for a spacelike/timelike normal pair")
-    if _coincident(space, X, Y, tol):
+    if coincident(X, Y, tol):
         raise CoincidentHyperplanes("X = +-Y defines a single hyperplane")
     ab = abs(eval_bilinear(space, X, Y))
     if x_space:
@@ -254,11 +251,11 @@ def commute_test(space, X, Y, tol=None):
     tol = _resolve_tol(X, tol)
     qx = eval_form(space, X)
     qy = eval_form(space, Y)
-    if is_exact_vector(X):
+    if is_exact(X):
         if qx == 0 or qy == 0:
             raise DegenerateNormal("q(X) = 0: not a reflection normal")
     elif abs(qx) <= tol or abs(qy) <= tol:
         raise DegenerateNormal("q(X) = 0 within tolerance: not a reflection normal")
-    if _coincident(space, X, Y, tol):
+    if coincident(X, Y, tol):
         return True
     return abs(eval_bilinear(space, X, Y)) <= tol

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Rational
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, QuadraticSpace, classify_pair_hyp, eval_form,
                        reflection_matrix)
 from .linalg_exact import exact_identity, exact_zeros
-from .scalars import QSqrt2
+from .scalars import QSqrt2, is_exact
 
 
 class HalfPipeError(Exception):
@@ -38,10 +37,6 @@ class HalfPipeError(Exception):
 
 class NotFormPreserving(HalfPipeError):
     pass
-
-
-def _is_exact(arr):
-    return np.asarray(arr, dtype=object).reshape(-1)[0].__class__ is QSqrt2
 
 
 def _minkowski_space(dim):
@@ -149,9 +144,8 @@ def classify_hp_dual_points(p, q, tol=None):
     timelike.
     """
     d = [pi - qi for pi, qi in zip(p, q)]
-    exact = len(d) and isinstance(np.asarray(d, dtype=object).reshape(-1)[0], QSqrt2)
     if tol is None:
-        tol = 0 if exact else DEFAULT_TOL
+        tol = 0 if is_exact(d) else DEFAULT_TOL
     val = eval_form(_minkowski_space(len(d)), d)
     if val > tol:
         return HPPointsClass.INTERSECT
@@ -170,7 +164,7 @@ class NonDegenerateReflection:
 
     @property
     def exact(self):
-        return _is_exact(self.p)
+        return is_exact(self.p)
 
     def isometry(self):
         p = np.asarray(self.p, dtype=object if self.exact else float)
@@ -195,7 +189,7 @@ class DegenerateReflection:
 
     def __post_init__(self):
         space = _minkowski_space(len(self.X))
-        if _is_exact(self.X):
+        if is_exact(self.X):
             if eval_form(space, self.X) != 1:
                 raise ValueError("degenerate reflection requires q_1(X) = 1")
             lam = None
@@ -217,7 +211,7 @@ class DegenerateReflection:
 
     @property
     def exact(self):
-        return _is_exact(self.X)
+        return is_exact(self.X)
 
     def isometry(self):
         space = _minkowski_space(len(self.X))
@@ -395,7 +389,7 @@ def rho_lambda(lam):
     the translation part is tau(i+) = tau(i-) = (-1)^i lam v_i and zero
     on the letters.  Exact over Q(sqrt 2) for exact lam.
     """
-    exact = isinstance(lam, (QSqrt2, Rational)) or isinstance(lam, int)
+    exact = is_exact(lam)
     lam = QSqrt2(lam) if exact and not isinstance(lam, QSqrt2) else lam
     space = _minkowski_space(4)
     cubo = cuboctahedron_vectors()

@@ -33,8 +33,8 @@ from math import sqrt
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
-from .geometry import DimensionMismatch, QuadraticSpace, eval_bilinear, eval_form
-from .scalars import QSqrt2, format_scalar, parse_scalar
+from .geometry import DimensionMismatch, QuadraticSpace, eval_bilinear
+from .scalars import QSqrt2, format_scalar, is_exact, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
 MIN_GAP_RATIO = 1e3
@@ -68,6 +68,10 @@ class SliceDegenerate(RepVarError):
     pass
 
 
+class MixedBackends(RepVarError, ValueError):
+    pass
+
+
 # -- lifts ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -79,10 +83,17 @@ class Lift:
     vectors: dict
     norm_targets: dict
 
+    def __post_init__(self):
+        for n, v in self.vectors.items():
+            if len(v) != self.space.dim:
+                raise DimensionMismatch(f"vector {n!r} has length {len(v)}, "
+                                        f"space has dim {self.space.dim}")
+        if len({is_exact(v) for v in self.vectors.values()}) > 1:
+            raise MixedBackends("a lift mixes exact and decimal vectors")
+
     @property
     def exact(self):
-        v = self.vectors[self.names[0]]
-        return isinstance(np.asarray(v, dtype=object).reshape(-1)[0], QSqrt2)
+        return is_exact(self.vectors[self.names[0]])
 
     @property
     def n_coords(self):
@@ -215,30 +226,80 @@ def collapsed_lift_exact(geometry):
 # -- constraint systems ----------------------------------------------------
 
 @dataclass(frozen=True)
-class Norm:
-    name: str
+class Pair:
+    """One row  scale * b(x_a, x_b) - x_linear = target  over named blocks.
+
+    A norm q(f(s)) = target is the pair (s, s); ``linear`` names a
+    one-coordinate block subtracted from the row (none by default).
+    """
+
+    a: str
+    b: str
     target: int
-
-
-@dataclass(frozen=True)
-class Orthogonality:
-    a: str
-    b: str
-
-
-@dataclass(frozen=True)
-class Tangency:
-    a: str
-    b: str
-    sign: int
+    scale: int = 1
+    linear: str = None
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """Bilinear rows, compiled once to index arrays over their blocks.
+
+    ``names`` lists the blocks the rows touch, in order of first use;
+    ``maps`` binds them to flat coordinates.
+    """
+
     constraints: tuple
+
+    def __post_init__(self):
+        cons = self.constraints
+        names = tuple(dict.fromkeys(n for c in cons for n in (c.a, c.b, c.linear)
+                                    if n is not None))
+        slot = {n: k for k, n in enumerate(names)}
+        rows = [(slot[c.a], slot[c.b], c.target, c.scale) for c in cons]
+        linear = [(r, slot[c.linear]) for r, c in enumerate(cons) if c.linear is not None]
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_rows", np.array(rows, dtype=int).reshape(-1, 4))
+        object.__setattr__(self, "_linear", np.array(linear, dtype=int).reshape(-1, 2))
 
     def __len__(self):
         return len(self.constraints)
+
+    def maps(self, signature, start):
+        """Residual and Jacobian as functions of a flat coordinate vector x.
+
+        Block n occupies x[start[n]:start[n] + d], d = len(signature),
+        and the form is diagonal with that signature.  The residual runs
+        on float or exact (object) arrays alike; the Jacobian is built by
+        scatter: a pairing row carries scale * Q x_b in block a and
+        scale * Q x_a in block b (2 Q x_a for a norm), and -1 in the
+        linear column.
+        """
+        sig = np.array(signature)
+        try:
+            offsets = np.array([start[n] for n in self.names], dtype=int)
+        except KeyError as exc:
+            raise DimensionMismatch(f"no coordinates for {exc.args[0]!r}") from None
+        a, b, target, scale = self._rows.T
+        lin_rows, lin = self._linear.T
+        span = np.arange(len(sig))
+        cols_a = offsets[a][:, None] + span
+        cols_b = offsets[b][:, None] + span
+        lin = offsets[lin]
+        rows = np.arange(len(self))[:, None]
+
+        def residual_at(x):
+            r = scale * (sig * x[cols_a] * x[cols_b]).sum(axis=-1) - target
+            r[lin_rows] -= x[lin]
+            return r
+
+        def jacobian_at(x):
+            J = np.zeros((len(rows), len(x)))
+            J[rows, cols_a] = scale[:, None] * (sig * x[cols_b])
+            J[rows, cols_b] += scale[:, None] * (sig * x[cols_a])
+            J[lin_rows, lin] = -1.0
+            return J
+
+        return residual_at, jacobian_at
 
 
 def build_constraints(racg, norm_targets, tangency_pairs=None):
@@ -247,15 +308,15 @@ def build_constraints(racg, norm_targets, tangency_pairs=None):
     Tangency targets are the signed values +-1 read off a reference
     lift, so Newton steps cannot jump between the 2^{|S|} sign sheets.
     """
-    cons = [Norm(n, int(norm_targets[n])) for n in racg.generators]
+    cons = [Pair(n, n, int(norm_targets[n])) for n in racg.generators]
     commuting = set(racg.commuting_pairs)
     for i, j in sorted(commuting):
-        cons.append(Orthogonality(racg.generators[i], racg.generators[j]))
+        cons.append(Pair(racg.generators[i], racg.generators[j], 0))
     for (a, b), sign in (tangency_pairs or []):
         i, j = sorted((racg.index(a), racg.index(b)))
         if (i, j) in commuting:
             raise OverlappingConstraint(f"pair ({a}, {b}) already carries an orthogonality")
-        cons.append(Tangency(racg.generators[i], racg.generators[j], int(sign)))
+        cons.append(Pair(racg.generators[i], racg.generators[j], int(sign)))
     return ConstraintSystem(tuple(cons))
 
 
@@ -297,21 +358,14 @@ def constraint_system(geometry, with_tangencies=True):
     return build_constraints(gamma22(), targets, tang)
 
 
+def _lift_maps(system, lift):
+    d = lift.space.dim
+    return system.maps(lift.space.signature, {n: k * d for k, n in enumerate(lift.names)})
+
+
 def residual(system, lift):
     """One entry per constraint: q - target, b, or b - sign."""
-    vals = []
-    for c in system.constraints:
-        if isinstance(c, Norm):
-            if c.name not in lift.vectors:
-                raise DimensionMismatch(f"lift has no vector for {c.name!r}")
-            vals.append(eval_form(lift.space, lift.vectors[c.name]) - c.target)
-        elif isinstance(c, Orthogonality):
-            vals.append(eval_bilinear(lift.space, lift.vectors[c.a], lift.vectors[c.b]))
-        else:
-            vals.append(eval_bilinear(lift.space, lift.vectors[c.a], lift.vectors[c.b]) - c.sign)
-    if lift.exact:
-        return vals
-    return np.array(vals, dtype=float)
+    return _lift_maps(system, lift)[0](lift.flatten())
 
 
 def residual_max(system, lift):
@@ -328,19 +382,7 @@ def jacobian(system, lift):
     block s1 and Q*f(s1) in block s2.
     """
     lift = lift.as_float()
-    d = lift.space.dim
-    idx = {n: i for i, n in enumerate(lift.names)}
-    sig = np.array(lift.space.signature, dtype=float)
-    J = np.zeros((len(system), lift.n_coords))
-    for r, c in enumerate(system.constraints):
-        if isinstance(c, Norm):
-            i = idx[c.name]
-            J[r, i * d:(i + 1) * d] = 2.0 * sig * lift.vectors[c.name]
-        else:
-            i, j = idx[c.a], idx[c.b]
-            J[r, i * d:(i + 1) * d] = sig * lift.vectors[c.b]
-            J[r, j * d:(j + 1) * d] = sig * lift.vectors[c.a]
-    return J
+    return _lift_maps(system, lift)[1](lift.flatten())
 
 
 # -- rank / kernel reports -------------------------------------------------
@@ -355,33 +397,36 @@ class RankReport:
     gap_ratio: float
 
 
-def kernel_report(system, lift, tol=DEFAULT_RANK_TOL, min_gap=MIN_GAP_RATIO):
-    """SVD kernel of the constraint Jacobian with a spectral-gap check.
+def _rank_cut(s, tol, min_gap=MIN_GAP_RATIO):
+    """Numeric rank of the singular values s, and the gap ratio at the cut.
 
-    The rank cut is relative (tol * sigma_max); the ratio across the
-    cut must reach min_gap, otherwise the dimension claim would be
-    numerically meaningless and IllConditioned is raised.
+    The cut is relative (tol * sigma_max); the ratio across it must
+    reach min_gap, otherwise the dimension claim would be numerically
+    meaningless and IllConditioned is raised.
     """
+    rank = int(np.sum(s > tol * s[0]))
+    if rank == len(s):
+        return rank, np.inf
+    gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
+    if gap < min_gap:
+        raise IllConditioned(
+            f"no spectral gap at the rank cut: sigma_{rank}/sigma_{rank + 1} = {gap:.3g}")
+    return rank, gap
+
+
+def kernel_report(system, lift, tol=DEFAULT_RANK_TOL, min_gap=MIN_GAP_RATIO):
+    """SVD kernel of the constraint Jacobian with a spectral-gap check."""
     res = residual_max(system, lift)
     if res > 1e-8:
         warnings.warn(f"kernel_report at a point with residual {res:.3g}; "
                       "the lift is not on the variety", stacklevel=2)
     J = jacobian(system, lift)
     u, s, vt = np.linalg.svd(J)
-    ncols = J.shape[1]
-    cut = tol * s[0]
-    rank = int(np.sum(s > cut))
-    if rank < len(s):
-        gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
-        if gap < min_gap:
-            raise IllConditioned(
-                f"no spectral gap at the rank cut: sigma_{rank}/sigma_{rank + 1} = {gap:.3g}")
-    else:
-        gap = np.inf
+    rank, gap = _rank_cut(s, tol, min_gap)
     return RankReport(
         singular_values=s,
         numeric_rank=rank,
-        kernel_dim=ncols - rank,
+        kernel_dim=J.shape[1] - rank,
         kernel_basis=vt[rank:],
         tolerance_used=tol,
         gap_ratio=gap,
@@ -456,26 +501,25 @@ def known_tangent(t, geometry):
 
 # -- projection and tracing -------------------------------------------------
 
-def _gauss_newton(system, lift, free_idx=None, max_iter=50, tol_res=1e-12):
-    flat = lift.flatten().astype(float)
-    current = lift.with_flat(flat)
+def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
+    """Gauss-Newton least-squares iteration x <- x + lstsq(J(x), -F(x)).
+
+    Only the coordinates in free_idx move (all of them when None).
+    Stops once max|F(x)| <= tol_res and returns (x, iterations,
+    residual); raises NoConvergence after max_iter steps.
+    """
+    free = slice(None) if free_idx is None else free_idx
+    x = np.array(x0, dtype=float)
     for it in range(max_iter + 1):
-        r = residual(system, current)
-        if np.max(np.abs(r)) <= tol_res:
-            return current, it
+        r = F(x)
+        res = float(np.max(np.abs(r))) if len(r) else 0.0
+        if res <= tol_res:
+            return x, it, res
         if it == max_iter:
             break
-        J = jacobian(system, current)
-        if free_idx is not None:
-            J = J[:, free_idx]
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if free_idx is None:
-            flat = flat + step
-        else:
-            flat = flat.copy()
-            flat[free_idx] += step
-        current = lift.with_flat(flat)
-    raise NoConvergence(f"residual {np.max(np.abs(r)):.3g} after {max_iter} Gauss-Newton steps")
+        step, *_ = np.linalg.lstsq(J(x)[:, free], -r, rcond=None)
+        x[free] += step
+    raise NoConvergence(f"residual {res:.3g} after {max_iter} Gauss-Newton steps")
 
 
 def project_to_variety(system, start, max_iter=50, tol_res=1e-12):
@@ -483,7 +527,10 @@ def project_to_variety(system, start, max_iter=50, tol_res=1e-12):
 
     Returns (lift, iterations); raises NoConvergence outside the basin.
     """
-    return _gauss_newton(system, start.as_float(), None, max_iter, tol_res)
+    lift = start.as_float()
+    x, iters, _ = gauss_newton(*_lift_maps(system, lift), lift.flatten(), None,
+                               max_iter, tol_res)
+    return lift.with_flat(x), iters
 
 
 def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
@@ -494,9 +541,11 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
     default the letters A, B, C, D), which kills the 10-dimensional
     conjugation orbit; the kernel of the Jacobian restricted to the
     remaining coordinates must be exactly one-dimensional, and is the
-    step direction.  ``orient`` fixes the sign of the first step.
+    step direction.  ``orient`` fixes the sign of the first step.  The
+    rank cut is gap-checked as in kernel_report.
     """
     lift = start.as_float()
+    F, Jmap = _lift_maps(system, lift)
     d = lift.space.dim
     frozen = set()
     for g in gauge:
@@ -504,12 +553,12 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
         frozen.update(range(i * d, (i + 1) * d))
     free_idx = np.array([k for k in range(lift.n_coords) if k not in frozen])
     path = [lift]
+    x = lift.flatten()
     prev = None if orient is None else np.asarray(orient, dtype=float)
     for _ in range(steps):
-        J = jacobian(system, lift)[:, free_idx]
+        J = Jmap(x)[:, free_idx]
         u, s, vt = np.linalg.svd(J)
-        cut = rank_tol * s[0]
-        null_dim = int(np.sum(s <= cut)) + (J.shape[1] - len(s) if J.shape[1] > len(s) else 0)
+        null_dim = J.shape[1] - _rank_cut(s, rank_tol)[0]
         if null_dim != 1:
             raise SliceDegenerate(f"gauge-restricted kernel has dimension {null_dim}, expected 1")
         tangent = np.zeros(lift.n_coords)
@@ -520,10 +569,9 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
             k = int(np.argmax(np.abs(tangent)))
             if tangent[k] < 0:
                 tangent = -tangent
-        flat = lift.flatten() + step_size * tangent
-        lift, _ = _gauss_newton(system, lift.with_flat(flat), free_idx, max_iter, tol_res)
+        x, _, _ = gauss_newton(F, Jmap, x + step_size * tangent, free_idx, max_iter, tol_res)
         prev = tangent
-        path.append(lift)
+        path.append(lift.with_flat(x))
     return path
 
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import sqrt
 from numbers import Rational
 
+import numpy as np
+
 
 def _coerce(x):
     if isinstance(x, QSqrt2):
@@ -228,4 +230,14 @@ def format_scalar(x):
 
 
 def is_exact(x):
-    return isinstance(x, (QSqrt2, Rational))
+    """Is x exact data: a QSqrt2 or rational scalar, or an array or
+    sequence of QSqrt2 (judged by its first entry)?
+
+    Float and integer numpy arrays are float-backend data.
+    """
+    if isinstance(x, (QSqrt2, Rational)):
+        return True
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return False
+    flat = np.asarray(x, dtype=object).reshape(-1)
+    return len(flat) > 0 and isinstance(flat[0], QSqrt2)

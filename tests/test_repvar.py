@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coxvar.coxeter import gamma22, gamma_rect
-from coxvar.geometry import eval_form
+from coxvar.cusp import _hp_problem, base_cube
+from coxvar.geometry import eval_bilinear, eval_form
 from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, NoConvergence,
                            OverlappingConstraint, ParameterOutOfRange, SliceDegenerate,
                            build_constraints, canonical_tangency_pairs, constraint_system,
@@ -91,7 +92,13 @@ def test_find_tangency_ambiguous():
 @pytest.mark.parametrize("geometry,t", [("hyp", 0.3), ("ads", -0.6)])
 def test_residual_on_path(geometry, t):
     system = constraint_system(geometry, with_tangencies=True)
-    assert residual_max(system, standard_lift(t, geometry)) < 1e-12
+    lift = standard_lift(t, geometry)
+    assert residual_max(system, lift) < 1e-12
+    # off the path, the vectorised rows equal the per-pair loop bit for bit
+    off = lift.with_flat(lift.flatten() + 1e-3)
+    ref = [eval_bilinear(off.space, off.vectors[c.a], off.vectors[c.b]) - c.target
+           for c in system.constraints]
+    assert residual(system, off).tolist() == ref
 
 
 def test_residual_exact_lift_is_zero():
@@ -130,23 +137,27 @@ def test_jacobian_shape_and_blocks():
 
 
 def test_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(12345)
     system = constraint_system("hyp", with_tangencies=True)
     base = standard_lift_hyp(0.3)
-    rng = np.random.default_rng(12345)
+    lift_maps = (lambda x: residual(system, base.with_flat(x)),
+                 lambda x: jacobian(system, base.with_flat(x)))
+    # the half-pipe cube system: scaled b(X, 2p) rows and the -c column
+    hp_params, _, *hp_maps = _hp_problem("cube", base_cube("hp"))
     h = 1e-6
-    worst = 0.0
-    for _ in range(100):
-        flat = base.flatten() + rng.normal(scale=0.1, size=110)
-        J = jacobian(system, base.with_flat(flat))
-        fd = np.empty_like(J)
-        for col in range(110):
-            e = np.zeros(110)
-            e[col] = h
-            rp = residual(system, base.with_flat(flat + e))
-            rm = residual(system, base.with_flat(flat - e))
-            fd[:, col] = (rp - rm) / (2 * h)
-        worst = max(worst, np.max(np.abs(J - fd)) / np.max(np.abs(J)))
-    assert worst < 1e-6
+    for (F, J), x0 in ((lift_maps, base.flatten()), (hp_maps, hp_params)):
+        n = len(x0)
+        worst = 0.0
+        for _ in range(100):
+            x = x0 + rng.normal(scale=0.1, size=n)
+            jac = J(x)
+            fd = np.empty_like(jac)
+            for col in range(n):
+                e = np.zeros(n)
+                e[col] = h
+                fd[:, col] = (F(x + e) - F(x - e)) / (2 * h)
+            worst = max(worst, np.max(np.abs(jac - fd)) / np.max(np.abs(jac)))
+        assert worst < 1e-6
 
 
 @pytest.mark.parametrize("geometry", ["hyp", "ads"])
@@ -262,6 +273,17 @@ def test_trace_path_degenerate_slice():
     start = standard_lift_hyp(0.3)
     with pytest.raises(SliceDegenerate):
         trace_path(system, start, 1, 0.1, gauge=("A",))
+
+
+def test_trace_path_ill_conditioned():
+    system = constraint_system("hyp", with_tangencies=True)
+    lift = standard_lift_hyp(0.4)
+    free = [k for k in range(110) if lift.names[k // 5] not in ("A", "B", "C", "D")]
+    s = np.linalg.svd(jacobian(system, lift)[:, free], compute_uv=False)
+    # place the tracer's rank cut in the middle of the continuous part of the spectrum
+    bad_tol = float(np.sqrt(s[40] * s[41]) / s[0])
+    with pytest.raises(IllConditioned):
+        trace_path(system, lift, 1, 0.1, rank_tol=bad_tol)
 
 
 def test_nearest_standard_t_recovers_parameter():
