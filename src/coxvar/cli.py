@@ -22,15 +22,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import cohomology as coh
 from . import cusp as cuspmod
-from .coxeter import RACG, gamma22, verify_representation
-from .geometry import classify_pair_ads, classify_pair_hyp, reflection_matrix
-from .halfpipe import rho_lambda
+from .coxeter import RACG, RelationError, gamma22, verify_representation
+from .geometry import GeometryError, classify_pair_ads, classify_pair_hyp, reflection_matrix
+from .halfpipe import HalfPipeError, rho_lambda
 from .repvar import (IllConditioned, Lift, NoConvergence, ParameterOutOfRange,
                      build_constraints, constraint_system, gram_matrix, kernel_report,
                      residual_max, standard_lift, table_lift_exact)
@@ -75,6 +76,9 @@ def _verify_user_lift(args, out):
         racg = RACG.from_json(fh.read())
     with open(args.lift_file) as fh:
         lift = Lift.from_json(fh.read())
+    if set(lift.names) != set(racg.generators):
+        raise ValueError(f"lift names {sorted(lift.names)} do not match the group's "
+                         f"generators {sorted(racg.generators)}")
     system = build_constraints(racg, lift.norm_targets)
     res = residual_max(system, lift)
     out.write(f"group: {len(racg.generators)} generators, "
@@ -206,6 +210,8 @@ def _base_config(args):
 
 
 def cmd_cusp(args):
+    if args.experiment and args.trials < 1:
+        raise ValueError("--trials must be at least 1 with --experiment")
     base, group = _base_config(args)
     klass = cuspmod.classify(args.geometry, group, base, args.class_tol)
     lines = ["# coxvar cusp v1", "trial,class,residual,iterations"]
@@ -219,14 +225,10 @@ def cmd_cusp(args):
         "seed": args.seed,
         "histogram": {},
     }
-    code = EXIT_OK
-    if args.experiment and args.trials > 0:
-        try:
-            stats = cuspmod.rigidity_experiment(
-                args.geometry, group, base, args.trials, noise=args.noise,
-                seed=args.seed, tol_class=args.class_tol)
-        except NoConvergence:
-            return EXIT_NUMERICAL
+    if args.experiment:
+        stats = cuspmod.rigidity_experiment(
+            args.geometry, group, base, args.trials, noise=args.noise,
+            seed=args.seed, tol_class=args.class_tol)
         for rec in stats.records:
             lines.append(f"{rec.trial},{rec.klass},{format_scalar(rec.residual)},{rec.iterations}")
         summary["trials"] = args.trials
@@ -239,7 +241,7 @@ def cmd_cusp(args):
         with open(args.summary, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return code
+    return EXIT_OK
 
 
 # -- gram --------------------------------------------------------------------
@@ -276,6 +278,17 @@ def cmd_gram(args):
 
 # -- parser ------------------------------------------------------------------
 
+def _finite_float(text):
+    """argparse type for every float option: nan and inf are bad input."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="coxvar",
                                 description="reflection representation varieties of "
@@ -284,9 +297,9 @@ def build_parser():
 
     v = sub.add_parser("verify", help="residual + relation check of the explicit family")
     v.add_argument("--geometry", choices=("hyp", "ads", "hp"), required=True)
-    v.add_argument("--t", type=float, default=0.5,
+    v.add_argument("--t", type=_finite_float, default=0.5,
                    help="path parameter (lambda for hp)")
-    v.add_argument("--tol", type=float, default=1e-12)
+    v.add_argument("--tol", type=_finite_float, default=1e-12)
     v.add_argument("--group-file", help="user RACG JSON")
     v.add_argument("--lift-file", help="user lift JSON")
     v.add_argument("--output")
@@ -296,7 +309,7 @@ def build_parser():
     t.add_argument("--geometry", choices=("hyp", "ads"), required=True)
     t.add_argument("--system", choices=("g", "g0"), default="g0")
     t.add_argument("--grid", required=True, help="start:stop:count or comma list")
-    t.add_argument("--rank-tol", type=float, default=1e-9)
+    t.add_argument("--rank-tol", type=_finite_float, default=1e-9)
     t.add_argument("--output")
     t.set_defaults(func=cmd_trace)
 
@@ -308,20 +321,20 @@ def build_parser():
     k = sub.add_parser("cusp", help="cusp classification / rigidity experiment")
     k.add_argument("--geometry", choices=("hyp", "ads", "hp"), required=True)
     k.add_argument("--group", choices=("rect3", "cube4"), required=True)
-    k.add_argument("--t", type=float, default=0.4, help="cube base parameter")
-    k.add_argument("--lam", type=float, default=1.0, help="hp cube base parameter")
+    k.add_argument("--t", type=_finite_float, default=0.4, help="cube base parameter")
+    k.add_argument("--lam", type=_finite_float, default=1.0, help="hp cube base parameter")
     k.add_argument("--experiment", action="store_true")
     k.add_argument("--trials", type=int, default=1000)
-    k.add_argument("--noise", type=float, default=1e-3)
+    k.add_argument("--noise", type=_finite_float, default=1e-3)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--class-tol", type=float, default=1e-7)
+    k.add_argument("--class-tol", type=_finite_float, default=1e-7)
     k.add_argument("--output")
     k.add_argument("--summary", help="write a JSON histogram here")
     k.set_defaults(func=cmd_cusp)
 
     g = sub.add_parser("gram", help="22x22 Gram matrix with pair classification")
     g.add_argument("--geometry", choices=("hyp", "ads"), required=True)
-    g.add_argument("--t", type=float, default=0.5)
+    g.add_argument("--t", type=_finite_float, default=0.5)
     g.add_argument("--output")
     g.set_defaults(func=cmd_gram)
     return p
@@ -335,7 +348,8 @@ def main(argv=None):
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParameterOutOfRange, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterOutOfRange, ValueError, OSError, GeometryError, RelationError,
+            cuspmod.CuspError, HalfPipeError, coh.CohomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (NoConvergence, IllConditioned) as exc:

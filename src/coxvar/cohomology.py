@@ -21,14 +21,14 @@ expressed in a basis adapted to the splitting g = so(1,3) + R^{1,3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22
 from .geometry import QuadraticSpace, reflection_matrix
-from .linalg_exact import (exact_identity, exact_inverse, exact_nullspace, exact_rank,
-                           exact_solve, exact_zeros, is_zero_matrix)
+from .linalg_exact import (PairMatrix, exact_identity, exact_inverse, exact_nullspace,
+                           exact_pivots, exact_rank, exact_solve, exact_zeros, is_zero_matrix)
 from .scalars import QSqrt2
 
 
@@ -50,24 +50,31 @@ class SingularNormalization(CohomologyError):
 
 @dataclass(frozen=True)
 class LinearRep:
-    """Exact representation of a RACG on V, validated on construction."""
+    """Exact representation of a RACG on V, validated on construction.
+
+    ``images`` holds QSqrt2 object arrays; ``pair_images`` holds the
+    same images as PairMatrix, which every check and system here uses.
+    """
 
     racg: object
     dimV: int
     images: dict
+    pair_images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ident = exact_identity(self.dimV)
+        ident = PairMatrix.identity(self.dimV)
+        mats = {}
         for name in self.racg.generators:
             m = self.images[name]
             if m.shape != (self.dimV, self.dimV):
                 raise ValueError(f"image of {name!r} has wrong shape")
-            if not is_zero_matrix(m @ m - ident):
+            p = mats[name] = PairMatrix.of(m)
+            if not (p @ p - ident).is_zero():
                 raise ValueError(f"image of {name!r} does not square to the identity")
         for a, b in self.racg.commuting_name_pairs():
-            if not is_zero_matrix(self.images[a] @ self.images[b]
-                                  - self.images[b] @ self.images[a]):
+            if not (mats[a] @ mats[b] - mats[b] @ mats[a]).is_zero():
                 raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
+        object.__setattr__(self, "pair_images", mats)
 
     def image(self, name):
         return self.images[name]
@@ -89,6 +96,36 @@ def _flatten_cocycle(racg, dimV, tau):
     return out
 
 
+def _columns(vectors, dim):
+    """QSqrt2 vectors of length dim as the columns of a PairMatrix."""
+    if not vectors:
+        return PairMatrix.zeros((dim, 0))
+    return PairMatrix.of(np.array(vectors, dtype=object).T)
+
+
+def _flat_cocycles(racg, dimV, taus):
+    """Cocycles as the columns of one PairMatrix, generator blocks stacked."""
+    return _columns([_flatten_cocycle(racg, dimV, tau) for tau in taus],
+                    len(racg.generators) * dimV)
+
+
+def _cocycles(racg, dimV, flat):
+    """Columns of a flat PairMatrix as cocycles: dicts of QSqrt2 vectors."""
+    values = flat.exact()
+    return [{n: values[i * dimV:(i + 1) * dimV, j].copy()
+             for i, n in enumerate(racg.generators)}
+            for j in range(values.shape[1])]
+
+
+def _coboundary_candidates(racg, images):
+    """Column k is the coboundary of the k-th basis vector: (rho(s) e_k - e_k)_s.
+
+    ``images`` maps generator names to PairMatrix images.
+    """
+    ident = PairMatrix.identity(images[racg.generators[0]].shape[0])
+    return PairMatrix.concat([images[n] - ident for n in racg.generators])
+
+
 def cocycle_space(racg, rep):
     """Exact basis of Z^1: maps from generators to V.
 
@@ -97,82 +134,52 @@ def cocycle_space(racg, rep):
     the concatenated kernel coordinates.
     """
     dimV = rep.dimV
-    ident = exact_identity(dimV)
-    kernels = {}
-    offsets = {}
-    total = 0
-    for n in racg.generators:
-        basis = exact_nullspace(ident + rep.image(n))
-        kernels[n] = np.array(basis, dtype=object).T if basis else exact_zeros((dimV, 0))
-        offsets[n] = total
-        total += kernels[n].shape[1]
+    ident = PairMatrix.identity(dimV)
+    names = racg.generators
+    kernels = {n: _columns(exact_nullspace(ident + rep.pair_images[n]), dimV) for n in names}
+    widths = [kernels[n].shape[1] for n in names]
+    total = sum(widths)
     if total == 0:
         return []
+    offsets = dict(zip(names, np.cumsum([0] + widths).tolist()))
     rows = []
     for a, b in racg.commuting_name_pairs():
-        ka, kb = kernels[a], kernels[b]
-        if ka.shape[1] == 0 and kb.shape[1] == 0:
-            continue
-        block = exact_zeros((dimV, total))
-        if kb.shape[1]:
-            block[:, offsets[b]:offsets[b] + kb.shape[1]] = (ident - rep.image(a)) @ kb
-        if ka.shape[1]:
-            block[:, offsets[a]:offsets[a] + ka.shape[1]] -= (ident - rep.image(b)) @ ka
-        rows.append(block)
-    if rows:
-        system = np.vstack(rows)
-        coeffs = exact_nullspace(system)
-    else:
-        coeffs = [c for c in np.eye(total, dtype=int).astype(object)]
-        coeffs = [np.array([QSqrt2(int(x)) for x in c], dtype=object) for c in coeffs]
-    basis = []
-    for c in coeffs:
-        tau = {}
-        for n in racg.generators:
-            k = kernels[n]
-            if k.shape[1]:
-                tau[n] = k @ c[offsets[n]:offsets[n] + k.shape[1]]
-            else:
-                tau[n] = exact_zeros(dimV)
-        basis.append(tau)
-    return basis
+        # (id - rho(a)) tau(b) - (id - rho(b)) tau(a) = 0 on the kernel coordinates
+        blocks = [PairMatrix.zeros((dimV, w)) for w in widths]
+        blocks[names.index(b)] = (ident - rep.pair_images[a]) @ kernels[b]
+        blocks[names.index(a)] = (rep.pair_images[b] - ident) @ kernels[a]
+        rows.append(PairMatrix.concat(blocks, axis=1))
+    system = PairMatrix.concat(rows) if rows else PairMatrix.zeros((0, total))
+    coeffs = _columns(exact_nullspace(system), total)
+    flat = PairMatrix.concat(
+        [kernels[n] @ coeffs[offsets[n]:offsets[n] + kernels[n].shape[1]] for n in names])
+    return _cocycles(racg, dimV, flat)
 
 
 def coboundary_space(racg, rep):
-    """Exact basis of B^1: independent cocycles v -> (rho(s) v - v)_s."""
-    dimV = rep.dimV
-    ident = exact_identity(dimV)
-    flats = []
-    cocycles = []
-    for k in range(dimV):
-        v = exact_zeros(dimV)
-        v[k] = QSqrt2(1)
-        tau = {n: (rep.image(n) - ident) @ v for n in racg.generators}
-        flat = _flatten_cocycle(racg, dimV, tau)
-        trial = flats + [flat]
-        if exact_rank(np.array(trial, dtype=object)) == len(trial):
-            flats.append(flat)
-            cocycles.append(tau)
-    return cocycles
+    """Exact basis of B^1: independent cocycles v -> (rho(s) v - v)_s.
+
+    The coboundaries of the standard basis vectors are taken in order,
+    keeping each one that is independent of those kept before it.
+    """
+    cands = _coboundary_candidates(racg, rep.pair_images)
+    return _cocycles(racg, rep.dimV, cands[:, exact_pivots(cands)])
 
 
 def cohomology_report(racg, rep):
-    """Z^1, B^1, H^1 dimensions plus representatives, all exact."""
+    """Z^1, B^1, H^1 dimensions plus representatives, all exact.
+
+    The representatives are the Z^1 basis elements that are independent
+    of B^1 and of the representatives before them.
+    """
     z1 = cocycle_space(racg, rep)
     b1 = coboundary_space(racg, rep)
     dimV = rep.dimV
-    span = [_flatten_cocycle(racg, dimV, tau) for tau in b1]
-    rank = exact_rank(np.array(span, dtype=object)) if span else 0
-    assert rank == len(b1)
-    reps = []
-    for tau in z1:
-        flat = _flatten_cocycle(racg, dimV, tau)
-        trial = span + [flat]
-        new_rank = exact_rank(np.array(trial, dtype=object))
-        if new_rank > rank:
-            span.append(flat)
-            rank = new_rank
-            reps.append(tau)
+    span = PairMatrix.concat([_flat_cocycles(racg, dimV, b1), _flat_cocycles(racg, dimV, z1)],
+                             axis=1)
+    pivots = exact_pivots(span)
+    assert pivots[:len(b1)] == list(range(len(b1)))
+    reps = [z1[j - len(b1)] for j in pivots[len(b1):]]
     report = CohomologyReport(
         dimZ1=len(z1), dimB1=len(b1), dimH1=len(z1) - len(b1),
         z1_basis=z1, h1_representatives=reps)
@@ -186,11 +193,8 @@ def h1_dim(racg, rep):
 
 def is_coboundary(racg, rep, tau):
     """Exact test: does rho(s) v - v = tau(s) for all s have a solution?"""
-    dimV = rep.dimV
-    ident = exact_identity(dimV)
-    rows = np.vstack([rep.image(n) - ident for n in racg.generators])
-    rhs = np.concatenate([np.asarray(tau[n], dtype=object) for n in racg.generators])
-    return exact_solve(rows, rhs) is not None
+    return exact_solve(_coboundary_candidates(racg, rep.pair_images),
+                       _flatten_cocycle(racg, rep.dimV, tau)) is not None
 
 
 # -- the collapsed representation and its adjoints ---------------------------
@@ -293,23 +297,19 @@ def adjoint_rep(racg, images, basis):
     Raises BasisNotClosed when conjugation leaves the span of the given
     basis elements.
     """
-    flat_basis = np.array([np.asarray(b, dtype=object).reshape(-1) for b in basis], dtype=object).T
+    stack = PairMatrix.of(np.array([np.asarray(b, dtype=object) for b in basis]))
+    k = len(basis)
+    flat_basis = stack.reshape(k, -1).T
     ad_images = {}
     for n in racg.generators:
-        g = images[n]
-        ginv = exact_inverse(g)
-        cols = []
-        for b in basis:
-            conj = (g @ b) @ ginv
-            coeff = exact_solve(flat_basis, conj.reshape(-1))
-            if coeff is None:
-                raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
-            residue = flat_basis @ coeff - conj.reshape(-1)
-            if not is_zero_matrix(residue):
-                raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
-            cols.append(coeff)
-        ad_images[n] = np.array(cols, dtype=object).T
-    return LinearRep(racg, len(basis), ad_images)
+        g = PairMatrix.of(images[n])
+        ginv = PairMatrix.of(exact_inverse(g))
+        conj = ((g @ stack) @ ginv).reshape(k, -1).T  # column j: g basis[j] g^-1, flattened
+        coeff = exact_solve(flat_basis, conj)
+        if coeff is None or not (flat_basis @ PairMatrix.of(coeff) - conj).is_zero():
+            raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
+        ad_images[n] = coeff
+    return LinearRep(racg, k, ad_images)
 
 
 def adjoint_collapsed_rep(geometry):
@@ -329,34 +329,26 @@ def split_h1(racg, rep, report=None, h_block=6):
 
     Requires every Ad-image to be block diagonal for the (first
     h_block, rest) splitting; returns (horizontal_dim, vertical_dim).
+    The projection of H^1 to a block has the dimension of the span of
+    the projected representatives modulo that block's coboundaries.
     """
     dimV = rep.dimV
-    v_block = dimV - h_block
     for n in racg.generators:
-        m = rep.image(n)
-        if not (is_zero_matrix(m[:h_block, h_block:]) and is_zero_matrix(m[h_block:, :h_block])):
+        m = rep.pair_images[n]
+        if not (m[:h_block, h_block:].is_zero() and m[h_block:, :h_block].is_zero()):
             raise BasisNotAdapted("Ad images are not block diagonal in this basis")
-    rep_h = LinearRep(racg, h_block, {n: rep.image(n)[:h_block, :h_block] for n in racg.generators})
-    rep_v = LinearRep(racg, v_block, {n: rep.image(n)[h_block:, h_block:] for n in racg.generators})
     if report is None:
         report = cohomology_report(racg, rep)
+    reps = _flat_cocycles(racg, dimV, report.h1_representatives)
 
-    def projected_dim(block_rep, lo, hi):
-        span = [_flatten_cocycle(racg, block_rep.dimV, tau)
-                for tau in coboundary_space(racg, block_rep)]
-        base = exact_rank(np.array(span, dtype=object)) if span else 0
-        rank = base
-        for tau in report.h1_representatives:
-            proj = {n: np.asarray(tau[n], dtype=object)[lo:hi] for n in racg.generators}
-            span.append(_flatten_cocycle(racg, block_rep.dimV, proj))
-            new_rank = exact_rank(np.array(span, dtype=object))
-            if new_rank == rank:
-                span.pop()
-            else:
-                rank = new_rank
-        return rank - base
+    def projected_dim(lo, hi):
+        coboundaries = _coboundary_candidates(
+            racg, {n: rep.pair_images[n][lo:hi, lo:hi] for n in racg.generators})
+        rows = [i * dimV + r for i in range(len(racg.generators)) for r in range(lo, hi)]
+        both = PairMatrix.concat([coboundaries, reps[rows]], axis=1)
+        return exact_rank(both) - exact_rank(coboundaries)
 
-    return (projected_dim(rep_h, 0, h_block), projected_dim(rep_v, h_block, dimV))
+    return (projected_dim(0, h_block), projected_dim(h_block, dimV))
 
 
 # -- the geometric cocycles and normalisation --------------------------------

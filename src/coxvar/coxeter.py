@@ -28,7 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import QuadraticSpace, eval_bilinear, eval_form
-from .scalars import QSqrt2
+from .linalg_exact import PairMatrix
+from .scalars import QSqrt2, is_exact
 
 
 class RelationError(Exception):
@@ -48,9 +49,11 @@ class RACG:
 
     def __post_init__(self):
         n = len(self.generators)
-        for i, j in self.commuting_pairs:
-            if not (0 <= i < j < n):
-                raise IndexOutOfRange(f"bad commuting pair ({i}, {j})")
+        if not all(isinstance(g, str) for g in self.generators):
+            raise ValueError("generator names must be strings")
+        for p in self.commuting_pairs:
+            if not (len(p) == 2 and all(isinstance(i, int) for i in p) and 0 <= p[0] < p[1] < n):
+                raise IndexOutOfRange(f"bad commuting pair {p}")
         if len(set(self.generators)) != n:
             raise ValueError("duplicate generator names")
 
@@ -76,8 +79,12 @@ class RACG:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        return cls(tuple(data["generators"]),
-                   frozenset(tuple(sorted(p)) for p in data["commuting_pairs"]))
+        try:
+            generators = tuple(data["generators"])
+            pairs = frozenset(tuple(sorted(p)) for p in data["commuting_pairs"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed group JSON: {type(exc).__name__} {exc}") from None
+        return cls(generators, pairs)
 
 
 # -- the 22-generator group and its tables ------------------------------
@@ -264,6 +271,14 @@ def _max_abs(mat):
     return float(max(abs(x) for x in np.asarray(mat, dtype=object).reshape(-1)))
 
 
+def _max_abs_pairs(pm):
+    """_max_abs of an exact PairMatrix; only its nonzero entries become QSqrt2."""
+    nonzero = (pm.a != 0) | (pm.b != 0)
+    if not nonzero.any():
+        return 0.0
+    return _max_abs(PairMatrix(pm.a[nonzero], pm.b[nonzero], pm.den).exact())
+
+
 @dataclass
 class VerificationReport:
     max_defect: float
@@ -281,19 +296,27 @@ def verify_representation(racg, rep, tol=1e-10):
     deviation from the identity over all relation checks.
     """
     mats = {name: _as_matrix(rep[name]) for name in racg.generators}
-    ident = _identity_like(next(iter(mats.values())))
+    first = next(iter(mats.values()))
+    if is_exact(first):
+        # zero tests on integer pairs; only nonzero defects are measured as QSqrt2
+        mats = {name: PairMatrix.of(m) for name, m in mats.items()}
+        ident = PairMatrix.identity(first.shape[0])
+        max_abs = _max_abs_pairs
+    else:
+        ident = _identity_like(first)
+        max_abs = _max_abs
     failures = []
     max_defect = 0.0
     for name, m in mats.items():
-        d = _max_abs(m @ m - ident)
+        d = max_abs(m @ m - ident)
         max_defect = max(max_defect, d)
         if d > tol:
             failures.append(f"square:{name}")
     for a, b in racg.commuting_name_pairs():
-        d = _max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
+        d = max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
         max_defect = max(max_defect, d)
         if d > tol:
             failures.append(f"commutator:{a},{b}")
-        if _max_abs(mats[a] - mats[b]) <= tol:
+        if max_abs(mats[a] - mats[b]) <= tol:
             failures.append(f"coincide:{a},{b}")
     return VerificationReport(max_defect, failures)

@@ -411,16 +411,19 @@ def base_cube(geometry, t=0.4, subset_index=0, lam=1):
     if geometry == "hp":
         from .halfpipe import rho_lambda
 
-        lift = standard_lift(t, "hyp")
-        subset = _cusp_subsets(lift)[subset_index]
+        subset = _cusp_subset(standard_lift(t, "hyp"), subset_index)
         refl = rho_lambda(float(lam)).as_reflections()
         return [refl[n] for n in subset]
     lift = standard_lift(t, geometry)
-    subset = _cusp_subsets(lift)[subset_index]
+    subset = _cusp_subset(lift, subset_index)
     return [lift.vectors[n] for n in subset]
 
 
-def _cusp_subsets(lift):
+def _cusp_subset(lift, subset_index):
     from .repvar import find_cusp_subgroups
 
-    return find_cusp_subgroups(lift)
+    subsets = find_cusp_subgroups(lift)
+    if not 0 <= subset_index < len(subsets):
+        raise CuspError(f"no cusp subgroup number {subset_index}: "
+                        f"this lift has {len(subsets)} of them")
+    return subsets[subset_index]

@@ -84,6 +84,12 @@ class Lift:
     norm_targets: dict
 
     def __post_init__(self):
+        names = set(self.names)
+        if not names or self.vectors.keys() != names or self.norm_targets.keys() != names:
+            raise ValueError("a lift needs one vector and one norm target for each of its "
+                             "(one or more) names")
+        if any(t not in (-1, 1) for t in self.norm_targets.values()):
+            raise ValueError("norm targets must be +1 or -1")
         for n, v in self.vectors.items():
             if len(v) != self.space.dim:
                 raise DimensionMismatch(f"vector {n!r} has length {len(v)}, "
@@ -129,9 +135,6 @@ class Lift:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        sig = tuple(data["signature"])
-        space = QuadraticSpace(len(sig), sig)
-        names = tuple(data["vectors"].keys())
 
         def parse(entry):
             vals = []
@@ -140,9 +143,13 @@ class Lift:
                 vals.append(parse_scalar(s) if exact else float(s))
             return tuple(vals) if exact else np.array(vals)
 
-        vectors = {n: parse(v) for n, v in data["vectors"].items()}
-        targets = {n: int(t) for n, t in data["norm_targets"].items()}
-        return cls(space, names, vectors, targets)
+        try:
+            sig = tuple(data["signature"])
+            vectors = {n: parse(v) for n, v in data["vectors"].items()}
+            targets = dict(data["norm_targets"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed lift JSON: {type(exc).__name__} {exc}") from None
+        return cls(QuadraticSpace(len(sig), sig), tuple(vectors), vectors, targets)
 
 
 def _pm_rows(t, geometry):

@@ -212,7 +212,10 @@ def parse_scalar(text):
             if not m.group(2):
                 raise ValueError(f"cannot parse scalar {text!r}")
             coeff = coeff + "1"
-        value = Fraction(coeff)
+        try:
+            value = Fraction(coeff)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
         if m.group(2):
             b += value
         else:

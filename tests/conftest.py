@@ -25,8 +25,8 @@ def so13_report(racg22):
 def full_adjoint_reports(racg22):
     """The three 10-dimensional adjoint representations with reports.
 
-    Exact elimination makes these the slowest fixtures (a few seconds
-    each), so they are shared across the suite.
+    Each takes a few tenths of a second on the integer-pair core; they
+    are shared across the suite because several tests read all three.
     """
     out = {}
     for geometry in ("hyp", "ads", "hp"):

@@ -1,4 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coxvar.cli import main
 from coxvar.coxeter import gamma_rect
@@ -78,8 +86,9 @@ def test_cohomology_targets(capsys):
     assert json.loads(out)["dimH1"] == 12
 
 
-def test_cohomology_full_target(capsys):
-    code, out = run(capsys, "cohomology", "--target", "full-hp")
+@pytest.mark.parametrize("target", ["full-hyp", "full-ads", "full-hp"])
+def test_cohomology_full_target(capsys, target):
+    code, out = run(capsys, "cohomology", "--target", target)
     assert code == 0
     data = json.loads(out)
     assert data["dimH1"] == 13
@@ -187,3 +196,102 @@ def test_output_file(tmp_path, capsys):
                  "--output", str(target)])
     assert code == 0
     assert target.read_text().strip().splitlines()[-1].split(",")[5] == "11"
+
+
+def _single_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    return code, err
+
+
+_GROUP = {"generators": ["a", "b"], "commuting_pairs": [[0, 1]]}
+_LIFT = {"signature": [-1, 1, 1], "norm_targets": {"a": 1, "b": 1},
+         "vectors": {"a": ["0", "1", "0"], "b": ["0", "0", "1"]}}
+
+
+@pytest.mark.parametrize("group, lift", [
+    ({**_GROUP, "commuting_pairs": [[0, 0]]}, _LIFT),              # IndexOutOfRange at the parent
+    (_GROUP, {**_LIFT, "norm_targets": {"a": 1}}),                 # KeyError at the parent
+    ({**_GROUP, "generators": ["x", "y"]}, _LIFT),                 # DimensionMismatch at the parent
+], ids=["pair-0-0", "missing-norm-target", "names-differ"])
+def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
+    gf = tmp_path / "group.json"
+    lf = tmp_path / "lift.json"
+    gf.write_text(json.dumps(group))
+    lf.write_text(json.dumps(lift))
+    code, err = _single_error(capsys, ["verify", "--geometry", "hyp", "--group-file", str(gf),
+                                       "--lift-file", str(lf)])
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    # the same files with the defect removed verify cleanly
+    gf.write_text(json.dumps(_GROUP))
+    lf.write_text(json.dumps(_LIFT))
+    assert main(["verify", "--geometry", "hyp", "--group-file", str(gf),
+                 "--lift-file", str(lf)]) == 0
+
+
+_NAMES = st.sampled_from("abc")
+_SCALARS = st.sampled_from(["0", "1", "-1", "1/2", "sqrt2", "1-sqrt2", "0.5", "-2.0", "x", "", "1/0"])
+
+
+@st.composite
+def _group_and_lift(draw):
+    names = draw(st.lists(_NAMES, max_size=3))
+    group = {"generators": names,
+             "commuting_pairs": draw(st.lists(st.lists(st.integers(-1, 3), min_size=1,
+                                                       max_size=3), max_size=3))}
+    dim = draw(st.integers(0, 3))
+    lift_names = draw(st.lists(_NAMES, max_size=3, unique=True))
+    lift = {"signature": draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=dim,
+                                       max_size=dim)),
+            "norm_targets": {n: draw(st.sampled_from([1, -1, 0, "1"])) for n in
+                             draw(st.lists(_NAMES, max_size=3, unique=True))},
+            "vectors": {n: draw(st.lists(_SCALARS, min_size=max(dim - 1, 0), max_size=dim + 1))
+                        for n in lift_names}}
+    junk = st.sampled_from([[], 5, "x", {}, {"generators": 5}, {"vectors": [1]}])
+    return (draw(st.one_of(st.just(group), junk)), draw(st.one_of(st.just(lift), junk)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_group_and_lift())
+def test_user_group_and_lift_fuzz(files):
+    # any JSON a user can write gives a documented exit code, never a traceback
+    group, lift = files
+    with tempfile.TemporaryDirectory() as tmp:
+        gf = Path(tmp) / "group.json"
+        lf = Path(tmp) / "lift.json"
+        gf.write_text(json.dumps(group))
+        lf.write_text(json.dumps(lift))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "--geometry", "hyp", "--group-file", str(gf),
+                         "--lift-file", str(lf)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--geometry", "hyp", "--t", "1e200"],                 # DegenerateNormal at the parent
+    ["cusp", "--geometry", "hyp", "--group", "cube4", "--t", "1e200"],  # IndexError at the parent
+])
+def test_out_of_range_parameter(capsys, argv):
+    code, err = _single_error(capsys, argv)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--trials", "-1"],
+    ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--trials", "0"],
+    ["verify", "--geometry", "hp", "--t", "nan"],
+    ["verify", "--geometry", "hyp", "--t", "inf"],
+    ["verify", "--geometry", "hyp", "--tol", "nan"],
+    ["cusp", "--geometry", "hp", "--group", "cube4", "--lam", "nan"],
+    ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--noise", "inf"],
+])
+def test_bad_arguments_rejected(capsys, argv):
+    # nan/inf are refused before any computation; --trials below 1 only with --experiment
+    code, err = _single_error(capsys, argv)
+    assert code == 2
+    assert any("error:" in line for line in err)
+    assert capsys.readouterr().out == ""

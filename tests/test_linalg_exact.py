@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxvar.linalg_exact import (exact_array, exact_identity, exact_in_span, exact_inverse,
-                                 exact_nullspace, exact_rank, exact_solve, is_zero_matrix)
+from coxvar.linalg_exact import (PairMatrix, exact_array, exact_identity, exact_in_span,
+                                 exact_inverse, exact_nullspace, exact_pivots, exact_rank,
+                                 exact_solve, is_zero_matrix)
 from coxvar.scalars import QSqrt2
 
 
@@ -87,3 +89,90 @@ def test_rank_nullity_random(nrows, ncols, data):
     assert r + len(ns) == ncols
     for v in ns:
         assert all(not bool(x) for x in m @ v)
+
+
+# -- the integer-pair core against QSqrt2 object arrays ----------------------
+
+frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+field_entry = st.builds(QSqrt2, frac, frac)
+
+
+def _matrix(data, nrows, ncols, elements=field_entry):
+    rows = [[data.draw(elements) for _ in range(ncols)] for _ in range(nrows)]
+    return exact_array(rows).reshape(nrows, ncols)
+
+
+def _same(pm, arr):
+    got = pm.exact()
+    return got.shape == arr.shape and all(x == y for x, y in zip(got.reshape(-1),
+                                                                 arr.reshape(-1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_pair_arithmetic_matches_object_arrays(n, k, m, data):
+    x = _matrix(data, n, k)
+    y = _matrix(data, k, m)
+    z = _matrix(data, n, m)
+    px, py, pz = PairMatrix.of(x), PairMatrix.of(y), PairMatrix.of(z)
+    assert _same(px, x)
+    assert _same(px @ py, x @ y)
+    assert _same(px @ py - pz, x @ y - z)
+    assert _same(pz + pz, z + z)
+    assert _same(PairMatrix.concat([px @ py, pz], axis=1), np.hstack([x @ y, z]))
+    assert (px @ py - pz).is_zero() == is_zero_matrix(x @ y - z)
+    assert (pz - pz).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_elimination_identities(nrows, ncols, data):
+    m = _matrix(data, nrows, ncols)
+    r = exact_rank(m)
+    pivots = exact_pivots(m)
+    assert r == len(pivots) == _rref_rank(m, ncols)
+    # pivot columns: each one is independent of the columns before it
+    for c in range(ncols):
+        assert (c in pivots) == (exact_rank(m[:, :c + 1]) > exact_rank(m[:, :c]))
+    ns = exact_nullspace(m)
+    assert r + len(ns) == ncols
+    free = [c for c in range(ncols) if c not in pivots]
+    for v, f in zip(ns, free):
+        assert is_zero_matrix(m @ v)
+        assert [v[c] for c in free] == [QSqrt2(int(c == f)) for c in free]
+    b = m @ _matrix(data, ncols, 2)
+    x = exact_solve(m, b)
+    assert is_zero_matrix(m @ x - b)
+    assert all(not bool(e) for c in free for e in x[c])  # free variables are zero
+    col = exact_solve(m, b[:, 0])
+    assert col.shape == (ncols,) and is_zero_matrix(m @ col - b[:, 0])
+    if r == nrows == ncols:
+        inv = exact_inverse(m)
+        assert is_zero_matrix(m @ inv - exact_identity(ncols))
+        assert is_zero_matrix(inv @ m - exact_identity(ncols))
+    elif r < nrows:
+        # a right-hand side outside the column space has no solution
+        outside = [c for c in range(nrows) if exact_rank(np.hstack(
+            [m, exact_identity(nrows)[:, c:c + 1]])) > r][0]
+        assert exact_solve(m, exact_identity(nrows)[:, outside]) is None
+
+
+big = st.integers(2 ** 40 - 64, 2 ** 40 + 64) | st.integers(-2 ** 40 - 64, -2 ** 40 + 64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_overflow_guard_stays_exact(n, k, data):
+    # |a1 a2| * k * 3 passes 2**62 here, so products run on Python ints
+    entry = st.builds(QSqrt2, big, big)
+    x = _matrix(data, n, k, entry)
+    y = _matrix(data, k, n, entry)
+    px, py = PairMatrix.of(x), PairMatrix.of(y)
+    assert px.a.dtype == np.int64
+    prod = px @ py
+    assert prod.a.dtype == object
+    assert _same(prod, x @ y)
+    assert _same(prod - prod, x @ y - x @ y) and (prod - prod).is_zero()
+    assert exact_rank(x) == _rref_rank(x, k)
+    for v in exact_nullspace(x):
+        assert is_zero_matrix(x @ v)

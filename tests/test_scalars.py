@@ -50,6 +50,8 @@ def test_parse_and_format_roundtrip():
         parse_scalar("1.5")
     with pytest.raises(ValueError):
         parse_scalar("")
+    with pytest.raises(ValueError):
+        parse_scalar("1/0*sqrt2")
 
 
 def test_format_float():
