@@ -54,6 +54,7 @@ def _write(args, text):
 
 
 def _parse_grid(spec):
+    """Points from start:stop:count or a comma list; each must be finite."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -61,12 +62,13 @@ def _parse_grid(spec):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 0:
             raise ValueError("grid count must be nonnegative")
-        if count == 0:
-            return []
-        if count == 1:
-            return [start]
-        return list(np.linspace(start, stop, count))
-    return [float(x) for x in spec.split(",") if x.strip()]
+        with np.errstate(all="ignore"):  # a non-finite point is rejected below
+            grid = list(np.linspace(start, stop, count))
+    else:
+        grid = [float(x) for x in spec.split(",") if x.strip()]
+    if not all(math.isfinite(t) for t in grid):
+        raise ValueError(f"grid values must be finite numbers: {spec!r}")
+    return grid
 
 
 # -- verify ------------------------------------------------------------------
@@ -348,13 +350,14 @@ def main(argv=None):
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except (NoConvergence, IllConditioned, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, so it is caught before bad input
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ParameterOutOfRange, ValueError, OSError, GeometryError, RelationError,
             cuspmod.CuspError, HalfPipeError, coh.CohomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (NoConvergence, IllConditioned) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def console_main():

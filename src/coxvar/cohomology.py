@@ -21,14 +21,14 @@ expressed in a basis adapted to the splitting g = so(1,3) + R^{1,3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22
 from .geometry import QuadraticSpace, reflection_matrix
-from .linalg_exact import (PairMatrix, exact_identity, exact_inverse, exact_nullspace,
-                           exact_pivots, exact_rank, exact_solve, exact_zeros, is_zero_matrix)
+from .linalg_exact import (PairMatrix, exact_array, exact_identity, exact_inverse,
+                           exact_nullspace, exact_pivots, exact_rank, exact_solve)
 from .scalars import QSqrt2
 
 
@@ -52,14 +52,13 @@ class SingularNormalization(CohomologyError):
 class LinearRep:
     """Exact representation of a RACG on V, validated on construction.
 
-    ``images`` holds QSqrt2 object arrays; ``pair_images`` holds the
-    same images as PairMatrix, which every check and system here uses.
+    ``images`` may be given as QSqrt2 object arrays or PairMatrix; after
+    construction it maps each generator to its PairMatrix image.
     """
 
     racg: object
     dimV: int
     images: dict
-    pair_images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ident = PairMatrix.identity(self.dimV)
@@ -74,7 +73,7 @@ class LinearRep:
         for a, b in self.racg.commuting_name_pairs():
             if not (mats[a] @ mats[b] - mats[b] @ mats[a]).is_zero():
                 raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
-        object.__setattr__(self, "pair_images", mats)
+        object.__setattr__(self, "images", mats)
 
     def image(self, name):
         return self.images[name]
@@ -82,39 +81,30 @@ class LinearRep:
 
 @dataclass
 class CohomologyReport:
+    """Dimensions plus two PairMatrix cocycle bases.
+
+    Each column of ``z1_basis`` and ``h1_representatives`` is a cocycle:
+    its values on the generators, stacked in ``racg.generators`` order.
+    """
+
     dimZ1: int
     dimB1: int
     dimH1: int
-    z1_basis: list
-    h1_representatives: list
+    z1_basis: PairMatrix
+    h1_representatives: PairMatrix
 
 
 def _flatten_cocycle(racg, dimV, tau):
-    out = exact_zeros(len(racg.generators) * dimV)
-    for i, n in enumerate(racg.generators):
-        out[i * dimV:(i + 1) * dimV] = np.asarray(tau[n], dtype=object)
-    return out
+    """One cocycle as a flat PairMatrix vector, generator blocks stacked.
 
-
-def _columns(vectors, dim):
-    """QSqrt2 vectors of length dim as the columns of a PairMatrix."""
-    if not vectors:
-        return PairMatrix.zeros((dim, 0))
-    return PairMatrix.of(np.array(vectors, dtype=object).T)
-
-
-def _flat_cocycles(racg, dimV, taus):
-    """Cocycles as the columns of one PairMatrix, generator blocks stacked."""
-    return _columns([_flatten_cocycle(racg, dimV, tau) for tau in taus],
-                    len(racg.generators) * dimV)
-
-
-def _cocycles(racg, dimV, flat):
-    """Columns of a flat PairMatrix as cocycles: dicts of QSqrt2 vectors."""
-    values = flat.exact()
-    return [{n: values[i * dimV:(i + 1) * dimV, j].copy()
-             for i, n in enumerate(racg.generators)}
-            for j in range(values.shape[1])]
+    ``tau`` is flat already (returned as is) or a dict of exact vectors
+    per generator, such as tau_lambda_cocycle returns.
+    """
+    flat = tau if isinstance(tau, PairMatrix) else PairMatrix.of(
+        np.concatenate([np.asarray(tau[n], dtype=object) for n in racg.generators]))
+    if flat.shape != (len(racg.generators) * dimV,):
+        raise ValueError(f"a cocycle is a vector of {dimV} values per generator")
+    return flat
 
 
 def _coboundary_candidates(racg, images):
@@ -127,7 +117,7 @@ def _coboundary_candidates(racg, images):
 
 
 def cocycle_space(racg, rep):
-    """Exact basis of Z^1: maps from generators to V.
+    """Exact basis of Z^1, one cocycle per column.
 
     The square conditions are solved per generator first (kernel of
     id + rho(s)); the pair conditions then form one global system on
@@ -136,34 +126,34 @@ def cocycle_space(racg, rep):
     dimV = rep.dimV
     ident = PairMatrix.identity(dimV)
     names = racg.generators
-    kernels = {n: _columns(exact_nullspace(ident + rep.pair_images[n]), dimV) for n in names}
+    kernels = {n: exact_nullspace(ident + rep.images[n]) for n in names}
     widths = [kernels[n].shape[1] for n in names]
     total = sum(widths)
     if total == 0:
-        return []
+        return PairMatrix.zeros((len(names) * dimV, 0))
     offsets = dict(zip(names, np.cumsum([0] + widths).tolist()))
     rows = []
     for a, b in racg.commuting_name_pairs():
         # (id - rho(a)) tau(b) - (id - rho(b)) tau(a) = 0 on the kernel coordinates
         blocks = [PairMatrix.zeros((dimV, w)) for w in widths]
-        blocks[names.index(b)] = (ident - rep.pair_images[a]) @ kernels[b]
-        blocks[names.index(a)] = (rep.pair_images[b] - ident) @ kernels[a]
+        blocks[names.index(b)] = (ident - rep.images[a]) @ kernels[b]
+        blocks[names.index(a)] = (rep.images[b] - ident) @ kernels[a]
         rows.append(PairMatrix.concat(blocks, axis=1))
     system = PairMatrix.concat(rows) if rows else PairMatrix.zeros((0, total))
-    coeffs = _columns(exact_nullspace(system), total)
-    flat = PairMatrix.concat(
-        [kernels[n] @ coeffs[offsets[n]:offsets[n] + kernels[n].shape[1]] for n in names])
-    return _cocycles(racg, dimV, flat)
+    coeffs = exact_nullspace(system)
+    return PairMatrix.concat(
+        [kernels[n] @ coeffs[offsets[n]:offsets[n] + kernels[n].shape[1]]
+         for n in names]).reduced()
 
 
 def coboundary_space(racg, rep):
-    """Exact basis of B^1: independent cocycles v -> (rho(s) v - v)_s.
+    """Exact basis of B^1, one cocycle v -> (rho(s) v - v)_s per column.
 
     The coboundaries of the standard basis vectors are taken in order,
     keeping each one that is independent of those kept before it.
     """
-    cands = _coboundary_candidates(racg, rep.pair_images)
-    return _cocycles(racg, rep.dimV, cands[:, exact_pivots(cands)])
+    cands = _coboundary_candidates(racg, rep.images)
+    return cands[:, exact_pivots(cands)].reduced()
 
 
 def cohomology_report(racg, rep):
@@ -174,26 +164,24 @@ def cohomology_report(racg, rep):
     """
     z1 = cocycle_space(racg, rep)
     b1 = coboundary_space(racg, rep)
-    dimV = rep.dimV
-    span = PairMatrix.concat([_flat_cocycles(racg, dimV, b1), _flat_cocycles(racg, dimV, z1)],
-                             axis=1)
-    pivots = exact_pivots(span)
-    assert pivots[:len(b1)] == list(range(len(b1)))
-    reps = [z1[j - len(b1)] for j in pivots[len(b1):]]
+    k = b1.shape[1]
+    pivots = exact_pivots(PairMatrix.concat([b1, z1], axis=1))
+    assert pivots[:k] == list(range(k))
+    reps = z1[:, [j - k for j in pivots[k:]]].reduced()
     report = CohomologyReport(
-        dimZ1=len(z1), dimB1=len(b1), dimH1=len(z1) - len(b1),
+        dimZ1=z1.shape[1], dimB1=k, dimH1=z1.shape[1] - k,
         z1_basis=z1, h1_representatives=reps)
-    assert report.dimH1 == len(reps)
+    assert report.dimH1 == reps.shape[1]
     return report
 
 
 def h1_dim(racg, rep):
-    return len(cocycle_space(racg, rep)) - len(coboundary_space(racg, rep))
+    return cocycle_space(racg, rep).shape[1] - coboundary_space(racg, rep).shape[1]
 
 
 def is_coboundary(racg, rep, tau):
     """Exact test: does rho(s) v - v = tau(s) for all s have a solution?"""
-    return exact_solve(_coboundary_candidates(racg, rep.pair_images),
+    return exact_solve(_coboundary_candidates(racg, rep.images),
                        _flatten_cocycle(racg, rep.dimV, tau)) is not None
 
 
@@ -203,9 +191,7 @@ def rho0_linear():
     """rho_0 as exact 4x4 matrices in O(1,3): positives to -id."""
     space = QuadraticSpace.minkowski(4)
     cubo = cuboctahedron_vectors()
-    minus_id = exact_zeros((4, 4))
-    for i in range(4):
-        minus_id[i, i] = QSqrt2(-1)
+    minus_id = -exact_identity(4)
     images = {}
     for i in range(8):
         images[f"{i}+"] = minus_id
@@ -253,10 +239,10 @@ def so13_basis():
     """Exact basis of so(1,3): three boosts then three rotations."""
     out = []
     for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-        m = exact_zeros((4, 4))
-        m[i, j] = QSqrt2(1)
-        m[j, i] = QSqrt2(1 if i == 0 else -1)
-        out.append(m)
+        m = np.zeros((4, 4), dtype=int)
+        m[i, j] = 1
+        m[j, i] = 1 if i == 0 else -1
+        out.append(exact_array(m))
     return out
 
 
@@ -267,27 +253,25 @@ def adapted_basis(geometry):
     four are the R^{1,3} block: for hyp/ads the matrices with column
     -+w and row w^T J, for hp the infinitesimal translations.
     """
-    J = QuadraticSpace.minkowski(4).form_matrix(exact=True)
+    J = np.diag(QuadraticSpace.minkowski(4).signature)
     basis = []
     for b in so13_basis():
-        m = exact_zeros((5, 5))
+        m = exact_array(np.zeros((5, 5), dtype=int))
         m[:4, :4] = b
         basis.append(m)
     for k in range(4):
-        w = exact_zeros(4)
-        w[k] = QSqrt2(1)
-        m = exact_zeros((5, 5))
+        m = np.zeros((5, 5), dtype=int)  # w = e_k
         if geometry == "hyp":
-            m[:4, 4] = -w
-            m[4, :4] = w @ J
+            m[k, 4] = -1
+            m[4, :4] = J[k]
         elif geometry == "ads":
-            m[:4, 4] = w
-            m[4, :4] = w @ J
+            m[k, 4] = 1
+            m[4, :4] = J[k]
         elif geometry == "hp":
-            m[:4, 4] = w
+            m[k, 4] = 1
         else:
             raise ValueError(f"unknown geometry {geometry!r}")
-        basis.append(m)
+        basis.append(exact_array(m))
     return basis
 
 
@@ -303,10 +287,10 @@ def adjoint_rep(racg, images, basis):
     ad_images = {}
     for n in racg.generators:
         g = PairMatrix.of(images[n])
-        ginv = PairMatrix.of(exact_inverse(g))
-        conj = ((g @ stack) @ ginv).reshape(k, -1).T  # column j: g basis[j] g^-1, flattened
+        # column j: g basis[j] g^-1, flattened
+        conj = ((g @ stack) @ exact_inverse(g)).reshape(k, -1).T
         coeff = exact_solve(flat_basis, conj)
-        if coeff is None or not (flat_basis @ PairMatrix.of(coeff) - conj).is_zero():
+        if coeff is None or not (flat_basis @ coeff - conj).is_zero():
             raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
         ad_images[n] = coeff
     return LinearRep(racg, k, ad_images)
@@ -334,16 +318,16 @@ def split_h1(racg, rep, report=None, h_block=6):
     """
     dimV = rep.dimV
     for n in racg.generators:
-        m = rep.pair_images[n]
+        m = rep.images[n]
         if not (m[:h_block, h_block:].is_zero() and m[h_block:, :h_block].is_zero()):
             raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
         report = cohomology_report(racg, rep)
-    reps = _flat_cocycles(racg, dimV, report.h1_representatives)
+    reps = report.h1_representatives
 
     def projected_dim(lo, hi):
         coboundaries = _coboundary_candidates(
-            racg, {n: rep.pair_images[n][lo:hi, lo:hi] for n in racg.generators})
+            racg, {n: rep.images[n][lo:hi, lo:hi] for n in racg.generators})
         rows = [i * dimV + r for i in range(len(racg.generators)) for r in range(lo, hi)]
         both = PairMatrix.concat([coboundaries, reps[rows]], axis=1)
         return exact_rank(both) - exact_rank(coboundaries)
@@ -365,51 +349,34 @@ def tau_lambda_cocycle(lam):
 def reduce_mod_coboundary(tau):
     """Subtract the unique coboundary making tau vanish on A, B, C, D.
 
-    The 4x4 system is -2 times the Gram matrix of the four letter
-    normals, which is invertible; a failure here would contradict the
-    non-degeneracy of the Minkowski form.
+    ``tau`` is a cocycle of rho_0, flat or as a dict of vectors; the
+    result is a dict of QSqrt2 vectors per generator.  The 4x4 system is
+    -2 times the Gram matrix of the four letter normals, which is
+    invertible; a failure here would contradict the non-degeneracy of
+    the Minkowski form.
     """
-    racg = gamma22()
-    images = rho0_linear()
-    ident = exact_identity(4)
-    letters = ("A", "B", "C", "D")
-    rows = np.vstack([images[x] - ident for x in letters])
-    rhs = np.concatenate([np.asarray(tau[x], dtype=object) for x in letters])
-    if exact_rank(rows) != 4:
+    rep = rho0_rep()
+    racg = rep.racg
+    flat = _flatten_cocycle(racg, 4, tau)
+    cands = _coboundary_candidates(racg, rep.images)
+    letters = [4 * racg.generators.index(x) + r for x in ("A", "B", "C", "D") for r in range(4)]
+    if exact_rank(cands[letters]) != 4:
         raise SingularNormalization("letter normalisation system is singular")
-    w = exact_solve(rows, rhs)
+    w = exact_solve(cands[letters], flat[letters])
     if w is None:
         raise ValueError("tau is not a cocycle: no coboundary matches its letter values")
-    out = {}
-    for n in racg.generators:
-        out[n] = np.asarray(tau[n], dtype=object) - (images[n] @ w - w)
-    for x in letters:
-        assert is_zero_matrix(out[x])
-    return out
+    reduced = flat - cands @ w
+    assert reduced[letters].is_zero()
+    values = reduced.exact()
+    return {n: values[4 * i:4 * (i + 1)] for i, n in enumerate(racg.generators)}
 
 
 def vertical_coefficient(tau):
-    """The lam with tau = tau_lambda, or None if tau is not in that family."""
-    cubo = cuboctahedron_vectors()
-    for x in LETTER_NAMES:
-        if not is_zero_matrix(np.asarray(tau[x], dtype=object)):
-            return None
-    lam = None
-    for i in range(8):
-        v = np.array(cubo[str(i)], dtype=object)
-        sign = QSqrt2(1 if i % 2 == 0 else -1)
-        for name in (f"{i}+", f"{i}-"):
-            t = np.asarray(tau[name], dtype=object)
-            # tau(name) must equal sign * lam * v
-            cand = None
-            for tk, vk in zip(t, v):
-                if vk != 0:
-                    cand = tk / (sign * vk)
-                    break
-            if cand is None or not is_zero_matrix(t - (sign * cand) * v):
-                return None
-            if lam is None:
-                lam = cand
-            elif cand != lam:
-                return None
-    return lam
+    """The lam (a QSqrt2) with tau = tau_lambda, or None if tau is not in that family.
+
+    ``tau`` is a cocycle of rho_0, flat or as a dict of vectors.
+    """
+    racg = gamma22()
+    tau1 = _flatten_cocycle(racg, 4, tau_lambda_cocycle(1))
+    lam = exact_solve(tau1.reshape(-1, 1), _flatten_cocycle(racg, 4, tau))
+    return None if lam is None else lam.exact()[0]

@@ -77,11 +77,6 @@ class QuadraticSpace:
         return cls(n + 1, (-1,) + (1,) * (n - 1) + (-1,))
 
     @classmethod
-    def half_pipe(cls, n):
-        """Ambient space of HP^n: degenerate form q_0 on R^{n+1}."""
-        return cls(n + 1, (-1,) + (1,) * (n - 1) + (0,))
-
-    @classmethod
     def minkowski(cls, n):
         """R^{1,n-1} with the Minkowski form (no projective ambient)."""
         return cls(n, (-1,) + (1,) * (n - 1))

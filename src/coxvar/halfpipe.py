@@ -27,7 +27,7 @@ import numpy as np
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, QuadraticSpace, classify_pair_hyp, eval_form,
                        reflection_matrix)
-from .linalg_exact import exact_identity, exact_zeros
+from .linalg_exact import exact_array, exact_identity
 from .scalars import QSqrt2, is_exact
 
 
@@ -61,22 +61,13 @@ class MinkowskiIsometry:
     @classmethod
     def identity(cls, dim=4, exact=False):
         if exact:
-            return cls(exact_identity(dim), exact_zeros(dim))
+            return cls(exact_identity(dim), exact_array(np.zeros(dim, dtype=int)))
         return cls(np.eye(dim), np.zeros(dim))
 
     def __matmul__(self, other):
         """(A1, v1) o (A2, v2) = (A1 A2, A1 v2 + v1)."""
         return MinkowskiIsometry(self.linear @ other.linear,
                                  self.linear @ other.translation + self.translation)
-
-    def inverse(self):
-        if self.exact:
-            from .linalg_exact import exact_inverse
-
-            ainv = exact_inverse(self.linear)
-        else:
-            ainv = np.linalg.inv(self.linear)
-        return MinkowskiIsometry(ainv, -(ainv @ self.translation))
 
     def is_form_preserving(self, tol=DEFAULT_TOL):
         space = _minkowski_space(self.dim)
@@ -96,9 +87,6 @@ class MinkowskiIsometry:
     def projective_matrix(self):
         return phi_to_projective(self)
 
-    def apply(self, x):
-        return self.linear @ np.asarray(x, dtype=object if self.exact else float) + self.translation
-
 
 def phi_to_projective(iso, tol=DEFAULT_TOL):
     """The duality isomorphism into the projective half-pipe group.
@@ -110,16 +98,9 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
     J = _minkowski_space(n).form_matrix(exact=iso.exact)
-    if iso.exact:
-        out = exact_zeros((n + 1, n + 1))
-        out[:n, :n] = iso.linear
-        out[n, :n] = -(iso.translation @ J @ iso.linear)
-        out[n, n] = QSqrt2(1)
-        return out
-    out = np.zeros((n + 1, n + 1))
+    out = exact_identity(n + 1) if iso.exact else np.eye(n + 1)
     out[:n, :n] = iso.linear
     out[n, :n] = -(iso.translation @ J @ iso.linear)
-    out[n, n] = 1.0
     return out
 
 
@@ -169,10 +150,7 @@ class NonDegenerateReflection:
     def isometry(self):
         p = np.asarray(self.p, dtype=object if self.exact else float)
         if self.exact:
-            lin = exact_zeros((len(p), len(p)))
-            for i in range(len(p)):
-                lin[i, i] = QSqrt2(-1)
-            return MinkowskiIsometry(lin, 2 * p)
+            return MinkowskiIsometry(-exact_identity(len(p)), 2 * p)
         return MinkowskiIsometry(-np.eye(len(p)), 2.0 * p)
 
 
@@ -403,10 +381,8 @@ def rho_lambda(lam):
         return np.array([float(x) for x in v])
 
     if exact:
-        minus_id = exact_zeros((4, 4))
-        for i in range(4):
-            minus_id[i, i] = QSqrt2(-1)
-        zero = exact_zeros(4)
+        minus_id = -exact_identity(4)
+        zero = exact_array(np.zeros(4, dtype=int))
     else:
         minus_id = -np.eye(4)
         zero = np.zeros(4)

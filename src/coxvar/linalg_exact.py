@@ -1,13 +1,13 @@
 """Exact linear algebra over Q(sqrt 2).
 
-Exact matrices at the API are numpy arrays with dtype=object holding
-QSqrt2 entries, so `@`, `.T` and slicing work the same as for floats.
-Products, zero tests and elimination run on the integer-pair form
-instead: a PairMatrix (a, b, den) stands for (a + b*sqrt(2)) / den with
-a, b integer numpy arrays, so no Fraction or QSqrt2 object is built in
-the hot paths.  The arrays are int64 as long as every product and sum
-provably stays below 2**62 and hold Python ints (dtype=object) beyond
-that, so results are exact either way.
+PairMatrix is the one exact matrix type: (a, b, den) stands for
+(a + b*sqrt(2)) / den with a, b integer numpy arrays, so no Fraction or
+QSqrt2 object is built in the hot paths.  The arrays are int64 as long
+as every product and sum provably stays below 2**62 and hold Python ints
+(dtype=object) beyond that, so results are exact either way.  QSqrt2
+object arrays (what the reflection tables are built from) enter through
+PairMatrix.of and leave through PairMatrix.exact; every function here
+accepts either form and returns PairMatrix, ranks or pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
 over Z[sqrt 2] with a gcd reduction of each new row.  On the cocycle
@@ -27,26 +27,12 @@ from .scalars import QSqrt2
 
 
 def exact_array(rows):
-    """Build a dtype=object numpy array of QSqrt2 from nested scalars."""
-    def conv(x):
-        return x if isinstance(x, QSqrt2) else QSqrt2(x)
-
-    arr = np.array(rows, dtype=object)
-    flat = arr.reshape(-1)
-    for i, x in enumerate(flat):
-        flat[i] = conv(x)
-    return flat.reshape(arr.shape)
+    """A QSqrt2 object array from nested QSqrt2 and rational scalars."""
+    return PairMatrix.of(rows).exact()
 
 
 def exact_identity(n):
-    out = np.full((n, n), QSqrt2(0), dtype=object)
-    for i in range(n):
-        out[i, i] = QSqrt2(1)
-    return out
-
-
-def exact_zeros(shape):
-    return np.full(shape, QSqrt2(0), dtype=object)
+    return PairMatrix.identity(n).exact()
 
 
 def is_zero_matrix(arr):
@@ -92,11 +78,15 @@ class PairMatrix:
 
     @classmethod
     def of(cls, x):
-        """Convert a QSqrt2 object array (or a PairMatrix, returned as is)."""
+        """Convert nested QSqrt2 or rational scalars (a PairMatrix is returned as is).
+
+        The result is over the least common denominator of the entries.
+        """
         if isinstance(x, PairMatrix):
             return x
         arr = np.asarray(x, dtype=object)
-        parts = [(q.a, q.b) for q in arr.reshape(-1)]
+        parts = [(q.a, q.b) if isinstance(q, QSqrt2) else (Fraction(q), Fraction(0))
+                 for q in arr.reshape(-1)]
         den = lcm(*(f.denominator for pair in parts for f in pair))
         a = [qa.numerator * (den // qa.denominator) for qa, _ in parts]
         b = [qb.numerator * (den // qb.denominator) for _, qb in parts]
@@ -158,6 +148,13 @@ class PairMatrix:
 
     def is_zero(self):
         return not (self.a.any() or self.b.any())
+
+    def reduced(self):
+        """The same matrix over its least common denominator, as ``of`` builds it."""
+        g = gcd(self.den, int(np.gcd.reduce(self.a, axis=None)),
+                int(np.gcd.reduce(self.b, axis=None)))
+        a, b = (self.a, self.b) if g == 1 else (self.a // g, self.b // g)
+        return PairMatrix(*_int_arrays(max(_max_abs(a), _max_abs(b)), a, b), self.den // g)
 
     def exact(self):
         """The QSqrt2 object array this matrix stands for."""
@@ -244,11 +241,29 @@ def _echelon(rows, ncols):
     return pivots, pivot_cols, work
 
 
-def _quotient(c, p):
-    """c / p as a QSqrt2, for integer pairs c and p != 0."""
-    (ca, cb), (pa, pb) = c, p
-    norm = pa * pa - 2 * pb * pb
-    return QSqrt2(Fraction(ca * pa - 2 * cb * pb, norm), Fraction(cb * pa - ca * pb, norm))
+def _back_substitute(pivots, pivot_cols, rhs, shape, ones=()):
+    """The PairMatrix x of ``shape`` with x[pivot_cols[k], j] = rhs[k][j] / pivot k,
+    x[i, j] = 1 for each (i, j) in ``ones`` and zeros elsewhere.
+
+    c / p is c * conj(p) / norm(p); every entry is written over the lcm
+    of the pivot norms and the result is reduced, so it equals
+    PairMatrix.of of the same quotients as QSqrt2 values.
+    """
+    piv = [row[col] for row, col in zip(pivots, pivot_cols)]
+    norms = [pa * pa - 2 * pb * pb for pa, pb in piv]  # nonzero: sqrt 2 is irrational
+    den = lcm(*norms)
+    a = [[0] * shape[1] for _ in range(shape[0])]
+    b = [[0] * shape[1] for _ in range(shape[0])]
+    for i, j in ones:
+        a[i][j] = den
+    for (pa, pb), norm, col, cs in zip(piv, norms, pivot_cols, rhs):
+        scale = den // norm
+        for j, (ca, cb) in enumerate(cs):
+            if ca or cb:
+                a[col][j] = (ca * pa - 2 * cb * pb) * scale
+                b[col][j] = (cb * pa - ca * pb) * scale
+    return PairMatrix(np.array(a, dtype=object).reshape(shape),
+                      np.array(b, dtype=object).reshape(shape), den).reduced()
 
 
 def exact_pivots(matrix):
@@ -263,29 +278,23 @@ def exact_rank(matrix):
 
 
 def exact_nullspace(matrix):
-    """Basis of {x : M x = 0} as a list of QSqrt2 object arrays.
+    """Basis of {x : M x = 0} as the columns of one PairMatrix.
 
-    One vector per free column: that variable is 1, the other free
-    variables are 0.
+    One column per free variable of M, in order: that variable is 1,
+    the other free variables are 0.
     """
     pm = PairMatrix.of(matrix)
     ncols = pm.shape[1]
     pivots, pivot_cols, _ = _echelon(_rows(pm), ncols)
     pivot_set = set(pivot_cols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivot_set):
-        x = exact_zeros(ncols)
-        x[free] = QSqrt2(1)
-        for row, col in zip(pivots, pivot_cols):
-            a, b = row[free]
-            if a or b:
-                x[col] = _quotient((-a, -b), row[col])
-        basis.append(x)
-    return basis
+    free = [c for c in range(ncols) if c not in pivot_set]
+    rhs = [[(-row[f][0], -row[f][1]) for f in free] for row in pivots]
+    return _back_substitute(pivots, pivot_cols, rhs, (ncols, len(free)),
+                            ones=[(f, j) for j, f in enumerate(free)])
 
 
 def exact_solve(matrix, rhs):
-    """Solve M x = rhs exactly; return None if inconsistent.
+    """Solve M x = rhs exactly as a PairMatrix; return None if inconsistent.
 
     ``rhs`` is a vector or a matrix of right-hand sides (the result has
     the same shape class).  For underdetermined systems the particular
@@ -300,11 +309,8 @@ def exact_solve(matrix, rhs):
     pivots, pivot_cols, rest = _echelon(_rows(PairMatrix.concat([pm, r], axis=1)), ncols)
     if rest:
         return None  # a nonzero row with no pivot: inconsistent
-    x = exact_zeros((ncols, r.shape[1]))
-    for row, col in zip(pivots, pivot_cols):
-        for j, c in enumerate(row[ncols:]):
-            if c != (0, 0):
-                x[col, j] = _quotient(c, row[col])
+    x = _back_substitute(pivots, pivot_cols, [row[ncols:] for row in pivots],
+                         (ncols, r.shape[1]))
     return x[:, 0] if single else x
 
 
@@ -318,10 +324,10 @@ def exact_inverse(matrix):
 
 
 def exact_in_span(vectors, target):
-    """Is target in the exact linear span of the given vectors?"""
-    if not vectors:
-        return is_zero_matrix(target)
-    m = np.array(vectors, dtype=object)
-    r0 = exact_rank(m)
-    r1 = exact_rank(np.vstack([m, np.asarray(target, dtype=object)[None, :]]))
-    return r0 == r1
+    """Is target in the exact linear span of the given vectors?
+
+    With the vectors and then the target as columns, it is iff the
+    target's column is not a pivot.
+    """
+    cols = [PairMatrix.of(v).reshape(-1, 1) for v in [*vectors, target]]
+    return len(vectors) not in exact_pivots(PairMatrix.concat(cols, axis=1))

@@ -28,7 +28,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -181,6 +181,8 @@ def ads_norm_targets():
 def standard_lift_hyp(t):
     """The hyperbolic path of lifts; at t=1 these are the 22 unit normals."""
     t = float(t)
+    if not isfinite(1.0 + t * t):
+        raise ParameterOutOfRange(f"hyperbolic lift requires 1 + t^2 finite, got t = {t}")
     c = 1.0 / sqrt(1.0 + t * t)
     vectors = {n: c * row for n, row in _pm_rows(t, "hyp").items()}
     vectors.update(_letter_vectors_float())

@@ -12,7 +12,7 @@ from coxvar.coxeter import gamma22_vectors, gamma_co, verify_representation
 from coxvar.cusp import CuspKind, base_cube, base_rect_hyp, classify_cube, rigidity_experiment
 from coxvar.geometry import QuadraticSpace, eval_bilinear, eval_form
 from coxvar.halfpipe import rho_lambda
-from coxvar.linalg_exact import exact_array, is_zero_matrix
+from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import (collapsed_lift_exact, constraint_system, find_cusp_subgroups,
                            gram_matrix, jacobian, kernel_report, known_tangent,
                            nearest_standard_t, orbit_tangent, residual_max, standard_lift,
@@ -93,20 +93,20 @@ def test_criterion_06_geometric_generator(racg22, rho0_report):
     assert report.ok and report.max_defect == 0.0
     rep0, coh_report = rho0_report
     tau1 = coh.tau_lambda_cocycle(1)
+    ident = PairMatrix.identity(4)
+    tau = {n: PairMatrix.of(tau1[n]) for n in racg22.generators}
     for n in racg22.generators:  # cocycle conditions, exactly
-        assert is_zero_matrix((coh.exact_identity(4) + rep0.image(n)) @ tau1[n])
+        assert ((ident + rep0.image(n)) @ tau[n]).is_zero()
     for a, b in racg22.commuting_name_pairs():
-        lhs = (coh.exact_identity(4) - rep0.image(a)) @ tau1[b]
-        rhs = (coh.exact_identity(4) - rep0.image(b)) @ tau1[a]
-        assert is_zero_matrix(lhs - rhs)
+        lhs = (ident - rep0.image(a)) @ tau[b]
+        rhs = (ident - rep0.image(b)) @ tau[a]
+        assert (lhs - rhs).is_zero()
     assert not coh.is_coboundary(racg22, rep0, tau1)
     rng = np.random.default_rng(2026)
     for _ in range(3):
-        combo = {n: exact_array([0, 0, 0, 0]) for n in racg22.generators}
-        for z in coh_report.z1_basis:
-            c = QSqrt2(int(rng.integers(-4, 5)), int(rng.integers(-3, 4)))
-            for n in racg22.generators:
-                combo[n] = combo[n] + c * np.asarray(z[n], dtype=object)
+        coeffs = [QSqrt2(int(rng.integers(-4, 5)), int(rng.integers(-3, 4)))
+                  for _ in range(coh_report.dimZ1)]
+        combo = coh_report.z1_basis @ PairMatrix.of(coeffs)  # a flat cocycle
         lam = coh.vertical_coefficient(coh.reduce_mod_coboundary(combo))
         assert lam is not None
     _announce(6, "rho_1 exactly represents all 102 relations; tau_1 generates H^1")

@@ -273,6 +273,7 @@ def test_user_group_and_lift_fuzz(files):
 @pytest.mark.parametrize("argv", [
     ["verify", "--geometry", "hyp", "--t", "1e200"],                 # DegenerateNormal at the parent
     ["cusp", "--geometry", "hyp", "--group", "cube4", "--t", "1e200"],  # IndexError at the parent
+    ["trace", "--geometry", "hyp", "--grid", "0:1e200:3"],           # exit 0, rows off the variety
 ])
 def test_out_of_range_parameter(capsys, argv):
     code, err = _single_error(capsys, argv)
@@ -288,6 +289,7 @@ def test_out_of_range_parameter(capsys, argv):
     ["verify", "--geometry", "hyp", "--tol", "nan"],
     ["cusp", "--geometry", "hp", "--group", "cube4", "--lam", "nan"],
     ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--noise", "inf"],
+    ["trace", "--geometry", "hyp", "--grid", "nan,0.5"],
 ])
 def test_bad_arguments_rejected(capsys, argv):
     # nan/inf are refused before any computation; --trials below 1 only with --experiment
@@ -295,3 +297,70 @@ def test_bad_arguments_rejected(capsys, argv):
     assert code == 2
     assert any("error:" in line for line in err)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("geometry, group", [("hyp", "rect3"), ("ads", "cube4"), ("hp", "cube4")])
+def test_linalg_error_is_numerical_failure(capsys, geometry, group):
+    # perturbations of size 1e300 make the least-squares SVD fail: a numerical
+    # failure (exit 3), not bad input, although LinAlgError is a ValueError
+    code = main(["cusp", "--geometry", geometry, "--group", group, "--experiment",
+                 "--trials", "3", "--noise", "1e300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure:" in err and "error:" not in err
+
+
+_NUMBERS = st.sampled_from(["0", "0.5", "-0.5", "1", "-1", "0.99", "2", "1e-300", "1e200",
+                            "-1e200", "nan", "inf", "x", ""])
+_GRIDS = st.one_of(
+    st.lists(_NUMBERS, max_size=3).map(",".join),
+    st.tuples(_NUMBERS, _NUMBERS, st.sampled_from(["-1", "0", "1", "2", "3", "x"]))
+    .map(":".join),
+    st.sampled_from(["1:2", "::", ",", "0:1:2:3"]))
+
+
+_COMMANDS = {
+    # (option, values, required): required options are always given, mostly valid
+    "verify": [("--geometry", st.sampled_from(["hyp", "ads", "hp", "x"]), True),
+               ("--t", _NUMBERS, False), ("--tol", _NUMBERS, False),
+               ("--group-file", st.just("missing.json"), False),
+               ("--lift-file", st.just("missing.json"), False)],
+    "trace": [("--geometry", st.sampled_from(["hyp", "ads", "hp"]), True),
+              ("--system", st.sampled_from(["g", "g0", "x"]), False),
+              ("--grid", _GRIDS, True), ("--rank-tol", _NUMBERS, False)],
+    "cohomology": [("--target", st.sampled_from(["r13", "r13", "full"]), True)],
+    "cusp": [("--geometry", st.sampled_from(["hyp", "ads", "hp"]), True),
+             ("--group", st.sampled_from(["rect3", "cube4", "x"]), True),
+             ("--t", _NUMBERS, False), ("--lam", _NUMBERS, False),
+             ("--experiment", st.just(None), False),
+             ("--trials", st.sampled_from(["-1", "0", "1", "5", "x"]), False),
+             ("--noise", _NUMBERS, False),
+             ("--seed", st.sampled_from(["0", "7", "-1", "x"]), False),
+             ("--class-tol", _NUMBERS, False)],
+    "gram": [("--geometry", st.sampled_from(["hyp", "ads", "x"]), True), ("--t", _NUMBERS, False)],
+    "nope": [],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required options and a random subset of the others."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for name, values, required in _COMMANDS[command]:
+        if required or draw(st.booleans()):
+            value = draw(values)
+            argv += [name] if value is None else [name, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_argv_fuzz(argv):
+    # every argv gives a documented exit code, never a traceback; output goes to a file
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--output", str(Path(tmp) / "out.txt")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -5,7 +5,8 @@ from coxvar import cohomology as coh
 from coxvar.coxeter import cuboctahedron_vectors, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry
-from coxvar.linalg_exact import exact_array, exact_identity, exact_in_span, is_zero_matrix
+from coxvar.linalg_exact import (PairMatrix, exact_array, exact_identity, exact_in_span,
+                                 exact_inverse, is_zero_matrix)
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -14,6 +15,15 @@ CUBO = cuboctahedron_vectors()
 
 def _flat(racg, dimV, tau):
     return coh._flatten_cocycle(racg, dimV, tau)
+
+
+def _columns(m):
+    return [m[:, j] for j in range(m.shape[1])]
+
+
+def _combination(basis, coefficients):
+    """The flat cocycle sum_j c_j * (column j of basis) for QSqrt2 coefficients."""
+    return basis @ PairMatrix.of(coefficients)
 
 
 def test_linear_rep_validation():
@@ -25,38 +35,41 @@ def test_linear_rep_validation():
 
 def test_trivial_representation(racg22):
     rep = coh.LinearRep(racg22, 3, {n: exact_identity(3) for n in racg22.generators})
-    assert coh.cocycle_space(racg22, rep) == []
-    assert coh.coboundary_space(racg22, rep) == []
+    assert coh.cocycle_space(racg22, rep).shape == (22 * 3, 0)
+    assert coh.coboundary_space(racg22, rep).shape == (22 * 3, 0)
     assert coh.h1_dim(racg22, rep) == 0
 
 
 def test_rho0_dimensions(racg22, rho0_report):
     rep, report = rho0_report
     assert (report.dimZ1, report.dimB1, report.dimH1) == (5, 4, 1)
-    for tau in report.z1_basis:
-        # squares: tau(s) killed by id + rho(s); pairs: mixed difference condition
-        for n in racg22.generators:
-            assert is_zero_matrix((exact_identity(4) + rep.image(n)) @ tau[n])
-        for a, b in racg22.commuting_name_pairs():
-            lhs = (exact_identity(4) - rep.image(a)) @ tau[b]
-            rhs = (exact_identity(4) - rep.image(b)) @ tau[a]
-            assert is_zero_matrix(lhs - rhs)
+    assert report.z1_basis.shape == (22 * 4, 5)
+    # every column at once: tau(s) is the block of rows of generator s
+    tau = {n: report.z1_basis[4 * i:4 * (i + 1)] for i, n in enumerate(racg22.generators)}
+    ident = PairMatrix.identity(4)
+    # squares: tau(s) killed by id + rho(s); pairs: mixed difference condition
+    for n in racg22.generators:
+        assert ((ident + rep.image(n)) @ tau[n]).is_zero()
+    for a, b in racg22.commuting_name_pairs():
+        lhs = (ident - rep.image(a)) @ tau[b]
+        rhs = (ident - rep.image(b)) @ tau[a]
+        assert (lhs - rhs).is_zero()
 
 
 def test_tau_lambda_in_z1_span(racg22, rho0_report):
     rep, report = rho0_report
     tau = coh.tau_lambda_cocycle(1)
-    flats = [_flat(racg22, 4, z) for z in report.z1_basis]
-    assert exact_in_span(flats, _flat(racg22, 4, tau))
+    assert exact_in_span(_columns(report.z1_basis), _flat(racg22, 4, tau))
 
 
 def test_cocycles_integrate_to_representations(racg22, rho0_report):
     """Every Z^1 element gives an affine representation satisfying all relations."""
     rep, report = rho0_report
     images = coh.rho0_linear()
-    for tau in report.z1_basis:
-        isos = {n: MinkowskiIsometry(images[n], np.asarray(tau[n], dtype=object))
-                for n in racg22.generators}
+    values = report.z1_basis.exact()
+    for j in range(values.shape[1]):
+        isos = {n: MinkowskiIsometry(images[n], values[4 * i:4 * (i + 1), j])
+                for i, n in enumerate(racg22.generators)}
         vr = verify_representation(racg22, isos, tol=0)
         assert vr.ok and vr.max_defect == 0.0
 
@@ -81,10 +94,10 @@ def test_split_h1(racg22, full_adjoint_reports):
 def test_split_h1_purely_horizontal(racg22, so13_report, full_adjoint_reports):
     rep13, report13 = so13_report
     rep, _ = full_adjoint_reports["hp"]
-    tau_h = report13.h1_representatives[0]
-    emb = {n: np.concatenate([np.asarray(tau_h[n], dtype=object),
-                              exact_array([0, 0, 0, 0])]) for n in racg22.generators}
-    fake = coh.CohomologyReport(1, 0, 1, [emb], [emb])
+    tau_h = report13.h1_representatives[:, 0].reshape(22, 6)
+    # each 6-entry so(1,3) block padded by four zeros into the 10-dimensional algebra
+    emb = PairMatrix.concat([tau_h, PairMatrix.zeros((22, 4))], axis=1).reshape(220, 1)
+    fake = coh.CohomologyReport(1, 0, 1, emb, emb)
     assert coh.split_h1(racg22, rep, fake) == (1, 0)
 
 
@@ -92,10 +105,10 @@ def test_split_h1_vertical_is_tau_lambda(racg22, rho0_report, full_adjoint_repor
     """The vertical part of H^1 is the class of tau_1 under the block inclusion."""
     rep0, _ = rho0_report
     _, report = full_adjoint_reports["ads"]
-    b1 = [_flat(racg22, 4, tau) for tau in coh.coboundary_space(racg22, rep0)]
-    projections = [_flat(racg22, 4, {n: np.asarray(tau[n], dtype=object)[6:]
-                                     for n in racg22.generators})
-                   for tau in report.h1_representatives]
+    b1 = _columns(coh.coboundary_space(racg22, rep0))
+    # the last four entries of each generator's 10-entry block
+    reps = report.h1_representatives
+    projections = _columns(reps.reshape(22, 10, reps.shape[1])[:, 6:].reshape(88, -1))
     tau1 = _flat(racg22, 4, coh.tau_lambda_cocycle(1))
     # tau_1 is nonzero mod B^1 and lies in span(B^1 + projections)
     assert not exact_in_span(b1, tau1)
@@ -118,7 +131,7 @@ def test_adjoint_rep_basics(racg22):
     ident = {n: exact_identity(4) for n in racg.generators}
     ad = coh.adjoint_rep(racg, ident, coh.so13_basis())
     for n in racg.generators:
-        assert is_zero_matrix(ad.image(n) - exact_identity(6))
+        assert (ad.image(n) - PairMatrix.identity(6)).is_zero()
 
 
 def test_adjoint_fixes_orthogonal_rotation(racg22):
@@ -150,18 +163,17 @@ def test_reduce_mod_coboundary(racg22, rho0_report):
     reduced = coh.reduce_mod_coboundary(tau1)
     for n in racg22.generators:
         assert is_zero_matrix(reduced[n] - tau1[n])
+    assert coh.vertical_coefficient(reduced) == QSqrt2(1)
     # any coboundary reduces to zero
-    delta = coh.coboundary_space(racg22, rep)[0]
+    delta = coh.coboundary_space(racg22, rep)[:, 0]
     zeroed = coh.reduce_mod_coboundary(delta)
     for n in racg22.generators:
         assert is_zero_matrix(zeroed[n])
     # a random exact Z^1 element lands in the tau_lambda family
     rng = np.random.default_rng(17)
-    combo = {n: exact_array([0, 0, 0, 0]) for n in racg22.generators}
-    for z in report.z1_basis:
-        c = QSqrt2(int(rng.integers(-3, 4)), int(rng.integers(-2, 3)))
-        for n in racg22.generators:
-            combo[n] = combo[n] + c * np.asarray(z[n], dtype=object)
+    combo = _combination(report.z1_basis,
+                         [QSqrt2(int(rng.integers(-3, 4)), int(rng.integers(-2, 3)))
+                          for _ in range(report.dimZ1)])
     lam = coh.vertical_coefficient(coh.reduce_mod_coboundary(combo))
     assert lam is not None
     # idempotent
@@ -176,11 +188,8 @@ def test_reduce_mod_coboundary_image_is_line(racg22, rho0_report):
     lams = []
     rng = np.random.default_rng(23)
     for _ in range(3):
-        combo = {n: exact_array([0, 0, 0, 0]) for n in racg22.generators}
-        for z in report.z1_basis:
-            c = QSqrt2(int(rng.integers(-5, 6)))
-            for n in racg22.generators:
-                combo[n] = combo[n] + c * np.asarray(z[n], dtype=object)
+        combo = _combination(report.z1_basis,
+                             [QSqrt2(int(rng.integers(-5, 6))) for _ in range(report.dimZ1)])
         lams.append(coh.vertical_coefficient(coh.reduce_mod_coboundary(combo)))
     assert all(l is not None for l in lams)
 
@@ -188,7 +197,7 @@ def test_reduce_mod_coboundary_image_is_line(racg22, rho0_report):
 def test_exact_dimensions_match_float_svd_route(racg22, rho0_report):
     """Dual-route check: numeric rank of the float cocycle system agrees."""
     rep, report = rho0_report
-    images = {n: np.array([[float(x) for x in row] for row in rep.image(n)])
+    images = {n: np.array([[float(x) for x in row] for row in rep.image(n).exact()])
               for n in racg22.generators}
     n_gen = len(racg22.generators)
     rows = []
@@ -213,6 +222,7 @@ def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
     rep, _ = rho0_report
     h = (reflection_matrix(MINK, exact_array(CUBO["A"]))
          @ reflection_matrix(MINK, exact_array(CUBO["B"])))
-    conj = {n: h @ rep.image(n) @ coh.exact_inverse(h) for n in racg22.generators}
+    h = PairMatrix.of(h)
+    conj = {n: h @ rep.image(n) @ exact_inverse(h) for n in racg22.generators}
     rep2 = coh.LinearRep(racg22, 4, conj)
     assert coh.h1_dim(racg22, rep2) == 1

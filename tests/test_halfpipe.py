@@ -8,7 +8,7 @@ from coxvar.halfpipe import (DegenerateReflection, HPPointsClass, MinkowskiIsome
                              NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
                              classify_hp_reflection_pair, exact_sqrt, hp_commute,
                              phi_to_projective, rho_lambda)
-from coxvar.linalg_exact import exact_array, is_zero_matrix
+from coxvar.linalg_exact import PairMatrix, exact_array, is_zero_matrix
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -121,7 +121,7 @@ def test_rho_lambda_zero():
     # the linear part is the collapsed holonomy on R^{1,3}
     rho0 = rho0_rep()
     for n in rep.linear:
-        assert is_zero_matrix(rep.linear[n] - rho0.image(n))
+        assert (PairMatrix.of(rep.linear[n]) - rho0.image(n)).is_zero()
 
 
 def test_rho_lambda_cocycle_values():

@@ -40,22 +40,22 @@ def _rref_rank(rows, ncols):
 def test_nullspace_known():
     m = exact_array([[1, 1, 0], [0, 0, 1]])
     ns = exact_nullspace(m)
-    assert len(ns) == 1
-    assert all(not bool(x) for x in m @ ns[0])
+    assert ns.shape == (3, 1)
+    assert (PairMatrix.of(m) @ ns).is_zero()
 
 
 def test_rank_and_inverse():
-    m = exact_array([[1, QSqrt2(0, 1)], [QSqrt2(0, 1), 1]])  # det = 1 - 2 = -1
+    m = PairMatrix.of(exact_array([[1, QSqrt2(0, 1)], [QSqrt2(0, 1), 1]]))  # det = 1 - 2 = -1
     assert exact_rank(m) == 2
     inv = exact_inverse(m)
-    assert is_zero_matrix(m @ inv - exact_identity(2))
+    assert (m @ inv - PairMatrix.identity(2)).is_zero()
 
 
 def test_solve_consistent_and_inconsistent():
     m = exact_array([[1, 0], [0, 1], [1, 1]])
     rhs = exact_array([1, QSqrt2(0, 1), QSqrt2(1, 1)])
     x = exact_solve(m, rhs)
-    assert x is not None and is_zero_matrix(m @ x - rhs)
+    assert x is not None and (PairMatrix.of(m) @ x - PairMatrix.of(rhs)).is_zero()
     bad = exact_array([1, QSqrt2(0, 1), 0])
     assert exact_solve(m, bad) is None
 
@@ -72,6 +72,10 @@ def test_in_span():
     target = exact_array([2, 3, QSqrt2(3, 2)])
     assert exact_in_span([v1, v2], target)
     assert not exact_in_span([v1, v2], exact_array([0, 0, 1]))
+    assert exact_in_span([PairMatrix.of(v1), v2], PairMatrix.of(target))
+    # the empty span holds only zero
+    assert exact_in_span([], exact_array([0, 0, 0]))
+    assert not exact_in_span([], v1)
 
 
 small = st.integers(min_value=-4, max_value=4)
@@ -86,9 +90,8 @@ def test_rank_nullity_random(nrows, ncols, data):
     r = exact_rank(m)
     ns = exact_nullspace(m)
     assert r == _rref_rank(m, ncols)
-    assert r + len(ns) == ncols
-    for v in ns:
-        assert all(not bool(x) for x in m @ v)
+    assert r + ns.shape[1] == ncols
+    assert (PairMatrix.of(m) @ ns).is_zero()
 
 
 # -- the integer-pair core against QSqrt2 object arrays ----------------------
@@ -106,6 +109,13 @@ def _same(pm, arr):
     got = pm.exact()
     return got.shape == arr.shape and all(x == y for x, y in zip(got.reshape(-1),
                                                                  arr.reshape(-1)))
+
+
+def _canonical(pm):
+    """Are den and the integers exactly those PairMatrix.of gives for the same values?"""
+    ref = PairMatrix.of(pm.exact())
+    return (pm.den == ref.den and pm.a.dtype == ref.a.dtype
+            and np.array_equal(pm.a, ref.a) and np.array_equal(pm.b, ref.b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,22 +144,26 @@ def test_elimination_identities(nrows, ncols, data):
     # pivot columns: each one is independent of the columns before it
     for c in range(ncols):
         assert (c in pivots) == (exact_rank(m[:, :c + 1]) > exact_rank(m[:, :c]))
+        assert (c in pivots) != exact_in_span([m[:, j] for j in range(c)], m[:, c])
+    pm = PairMatrix.of(m)
     ns = exact_nullspace(m)
-    assert r + len(ns) == ncols
+    assert ns.shape == (ncols, ncols - r) and _canonical(ns)
     free = [c for c in range(ncols) if c not in pivots]
-    for v, f in zip(ns, free):
-        assert is_zero_matrix(m @ v)
-        assert [v[c] for c in free] == [QSqrt2(int(c == f)) for c in free]
+    assert (pm @ ns).is_zero()
+    # column j of the basis is 1 at the j-th free variable and 0 at the others
+    assert (ns[free] - PairMatrix.identity(len(free))).is_zero()
     b = m @ _matrix(data, ncols, 2)
     x = exact_solve(m, b)
-    assert is_zero_matrix(m @ x - b)
-    assert all(not bool(e) for c in free for e in x[c])  # free variables are zero
+    assert (pm @ x - PairMatrix.of(b)).is_zero() and _canonical(x)
+    assert x[free].is_zero()  # free variables are zero
     col = exact_solve(m, b[:, 0])
-    assert col.shape == (ncols,) and is_zero_matrix(m @ col - b[:, 0])
+    assert col.shape == (ncols,) and (pm @ col - PairMatrix.of(b[:, 0])).is_zero()
+    assert _canonical(col)
     if r == nrows == ncols:
         inv = exact_inverse(m)
-        assert is_zero_matrix(m @ inv - exact_identity(ncols))
-        assert is_zero_matrix(inv @ m - exact_identity(ncols))
+        assert _canonical(inv)
+        assert (pm @ inv - PairMatrix.identity(ncols)).is_zero()
+        assert (inv @ pm - PairMatrix.identity(ncols)).is_zero()
     elif r < nrows:
         # a right-hand side outside the column space has no solution
         outside = [c for c in range(nrows) if exact_rank(np.hstack(
@@ -174,5 +188,4 @@ def test_overflow_guard_stays_exact(n, k, data):
     assert _same(prod, x @ y)
     assert _same(prod - prod, x @ y - x @ y) and (prod - prod).is_zero()
     assert exact_rank(x) == _rref_rank(x, k)
-    for v in exact_nullspace(x):
-        assert is_zero_matrix(x @ v)
+    assert (px @ exact_nullspace(x)).is_zero()
