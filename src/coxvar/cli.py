@@ -53,6 +53,9 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec):
     """Points from start:stop:count or a comma list; each must be finite."""
     if ":" in spec:
@@ -60,8 +63,8 @@ def _parse_grid(spec):
         if len(parts) != 3:
             raise ValueError("grid spec must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 0:
-            raise ValueError("grid count must be nonnegative")
+        if not 0 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"grid count must be between 0 and {MAX_GRID_POINTS}")
         with np.errstate(all="ignore"):  # a non-finite point is rejected below
             grid = list(np.linspace(start, stop, count))
     else:
@@ -214,6 +217,8 @@ def _base_config(args):
 def cmd_cusp(args):
     if args.experiment and args.trials < 1:
         raise ValueError("--trials must be at least 1 with --experiment")
+    if args.noise < 0:
+        raise ValueError("--noise must be nonnegative")
     base, group = _base_config(args)
     klass = cuspmod.classify(args.geometry, group, base, args.class_tol)
     lines = ["# coxvar cusp v1", "trial,class,residual,iterations"]

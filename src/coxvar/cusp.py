@@ -11,11 +11,13 @@ tolerance errors.  For the rectangle the classification is by the two
 opposite-pair positions.
 
 The rigidity experiments perturb a cusp configuration, project back
-onto the norm + commutation variety only (the tangency conditions are
-deliberately left out: their preservation is the claim under test), and
-classify the result.  In dimension 4 every projected configuration must
-come back a cusp group; in dimension 3 the rectangle group is flexible
-and splits into one intersecting and one disjoint opposite pair.
+onto the norm + commutation variety of that base only (the norm targets
+are read off the base; the tangency conditions are deliberately left
+out: their preservation is the claim under test), and classify the
+result.  The projection problem is compiled once per experiment.  In
+dimension 4 every projected configuration must come back a cusp group;
+in dimension 3 the rectangle group is flexible and splits into one
+intersecting and one disjoint opposite pair.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .geometry import (MixedTypePair, PairClassAdS, PairClassHyp, QuadraticSpace
                        eval_form)
 from .halfpipe import (DegenerateReflection, HPPointsClass, NonDegenerateReflection,
                        classify_hp_dual_points, hp_commute, reflection_span_coefficient)
-from .repvar import (ConstraintSystem, Lift, NoConvergence, Pair, build_constraints,
-                     gauss_newton, project_to_variety, residual_max)
+from .repvar import ConstraintSystem, NoConvergence, Pair, build_constraints, gauss_newton
 
 DEFAULT_CLASS_TOL = 1e-7
 
@@ -271,39 +272,36 @@ class ExperimentStats:
         return self.counts.get(name, 0)
 
 
-def _project_vectors(geometry, group, vectors, tol_res, max_iter):
-    racg = gamma_rect() if group == "rect" else gamma_cube()
-    dim = len(vectors[0])
-    space = (QuadraticSpace.hyperbolic(dim - 1) if geometry == "hyp"
-             else QuadraticSpace.anti_de_sitter(dim - 1))
-    names = racg.generators
-    targets = {}
-    for n, v in zip(names, vectors):
-        q = float(eval_form(space, np.asarray(v, dtype=float)))
-        targets[n] = 1 if q > 0 else -1
-    lift = Lift(space, names, {n: np.asarray(v, dtype=float) for n, v in zip(names, vectors)},
-                targets)
-    system = build_constraints(racg, targets)
-    projected, iters = project_to_variety(system, lift, max_iter=max_iter, tol_res=tol_res)
-    res = residual_max(system, projected)
-    return [projected.vectors[n] for n in names], res, iters
-
-
 # adjacency of the generator slots, used by the half-pipe projection
 _HP_ADJ = {"rect": _RECT_ADJACENT, "cube": _CUBE_ADJACENT}
 
 
-def _hp_problem(group, base):
-    """Unknowns and constraint maps of a half-pipe configuration.
+def _problem(geometry, group, base):
+    """Unknowns and constraint maps of the configurations near ``base``.
 
-    Unknowns per degenerate slot: the normal X and the coefficient c of
-    its translation c X; per non-degenerate slot: the dual point p.
-    Constraints: q_1(X) = 1; b_1(X_i, X_j) = 0 for adjacent degenerate
-    pairs; b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate
+    hyp/ads: one block per normal; the rows are the norm + commutation
+    system of the group, each norm target the sign of q on the base
+    normal, so every perturbation is projected onto the variety of the
+    base.  hp: per degenerate slot the normal X and the coefficient c of
+    its translation c X, per non-degenerate slot the dual point p; the
+    rows are q_1(X) = 1, b_1(X_i, X_j) = 0 for adjacent degenerate pairs
+    and b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate
     pairs ((r_X, cX) and (-id, 2p) commute iff (id - r_X)(2p) = 2 c X).
-    Returns (params, start, F, J): the packed unknowns, the offset of
-    each block (slot k is "k", its c is "ck") and the two maps.
+    Returns (params, F, J, unpack): the base packed into unknowns, the
+    two maps, and unpack(x) -> reflection data as ``classify`` takes it.
     """
+    if geometry in ("hyp", "ads"):
+        racg = gamma_rect() if group == "rect" else gamma_cube()
+        vectors = [np.asarray(v, dtype=float) for v in base]
+        dim = len(vectors[0])
+        space = (QuadraticSpace.hyperbolic(dim - 1) if geometry == "hyp"
+                 else QuadraticSpace.anti_de_sitter(dim - 1))
+        targets = {n: 1 if eval_form(space, v) > 0 else -1
+                   for n, v in zip(racg.generators, vectors)}
+        system = build_constraints(racg, targets)
+        start = {n: k * dim for k, n in enumerate(racg.generators)}
+        F, J = system.maps(space.signature, start)
+        return np.concatenate(vectors), F, J, lambda x: np.split(x, len(vectors))
     params = []
     start = {}
     deg = []
@@ -322,20 +320,18 @@ def _hp_problem(group, base):
         else:
             x, p = (i, j) if i in deg else (j, i)
             cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
-    signature = QuadraticSpace.minkowski(len(vec)).signature
-    return (np.array(params), start) + ConstraintSystem(tuple(cons)).maps(signature, start)
+    dim = len(vec)
+    F, J = ConstraintSystem(tuple(cons)).maps(QuadraticSpace.minkowski(dim).signature, start)
 
+    def unpack(x):
+        out = []
+        for k in range(len(base)):
+            block = x[start[str(k)]:start[str(k)] + dim]
+            out.append(DegenerateReflection(block, x[start[f"c{k}"]] * block) if k in deg
+                       else NonDegenerateReflection(block))
+        return out
 
-def _hp_unpack(params, start, base):
-    out = []
-    for k, r in enumerate(base):
-        off = start[str(k)]
-        if isinstance(r, NonDegenerateReflection):
-            out.append(NonDegenerateReflection(params[off:off + len(r.p)].copy()))
-        else:
-            X = params[off:off + len(r.X)].copy()
-            out.append(DegenerateReflection(X, params[start[f"c{k}"]] * X))
-    return out
+    return np.array(params), F, J, unpack
 
 
 def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
@@ -345,38 +341,27 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     Each trial draws uniform per-coordinate noise in [-noise, noise]
     (per-trial generators seeded by (seed, trial) so the outcome is
     independent of scheduling), projects back onto the norm +
-    commutation variety, and classifies.  Tangency conditions are not
+    commutation variety of the base (norm targets read off the base, see
+    ``_problem``), and classifies.  Tangency conditions are not
     projected onto: whether they survive is exactly what the experiment
     measures.
     """
     base_class = classify(geometry, group, base, tol_class)
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
         raise ValueError(f"base configuration classifies as {base_class.name}, need a cusp")
-    if geometry == "hp":
-        params, start, F, J = _hp_problem(group, base)
+    params, F, J, unpack = _problem(geometry, group, base)
     counts = {}
     records = []
-
-    def tally(k, record):
-        counts[k] = counts.get(k, 0) + 1
-        records.append(record)
-
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
+        x0 = params + rng.uniform(-noise, noise, size=len(params))
         try:
-            if geometry == "hp":
-                x0 = params + rng.uniform(-noise, noise, size=len(params))
-                x, iters, res = gauss_newton(F, J, x0, None, max_iter, tol_res)
-                data = _hp_unpack(x, start, base)
-            else:
-                vectors = [np.asarray(v, dtype=float)
-                           + rng.uniform(-noise, noise, size=len(v)) for v in base]
-                data, res, iters = _project_vectors(geometry, group, vectors,
-                                                    tol_res, max_iter)
-            klass = classify(geometry, group, data, tol_class)
-            tally(klass.name, TrialRecord(k, klass.name, res, iters))
+            x, iters, res = gauss_newton(F, J, x0, None, max_iter, tol_res)
+            klass = classify(geometry, group, unpack(x), tol_class).name
         except NoConvergence:
-            tally("no_convergence", TrialRecord(k, "no_convergence", float("nan"), max_iter))
+            klass, res, iters = "no_convergence", float("nan"), max_iter
+        counts[klass] = counts.get(klass, 0) + 1
+        records.append(TrialRecord(k, klass, res, iters))
     return ExperimentStats(base_class.name, counts, records)
 
 

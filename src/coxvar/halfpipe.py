@@ -159,49 +159,32 @@ class DegenerateReflection:
     """An HP reflection (r_X, v) fixing the degenerate hyperplane over H_X.
 
     X must be unit spacelike and v parallel to X; each v gives a
-    different reflection with the same fixed hyperplane.
+    different reflection with the same fixed hyperplane.  Float data:
+    X and v are read as float arrays.
     """
 
     X: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        space = _minkowski_space(len(self.X))
-        if is_exact(self.X):
-            if eval_form(space, self.X) != 1:
-                raise ValueError("degenerate reflection requires q_1(X) = 1")
-            lam = None
-            for xi, vi in zip(self.X, self.v):
-                if xi != 0:
-                    lam = vi / xi
-                    break
-            for xi, vi in zip(self.X, self.v):
-                if vi != lam * xi:
-                    raise ValueError("v must lie in span(X)")
-        else:
-            X = np.asarray(self.X, dtype=float)
-            v = np.asarray(self.v, dtype=float)
-            if abs(eval_form(space, X) - 1) > 1e-7:
-                raise ValueError("degenerate reflection requires q_1(X) = 1")
-            lam = float(X @ v) / float(X @ X)
-            if np.max(np.abs(v - lam * X)) > 1e-7 * max(1.0, np.abs(v).max()):
-                raise ValueError("v must lie in span(X)")
-
-    @property
-    def exact(self):
-        return is_exact(self.X)
+        X = np.asarray(self.X, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        if abs(eval_form(_minkowski_space(len(X)), X) - 1) > 1e-7:
+            raise ValueError("degenerate reflection requires q_1(X) = 1")
+        lam = float(X @ v) / float(X @ X)
+        if np.max(np.abs(v - lam * X)) > 1e-7 * max(1.0, np.abs(v).max()):
+            raise ValueError("v must lie in span(X)")
 
     def isometry(self):
-        space = _minkowski_space(len(self.X))
-        lin = reflection_matrix(space, self.X)
-        v = np.asarray(self.v, dtype=object if self.exact else float)
-        return MinkowskiIsometry(lin, v)
+        X = np.asarray(self.X, dtype=float)
+        return MinkowskiIsometry(reflection_matrix(_minkowski_space(len(X)), X),
+                                 np.asarray(self.v, dtype=float))
 
 
 def reflection_span_coefficient(refl):
     """The c with v = c X of a degenerate reflection."""
     for xi, vi in zip(refl.X, refl.v):
-        if (xi != 0) if refl.exact else abs(xi) > 1e-12:
+        if abs(xi) > 1e-12:
             return vi / xi
     raise ValueError("zero normal vector")
 
@@ -258,105 +241,37 @@ class HPRepresentation:
         return {n: self.isometry(n) for n in self.linear}
 
     def as_reflections(self):
-        """The generators as HPReflection objects (for cusp classification)."""
+        """The generators as float HP reflections (for cusp classification).
+
+        Exact entries are converted with float() one by one; the axis of
+        a degenerate reflection needs a square root, which Q(sqrt 2)
+        does not always have.
+        """
         out = {}
         for n in self.linear:
-            iso = self.isometry(n)
-            lin = iso.linear
-            if _looks_like_minus_id(lin):
-                half = QSqrt2(1, 0) / 2 if iso.exact else 0.5
-                out[n] = NonDegenerateReflection(iso.translation * half)
+            lin = np.asarray(self.linear[n], dtype=float)
+            v = np.asarray(self.translation[n], dtype=float)
+            if np.max(np.abs(lin + np.eye(len(lin)))) < 1e-9:
+                out[n] = NonDegenerateReflection(v * 0.5)
             else:
-                X = _reflection_axis(lin)
-                out[n] = DegenerateReflection(X, iso.translation)
+                out[n] = DegenerateReflection(_reflection_axis(lin), v)
         return out
 
 
-def _looks_like_minus_id(lin):
-    n = lin.shape[0]
-    if lin.dtype == object:
-        return all(lin[i, j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
-    return np.max(np.abs(lin + np.eye(n))) < 1e-9
-
-
 def _reflection_axis(lin):
-    """Unit spacelike X with lin = r_X.
+    """Unit spacelike X with lin = r_X (float).
 
     id - r_X = 2 X (JX)^T / q(X) has rank one, so every nonzero column
     is proportional to X; normalisation then uses the Minkowski norm.
     """
     n = lin.shape[0]
-    if lin.dtype == object:
-        diff = exact_identity(n) - lin
-        col = max(range(n), key=lambda j: sum(1 for i in range(n) if diff[i, j]))
-        X = diff[:, col]
-        if all(not bool(x) for x in X):
-            raise ValueError("linear part is the identity, not a reflection")
-        q = eval_form(_minkowski_space(n), X)
-        if q.sign() <= 0:
-            raise ValueError("reflection axis is not spacelike")
-        scale = _exact_inverse_sqrt(q)
-        if scale is None:
-            raise ValueError("axis norm has no exact square root; use the float backend")
-        return np.array([x * scale for x in X], dtype=object)
-    diff = np.eye(n) - lin.astype(float)
+    diff = np.eye(n) - lin
     col = int(np.argmax(np.linalg.norm(diff, axis=0)))
     X = diff[:, col]
     q = float(eval_form(_minkowski_space(n), X))
     if q <= 0:
         raise ValueError("reflection axis is not spacelike")
     return X / np.sqrt(q)
-
-
-def _sqrt_rational(x):
-    """sqrt of a nonnegative Fraction when rational, else None."""
-    import math
-    from fractions import Fraction
-
-    x = Fraction(x)
-    if x < 0:
-        return None
-    prod = x.numerator * x.denominator
-    s = math.isqrt(prod)
-    if s * s == prod:
-        return Fraction(s, x.denominator)
-    return None
-
-
-def exact_sqrt(q):
-    """A square root of q in Q(sqrt 2) when one exists, else None.
-
-    (c + d sqrt2)^2 = c^2 + 2 d^2 + 2 c d sqrt2, so matching against
-    a + b sqrt2 reduces to rational square roots of (a +- sqrt(a^2 - 2 b^2))/4.
-    """
-    from fractions import Fraction
-
-    if q.sign() < 0:
-        return None
-    a, b = q.a, q.b
-    if b == 0:
-        c = _sqrt_rational(a)
-        if c is not None:
-            return QSqrt2(c)
-        d = _sqrt_rational(Fraction(a, 2))
-        if d is not None:
-            return QSqrt2(0, d)
-        return None
-    s = _sqrt_rational(a * a - 2 * b * b)
-    if s is None:
-        return None
-    for root in ((a + s) / 4, (a - s) / 4):
-        d = _sqrt_rational(root)
-        if d not in (None, 0):
-            c = Fraction(b, 2 * d)
-            if c * c + 2 * d * d == a:
-                return QSqrt2(c, d)
-    return None
-
-
-def _exact_inverse_sqrt(q):
-    r = exact_sqrt(q)
-    return None if r is None or not r else QSqrt2(1) / r
 
 
 def rho_lambda(lam):

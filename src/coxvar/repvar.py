@@ -515,13 +515,17 @@ def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
 
     Only the coordinates in free_idx move (all of them when None).
     Stops once max|F(x)| <= tol_res and returns (x, iterations,
-    residual); raises NoConvergence after max_iter steps.
+    residual); raises NoConvergence after max_iter steps, and
+    LinAlgError on a non-finite residual (before LAPACK sees it).
     """
     free = slice(None) if free_idx is None else free_idx
     x = np.array(x0, dtype=float)
     for it in range(max_iter + 1):
         r = F(x)
         res = float(np.max(np.abs(r))) if len(r) else 0.0
+        if not isfinite(res):
+            raise np.linalg.LinAlgError(f"non-finite residual {res} after {it} "
+                                        f"Gauss-Newton steps")
         if res <= tol_res:
             return x, it, res
         if it == max_iter:

@@ -290,6 +290,8 @@ def test_out_of_range_parameter(capsys, argv):
     ["cusp", "--geometry", "hp", "--group", "cube4", "--lam", "nan"],
     ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--noise", "inf"],
     ["trace", "--geometry", "hyp", "--grid", "nan,0.5"],
+    ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--noise", "-1"],
+    ["trace", "--geometry", "hyp", "--grid", "0:1:1000000000000"],
 ])
 def test_bad_arguments_rejected(capsys, argv):
     # nan/inf are refused before any computation; --trials below 1 only with --experiment
@@ -300,14 +302,16 @@ def test_bad_arguments_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("geometry, group", [("hyp", "rect3"), ("ads", "cube4"), ("hp", "cube4")])
-def test_linalg_error_is_numerical_failure(capsys, geometry, group):
-    # perturbations of size 1e300 make the least-squares SVD fail: a numerical
-    # failure (exit 3), not bad input, although LinAlgError is a ValueError
+def test_linalg_error_is_numerical_failure(capfd, geometry, group):
+    # perturbations of size 1e300 overflow the residual: a numerical failure
+    # (exit 3), not bad input, although LinAlgError is a ValueError; capfd also
+    # sees what LAPACK would print on fd 1 if it were handed the non-finite system
     code = main(["cusp", "--geometry", geometry, "--group", group, "--experiment",
                  "--trials", "3", "--noise", "1e300"])
-    err = capsys.readouterr().err
+    out, err = capfd.readouterr()
     assert code == 3
     assert "numerical failure:" in err and "error:" not in err
+    assert "DLASCL" not in out
 
 
 _NUMBERS = st.sampled_from(["0", "0.5", "-0.5", "1", "-1", "0.99", "2", "1e-300", "1e200",

@@ -175,3 +175,13 @@ def test_rigidity_rect_dimension3_flexibility():
 def test_rigidity_cube_dimension4(geometry):
     stats = rigidity_experiment(geometry, "cube", base_cube(geometry), 100, seed=11)
     assert stats.counts == {"cusp": 100}
+
+
+@pytest.mark.parametrize("group, expected", [("rect", {"rect_split": 200}),
+                                             ("cube", {"cusp": 200})])
+def test_rigidity_targets_from_base(group, expected):
+    # noise 0.3 flips the sign of q on some perturbed normals; the projection
+    # must still aim at the norms of the base, not of the perturbed vectors
+    base = base_rect_hyp() if group == "rect" else base_cube("hyp")
+    stats = rigidity_experiment("hyp", group, base, 200, noise=0.3, seed=7)
+    assert stats.counts == expected

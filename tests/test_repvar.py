@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxvar.coxeter import gamma22, gamma_rect
-from coxvar.cusp import _hp_problem, base_cube
+from coxvar.cusp import _problem, base_cube
 from coxvar.geometry import eval_bilinear, eval_form
 from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, NoConvergence,
                            OverlappingConstraint, ParameterOutOfRange, SliceDegenerate,
@@ -143,7 +143,7 @@ def test_jacobian_matches_finite_differences():
     lift_maps = (lambda x: residual(system, base.with_flat(x)),
                  lambda x: jacobian(system, base.with_flat(x)))
     # the half-pipe cube system: scaled b(X, 2p) rows and the -c column
-    hp_params, _, *hp_maps = _hp_problem("cube", base_cube("hp"))
+    hp_params, *hp_maps, _ = _problem("hp", "cube", base_cube("hp"))
     h = 1e-6
     for (F, J), x0 in ((lift_maps, base.flatten()), (hp_maps, hp_params)):
         n = len(x0)
