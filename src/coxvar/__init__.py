@@ -8,11 +8,10 @@ kernel/rank reports, exact first group cohomology, cusp-group
 classification, and a CLI reproducing the headline numbers.
 """
 
-from .coxeter import (RACG, Gamma22Label, cuboctahedron_vectors, gamma22, gamma22_vectors,
-                      gamma_co, gamma_cube, gamma_rect, evaluate_word, verify_representation)
+from .coxeter import (RACG, cuboctahedron_vectors, gamma22, gamma22_vectors, gamma_co,
+                      gamma_cube, gamma_rect, evaluate_word, verify_representation)
 from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair_ads,
-                       classify_pair_hyp, commute_test, eval_bilinear, eval_form,
-                       hyperplane_type_ads, reflection_matrix)
+                       classify_pair_hyp, eval_bilinear, eval_form, reflection_matrix)
 from .repvar import (ConstraintSystem, Lift, RankReport, build_constraints,
                      canonical_tangency_pairs, constraint_system, find_cusp_subgroups,
                      find_tangency_pairs, gram_matrix, jacobian, kernel_report,

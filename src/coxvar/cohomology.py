@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22
-from .geometry import QuadraticSpace, reflection_matrix
-from .linalg_exact import (PairMatrix, exact_array, exact_identity, exact_inverse,
-                           exact_nullspace, exact_pivots, exact_rank, exact_solve)
-from .scalars import QSqrt2
+from .coxeter import GAMMA22_NAMES, gamma22
+from .geometry import QuadraticSpace
+from .halfpipe import rho_lambda
+from .linalg_exact import (PairMatrix, exact_inverse, exact_nullspace, exact_pivots,
+                           exact_rank, exact_solve)
 
 
 class CohomologyError(Exception):
@@ -52,7 +52,7 @@ class SingularNormalization(CohomologyError):
 class LinearRep:
     """Exact representation of a RACG on V, validated on construction.
 
-    ``images`` may be given as QSqrt2 object arrays or PairMatrix; after
+    ``images`` may be given as anything PairMatrix.of converts; after
     construction it maps each generator to its PairMatrix image.
     """
 
@@ -100,8 +100,8 @@ def _flatten_cocycle(racg, dimV, tau):
     ``tau`` is flat already (returned as is) or a dict of exact vectors
     per generator, such as tau_lambda_cocycle returns.
     """
-    flat = tau if isinstance(tau, PairMatrix) else PairMatrix.of(
-        np.concatenate([np.asarray(tau[n], dtype=object) for n in racg.generators]))
+    flat = tau if isinstance(tau, PairMatrix) else PairMatrix.concat(
+        [tau[n] for n in racg.generators])
     if flat.shape != (len(racg.generators) * dimV,):
         raise ValueError(f"a cocycle is a vector of {dimV} values per generator")
     return flat
@@ -175,10 +175,6 @@ def cohomology_report(racg, rep):
     return report
 
 
-def h1_dim(racg, rep):
-    return cocycle_space(racg, rep).shape[1] - coboundary_space(racg, rep).shape[1]
-
-
 def is_coboundary(racg, rep, tau):
     """Exact test: does rho(s) v - v = tau(s) for all s have a solution?"""
     return exact_solve(_coboundary_candidates(racg, rep.images),
@@ -188,17 +184,9 @@ def is_coboundary(racg, rep, tau):
 # -- the collapsed representation and its adjoints ---------------------------
 
 def rho0_linear():
-    """rho_0 as exact 4x4 matrices in O(1,3): positives to -id."""
-    space = QuadraticSpace.minkowski(4)
-    cubo = cuboctahedron_vectors()
-    minus_id = -exact_identity(4)
-    images = {}
-    for i in range(8):
-        images[f"{i}+"] = minus_id
-        images[f"{i}-"] = reflection_matrix(space, np.array(cubo[str(i)], dtype=object))
-    for x in LETTER_NAMES:
-        images[x] = reflection_matrix(space, np.array(cubo[x], dtype=object))
-    return images
+    """rho_0 as exact 4x4 matrices in O(1,3): positives to -id, the rest
+    to cuboctahedron reflections; the linear part of every rho_lambda."""
+    return rho_lambda(0).linear
 
 
 def rho0_rep():
@@ -213,37 +201,32 @@ def rho0_projective(geometry):
     {x_4 = 0}; the positives map to the reflection diag(1,1,1,1,-1).
     For hp they are affine matrices [[A, tau],[0, 1]] with tau = 0.
     """
+    if geometry not in ("hyp", "ads", "hp"):
+        raise ValueError(f"unknown geometry {geometry!r}")
     lin = rho0_linear()
-    images = {}
-    if geometry in ("hyp", "ads"):
-        r = exact_identity(5)
-        r[4, 4] = QSqrt2(-1)
-        for n in GAMMA22_NAMES:
-            if n.endswith("+"):
-                images[n] = r
-            else:
-                m = exact_identity(5)
-                m[:4, :4] = lin[n]
-                images[n] = m
-        return images
-    if geometry == "hp":
-        for n in GAMMA22_NAMES:
-            m = exact_identity(5)
-            m[:4, :4] = lin[n]
-            images[n] = m
-        return images
-    raise ValueError(f"unknown geometry {geometry!r}")
+    r = PairMatrix.of(np.diag([1, 1, 1, 1, -1]))
+
+    def block(a):
+        return PairMatrix.block([[a, np.zeros((4, 1), dtype=int)],
+                                 [np.zeros((1, 4), dtype=int), np.ones((1, 1), dtype=int)]])
+
+    return {n: r if geometry != "hp" and n.endswith("+") else block(lin[n])
+            for n in GAMMA22_NAMES}
+
+
+def _so13_matrices(size):
+    """Integer so(1,3) basis in the top-left 4x4 block of size x size zeros:
+    three boosts then three rotations."""
+    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        m = np.zeros((size, size), dtype=int)
+        m[i, j] = 1
+        m[j, i] = 1 if i == 0 else -1
+        yield m
 
 
 def so13_basis():
     """Exact basis of so(1,3): three boosts then three rotations."""
-    out = []
-    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-        m = np.zeros((4, 4), dtype=int)
-        m[i, j] = 1
-        m[j, i] = 1 if i == 0 else -1
-        out.append(exact_array(m))
-    return out
+    return [PairMatrix.of(m) for m in _so13_matrices(4)]
 
 
 def adapted_basis(geometry):
@@ -253,12 +236,8 @@ def adapted_basis(geometry):
     four are the R^{1,3} block: for hyp/ads the matrices with column
     -+w and row w^T J, for hp the infinitesimal translations.
     """
-    J = np.diag(QuadraticSpace.minkowski(4).signature)
-    basis = []
-    for b in so13_basis():
-        m = exact_array(np.zeros((5, 5), dtype=int))
-        m[:4, :4] = b
-        basis.append(m)
+    J = QuadraticSpace.minkowski(4).form_matrix()
+    basis = list(_so13_matrices(5))
     for k in range(4):
         m = np.zeros((5, 5), dtype=int)  # w = e_k
         if geometry == "hyp":
@@ -271,8 +250,8 @@ def adapted_basis(geometry):
             m[k, 4] = 1
         else:
             raise ValueError(f"unknown geometry {geometry!r}")
-        basis.append(exact_array(m))
-    return basis
+        basis.append(m)
+    return [PairMatrix.of(m) for m in basis]
 
 
 def adjoint_rep(racg, images, basis):
@@ -281,7 +260,7 @@ def adjoint_rep(racg, images, basis):
     Raises BasisNotClosed when conjugation leaves the span of the given
     basis elements.
     """
-    stack = PairMatrix.of(np.array([np.asarray(b, dtype=object) for b in basis]))
+    stack = PairMatrix.concat([PairMatrix.of(b).reshape(1, *b.shape) for b in basis])
     k = len(basis)
     flat_basis = stack.reshape(k, -1).T
     ad_images = {}
@@ -338,19 +317,15 @@ def split_h1(racg, rep, report=None, h_block=6):
 # -- the geometric cocycles and normalisation --------------------------------
 
 def tau_lambda_cocycle(lam):
-    """tau_lambda as a map from generators to exact R^{1,3} vectors."""
-    from .halfpipe import rho_lambda
-
-    return {n: np.asarray(v, dtype=object)
-            for n, v in rho_lambda(QSqrt2(lam) if not isinstance(lam, QSqrt2) else lam)
-            .translation.items()}
+    """tau_lambda as a map from generators to exact R^{1,3} vectors (PairMatrix)."""
+    return rho_lambda(PairMatrix.of(lam)).translation
 
 
 def reduce_mod_coboundary(tau):
     """Subtract the unique coboundary making tau vanish on A, B, C, D.
 
     ``tau`` is a cocycle of rho_0, flat or as a dict of vectors; the
-    result is a dict of QSqrt2 vectors per generator.  The 4x4 system is
+    result is a dict of PairMatrix vectors per generator.  The 4x4 system is
     -2 times the Gram matrix of the four letter normals, which is
     invertible; a failure here would contradict the non-degeneracy of
     the Minkowski form.
@@ -367,8 +342,7 @@ def reduce_mod_coboundary(tau):
         raise ValueError("tau is not a cocycle: no coboundary matches its letter values")
     reduced = flat - cands @ w
     assert reduced[letters].is_zero()
-    values = reduced.exact()
-    return {n: values[4 * i:4 * (i + 1)] for i, n in enumerate(racg.generators)}
+    return {n: reduced[4 * i:4 * (i + 1)] for i, n in enumerate(racg.generators)}
 
 
 def vertical_coefficient(tau):
@@ -379,4 +353,4 @@ def vertical_coefficient(tau):
     racg = gamma22()
     tau1 = _flatten_cocycle(racg, 4, tau_lambda_cocycle(1))
     lam = exact_solve(tau1.reshape(-1, 1), _flatten_cocycle(racg, 4, tau))
-    return None if lam is None else lam.exact()[0]
+    return None if lam is None else lam.item(0)

@@ -12,9 +12,11 @@ commuting pairs.  The groups used throughout:
 * gamma_co  -- the reflection group of the ideal right-angled
                cuboctahedron (8 triangles + 6 quads, 24 edges).
 
-Word evaluation and representation verification are generic over the
-image type: float matrices, exact object matrices, or any object with a
-``projective_matrix()`` method (half-pipe isometries).
+The tables are QSqrt2 coordinate tuples; every exact matrix built from
+them is a linalg_exact.PairMatrix.  Word evaluation and representation
+verification are generic over the image type: float matrices, exact
+PairMatrix, or any object with a ``projective_matrix()`` method
+(half-pipe isometries).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import QuadraticSpace, eval_bilinear, eval_form
+from .geometry import QuadraticSpace
 from .linalg_exact import PairMatrix
 from .scalars import QSqrt2, is_exact
 
@@ -104,34 +106,6 @@ LETTER_NAMES = tuple("ABCDEF")
 GAMMA22_NAMES = POSITIVE_NAMES + NEGATIVE_NAMES + LETTER_NAMES
 
 
-@dataclass(frozen=True)
-class Gamma22Label:
-    """One of the 22 generator labels: positive i, negative i, or a letter."""
-
-    kind: str  # "positive" | "negative" | "letter"
-    value: object
-
-    @property
-    def name(self):
-        if self.kind == "positive":
-            return f"{self.value}+"
-        if self.kind == "negative":
-            return f"{self.value}-"
-        return self.value
-
-    @classmethod
-    def parse(cls, name):
-        if name in LETTER_NAMES:
-            return cls("letter", name)
-        if len(name) == 2 and name[0].isdigit() and name[1] in "+-":
-            i = int(name[0])
-            if 0 <= i <= 7:
-                return cls("positive" if name[1] == "+" else "negative", i)
-        raise ValueError(f"not a generator label: {name!r}")
-
-
-GAMMA22_LABELS = tuple(Gamma22Label.parse(n) for n in GAMMA22_NAMES)
-
 _HALF = Fraction(1, 2)
 
 
@@ -177,20 +151,20 @@ def cuboctahedron_vectors():
 
 
 def _orthogonality_pairs(names, vectors, space):
-    pairs = set()
-    for (i, a), (j, b) in combinations(enumerate(names), 2):
-        if eval_bilinear(space, vectors[a], vectors[b]) == 0:
-            pairs.add((i, j))
-    return frozenset(pairs)
+    """Index pairs i < j with b(v_i, v_j) = 0, read off one exact Gram
+    matrix V J V^T, whose diagonal must be 1 (unit normals)."""
+    V = PairMatrix.of([vectors[n] for n in names])
+    gram = V @ (V * np.array(space.signature)).T
+    n = len(names)
+    assert (gram * np.eye(n, dtype=int) - PairMatrix.identity(n)).is_zero(), "q = 1 expected"
+    zero = (gram.a == 0) & (gram.b == 0)
+    return frozenset((i, j) for i, j in combinations(range(n), 2) if zero[i, j])
 
 
 @lru_cache(maxsize=None)
 def gamma22():
     """The 22-generator group; 80 commuting pairs derived exactly."""
-    space = QuadraticSpace.hyperbolic(4)
-    vecs = gamma22_vectors()
-    assert all(eval_form(space, v) == 1 for v in vecs.values())
-    pairs = _orthogonality_pairs(GAMMA22_NAMES, vecs, space)
+    pairs = _orthogonality_pairs(GAMMA22_NAMES, gamma22_vectors(), QuadraticSpace.hyperbolic(4))
     assert len(pairs) == 80, f"expected 80 commuting pairs, got {len(pairs)}"
     return RACG(GAMMA22_NAMES, pairs)
 
@@ -214,11 +188,8 @@ def gamma_cube():
 @lru_cache(maxsize=None)
 def gamma_co():
     """Cuboctahedron reflection group: 14 generators, 24 commuting pairs."""
-    space = QuadraticSpace.minkowski(4)
-    vecs = cuboctahedron_vectors()
     names = tuple(str(i) for i in range(8)) + LETTER_NAMES
-    assert all(eval_form(space, vecs[n]) == 1 for n in names)
-    pairs = _orthogonality_pairs(names, vecs, space)
+    pairs = _orthogonality_pairs(names, cuboctahedron_vectors(), QuadraticSpace.minkowski(4))
     assert len(pairs) == 24, f"expected 24 commuting pairs, got {len(pairs)}"
     return RACG(names, pairs)
 
@@ -233,11 +204,7 @@ def _as_matrix(image):
 
 def _identity_like(mat):
     n = mat.shape[0]
-    if mat.dtype == object:
-        from .linalg_exact import exact_identity
-
-        return exact_identity(n)
-    return np.eye(n)
+    return PairMatrix.identity(n) if is_exact(mat) else np.eye(n)
 
 
 def evaluate_word(rep, word, racg=None):
@@ -268,15 +235,8 @@ def evaluate_word(rep, word, racg=None):
 
 
 def _max_abs(mat):
-    return float(max(abs(x) for x in np.asarray(mat, dtype=object).reshape(-1)))
-
-
-def _max_abs_pairs(pm):
-    """_max_abs of an exact PairMatrix; only its nonzero entries become QSqrt2."""
-    nonzero = (pm.a != 0) | (pm.b != 0)
-    if not nonzero.any():
-        return 0.0
-    return _max_abs(PairMatrix(pm.a[nonzero], pm.b[nonzero], pm.den).exact())
+    """Largest |entry|; an exact matrix is read through its float view."""
+    return float(np.max(np.abs(np.asarray(mat, dtype=float))))
 
 
 @dataclass
@@ -296,27 +256,19 @@ def verify_representation(racg, rep, tol=1e-10):
     deviation from the identity over all relation checks.
     """
     mats = {name: _as_matrix(rep[name]) for name in racg.generators}
-    first = next(iter(mats.values()))
-    if is_exact(first):
-        # zero tests on integer pairs; only nonzero defects are measured as QSqrt2
-        mats = {name: PairMatrix.of(m) for name, m in mats.items()}
-        ident = PairMatrix.identity(first.shape[0])
-        max_abs = _max_abs_pairs
-    else:
-        ident = _identity_like(first)
-        max_abs = _max_abs
+    ident = _identity_like(next(iter(mats.values())))
     failures = []
     max_defect = 0.0
     for name, m in mats.items():
-        d = max_abs(m @ m - ident)
+        d = _max_abs(m @ m - ident)
         max_defect = max(max_defect, d)
         if d > tol:
             failures.append(f"square:{name}")
     for a, b in racg.commuting_name_pairs():
-        d = max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
+        d = _max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
         max_defect = max(max_defect, d)
         if d > tol:
             failures.append(f"commutator:{a},{b}")
-        if max_abs(mats[a] - mats[b]) <= tol:
+        if _max_abs(mats[a] - mats[b]) <= tol:
             failures.append(f"coincide:{a},{b}")
     return VerificationReport(max_defect, failures)

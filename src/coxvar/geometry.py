@@ -13,7 +13,9 @@ infinity, and disjoint in the hyperbolic case, with the inequalities
 reversed for spacelike AdS hyperplanes.
 
 All operations run on either backend: numpy float arrays with a
-tolerance, or QSqrt2 object arrays with exact zero tests (tol=0).
+tolerance, or exact data with exact zero tests (tol=0).  Exact vectors
+are sequences of QSqrt2 (or a PairMatrix, for reflection_matrix), and
+an exact reflection is a linalg_exact.PairMatrix.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg_exact import exact_identity
-from .scalars import QSqrt2, is_exact
+from .linalg_exact import PairMatrix
+from .scalars import is_exact
 
 DEFAULT_TOL = 1e-9
 
@@ -81,13 +83,10 @@ class QuadraticSpace:
         """R^{1,n-1} with the Minkowski form (no projective ambient)."""
         return cls(n, (-1,) + (1,) * (n - 1))
 
-    def form_matrix(self, exact=False):
-        if exact:
-            out = exact_identity(self.dim)
-            for i, s in enumerate(self.signature):
-                out[i, i] = QSqrt2(s)
-            return out
-        return np.diag(np.array(self.signature, dtype=float))
+    def form_matrix(self):
+        """The diagonal Gram matrix J as integers: exact as it stands, and
+        PairMatrix.of(J) on the exact backend."""
+        return np.diag(self.signature)
 
 
 class PairClassHyp(Enum):
@@ -107,12 +106,6 @@ class PairClassAdS(Enum):
     TIMELIKE_INTERSECTION = "timelike_intersection"
 
 
-class HyperplaneTypeAdS(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-
-
 def eval_form(space, x):
     """q(x) for the space's diagonal form."""
     if len(x) != space.dim:
@@ -127,32 +120,25 @@ def eval_bilinear(space, x, y):
     return sum(s * xi * yi for s, xi, yi in zip(space.signature, x, y) if s)
 
 
-def reflection_matrix(space, X, tol=None):
+def reflection_matrix(space, X, tol=DEFAULT_TOL):
     """Matrix of the reflection r_X: fixes X-perp, sends X to -X.
 
-    r_X(v) = v - 2 b(X, v)/q(X) * X, an involution in O(q).
+    r_X = I - (2/q(X)) X (JX)^T, an involution in O(q): a PairMatrix for
+    exact X, where q(X) = 0 is tested exactly, else a float array.
     """
-    exact = is_exact(X)
-    q = eval_form(space, X)
-    if exact:
+    sig = np.array(space.signature)
+    if is_exact(X):
+        X = PairMatrix.of(X).reshape(space.dim, 1)
+        JX = X * sig[:, None]
+        q = (X.T @ JX).item(0, 0)
         if q == 0:
             raise DegenerateNormal("q(X) = 0: no reflection")
-        out = exact_identity(space.dim)
-        two_over_q = QSqrt2(2) / q
-    else:
-        if tol is None:
-            tol = DEFAULT_TOL
-        if abs(q) <= tol:
-            raise DegenerateNormal("q(X) = 0 within tolerance: no reflection")
-        X = np.asarray(X, dtype=float)
-        sig = np.array(space.signature, dtype=float)
-        return np.eye(space.dim) - (2.0 / q) * np.outer(X, sig * X)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            s = space.signature[j]
-            if s:
-                out[i, j] = out[i, j] - two_over_q * X[i] * (s * X[j])
-    return out
+        return (PairMatrix.identity(space.dim) - X @ JX.T * (2 / q)).reduced()
+    q = eval_form(space, X)
+    if abs(q) <= tol:
+        raise DegenerateNormal("q(X) = 0 within tolerance: no reflection")
+    X = np.asarray(X, dtype=float)
+    return np.eye(space.dim) - (2.0 / q) * np.outer(X, sig * X)
 
 
 def coincident(X, Y, tol):
@@ -190,18 +176,6 @@ def classify_pair_hyp(X, Y, tol=None):
     return PairClassHyp.TANGENT_AT_INFINITY
 
 
-def hyperplane_type_ads(X, tol=None):
-    """Spacelike / timelike / lightlike type of the AdS hyperplane X-perp."""
-    tol = _resolve_tol(X, tol)
-    space = QuadraticSpace.anti_de_sitter(len(X) - 1)
-    q = eval_form(space, X)
-    if q < -tol:
-        return HyperplaneTypeAdS.SPACELIKE
-    if q > tol:
-        return HyperplaneTypeAdS.TIMELIKE
-    return HyperplaneTypeAdS.LIGHTLIKE
-
-
 def classify_pair_ads(X, Y, tol=None):
     """Relative position of two AdS hyperplanes with normals of equal type.
 
@@ -236,21 +210,3 @@ def classify_pair_ads(X, Y, tol=None):
     if ab < 1 - tol:
         return PairClassAdS.TIMELIKE_INTERSECTION
     return PairClassAdS.LIGHTLIKE_INTERSECTION
-
-
-def commute_test(space, X, Y, tol=None):
-    """Do the reflections r_X and r_Y commute?
-
-    True iff X = +-Y (equal reflections) or b(X, Y) = 0.
-    """
-    tol = _resolve_tol(X, tol)
-    qx = eval_form(space, X)
-    qy = eval_form(space, Y)
-    if is_exact(X):
-        if qx == 0 or qy == 0:
-            raise DegenerateNormal("q(X) = 0: not a reflection normal")
-    elif abs(qx) <= tol or abs(qy) <= tol:
-        raise DegenerateNormal("q(X) = 0 within tolerance: not a reflection normal")
-    if coincident(X, Y, tol):
-        return True
-    return abs(eval_bilinear(space, X, Y)) <= tol

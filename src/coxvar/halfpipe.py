@@ -15,6 +15,10 @@ hyperplane H_X of H^{n-1}.  The explicit representations rho_lambda of
 the 22-generator group deform only the translation part; at lambda = 0
 they reduce to the collapsed representation shared with the hyperbolic
 and AdS paths.
+
+Exact transformations (rho_lambda for exact lambda) hold PairMatrix
+parts and map to PairMatrix projective matrices; everything that
+classifies reflections runs on floats with a tolerance.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import numpy as np
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, QuadraticSpace, classify_pair_hyp, eval_form,
                        reflection_matrix)
-from .linalg_exact import exact_array, exact_identity
-from .scalars import QSqrt2, is_exact
+from .linalg_exact import PairMatrix
+from .scalars import is_exact
 
 
 class HalfPipeError(Exception):
@@ -45,7 +49,10 @@ def _minkowski_space(dim):
 
 @dataclass(frozen=True)
 class MinkowskiIsometry:
-    """Pair (A, v): x -> A x + v with A preserving the Minkowski form."""
+    """Pair (A, v): x -> A x + v with A preserving the Minkowski form.
+
+    A and v are float arrays, or PairMatrix for an exact isometry.
+    """
 
     linear: np.ndarray
     translation: np.ndarray
@@ -56,12 +63,10 @@ class MinkowskiIsometry:
 
     @property
     def exact(self):
-        return self.linear.dtype == object
+        return is_exact(self.linear)
 
     @classmethod
-    def identity(cls, dim=4, exact=False):
-        if exact:
-            return cls(exact_identity(dim), exact_array(np.zeros(dim, dtype=int)))
+    def identity(cls, dim=4):
         return cls(np.eye(dim), np.zeros(dim))
 
     def __matmul__(self, other):
@@ -70,19 +75,19 @@ class MinkowskiIsometry:
                                  self.linear @ other.translation + self.translation)
 
     def is_form_preserving(self, tol=DEFAULT_TOL):
-        space = _minkowski_space(self.dim)
-        J = space.form_matrix(exact=self.exact)
-        diff = self.linear.T @ J @ self.linear - J
+        J = _minkowski_space(self.dim).form_matrix()
         if self.exact:
-            return max(abs(x) for x in diff.reshape(-1)) == 0
+            J = PairMatrix.of(J)
+            return (self.linear.T @ J @ self.linear - J).is_zero()
+        diff = self.linear.T @ J @ self.linear - J
         # A^T J A accumulates error like |A|^2 eps: compare at that scale
         scale = max(1.0, float(np.max(np.abs(self.linear))) ** 2)
         return float(np.max(np.abs(diff))) <= tol * scale
 
     def max_difference(self, other):
-        d1 = max(abs(x) for x in (self.linear - other.linear).reshape(-1))
-        d2 = max(abs(x) for x in (self.translation - other.translation).reshape(-1))
-        return float(max(d1, d2))
+        """Largest |entry| of the difference of two float isometries."""
+        return float(max(np.max(np.abs(self.linear - other.linear)),
+                         np.max(np.abs(self.translation - other.translation))))
 
     def projective_matrix(self):
         return phi_to_projective(self)
@@ -97,17 +102,19 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
     if not iso.is_form_preserving(tol):
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
-    J = _minkowski_space(n).form_matrix(exact=iso.exact)
-    out = exact_identity(n + 1) if iso.exact else np.eye(n + 1)
+    J = _minkowski_space(n).form_matrix()
+    if iso.exact:
+        row = -(iso.translation.reshape(1, n) @ PairMatrix.of(J) @ iso.linear)
+        return PairMatrix.block([[iso.linear, np.zeros((n, 1), dtype=int)],
+                                 [row, np.ones((1, 1), dtype=int)]])
+    out = np.eye(n + 1)
     out[:n, :n] = iso.linear
     out[n, :n] = -(iso.translation @ J @ iso.linear)
     return out
 
 
-def hp_commute(a, b, tol=None):
-    """Do two Minkowski isometries commute (as half-pipe transformations)?"""
-    if tol is None:
-        tol = 0 if a.exact else DEFAULT_TOL
+def hp_commute(a, b, tol=DEFAULT_TOL):
+    """Do two float Minkowski isometries commute (as half-pipe transformations)?"""
     return (a @ b).max_difference(b @ a) <= tol
 
 
@@ -117,7 +124,7 @@ class HPPointsClass(Enum):
     DISJOINT = "disjoint"
 
 
-def classify_hp_dual_points(p, q, tol=None):
+def classify_hp_dual_points(p, q, tol=DEFAULT_TOL):
     """Relative position of the hyperplanes dual to points p, q of R^{1,n-1}.
 
     They intersect iff p - q is spacelike, are tangent at the boundary
@@ -125,8 +132,6 @@ def classify_hp_dual_points(p, q, tol=None):
     timelike.
     """
     d = [pi - qi for pi, qi in zip(p, q)]
-    if tol is None:
-        tol = 0 if is_exact(d) else DEFAULT_TOL
     val = eval_form(_minkowski_space(len(d)), d)
     if val > tol:
         return HPPointsClass.INTERSECT
@@ -143,14 +148,11 @@ class NonDegenerateReflection:
 
     p: np.ndarray
 
-    @property
-    def exact(self):
-        return is_exact(self.p)
-
     def isometry(self):
-        p = np.asarray(self.p, dtype=object if self.exact else float)
-        if self.exact:
-            return MinkowskiIsometry(-exact_identity(len(p)), 2 * p)
+        if is_exact(self.p):
+            p = PairMatrix.of(self.p)
+            return MinkowskiIsometry(-PairMatrix.identity(p.size), p * 2)
+        p = np.asarray(self.p, dtype=float)
         return MinkowskiIsometry(-np.eye(len(p)), 2.0 * p)
 
 
@@ -201,7 +203,7 @@ class HPPairReport:
         return f"HPPairReport(kind={self.kind!r}, position={self.position!r}, commuting={self.commuting!r})"
 
 
-def classify_hp_reflection_pair(r1, r2, tol=None):
+def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
     """Position report for two HP reflections.
 
     Two degenerate reflections are compared through their projections
@@ -243,9 +245,9 @@ class HPRepresentation:
     def as_reflections(self):
         """The generators as float HP reflections (for cusp classification).
 
-        Exact entries are converted with float() one by one; the axis of
-        a degenerate reflection needs a square root, which Q(sqrt 2)
-        does not always have.
+        Exact parts are read through their float view; the axis of a
+        degenerate reflection needs a square root, which Q(sqrt 2) does
+        not always have.
         """
         out = {}
         for n in self.linear:
@@ -280,10 +282,10 @@ def rho_lambda(lam):
     The linear part sends each positive generator to -id and each other
     generator to the Minkowski reflection in its cuboctahedron normal;
     the translation part is tau(i+) = tau(i-) = (-1)^i lam v_i and zero
-    on the letters.  Exact over Q(sqrt 2) for exact lam.
+    on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
+    exact lam.
     """
     exact = is_exact(lam)
-    lam = QSqrt2(lam) if exact and not isinstance(lam, QSqrt2) else lam
     space = _minkowski_space(4)
     cubo = cuboctahedron_vectors()
     linear = {}
@@ -291,13 +293,12 @@ def rho_lambda(lam):
 
     def vec(name):
         v = cubo[name]
-        if exact:
-            return np.array(v, dtype=object)
-        return np.array([float(x) for x in v])
+        return v if exact else np.array([float(x) for x in v])
 
     if exact:
-        minus_id = -exact_identity(4)
-        zero = exact_array(np.zeros(4, dtype=int))
+        lam = PairMatrix.of(lam)
+        minus_id = -PairMatrix.identity(4)
+        zero = PairMatrix.zeros(4)
     else:
         minus_id = -np.eye(4)
         zero = np.zeros(4)

@@ -2,12 +2,14 @@
 
 PairMatrix is the one exact matrix type: (a, b, den) stands for
 (a + b*sqrt(2)) / den with a, b integer numpy arrays, so no Fraction or
-QSqrt2 object is built in the hot paths.  The arrays are int64 as long
-as every product and sum provably stays below 2**62 and hold Python ints
-(dtype=object) beyond that, so results are exact either way.  QSqrt2
-object arrays (what the reflection tables are built from) enter through
-PairMatrix.of and leave through PairMatrix.exact; every function here
-accepts either form and returns PairMatrix, ranks or pivot columns.
+QSqrt2 object is built in matrix work.  The arrays are int64 as long as
+every product and sum provably stays below 2**62 and hold Python ints
+(dtype=object) beyond that, so results are exact either way.  Tables of
+QSqrt2 or rational scalars and integer numpy arrays enter through
+PairMatrix.of; single entries leave as QSqrt2 through item, and
+np.asarray(m, dtype=float) is the float view.  Every function here
+accepts whatever PairMatrix.of does and returns PairMatrix, ranks or
+pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
 over Z[sqrt 2] with a gcd reduction of each new row.  On the cocycle
@@ -19,29 +21,17 @@ second.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 import numpy as np
 
 from .scalars import QSqrt2
 
 
-def exact_array(rows):
-    """A QSqrt2 object array from nested QSqrt2 and rational scalars."""
-    return PairMatrix.of(rows).exact()
-
-
-def exact_identity(n):
-    return PairMatrix.identity(n).exact()
-
-
-def is_zero_matrix(arr):
-    return all(not bool(x) for x in np.asarray(arr, dtype=object).reshape(-1))
-
-
 # -- integer-pair matrices ---------------------------------------------
 
 _INT64_LIMIT = 2 ** 62
+_FLOAT_EXACT = 2 ** 53  # int64 entries below this convert to float64 exactly
 
 
 def _max_abs(arr):
@@ -63,13 +53,24 @@ def _common(mats):
     return [(a * s, b * s) for (a, b), s in zip(parts, scales)], den
 
 
+def _quotient(ints, den):
+    """ints / den as float64, each entry correctly rounded (as int / int is)."""
+    if ints.dtype == object or den >= _FLOAT_EXACT or _max_abs(ints) >= _FLOAT_EXACT:
+        return np.array([x / den for x in ints.reshape(-1).tolist()],
+                        dtype=float).reshape(ints.shape)
+    return ints / den
+
+
 class PairMatrix:
     """An exact matrix (a + b*sqrt(2)) / den over integer arrays a, b.
 
-    ``den`` is a positive Python int shared by every entry.
+    ``den`` is a positive Python int shared by every entry.  Numpy
+    operators defer to the exact ones here; np.asarray(m, dtype=float)
+    gives the float view.
     """
 
     __slots__ = ("a", "b", "den")
+    __array_ufunc__ = None
 
     def __init__(self, a, b, den=1):
         self.a = a
@@ -78,12 +79,15 @@ class PairMatrix:
 
     @classmethod
     def of(cls, x):
-        """Convert nested QSqrt2 or rational scalars (a PairMatrix is returned as is).
+        """Convert an integer array, or nested QSqrt2 or rational scalars (a
+        PairMatrix is returned as is).
 
-        The result is over the least common denominator of the entries.
+        Scalars give a matrix over the least common denominator of the entries.
         """
         if isinstance(x, PairMatrix):
             return x
+        if isinstance(x, np.ndarray) and x.dtype.kind == "i":
+            return cls(x.astype(np.int64), np.zeros(x.shape, dtype=np.int64))
         arr = np.asarray(x, dtype=object)
         parts = [(q.a, q.b) if isinstance(q, QSqrt2) else (Fraction(q), Fraction(0))
                  for q in arr.reshape(-1)]
@@ -106,9 +110,14 @@ class PairMatrix:
     @classmethod
     def concat(cls, mats, axis=0):
         """Join along ``axis``, as np.concatenate does."""
-        parts, den = _common(mats)
+        parts, den = _common([cls.of(m) for m in mats])
         return cls(np.concatenate([a for a, _ in parts], axis=axis),
                    np.concatenate([b for _, b in parts], axis=axis), den)
+
+    @classmethod
+    def block(cls, rows):
+        """Assemble a matrix from a nested list of 2-d blocks, as np.block does."""
+        return cls.concat([cls.concat(row, axis=1) for row in rows])
 
     @property
     def shape(self):
@@ -128,13 +137,23 @@ class PairMatrix:
     def reshape(self, *shape):
         return PairMatrix(self.a.reshape(*shape), self.b.reshape(*shape), self.den)
 
-    def __matmul__(self, other):
-        # (a1 + b1 r)(a2 + b2 r) = (a1 a2 + 2 b1 b2) + (a1 b2 + b1 a2) r, r = sqrt 2
+    def _product(self, other, op, terms):
+        # (a1 + b1 r)(a2 + b2 r) = (a1 a2 + 2 b1 b2) + (a1 b2 + b1 a2) r, r = sqrt 2,
+        # and ``terms`` such products are summed into each entry
         m1 = max(_max_abs(self.a), _max_abs(self.b))
         m2 = max(_max_abs(other.a), _max_abs(other.b))
-        a1, b1, a2, b2 = _int_arrays(3 * m1 * m2 * self.shape[-1],
-                                     self.a, self.b, other.a, other.b)
-        return PairMatrix(a1 @ a2 + 2 * (b1 @ b2), a1 @ b2 + b1 @ a2, self.den * other.den)
+        a1, b1, a2, b2 = _int_arrays(3 * m1 * m2 * terms, self.a, self.b, other.a, other.b)
+        return PairMatrix(op(a1, a2) + 2 * op(b1, b2), op(a1, b2) + op(b1, a2),
+                          self.den * other.den)
+
+    def __matmul__(self, other):
+        return self._product(other, np.matmul, self.shape[-1])
+
+    def __mul__(self, other):
+        """Entrywise product with anything ``of`` converts, broadcast as in numpy."""
+        return self._product(PairMatrix.of(other), np.multiply, 1)
+
+    __rmul__ = __mul__
 
     def __add__(self, other):
         ((a1, b1), (a2, b2)), den = _common([self, other])
@@ -156,14 +175,17 @@ class PairMatrix:
         a, b = (self.a, self.b) if g == 1 else (self.a // g, self.b // g)
         return PairMatrix(*_int_arrays(max(_max_abs(a), _max_abs(b)), a, b), self.den // g)
 
-    def exact(self):
-        """The QSqrt2 object array this matrix stands for."""
-        den = self.den
-        flat = [QSqrt2(Fraction(a, den), Fraction(b, den))
-                for a, b in zip(self.a.reshape(-1).tolist(), self.b.reshape(-1).tolist())]
-        out = np.empty(len(flat), dtype=object)
-        out[:] = flat
-        return out.reshape(self.shape)
+    def item(self, *idx):
+        """One entry as a QSqrt2; ``idx`` as numpy's ndarray.item takes it."""
+        return QSqrt2(Fraction(self.a.item(*idx), self.den),
+                      Fraction(self.b.item(*idx), self.den))
+
+    def __array__(self, dtype=None, copy=None):
+        """The float view: every entry as float() gives it on the QSqrt2
+        value, float(a/den) + float(b/den)*sqrt(2.0), bit for bit."""
+        if dtype is not None and np.dtype(dtype) != np.float64:
+            raise TypeError("a PairMatrix converts to float64 arrays only")
+        return np.asarray(_quotient(self.a, self.den) + _quotient(self.b, self.den) * sqrt(2.0))
 
 
 # -- fraction-free elimination on (int, int) rows -------------------------

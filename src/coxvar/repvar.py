@@ -521,8 +521,9 @@ def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
     free = slice(None) if free_idx is None else free_idx
     x = np.array(x0, dtype=float)
     for it in range(max_iter + 1):
-        r = F(x)
-        res = float(np.max(np.abs(r))) if len(r) else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: raised below
+            r = F(x)
+            res = float(np.max(np.abs(r))) if len(r) else 0.0
         if not isfinite(res):
             raise np.linalg.LinAlgError(f"non-finite residual {res} after {it} "
                                         f"Gauss-Newton steps")

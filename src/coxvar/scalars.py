@@ -1,11 +1,14 @@
-"""Exact arithmetic in the quadratic field Q(sqrt 2).
+"""Exact scalars of the quadratic field Q(sqrt 2).
 
 Every vector in the reflection tables has coordinates of the form
 a + b*sqrt(2) with a, b rational, so all orthogonality and norm checks
 can be done with no rounding at all.  QSqrt2 is a small field
-implementation on top of fractions.Fraction; it interoperates with int
-and Fraction operands, which keeps matrix code generic between the
-exact backend (numpy object arrays of QSqrt2) and the float backend.
+implementation on top of fractions.Fraction that interoperates with int
+and Fraction operands.  It is the scalar of the package: table
+coordinates, parsed and formatted report values, parameters such as
+lambda and exact signs.  Exact matrices are linalg_exact.PairMatrix,
+which works on integer arrays and only hands single entries out as
+QSqrt2; is_exact tells exact data of either kind from float data.
 """
 
 from __future__ import annotations
@@ -85,18 +88,6 @@ class QSqrt2:
 
     def __pos__(self):
         return self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QSqrt2(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- order structure -----------------------------------------------
 
@@ -183,7 +174,6 @@ class QSqrt2:
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
-HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))
 
 _TERM = re.compile(r"^([+-]?(?:\d[\d/]*)?)\s*\*?\s*(sqrt2)?$")
 
@@ -233,8 +223,8 @@ def format_scalar(x):
 
 
 def is_exact(x):
-    """Is x exact data: a QSqrt2 or rational scalar, or an array or
-    sequence of QSqrt2 (judged by its first entry)?
+    """Is x exact data: a PairMatrix, a QSqrt2 or rational scalar, or an
+    array or sequence of QSqrt2 (judged by its first entry)?
 
     Float and integer numpy arrays are float-backend data.
     """
@@ -242,5 +232,9 @@ def is_exact(x):
         return True
     if isinstance(x, np.ndarray) and x.dtype != object:
         return False
+    from .linalg_exact import PairMatrix  # linalg_exact imports this module
+
+    if isinstance(x, PairMatrix):
+        return True
     flat = np.asarray(x, dtype=object).reshape(-1)
     return len(flat) > 0 and isinstance(flat[0], QSqrt2)

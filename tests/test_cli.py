@@ -14,6 +14,9 @@ from coxvar.cusp import base_rect_hyp
 from coxvar.geometry import QuadraticSpace
 from coxvar.repvar import Lift
 
+# the exact-path reports, byte for byte as the benchmark pins them
+PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,6 +46,7 @@ def test_verify_hp_exact(capsys):
     code, out = run(capsys, "verify", "--geometry", "hp", "--t", "1")
     assert code == 0
     assert "relation_defect: 0" in out
+    assert out == (PINNED / "verify-hp.txt").read_text()
 
 
 def test_verify_bad_flag(capsys):
@@ -82,8 +86,10 @@ def test_cohomology_targets(capsys):
     data = json.loads(out)
     assert (data["dimZ1"], data["dimB1"], data["dimH1"]) == (5, 4, 1)
     assert data["split"] is None
+    assert out == (PINNED / "cohomology-r13.json").read_text()
     code, out = run(capsys, "cohomology", "--target", "so13")
     assert json.loads(out)["dimH1"] == 12
+    assert out == (PINNED / "cohomology-so13.json").read_text()
 
 
 @pytest.mark.parametrize("target", ["full-hyp", "full-ads", "full-hp"])
@@ -94,6 +100,8 @@ def test_cohomology_full_target(capsys, target):
     assert data["dimH1"] == 13
     assert data["split"] == [12, 1]
     assert data["schema_version"] == 1
+    pinned = PINNED / f"cohomology-{target}.json"  # full-hyp has no pinned file
+    assert not pinned.exists() or out == pinned.read_text()
 
 
 def test_cusp_base_only(capsys):

@@ -5,8 +5,7 @@ from coxvar import cohomology as coh
 from coxvar.coxeter import cuboctahedron_vectors, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry
-from coxvar.linalg_exact import (PairMatrix, exact_array, exact_identity, exact_in_span,
-                                 exact_inverse, is_zero_matrix)
+from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -28,16 +27,16 @@ def _combination(basis, coefficients):
 
 def test_linear_rep_validation():
     racg = gamma_rect()
-    bad = {n: 2 * exact_identity(2) for n in racg.generators}
+    bad = {n: 2 * PairMatrix.identity(2) for n in racg.generators}
     with pytest.raises(ValueError):
         coh.LinearRep(racg, 2, bad)
 
 
 def test_trivial_representation(racg22):
-    rep = coh.LinearRep(racg22, 3, {n: exact_identity(3) for n in racg22.generators})
+    rep = coh.LinearRep(racg22, 3, {n: PairMatrix.identity(3) for n in racg22.generators})
     assert coh.cocycle_space(racg22, rep).shape == (22 * 3, 0)
     assert coh.coboundary_space(racg22, rep).shape == (22 * 3, 0)
-    assert coh.h1_dim(racg22, rep) == 0
+    assert coh.cohomology_report(racg22, rep).dimH1 == 0
 
 
 def test_rho0_dimensions(racg22, rho0_report):
@@ -66,9 +65,8 @@ def test_cocycles_integrate_to_representations(racg22, rho0_report):
     """Every Z^1 element gives an affine representation satisfying all relations."""
     rep, report = rho0_report
     images = coh.rho0_linear()
-    values = report.z1_basis.exact()
-    for j in range(values.shape[1]):
-        isos = {n: MinkowskiIsometry(images[n], values[4 * i:4 * (i + 1), j])
+    for j in range(report.dimZ1):
+        isos = {n: MinkowskiIsometry(images[n], report.z1_basis[4 * i:4 * (i + 1), j])
                 for i, n in enumerate(racg22.generators)}
         vr = verify_representation(racg22, isos, tol=0)
         assert vr.ok and vr.max_defect == 0.0
@@ -128,7 +126,7 @@ def test_adjoint_rep_basics(racg22):
     assert len(coh.adapted_basis("hyp")) == 10
     assert len(coh.so13_basis()) == 6
     racg = gamma_rect()
-    ident = {n: exact_identity(4) for n in racg.generators}
+    ident = {n: PairMatrix.identity(4) for n in racg.generators}
     ad = coh.adjoint_rep(racg, ident, coh.so13_basis())
     for n in racg.generators:
         assert (ad.image(n) - PairMatrix.identity(6)).is_zero()
@@ -137,20 +135,20 @@ def test_adjoint_rep_basics(racg22):
 def test_adjoint_fixes_orthogonal_rotation(racg22):
     """Ad rho_0(0-) fixes the rotation generator of the plane orthogonal to v_0."""
     images = coh.rho0_linear()
-    J = MINK.form_matrix(exact=True)
-    x = np.array(CUBO["A"], dtype=object)
-    y = np.array(CUBO["B"], dtype=object)  # both orthogonal to v_0
-    E = np.outer(x, y @ J) - np.outer(y, x @ J)
+    J = PairMatrix.of(MINK.form_matrix())
+    x = PairMatrix.of(CUBO["A"]).reshape(4, 1)
+    y = PairMatrix.of(CUBO["B"]).reshape(4, 1)  # both orthogonal to v_0
+    E = x @ (J @ y).T - y @ (J @ x).T
     # E is in so(1,3) and commutes with the reflection in v_0
-    assert is_zero_matrix(E.T @ J + J @ E)
+    assert (E.T @ J + J @ E).is_zero()
     g = images["0-"]
-    assert is_zero_matrix(g @ E @ g - E)
+    assert (g @ E @ g - E).is_zero()
 
 
 def test_adjoint_rep_basis_not_closed():
     racg = gamma_rect()
     space = QuadraticSpace.minkowski(4)
-    r = reflection_matrix(space, exact_array(CUBO["A"]))
+    r = reflection_matrix(space, CUBO["A"])
     images = {n: r for n in racg.generators}
     boost = coh.so13_basis()[1]  # a single algebra element, not Ad-invariant
     with pytest.raises(coh.BasisNotClosed):
@@ -162,13 +160,13 @@ def test_reduce_mod_coboundary(racg22, rho0_report):
     tau1 = coh.tau_lambda_cocycle(1)
     reduced = coh.reduce_mod_coboundary(tau1)
     for n in racg22.generators:
-        assert is_zero_matrix(reduced[n] - tau1[n])
+        assert (reduced[n] - tau1[n]).is_zero()
     assert coh.vertical_coefficient(reduced) == QSqrt2(1)
     # any coboundary reduces to zero
     delta = coh.coboundary_space(racg22, rep)[:, 0]
     zeroed = coh.reduce_mod_coboundary(delta)
     for n in racg22.generators:
-        assert is_zero_matrix(zeroed[n])
+        assert zeroed[n].is_zero()
     # a random exact Z^1 element lands in the tau_lambda family
     rng = np.random.default_rng(17)
     combo = _combination(report.z1_basis,
@@ -180,7 +178,7 @@ def test_reduce_mod_coboundary(racg22, rho0_report):
     twice = coh.reduce_mod_coboundary(coh.reduce_mod_coboundary(combo))
     once = coh.reduce_mod_coboundary(combo)
     for n in racg22.generators:
-        assert is_zero_matrix(twice[n] - once[n])
+        assert (twice[n] - once[n]).is_zero()
 
 
 def test_reduce_mod_coboundary_image_is_line(racg22, rho0_report):
@@ -197,8 +195,7 @@ def test_reduce_mod_coboundary_image_is_line(racg22, rho0_report):
 def test_exact_dimensions_match_float_svd_route(racg22, rho0_report):
     """Dual-route check: numeric rank of the float cocycle system agrees."""
     rep, report = rho0_report
-    images = {n: np.array([[float(x) for x in row] for row in rep.image(n).exact()])
-              for n in racg22.generators}
+    images = {n: np.asarray(rep.image(n), dtype=float) for n in racg22.generators}
     n_gen = len(racg22.generators)
     rows = []
     for k, n in enumerate(racg22.generators):
@@ -220,9 +217,7 @@ def test_exact_dimensions_match_float_svd_route(racg22, rho0_report):
 
 def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
     rep, _ = rho0_report
-    h = (reflection_matrix(MINK, exact_array(CUBO["A"]))
-         @ reflection_matrix(MINK, exact_array(CUBO["B"])))
-    h = PairMatrix.of(h)
+    h = reflection_matrix(MINK, CUBO["A"]) @ reflection_matrix(MINK, CUBO["B"])
     conj = {n: h @ rep.image(n) @ exact_inverse(h) for n in racg22.generators}
     rep2 = coh.LinearRep(racg22, 4, conj)
-    assert coh.h1_dim(racg22, rep2) == 1
+    assert coh.cohomology_report(racg22, rep2).dimH1 == 1

@@ -3,9 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, Gamma22Label, IndexOutOfRange,
-                            evaluate_word, gamma22, gamma_co, gamma_cube, gamma_rect,
-                            verify_representation)
+from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, evaluate_word,
+                            gamma22, gamma_co, gamma_cube, gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
 from coxvar.repvar import collapsed_lift_exact, standard_lift_ads, standard_lift_hyp
 
@@ -75,13 +74,6 @@ def test_gamma_co():
         assert sum(g.commutes(x, str(i)) for i in range(8)) == 4
 
 
-def test_labels():
-    assert len({lab.name for lab in map(Gamma22Label.parse, GAMMA22_NAMES)}) == 22
-    assert Gamma22Label.parse("3-").kind == "negative"
-    with pytest.raises(ValueError):
-        Gamma22Label.parse("8+")
-
-
 def test_racg_json_roundtrip():
     g = gamma_co()
     assert RACG.from_json(g.to_json()) == g
@@ -137,4 +129,4 @@ def test_verify_collapsed_representation_exact():
     report = verify_representation(gamma22(), rep, tol=0)
     assert report.ok and report.max_defect == 0.0
     # all positive generators share the image r
-    assert all((rep["0+"] == rep[f"{i}+"]).all() for i in range(8))
+    assert all((rep["0+"] - rep[f"{i}+"]).is_zero() for i in range(8))

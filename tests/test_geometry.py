@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from coxvar.coxeter import cuboctahedron_vectors, gamma22_vectors
 from coxvar.geometry import (CoincidentHyperplanes, DegenerateNormal, DimensionMismatch,
-                             HyperplaneTypeAdS, MixedTypePair, NotUnitSpacelike, PairClassAdS,
-                             PairClassHyp, QuadraticSpace, classify_pair_ads, classify_pair_hyp,
-                             commute_test, eval_bilinear, eval_form, hyperplane_type_ads,
-                             reflection_matrix)
-from coxvar.linalg_exact import exact_array, exact_identity, is_zero_matrix
+                             MixedTypePair, NotUnitSpacelike, PairClassAdS, PairClassHyp,
+                             QuadraticSpace, classify_pair_ads, classify_pair_hyp, eval_bilinear,
+                             eval_form, reflection_matrix)
+from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import standard_lift_ads
 from coxvar.scalars import QSqrt2
 
@@ -22,23 +21,31 @@ TABLE = gamma22_vectors()
 CUBO = cuboctahedron_vectors()
 
 
+def _vec(*coords):
+    return tuple(QSqrt2(c) for c in coords)
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
 def test_eval_form_unit_vectors():
     # table vectors are unit after the sqrt2 normalisation
     assert eval_form(H4, TABLE["0+"]) == 1
-    assert eval_form(H4, exact_array([1, 0, 0, 0, 0])) == -1
+    assert eval_form(H4, _vec(1, 0, 0, 0, 0)) == -1
     ads = standard_lift_ads(0.5)
     assert abs(eval_form(ADS4, ads.vectors["0+"]) + 1) < 1e-14
 
 
 def test_eval_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        eval_form(H4, exact_array([1, 0, 0]))
+        eval_form(H4, _vec(1, 0, 0))
 
 
 def test_eval_bilinear_examples():
     assert eval_bilinear(H4, TABLE["A"], TABLE["0+"]) == 0
     assert eval_bilinear(H4, TABLE["A"], TABLE["B"]) == -1
-    zero = exact_array([0, 0, 0, 0, 0])
+    zero = _vec(0, 0, 0, 0, 0)
     assert eval_bilinear(H4, TABLE["A"], zero) == 0
     # symmetry and polarisation
     assert eval_bilinear(H4, TABLE["A"], TABLE["C"]) == eval_bilinear(H4, TABLE["C"], TABLE["A"])
@@ -46,28 +53,24 @@ def test_eval_bilinear_examples():
 
 
 def test_reflection_coordinate():
-    X = exact_array([0, 0, 0, 0, 1])
-    m = reflection_matrix(H4, X)
-    expect = exact_identity(5)
-    expect[4, 4] = QSqrt2(-1)
-    assert is_zero_matrix(m - expect)
+    m = reflection_matrix(H4, _vec(0, 0, 0, 0, 1))
+    assert (m - PairMatrix.of(np.diag([1, 1, 1, 1, -1]))).is_zero()
 
 
 def test_reflection_involution_and_fixed_vectors():
     m = reflection_matrix(H4, TABLE["A"])
-    assert is_zero_matrix(m @ m - exact_identity(5))
+    assert (m @ m - PairMatrix.identity(5)).is_zero()
     # orthogonality forces fixedness: v_0 is b-orthogonal to v_A in R^{1,3}
-    r = reflection_matrix(MINK, exact_array(CUBO["A"]))
-    v0 = exact_array(CUBO["0"])
-    assert is_zero_matrix(r @ v0 - v0)
+    r = reflection_matrix(MINK, CUBO["A"])
+    v0 = PairMatrix.of(CUBO["0"])
+    assert (r @ v0 - v0).is_zero()
     # X and -X give the same reflection
-    minus = exact_array([-x for x in TABLE["A"]])
-    assert is_zero_matrix(reflection_matrix(H4, minus) - m)
+    assert (reflection_matrix(H4, _neg(TABLE["A"])) - m).is_zero()
 
 
 def test_reflection_degenerate_normal():
     with pytest.raises(DegenerateNormal):
-        reflection_matrix(H4, exact_array([1, 1, 0, 0, 0]))
+        reflection_matrix(H4, _vec(1, 1, 0, 0, 0))
     with pytest.raises(DegenerateNormal):
         reflection_matrix(H4, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
 
@@ -80,16 +83,9 @@ def test_classify_pair_hyp_table_examples():
 
 def test_classify_pair_hyp_errors():
     with pytest.raises(NotUnitSpacelike):
-        classify_pair_hyp(exact_array([1, 0, 0, 0, 0]), TABLE["A"])
+        classify_pair_hyp(_vec(1, 0, 0, 0, 0), TABLE["A"])
     with pytest.raises(CoincidentHyperplanes):
-        classify_pair_hyp(TABLE["A"], exact_array([-x for x in TABLE["A"]]))
-
-
-def test_hyperplane_type_ads():
-    lift = standard_lift_ads(0.5)
-    assert hyperplane_type_ads(lift.vectors["0+"]) == HyperplaneTypeAdS.SPACELIKE
-    assert hyperplane_type_ads(lift.vectors["A"]) == HyperplaneTypeAdS.TIMELIKE
-    assert hyperplane_type_ads(np.array([1.0, 1, 0, 0, 0])) == HyperplaneTypeAdS.LIGHTLIKE
+        classify_pair_hyp(TABLE["A"], _neg(TABLE["A"]))
 
 
 def test_classify_pair_ads_examples():
@@ -113,14 +109,6 @@ def test_classify_pair_ads_examples():
 def test_classify_pair_ads_mixed_type():
     with pytest.raises(MixedTypePair):
         classify_pair_ads(np.array([1.0, 0, 0, 0, 0]), np.array([0.0, 1, 0, 0, 0]))
-
-
-def test_commute_examples():
-    assert commute_test(H4, TABLE["A"], TABLE["0+"])
-    assert not commute_test(H4, TABLE["A"], TABLE["B"])
-    assert commute_test(H4, TABLE["A"], TABLE["A"])
-    with pytest.raises(DegenerateNormal):
-        commute_test(H4, exact_array([1, 1, 0, 0, 0]), TABLE["A"])
 
 
 # -- randomised properties ---------------------------------------------------
@@ -169,23 +157,3 @@ def test_classification_invariance_random(seed):
     g = _random_isometry(rng, H4)
     gX, gY = g @ X, g @ Y
     assert classify_pair_hyp(gX, gY, tol=1e-7) == got
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_commute_iff_matrices_commute(seed):
-    rng = np.random.default_rng(seed)
-    X = _random_unit_spacelike(rng, H4)
-    Y = _random_unit_spacelike(rng, H4)
-    if rng.random() < 0.5:
-        # force an orthogonal pair: project Y off X against the form
-        Q = H4.form_matrix()
-        Y = Y - (float(X @ Q @ Y)) * X
-        q = float(eval_form(H4, Y))
-        if q < 0.1:
-            return
-        Y = Y / math.sqrt(q)
-    rx = reflection_matrix(H4, X)
-    ry = reflection_matrix(H4, Y)
-    matrices_commute = np.max(np.abs(rx @ ry - ry @ rx)) < 1e-10
-    assert commute_test(H4, X, Y, tol=1e-10) == matrices_commute

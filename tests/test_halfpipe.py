@@ -8,7 +8,7 @@ from coxvar.halfpipe import (DegenerateReflection, HPPointsClass, MinkowskiIsome
                              NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
                              classify_hp_reflection_pair, hp_commute,
                              phi_to_projective, rho_lambda)
-from coxvar.linalg_exact import PairMatrix, exact_array, is_zero_matrix
+from coxvar.linalg_exact import PairMatrix
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -16,7 +16,7 @@ CUBO = cuboctahedron_vectors()
 
 
 def _exact_vec(name):
-    return np.array(CUBO[name], dtype=object)
+    return PairMatrix.of(CUBO[name])
 
 
 def _random_lorentz(rng):
@@ -37,9 +37,9 @@ def test_phi_identity_and_involution():
     p = _exact_vec("0")
     refl = NonDegenerateReflection(p).isometry()
     sq = refl @ refl
-    assert sq.max_difference(MinkowskiIsometry.identity(4, exact=True)) == 0
+    assert (sq.linear - PairMatrix.identity(4)).is_zero() and sq.translation.is_zero()
     m = phi_to_projective(refl)
-    assert is_zero_matrix(m @ m - phi_to_projective(MinkowskiIsometry.identity(4, exact=True)))
+    assert (m @ m - PairMatrix.identity(5)).is_zero()
 
 
 def test_phi_homomorphism_float():
@@ -59,17 +59,17 @@ def test_phi_homomorphism_exact():
     rng = np.random.default_rng(5)
     space = MINK
     names = list(CUBO)
-    refls = [reflection_matrix(space, _exact_vec(n)) for n in names]
+    refls = [reflection_matrix(space, CUBO[n]) for n in names]
 
     def random_iso():
         m = refls[rng.integers(len(refls))] @ refls[rng.integers(len(refls))]
-        v = exact_array([int(rng.integers(-3, 4)) for _ in range(4)])
+        v = PairMatrix.of([int(rng.integers(-3, 4)) for _ in range(4)])
         return MinkowskiIsometry(m, v)
 
     for _ in range(50):
         a, b = random_iso(), random_iso()
-        assert is_zero_matrix(phi_to_projective(a) @ phi_to_projective(b)
-                              - phi_to_projective(a @ b))
+        assert (phi_to_projective(a) @ phi_to_projective(b)
+                - phi_to_projective(a @ b)).is_zero()
 
 
 def test_phi_rejects_non_isometry():
@@ -117,20 +117,20 @@ def test_classify_hp_dual_points():
 
 def test_rho_lambda_zero():
     rep = rho_lambda(0)
-    assert all(is_zero_matrix(v) for v in rep.translation.values())
+    assert all(v.is_zero() for v in rep.translation.values())
     # the linear part is the collapsed holonomy on R^{1,3}
     rho0 = rho0_rep()
     for n in rep.linear:
-        assert (PairMatrix.of(rep.linear[n]) - rho0.image(n)).is_zero()
+        assert (rep.linear[n] - rho0.image(n)).is_zero()
 
 
 def test_rho_lambda_cocycle_values():
     rep = rho_lambda(1)
     v1 = _exact_vec("1")
-    assert is_zero_matrix(rep.translation["1+"] + v1)
-    assert is_zero_matrix(rep.translation["1-"] + v1)
-    assert is_zero_matrix(rep.translation["0+"] - _exact_vec("0"))
-    assert is_zero_matrix(rep.translation["A"])
+    assert (rep.translation["1+"] + v1).is_zero()
+    assert (rep.translation["1-"] + v1).is_zero()
+    assert (rep.translation["0+"] - _exact_vec("0")).is_zero()
+    assert rep.translation["A"].is_zero()
 
 
 def test_rho_lambda_is_exact_representation():
@@ -143,14 +143,14 @@ def test_rho_lambda_linear_part_constant():
     r1 = rho_lambda(1)
     r2 = rho_lambda(QSqrt2(0, 1))  # lambda = sqrt2
     for n in r1.linear:
-        assert is_zero_matrix(r1.linear[n] - r2.linear[n])
+        assert (r1.linear[n] - r2.linear[n]).is_zero()
 
 
 def test_tau_lambda_is_not_coboundary():
     rep = rho0_rep()
-    tau = {n: np.asarray(v, dtype=object) for n, v in rho_lambda(1).translation.items()}
+    tau = rho_lambda(1).translation
     assert not is_coboundary(gamma22(), rep, tau)
-    zero = {n: exact_array([0, 0, 0, 0]) for n in gamma22().generators}
+    zero = {n: PairMatrix.zeros(4) for n in gamma22().generators}
     assert is_coboundary(gamma22(), rep, zero)
 
 
