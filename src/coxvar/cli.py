@@ -32,9 +32,9 @@ from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import GeometryError, classify_pair_ads, classify_pair_hyp, reflection_matrix
 from .halfpipe import HalfPipeError, rho_lambda
-from .repvar import (IllConditioned, Lift, NoConvergence, ParameterOutOfRange,
-                     build_constraints, constraint_system, gram_matrix, kernel_report,
-                     residual_max, standard_lift, table_lift_exact)
+from .repvar import (IllConditioned, Lift, NoConvergence, build_constraints,
+                     constraint_system, gram_matrix, kernel_report, residual_max,
+                     standard_lift, table_lift_exact)
 from .scalars import format_scalar
 
 SCHEMA_VERSION = 1
@@ -202,23 +202,19 @@ def cmd_cohomology(args):
 
 # -- cusp --------------------------------------------------------------------
 
+_BASE_RECTANGLES = {"hyp": cuspmod.base_rect_hyp, "ads": cuspmod.base_rect_ads,
+                    "hp": cuspmod.base_rect_hp}
+
+
 def _base_config(args):
     if args.group == "rect3":
-        if args.geometry == "hyp":
-            return cuspmod.base_rect_hyp(), "rect"
-        if args.geometry == "ads":
-            return cuspmod.base_rect_ads(), "rect"
-        return cuspmod.base_rect_hp(), "rect"
-    if args.geometry == "hp":
-        return cuspmod.base_cube("hp", t=args.t, lam=args.lam), "cube"
-    return cuspmod.base_cube(args.geometry, t=args.t), "cube"
+        return _BASE_RECTANGLES[args.geometry](), "rect"
+    return cuspmod.base_cube(args.geometry, t=args.t, lam=args.lam), "cube"
 
 
 def cmd_cusp(args):
     if args.experiment and args.trials < 1:
         raise ValueError("--trials must be at least 1 with --experiment")
-    if args.noise < 0:
-        raise ValueError("--noise must be nonnegative")
     base, group = _base_config(args)
     klass = cuspmod.classify(args.geometry, group, base, args.class_tol)
     lines = ["# coxvar cusp v1", "trial,class,residual,iterations"]
@@ -296,6 +292,22 @@ def _finite_float(text):
     return value
 
 
+def _nonnegative_float(text):
+    """argparse type for tolerances and noise levels."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return value
+
+
+def _relative_tol(text):
+    """argparse type for a relative rank cut: strictly between 0 and 1."""
+    value = _finite_float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text!r}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="coxvar",
                                 description="reflection representation varieties of "
@@ -306,7 +318,7 @@ def build_parser():
     v.add_argument("--geometry", choices=("hyp", "ads", "hp"), required=True)
     v.add_argument("--t", type=_finite_float, default=0.5,
                    help="path parameter (lambda for hp)")
-    v.add_argument("--tol", type=_finite_float, default=1e-12)
+    v.add_argument("--tol", type=_nonnegative_float, default=1e-12)
     v.add_argument("--group-file", help="user RACG JSON")
     v.add_argument("--lift-file", help="user lift JSON")
     v.add_argument("--output")
@@ -316,7 +328,7 @@ def build_parser():
     t.add_argument("--geometry", choices=("hyp", "ads"), required=True)
     t.add_argument("--system", choices=("g", "g0"), default="g0")
     t.add_argument("--grid", required=True, help="start:stop:count or comma list")
-    t.add_argument("--rank-tol", type=_finite_float, default=1e-9)
+    t.add_argument("--rank-tol", type=_relative_tol, default=1e-9)
     t.add_argument("--output")
     t.set_defaults(func=cmd_trace)
 
@@ -332,9 +344,9 @@ def build_parser():
     k.add_argument("--lam", type=_finite_float, default=1.0, help="hp cube base parameter")
     k.add_argument("--experiment", action="store_true")
     k.add_argument("--trials", type=int, default=1000)
-    k.add_argument("--noise", type=_finite_float, default=1e-3)
+    k.add_argument("--noise", type=_nonnegative_float, default=1e-3)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--class-tol", type=_finite_float, default=1e-7)
+    k.add_argument("--class-tol", type=_nonnegative_float, default=1e-7)
     k.add_argument("--output")
     k.add_argument("--summary", help="write a JSON histogram here")
     k.set_defaults(func=cmd_cusp)
@@ -359,7 +371,7 @@ def main(argv=None):
         # LinAlgError is a ValueError, so it is caught before bad input
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ParameterOutOfRange, ValueError, OSError, GeometryError, RelationError,
+    except (ValueError, OSError, GeometryError, RelationError,
             cuspmod.CuspError, HalfPipeError, coh.CohomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -32,6 +32,9 @@ from .linalg_exact import (PairMatrix, exact_inverse, exact_nullspace, exact_piv
                            exact_rank, exact_solve)
 
 
+H_BLOCK = 6  # dim so(1,3): the horizontal block of the adapted basis
+
+
 class CohomologyError(Exception):
     pass
 
@@ -132,15 +135,13 @@ def cocycle_space(racg, rep):
     if total == 0:
         return PairMatrix.zeros((len(names) * dimV, 0))
     offsets = dict(zip(names, np.cumsum([0] + widths).tolist()))
-    rows = []
-    for a, b in racg.commuting_name_pairs():
+    pairs = racg.commuting_name_pairs()
+    blocks = []
+    for k, (a, b) in enumerate(pairs):
         # (id - rho(a)) tau(b) - (id - rho(b)) tau(a) = 0 on the kernel coordinates
-        blocks = [PairMatrix.zeros((dimV, w)) for w in widths]
-        blocks[names.index(b)] = (ident - rep.images[a]) @ kernels[b]
-        blocks[names.index(a)] = (rep.images[b] - ident) @ kernels[a]
-        rows.append(PairMatrix.concat(blocks, axis=1))
-    system = PairMatrix.concat(rows) if rows else PairMatrix.zeros((0, total))
-    coeffs = exact_nullspace(system)
+        blocks.append((k * dimV, offsets[b], (ident - rep.images[a]) @ kernels[b]))
+        blocks.append((k * dimV, offsets[a], (rep.images[b] - ident) @ kernels[a]))
+    coeffs = exact_nullspace(PairMatrix.assemble((len(pairs) * dimV, total), blocks))
     return PairMatrix.concat(
         [kernels[n] @ coeffs[offsets[n]:offsets[n] + kernels[n].shape[1]]
          for n in names]).reduced()
@@ -207,8 +208,7 @@ def rho0_projective(geometry):
     r = PairMatrix.of(np.diag([1, 1, 1, 1, -1]))
 
     def block(a):
-        return PairMatrix.block([[a, np.zeros((4, 1), dtype=int)],
-                                 [np.zeros((1, 4), dtype=int), np.ones((1, 1), dtype=int)]])
+        return PairMatrix.assemble((5, 5), [(0, 0, a), (4, 4, np.ones((1, 1), dtype=int))])
 
     return {n: r if geometry != "hp" and n.endswith("+") else block(lin[n])
             for n in GAMMA22_NAMES}
@@ -287,18 +287,19 @@ def so13_adjoint_rep():
     return adjoint_rep(racg, rho0_linear(), so13_basis())
 
 
-def split_h1(racg, rep, report=None, h_block=6):
+def split_h1(racg, rep, report=None):
     """Dimensions of the projections of H^1 to the two adapted blocks.
 
-    Requires every Ad-image to be block diagonal for the (first
-    h_block, rest) splitting; returns (horizontal_dim, vertical_dim).
+    Requires every Ad-image to be block diagonal for the (so(1,3),
+    rest) splitting of the adapted basis, whose first H_BLOCK = 6
+    elements span so(1,3); returns (horizontal_dim, vertical_dim).
     The projection of H^1 to a block has the dimension of the span of
     the projected representatives modulo that block's coboundaries.
     """
     dimV = rep.dimV
     for n in racg.generators:
         m = rep.images[n]
-        if not (m[:h_block, h_block:].is_zero() and m[h_block:, :h_block].is_zero()):
+        if not (m[:H_BLOCK, H_BLOCK:].is_zero() and m[H_BLOCK:, :H_BLOCK].is_zero()):
             raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
         report = cohomology_report(racg, rep)
@@ -311,7 +312,7 @@ def split_h1(racg, rep, report=None, h_block=6):
         both = PairMatrix.concat([coboundaries, reps[rows]], axis=1)
         return exact_rank(both) - exact_rank(coboundaries)
 
-    return (projected_dim(0, h_block), projected_dim(h_block, dimV))
+    return (projected_dim(0, H_BLOCK), projected_dim(H_BLOCK, dimV))
 
 
 # -- the geometric cocycles and normalisation --------------------------------

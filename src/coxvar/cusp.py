@@ -3,12 +3,16 @@
 A representation of the rectangle group (dimension 3) or the cube group
 (dimension 4) by reflections is a cusp group when the fixed hyperplanes
 are distinct and share a point at infinity, and a collapsed cusp group
-when one opposite pair of generators shares its reflection.  For the
-cube the shared ideal point is detected linearly: a common b-orthogonal
-null vector of the six normals (in half-pipe geometry, a common
-boundary point of the dual data), which avoids accumulating pairwise
-tolerance errors.  For the rectangle the classification is by the two
-opposite-pair positions.
+when one opposite pair of generators shares its reflection.  One
+pattern pass serves every geometry and group: it checks the reflection
+kinds of each opposite pair (half-pipe), that every adjacent pair
+commutes, and returns COLLAPSED for the first coinciding opposite pair.
+What is left reads positions.  For the cube the shared ideal point is
+detected linearly: a common b-orthogonal null vector of the six normals
+(in half-pipe geometry, a common boundary point of the dual data),
+which avoids accumulating pairwise tolerance errors.  For the rectangle
+the classification is by the two opposite-pair positions, read in the
+terms of H^n for hyperbolic and half-pipe data.
 
 The rigidity experiments perturb a cusp configuration, project back
 onto the norm + commutation variety of that base only (the norm targets
@@ -28,14 +32,18 @@ from enum import Enum
 import numpy as np
 
 from .coxeter import gamma_cube, gamma_rect
-from .geometry import (MixedTypePair, PairClassAdS, PairClassHyp, QuadraticSpace,
-                       classify_pair_ads, classify_pair_hyp, coincident, eval_bilinear,
-                       eval_form)
+from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair_ads,
+                       classify_pair_hyp, coincident, eval_bilinear, eval_form)
 from .halfpipe import (DegenerateReflection, HPPointsClass, NonDegenerateReflection,
-                       classify_hp_dual_points, hp_commute, reflection_span_coefficient)
-from .repvar import ConstraintSystem, NoConvergence, Pair, build_constraints, gauss_newton
+                       classify_hp_dual_points, hp_commute, reflection_span_coefficient,
+                       rho_lambda)
+from .repvar import (ConstraintSystem, NoConvergence, Pair, build_constraints,
+                     find_cusp_subgroups, gauss_newton, standard_lift)
 
 DEFAULT_CLASS_TOL = 1e-7
+# Gauss-Newton stopping rule of the perturb-project trials
+MAX_ITER = 50
+TOL_RES = 1e-12
 
 
 class CuspError(Exception):
@@ -68,18 +76,86 @@ class CuspClass:
         return self.kind.value
 
 
-_RECT_OPPOSITE = ((0, 2), (1, 3))
-_RECT_ADJACENT = ((0, 1), (1, 2), (2, 3), (0, 3))
-_CUBE_OPPOSITE = ((0, 3), (1, 4), (2, 5))
-_CUBE_ADJACENT = tuple((i, j) for i in range(6) for j in range(i + 1, 6)
-                       if (i, j) not in ((0, 3), (1, 4), (2, 5)))
+_OPPOSITE = {"rect": ((0, 2), (1, 3)), "cube": ((0, 3), (1, 4), (2, 5))}
+# every other pair commutes; this order is also the row order of the hp projection
+_ADJACENT = {"rect": ((0, 1), (1, 2), (2, 3), (0, 3)),
+             "cube": tuple((i, j) for i in range(6) for j in range(i + 1, 6)
+                           if (i, j) not in _OPPOSITE["cube"])}
+# the position of two non-degenerate hp walls, in the terms of H^n
+_HP_POINTS_POSITION = {HPPointsClass.INTERSECT: PairClassHyp.INTERSECTING,
+                       HPPointsClass.BOUNDARY_TANGENT: PairClassHyp.TANGENT_AT_INFINITY,
+                       HPPointsClass.DISJOINT: PairClassHyp.DISJOINT}
+# rectangle classes by the positions of its two opposite pairs (hyp and hp
+# read H^n positions; AdS pairs one spacelike and one timelike pair)
+_KIND_OF_POSITIONS = {
+    frozenset({PairClassHyp.TANGENT_AT_INFINITY}): CuspKind.CUSP,
+    frozenset({PairClassHyp.INTERSECTING, PairClassHyp.DISJOINT}): CuspKind.RECT_SPLIT,
+    frozenset({PairClassAdS.TANGENT_AT_INFINITY, PairClassAdS.LIGHTLIKE_INTERSECTION}):
+        CuspKind.CUSP,
+    frozenset({PairClassAdS.DISJOINT, PairClassAdS.TIMELIKE_INTERSECTION}):
+        CuspKind.ADS_RECT_TIMELIKE_MEET,
+    frozenset({PairClassAdS.INTERSECTING, PairClassAdS.SPACELIKE_INTERSECTION}):
+        CuspKind.ADS_RECT_SPACELIKE_MEET,
+}
+_ADS_SPACELIKE = {PairClassAdS.INTERSECTING, PairClassAdS.TANGENT_AT_INFINITY,
+                  PairClassAdS.DISJOINT}
 
 
-def _check_pattern_vectors(space, vectors, adjacent, tol):
-    for i, j in adjacent:
-        b = float(eval_bilinear(space, vectors[i], vectors[j]))
-        if abs(b) > tol:
-            raise PatternViolation(f"generators {i} and {j} must commute; b = {b:.3g}")
+def _pattern(geometry, group, data, tol):
+    """Check the commutation pattern; COLLAPSED at the first coinciding opposite pair.
+
+    hp: each opposite pair holds two reflections of one kind (for the
+    rectangle, one non-degenerate and one degenerate pair), then every
+    adjacent pair must commute as isometries; hyp/ads: every adjacent
+    pair of normals must be orthogonal.  Returns the COLLAPSED class or
+    None.
+    """
+    opposite = _OPPOSITE[group]
+    if geometry == "hp":
+        kinds = [type(r) for r in data]
+        mixed = [(i, j) for i, j in opposite if kinds[i] is not kinds[j]]
+        if group == "rect" and (mixed or kinds[0] is kinds[1]):
+            raise PatternViolation("opposite pairs must be one non-degenerate and one degenerate")
+        if mixed:
+            raise PatternViolation(f"opposite pair {mixed[0]} mixes reflection kinds")
+        isos = [r.isometry() for r in data]
+        for i, j in _ADJACENT[group]:
+            if not hp_commute(isos[i], isos[j], tol):
+                raise PatternViolation(f"generators {i} and {j} must commute")
+
+        def same(i, j):
+            a, b = data[i], data[j]
+            if isinstance(a, NonDegenerateReflection):
+                return np.max(np.abs(np.asarray(a.p, dtype=float)
+                                     - np.asarray(b.p, dtype=float))) <= tol
+            return (coincident(np.asarray(a.X, dtype=float), np.asarray(b.X, dtype=float), tol)
+                    and isos[i].max_difference(isos[j]) <= tol)
+    else:
+        vectors = [np.asarray(v, dtype=float) for v in data]
+        space = QuadraticSpace.for_geometry(geometry, len(vectors[0]) - 1)
+        for i, j in _ADJACENT[group]:
+            b = float(eval_bilinear(space, vectors[i], vectors[j]))
+            if abs(b) > tol:
+                raise PatternViolation(f"generators {i} and {j} must commute; b = {b:.3g}")
+
+        def same(i, j):
+            return coincident(vectors[i], vectors[j], tol)
+    for i, j in opposite:
+        if same(i, j):
+            return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
+    return None
+
+
+def _position(geometry, a, b, tol):
+    """Position of two walls of one kind: an AdS pair class, else in the terms of H^n."""
+    if geometry == "ads":
+        return classify_pair_ads(np.asarray(a, dtype=float), np.asarray(b, dtype=float), tol)
+    if isinstance(a, NonDegenerateReflection):
+        return _HP_POINTS_POSITION[classify_hp_dual_points(
+            np.asarray(a.p, dtype=float), np.asarray(b.p, dtype=float), tol)]
+    if geometry == "hp":
+        a, b = a.X, b.X
+    return classify_pair_hyp(np.asarray(a, dtype=float), np.asarray(b, dtype=float), tol)
 
 
 def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
@@ -89,109 +165,22 @@ def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
     entries commute): normal vectors for hyp/ads, HPReflection objects
     for hp.  Opposite pairs are (0, 2) and (1, 3).
     """
-    if geometry == "hp":
-        return _classify_rect_hp(data, tol)
-    vectors = [np.asarray(v, dtype=float) for v in data]
-    n = len(vectors[0]) - 1
-    space = QuadraticSpace.hyperbolic(n) if geometry == "hyp" else QuadraticSpace.anti_de_sitter(n)
-    _check_pattern_vectors(space, vectors, _RECT_ADJACENT, tol)
-    for i, j in _RECT_OPPOSITE:
-        if coincident(vectors[i], vectors[j], tol):
-            return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
-    if geometry == "hyp":
-        classes = [classify_pair_hyp(vectors[i], vectors[j], tol) for i, j in _RECT_OPPOSITE]
-        if all(c == PairClassHyp.TANGENT_AT_INFINITY for c in classes):
-            return CuspClass(CuspKind.CUSP)
-        kinds = set(classes)
-        if kinds == {PairClassHyp.INTERSECTING, PairClassHyp.DISJOINT}:
-            inter = _RECT_OPPOSITE[classes.index(PairClassHyp.INTERSECTING)]
-            disj = _RECT_OPPOSITE[classes.index(PairClassHyp.DISJOINT)]
-            return CuspClass(CuspKind.RECT_SPLIT, intersecting_pair=inter, disjoint_pair=disj)
+    collapsed = _pattern(geometry, "rect", data, tol)
+    if collapsed is not None:
+        return collapsed
+    opposite = _OPPOSITE["rect"]
+    classes = [_position(geometry, data[i], data[j], tol) for i, j in opposite]
+    if geometry == "ads" and (classes[0] in _ADS_SPACELIKE) == (classes[1] in _ADS_SPACELIKE):
+        raise PatternViolation("an AdS rectangle needs one spacelike and one timelike pair")
+    kind = _KIND_OF_POSITIONS.get(frozenset(classes))
+    if kind is None:
         return CuspClass(CuspKind.UNCLASSIFIED,
                          reason=f"opposite pair classes {classes[0].value}, {classes[1].value}")
-    # AdS: one opposite pair spacelike, the other timelike
-    qs = [float(eval_form(space, v)) for v in vectors]
-    pair_type = {}
-    for i, j in _RECT_OPPOSITE:
-        if abs(qs[i] + 1) <= tol and abs(qs[j] + 1) <= tol:
-            pair_type[(i, j)] = "spacelike"
-        elif abs(qs[i] - 1) <= tol and abs(qs[j] - 1) <= tol:
-            pair_type[(i, j)] = "timelike"
-        else:
-            raise MixedTypePair(f"opposite pair ({i}, {j}) mixes hyperplane types")
-    if set(pair_type.values()) != {"spacelike", "timelike"}:
-        raise PatternViolation("an AdS rectangle needs one spacelike and one timelike pair")
-    sp_pair = next(p for p, t in pair_type.items() if t == "spacelike")
-    tl_pair = next(p for p, t in pair_type.items() if t == "timelike")
-    sp = classify_pair_ads(vectors[sp_pair[0]], vectors[sp_pair[1]], tol)
-    tl = classify_pair_ads(vectors[tl_pair[0]], vectors[tl_pair[1]], tol)
-    if sp == PairClassAdS.TANGENT_AT_INFINITY and tl == PairClassAdS.LIGHTLIKE_INTERSECTION:
-        return CuspClass(CuspKind.CUSP)
-    if sp == PairClassAdS.DISJOINT and tl == PairClassAdS.TIMELIKE_INTERSECTION:
-        return CuspClass(CuspKind.ADS_RECT_TIMELIKE_MEET)
-    if sp == PairClassAdS.INTERSECTING and tl == PairClassAdS.SPACELIKE_INTERSECTION:
-        return CuspClass(CuspKind.ADS_RECT_SPACELIKE_MEET)
-    return CuspClass(CuspKind.UNCLASSIFIED, reason=f"pair classes {sp.value}, {tl.value}")
-
-
-def _split_rect_hp(data):
-    nondeg = [i for i, r in enumerate(data) if isinstance(r, NonDegenerateReflection)]
-    deg = [i for i, r in enumerate(data) if isinstance(r, DegenerateReflection)]
-    if sorted(nondeg) not in ([0, 2], [1, 3]) or len(deg) != 2:
-        raise PatternViolation("opposite pairs must be one non-degenerate and one degenerate")
-    return tuple(nondeg), tuple(deg)
-
-
-def _classify_rect_hp(data, tol):
-    nondeg, deg = _split_rect_hp(data)
-    isos = [r.isometry() for r in data]
-    for i, j in _RECT_ADJACENT:
-        if not hp_commute(isos[i], isos[j], tol):
-            raise PatternViolation(f"generators {i} and {j} must commute")
-    p1 = np.asarray(data[nondeg[0]].p, dtype=float)
-    p2 = np.asarray(data[nondeg[1]].p, dtype=float)
-    if np.max(np.abs(p1 - p2)) <= tol:
-        return CuspClass(CuspKind.COLLAPSED, pair=nondeg)
-    x1 = np.asarray(data[deg[0]].X, dtype=float)
-    x2 = np.asarray(data[deg[1]].X, dtype=float)
-    if coincident(x1, x2, tol) and isos[deg[0]].max_difference(isos[deg[1]]) <= tol:
-        return CuspClass(CuspKind.COLLAPSED, pair=deg)
-    deg_class = classify_pair_hyp(x1, x2, tol)
-    pt_class = classify_hp_dual_points(p1, p2, tol)
-    if deg_class == PairClassHyp.TANGENT_AT_INFINITY and pt_class == HPPointsClass.BOUNDARY_TANGENT:
-        return CuspClass(CuspKind.CUSP)
-    if deg_class == PairClassHyp.INTERSECTING and pt_class == HPPointsClass.DISJOINT:
-        return CuspClass(CuspKind.RECT_SPLIT, intersecting_pair=deg, disjoint_pair=nondeg)
-    if deg_class == PairClassHyp.DISJOINT and pt_class == HPPointsClass.INTERSECT:
-        return CuspClass(CuspKind.RECT_SPLIT, intersecting_pair=nondeg, disjoint_pair=deg)
-    return CuspClass(CuspKind.UNCLASSIFIED,
-                     reason=f"pair classes {deg_class.value}, {pt_class.value}")
-
-
-def _common_point_rows(geometry, data):
-    """Linear conditions for a projective point lying on all hyperplanes."""
-    if geometry in ("hyp", "ads"):
-        vectors = [np.asarray(v, dtype=float) for v in data]
-        n = len(vectors[0]) - 1
-        space = (QuadraticSpace.hyperbolic(n) if geometry == "hyp"
-                 else QuadraticSpace.anti_de_sitter(n))
-        sig = np.array(space.signature, dtype=float)
-        rows = np.array([sig * v for v in vectors])
-        null_form = np.array(space.signature, dtype=float)
-        return rows, null_form
-    rows = []
-    dim = None
-    for r in data:
-        if isinstance(r, DegenerateReflection):
-            X = np.asarray(r.X, dtype=float)
-            dim = len(X)
-            rows.append(np.concatenate([np.array([-1.0] + [1.0] * (dim - 1)) * X, [0.0]]))
-        else:
-            p = np.asarray(r.p, dtype=float)
-            dim = len(p)
-            rows.append(np.concatenate([np.array([-1.0] + [1.0] * (dim - 1)) * p, [1.0]]))
-    null_form = np.array([-1.0] + [1.0] * (dim - 1) + [0.0])
-    return np.array(rows), null_form
+    if kind == CuspKind.RECT_SPLIT:
+        inter = opposite[classes.index(PairClassHyp.INTERSECTING)]
+        disj = opposite[classes.index(PairClassHyp.DISJOINT)]
+        return CuspClass(kind, intersecting_pair=inter, disjoint_pair=disj)
+    return CuspClass(kind)
 
 
 def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
@@ -202,32 +191,23 @@ def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
     found as the common solution of six linear conditions, then tested
     for nullity.
     """
+    collapsed = _pattern(geometry, "cube", data, tol)
+    if collapsed is not None:
+        return collapsed
     if geometry == "hp":
-        isos = [r.isometry() for r in data]
-        for i, j in _CUBE_ADJACENT:
-            if not hp_commute(isos[i], isos[j], tol):
-                raise PatternViolation(f"generators {i} and {j} must commute")
-        for i, j in _CUBE_OPPOSITE:
-            a, b = data[i], data[j]
-            if isinstance(a, NonDegenerateReflection) != isinstance(b, NonDegenerateReflection):
-                raise PatternViolation(f"opposite pair ({i}, {j}) mixes reflection kinds")
-            if isinstance(a, NonDegenerateReflection):
-                if np.max(np.abs(np.asarray(a.p, dtype=float)
-                                 - np.asarray(b.p, dtype=float))) <= tol:
-                    return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
-            elif (coincident(np.asarray(a.X, dtype=float), np.asarray(b.X, dtype=float), tol)
-                  and isos[i].max_difference(isos[j]) <= tol):
-                return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
+        # (y, y_n) lies on the wall over H_X iff b_1(X, y) = 0, and on the
+        # wall dual to p iff b_1(p, y) + y_n = 0
+        walls = [(r.X, 0.0) if isinstance(r, DegenerateReflection) else (r.p, 1.0)
+                 for r in data]
+        form = np.array([-1.0] + [1.0] * (len(walls[0][0]) - 1))  # b_1 on R^{1,n-1}
+        rows = np.array([np.concatenate([form * np.asarray(w, dtype=float), [c]])
+                         for w, c in walls])
+        null_form = np.concatenate([form, [0.0]])
     else:
         vectors = [np.asarray(v, dtype=float) for v in data]
-        n = len(vectors[0]) - 1
-        space = (QuadraticSpace.hyperbolic(n) if geometry == "hyp"
-                 else QuadraticSpace.anti_de_sitter(n))
-        _check_pattern_vectors(space, vectors, _CUBE_ADJACENT, tol)
-        for i, j in _CUBE_OPPOSITE:
-            if coincident(vectors[i], vectors[j], tol):
-                return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
-    rows, null_form = _common_point_rows(geometry, data)
+        space = QuadraticSpace.for_geometry(geometry, len(vectors[0]) - 1)
+        null_form = np.array(space.signature, dtype=float)
+        rows = np.array([null_form * v for v in vectors])
     u, s, vt = np.linalg.svd(rows)
     ncols = rows.shape[1]
     small = int(np.sum(s <= tol * s[0])) + max(0, ncols - len(s))
@@ -272,10 +252,6 @@ class ExperimentStats:
         return self.counts.get(name, 0)
 
 
-# adjacency of the generator slots, used by the half-pipe projection
-_HP_ADJ = {"rect": _RECT_ADJACENT, "cube": _CUBE_ADJACENT}
-
-
 def _problem(geometry, group, base):
     """Unknowns and constraint maps of the configurations near ``base``.
 
@@ -294,8 +270,7 @@ def _problem(geometry, group, base):
         racg = gamma_rect() if group == "rect" else gamma_cube()
         vectors = [np.asarray(v, dtype=float) for v in base]
         dim = len(vectors[0])
-        space = (QuadraticSpace.hyperbolic(dim - 1) if geometry == "hyp"
-                 else QuadraticSpace.anti_de_sitter(dim - 1))
+        space = QuadraticSpace.for_geometry(geometry, dim - 1)
         targets = {n: 1 if eval_form(space, v) > 0 else -1
                    for n, v in zip(racg.generators, vectors)}
         system = build_constraints(racg, targets)
@@ -314,7 +289,7 @@ def _problem(geometry, group, base):
             params.append(float(reflection_span_coefficient(r)))
             deg.append(k)
     cons = [Pair(str(k), str(k), 1) for k in deg]
-    for i, j in _HP_ADJ[group]:
+    for i, j in _ADJACENT[group]:
         if i in deg and j in deg:
             cons.append(Pair(str(i), str(j), 0))
         else:
@@ -335,7 +310,7 @@ def _problem(geometry, group, base):
 
 
 def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
-                        tol_class=DEFAULT_CLASS_TOL, tol_res=1e-12, max_iter=50):
+                        tol_class=DEFAULT_CLASS_TOL):
     """Perturb-project-classify statistics around a (collapsed) cusp.
 
     Each trial draws uniform per-coordinate noise in [-noise, noise]
@@ -356,10 +331,10 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
         rng = np.random.default_rng([seed, k])
         x0 = params + rng.uniform(-noise, noise, size=len(params))
         try:
-            x, iters, res = gauss_newton(F, J, x0, None, max_iter, tol_res)
+            x, iters, res = gauss_newton(F, J, x0, None, MAX_ITER, TOL_RES)
             klass = classify(geometry, group, unpack(x), tol_class).name
         except NoConvergence:
-            klass, res, iters = "no_convergence", float("nan"), max_iter
+            klass, res, iters = "no_convergence", float("nan"), MAX_ITER
         counts[klass] = counts.get(klass, 0) + 1
         records.append(TrialRecord(k, klass, res, iters))
     return ExperimentStats(base_class.name, counts, records)
@@ -389,26 +364,12 @@ def base_rect_hp():
             NonDegenerateReflection(w / 2.0), DegenerateReflection(x2, 0.0 * x2)]
 
 
-def base_cube(geometry, t=0.4, subset_index=0, lam=1):
-    """A cube cusp group from the standard family (or rho_lambda for hp)."""
-    from .repvar import standard_lift
-
-    if geometry == "hp":
-        from .halfpipe import rho_lambda
-
-        subset = _cusp_subset(standard_lift(t, "hyp"), subset_index)
-        refl = rho_lambda(float(lam)).as_reflections()
-        return [refl[n] for n in subset]
-    lift = standard_lift(t, geometry)
-    subset = _cusp_subset(lift, subset_index)
-    return [lift.vectors[n] for n in subset]
-
-
-def _cusp_subset(lift, subset_index):
-    from .repvar import find_cusp_subgroups
-
+def base_cube(geometry, t=0.4, lam=1):
+    """A cube cusp group from the standard family (or rho_lambda for hp):
+    the first subset find_cusp_subgroups lists for the lift at t."""
+    lift = standard_lift(t, "hyp" if geometry == "hp" else geometry)
     subsets = find_cusp_subgroups(lift)
-    if not 0 <= subset_index < len(subsets):
-        raise CuspError(f"no cusp subgroup number {subset_index}: "
-                        f"this lift has {len(subsets)} of them")
-    return subsets[subset_index]
+    if not subsets:
+        raise CuspError(f"the lift at t = {t} has no cusp subgroup")
+    data = rho_lambda(float(lam)).as_reflections() if geometry == "hp" else lift.vectors
+    return [data[n] for n in subsets[0]]

@@ -51,6 +51,10 @@ class CoincidentHyperplanes(GeometryError):
     pass
 
 
+class ParameterOutOfRange(GeometryError):
+    """A geometry name or family parameter outside the supported range."""
+
+
 class MixedTypePair(GeometryError):
     """One spacelike and one timelike AdS normal: no classification exists."""
 
@@ -77,6 +81,16 @@ class QuadraticSpace:
     def anti_de_sitter(cls, n):
         """Ambient space of AdS^n: form q_{-1} on R^{n+1}."""
         return cls(n + 1, (-1,) + (1,) * (n - 1) + (-1,))
+
+    @classmethod
+    def for_geometry(cls, geometry, n):
+        """Ambient space of H^n ("hyp") or AdS^n ("ads"): the two differ only
+        in the sign s = signature[-1] = +-1 of the last coefficient."""
+        if geometry == "hyp":
+            return cls.hyperbolic(n)
+        if geometry == "ads":
+            return cls.anti_de_sitter(n)
+        raise ParameterOutOfRange(f"unknown geometry {geometry!r}")
 
     @classmethod
     def minkowski(cls, n):

@@ -105,8 +105,8 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
     J = _minkowski_space(n).form_matrix()
     if iso.exact:
         row = -(iso.translation.reshape(1, n) @ PairMatrix.of(J) @ iso.linear)
-        return PairMatrix.block([[iso.linear, np.zeros((n, 1), dtype=int)],
-                                 [row, np.ones((1, 1), dtype=int)]])
+        return PairMatrix.assemble((n + 1, n + 1), [(0, 0, iso.linear), (n, 0, row),
+                                                    (n, n, np.ones((1, 1), dtype=int))])
     out = np.eye(n + 1)
     out[:n, :n] = iso.linear
     out[n, :n] = -(iso.translation @ J @ iso.linear)

@@ -35,7 +35,13 @@ _FLOAT_EXACT = 2 ** 53  # int64 entries below this convert to float64 exactly
 
 
 def _max_abs(arr):
-    return int(np.abs(arr).max()) if arr.size else 0
+    return int(np.abs(arr.reshape(-1)).max()) if arr.size else 0
+
+
+def _as_array(x):
+    """numpy hands 0-d results back as scalars, Python ints from object arrays:
+    make them 0-d arrays again."""
+    return x if isinstance(x, np.ndarray) else np.array(x, dtype=getattr(x, "dtype", object))
 
 
 def _int_arrays(bound, *arrays):
@@ -73,8 +79,8 @@ class PairMatrix:
     __array_ufunc__ = None
 
     def __init__(self, a, b, den=1):
-        self.a = a
-        self.b = b
+        self.a = _as_array(a)
+        self.b = _as_array(b)
         self.den = den
 
     @classmethod
@@ -115,9 +121,18 @@ class PairMatrix:
                    np.concatenate([b for _, b in parts], axis=axis), den)
 
     @classmethod
-    def block(cls, rows):
-        """Assemble a matrix from a nested list of 2-d blocks, as np.block does."""
-        return cls.concat([cls.concat(row, axis=1) for row in rows])
+    def assemble(cls, shape, blocks):
+        """The matrix of ``shape`` that is zero outside the given blocks: each
+        (row, col, m) writes m with its top-left entry at (row, col)."""
+        if not blocks:
+            return cls.zeros(shape)
+        parts, den = _common([cls.of(m) for _, _, m in blocks])
+        a = np.zeros(shape, dtype=parts[0][0].dtype)
+        b = np.zeros(shape, dtype=parts[0][0].dtype)
+        for (r, c, _), (pa, pb) in zip(blocks, parts):
+            a[r:r + pa.shape[0], c:c + pa.shape[1]] = pa
+            b[r:r + pb.shape[0], c:c + pb.shape[1]] = pb
+        return cls(a, b, den)
 
     @property
     def shape(self):

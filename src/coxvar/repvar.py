@@ -10,8 +10,11 @@ lift: one normal vector per generator, subject to quadratic constraints
 For the 22-generator group this is the map g: R^110 -> R^102, extended
 to g0: R^110 -> R^138 by the 36 tangency conditions.  The module
 
-* produces the explicit one-parameter families of lifts (hyperbolic and
-  AdS) and their closed-form tangent vector,
+* produces the explicit one-parameter family of lifts and its
+  closed-form tangent vector: one body for H^4 and AdS^4, which differ
+  only in the sign s = +-1 of the last coefficient of the form (the
+  norm target of the positives, the scale 1/sqrt(1 + s t^2) and the
+  recovery of t from the Gram matrix all read s),
 * evaluates residuals and the analytic Jacobian,
 * reports numeric kernels with an SVD rank cut and a mandatory
   spectral-gap check,
@@ -33,7 +36,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
-from .geometry import DimensionMismatch, QuadraticSpace, eval_bilinear
+from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
 from .scalars import QSqrt2, format_scalar, is_exact, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
@@ -41,10 +44,6 @@ MIN_GAP_RATIO = 1e3
 
 
 class RepVarError(Exception):
-    pass
-
-
-class ParameterOutOfRange(RepVarError):
     pass
 
 
@@ -152,60 +151,51 @@ class Lift:
         return cls(QuadraticSpace(len(sig), sig), tuple(vectors), vectors, targets)
 
 
-def _pm_rows(t, geometry):
-    """Unnormalised table rows (numerators) for the positive/negative vectors."""
-    from .coxeter import _PM_SIGNS
-
-    s2 = sqrt(2.0)
-    rows = {}
-    for i, (s, e) in _PM_SIGNS.items():
-        rows[f"{i}+"] = np.array([s2 * t, s[0] * t, s[1] * t, s[2] * t, e], dtype=float)
-        last = -e * t if geometry == "hyp" else e * t
-        rows[f"{i}-"] = np.array([s2, s[0], s[1], s[2], last], dtype=float)
-    return rows
-
-
-def _letter_vectors_float():
-    return {x: np.array([float(c) for c in v]) for x, v in
-            ((n, gamma22_vectors()[n]) for n in LETTER_NAMES)}
+def _norm_targets(space):
+    """q(f(i+)) = s, the last signature entry; every other normal is unit spacelike."""
+    s = space.signature[-1]
+    return {n: (s if n.endswith("+") else 1) for n in GAMMA22_NAMES}
 
 
 def hyp_norm_targets():
-    return {n: 1 for n in GAMMA22_NAMES}
-
-
-def ads_norm_targets():
-    return {n: (-1 if n.endswith("+") else 1) for n in GAMMA22_NAMES}
-
-
-def standard_lift_hyp(t):
-    """The hyperbolic path of lifts; at t=1 these are the 22 unit normals."""
-    t = float(t)
-    if not isfinite(1.0 + t * t):
-        raise ParameterOutOfRange(f"hyperbolic lift requires 1 + t^2 finite, got t = {t}")
-    c = 1.0 / sqrt(1.0 + t * t)
-    vectors = {n: c * row for n, row in _pm_rows(t, "hyp").items()}
-    vectors.update(_letter_vectors_float())
-    return Lift(QuadraticSpace.hyperbolic(4), GAMMA22_NAMES, vectors, hyp_norm_targets())
-
-
-def standard_lift_ads(t):
-    """The AdS path of lifts, defined for |t| < 1."""
-    t = float(t)
-    if abs(t) >= 1.0:
-        raise ParameterOutOfRange(f"AdS lift requires |t| < 1, got {t}")
-    c = 1.0 / sqrt(1.0 - t * t)
-    vectors = {n: c * row for n, row in _pm_rows(t, "ads").items()}
-    vectors.update(_letter_vectors_float())
-    return Lift(QuadraticSpace.anti_de_sitter(4), GAMMA22_NAMES, vectors, ads_norm_targets())
+    return _norm_targets(QuadraticSpace.hyperbolic(4))
 
 
 def standard_lift(t, geometry):
-    if geometry == "hyp":
-        return standard_lift_hyp(t)
-    if geometry == "ads":
-        return standard_lift_ads(t)
-    raise ParameterOutOfRange(f"unknown geometry {geometry!r}")
+    """The path of lifts in H^4 ("hyp") or AdS^4 ("ads", |t| < 1).
+
+    With s = +-1 the last signature entry and c = 1/sqrt(1 + s t^2):
+    f(i+) = c (sqrt2 t, e_i t, e), f(i-) = c (sqrt2, e_i, -s e t), the
+    letters fixed.  At t = 0 both are the collapsed lift; at t = 1 the
+    hyperbolic path gives the 22 unit normals.
+    """
+    from .coxeter import _PM_SIGNS
+
+    space = QuadraticSpace.for_geometry(geometry, 4)
+    s = space.signature[-1]
+    t = float(t)
+    q = 1.0 + s * t * t
+    if not (q > 0 and isfinite(q)):
+        raise ParameterOutOfRange(f"the {geometry} lift requires 0 < 1 + s t^2 < inf "
+                                  f"(s = {s}), got t = {t}")
+    c = 1.0 / sqrt(q)
+    s2 = sqrt(2.0)
+    vectors = {}
+    for i, (signs, e) in _PM_SIGNS.items():
+        vectors[f"{i}+"] = c * np.array([s2 * t, signs[0] * t, signs[1] * t, signs[2] * t, e],
+                                        dtype=float)
+        vectors[f"{i}-"] = c * np.array([s2, *signs, -s * e * t], dtype=float)
+    letters = gamma22_vectors()
+    vectors.update({x: np.array([float(v) for v in letters[x]]) for x in LETTER_NAMES})
+    return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
+
+
+def standard_lift_hyp(t):
+    return standard_lift(t, "hyp")
+
+
+def standard_lift_ads(t):
+    return standard_lift(t, "ads")
 
 
 def table_lift_exact():
@@ -219,17 +209,14 @@ def collapsed_lift_exact(geometry):
     """Exact lift at t = 0, where the representation preserves H^3."""
     from .coxeter import _PM_SIGNS
 
+    space = QuadraticSpace.for_geometry(geometry, 4)
     vectors = {}
-    for i, (s, e) in _PM_SIGNS.items():
+    for i, (signs, e) in _PM_SIGNS.items():
         vectors[f"{i}+"] = tuple([QSqrt2(0)] * 4 + [QSqrt2(e)])
-        vectors[f"{i}-"] = tuple([QSqrt2(0, 1)] + [QSqrt2(c) for c in s] + [QSqrt2(0)])
+        vectors[f"{i}-"] = tuple([QSqrt2(0, 1)] + [QSqrt2(c) for c in signs] + [QSqrt2(0)])
     for x in LETTER_NAMES:
         vectors[x] = gamma22_vectors()[x]
-    if geometry == "hyp":
-        return Lift(QuadraticSpace.hyperbolic(4), GAMMA22_NAMES, vectors, hyp_norm_targets())
-    if geometry == "ads":
-        return Lift(QuadraticSpace.anti_de_sitter(4), GAMMA22_NAMES, vectors, ads_norm_targets())
-    raise ParameterOutOfRange(f"unknown geometry {geometry!r}")
+    return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
 
 
 # -- constraint systems ----------------------------------------------------
@@ -362,7 +349,7 @@ def constraint_system(geometry, with_tangencies=True):
     """The quadratic system of the 22-generator group: g (102) or g0 (138)."""
     from .coxeter import gamma22
 
-    targets = hyp_norm_targets() if geometry == "hyp" else ads_norm_targets()
+    targets = _norm_targets(QuadraticSpace.for_geometry(geometry, 4))
     tang = canonical_tangency_pairs(geometry) if with_tangencies else None
     return build_constraints(gamma22(), targets, tang)
 
@@ -406,24 +393,26 @@ class RankReport:
     gap_ratio: float
 
 
-def _rank_cut(s, tol, min_gap=MIN_GAP_RATIO):
+def _rank_cut(s, tol):
     """Numeric rank of the singular values s, and the gap ratio at the cut.
 
-    The cut is relative (tol * sigma_max); the ratio across it must
-    reach min_gap, otherwise the dimension claim would be numerically
-    meaningless and IllConditioned is raised.
+    The cut is relative (tol * sigma_max, with 0 < tol < 1); the ratio
+    across it must reach MIN_GAP_RATIO, otherwise the dimension claim
+    would be numerically meaningless and IllConditioned is raised.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"the relative rank tolerance must lie in (0, 1), got {tol}")
     rank = int(np.sum(s > tol * s[0]))
     if rank == len(s):
         return rank, np.inf
     gap = float(s[rank - 1] / s[rank]) if s[rank] > 0 else np.inf
-    if gap < min_gap:
+    if gap < MIN_GAP_RATIO:
         raise IllConditioned(
             f"no spectral gap at the rank cut: sigma_{rank}/sigma_{rank + 1} = {gap:.3g}")
     return rank, gap
 
 
-def kernel_report(system, lift, tol=DEFAULT_RANK_TOL, min_gap=MIN_GAP_RATIO):
+def kernel_report(system, lift, tol=DEFAULT_RANK_TOL):
     """SVD kernel of the constraint Jacobian with a spectral-gap check."""
     res = residual_max(system, lift)
     if res > 1e-8:
@@ -431,7 +420,7 @@ def kernel_report(system, lift, tol=DEFAULT_RANK_TOL, min_gap=MIN_GAP_RATIO):
                       "the lift is not on the variety", stacklevel=2)
     J = jacobian(system, lift)
     u, s, vt = np.linalg.svd(J)
-    rank, gap = _rank_cut(s, tol, min_gap)
+    rank, gap = _rank_cut(s, tol)
     return RankReport(
         singular_values=s,
         numeric_rank=rank,
@@ -480,31 +469,21 @@ def orbit_tangent(lift):
 def known_tangent(t, geometry):
     """The closed-form tangent direction of the standard family at t.
 
-    AdS: dot p_i = lam * f(i-), dot m_i = lam * f(i+), letters fixed,
-    with lam = (1 - t^2)^{-3/2}; hyperbolic: dot m_i = -lam * f(i+)
-    with lam = (1 + t^2)^{-3/2}.  (The table rows are normalised, so
+    With lam = (1 + s t^2)^{-3/2}: dot p_i = lam * f(i-), dot m_i =
+    -s lam * f(i+), letters fixed.  (The table rows are normalised, so
     this is the derivative of the family up to a positive scalar.)
     """
+    lift = standard_lift(t, geometry)
     t = float(t)
-    if geometry == "ads":
-        if abs(t) >= 1.0:
-            raise ParameterOutOfRange(f"AdS tangent requires |t| < 1, got {t}")
-        lift = standard_lift_ads(t)
-        lam = (1.0 - t * t) ** -1.5
-        m_sign = 1.0
-    elif geometry == "hyp":
-        lift = standard_lift_hyp(t)
-        lam = (1.0 + t * t) ** -1.5
-        m_sign = -1.0
-    else:
-        raise ParameterOutOfRange(f"unknown geometry {geometry!r}")
+    s = lift.space.signature[-1]
+    lam = (1.0 + s * t * t) ** -1.5
     d = lift.space.dim
     out = np.zeros(lift.n_coords)
     for k, n in enumerate(lift.names):
         if n.endswith("+"):
             out[k * d:(k + 1) * d] = lam * lift.vectors[n[0] + "-"]
         elif n.endswith("-"):
-            out[k * d:(k + 1) * d] = m_sign * lam * lift.vectors[n[0] + "+"]
+            out[k * d:(k + 1) * d] = -s * lam * lift.vectors[n[0] + "+"]
     return out
 
 
@@ -594,10 +573,7 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
 def gram_matrix(lift):
     """Pairwise b-values in the order of lift.names (norms on the diagonal)."""
     n = len(lift.names)
-    if lift.exact:
-        out = np.empty((n, n), dtype=object)
-    else:
-        out = np.zeros((n, n))
+    out = np.zeros((n, n))
     for i, a in enumerate(lift.names):
         for j, b in enumerate(lift.names):
             if j < i:
@@ -610,17 +586,15 @@ def gram_matrix(lift):
 def nearest_standard_t(lift, geometry):
     """Recover the path parameter from conjugation-invariant Gram entries.
 
-    Uses b(f(0+), f(2+)) for t^2 and b(f(0+), f(2-)) = -4t/(1 -+ t^2)
-    for the sign; both are invariant under the isometry action.
+    Uses g = b(f(0+), f(2+)), t^2 = (s - g)/(3 + s g), and the sign of
+    b(f(0+), f(2-)) = -4t/(1 + s t^2); both are invariant under the
+    isometry action.  The numerator is computed as s (1 - s g), so that
+    t = -0.0 at the AdS collapse g = -1.
     """
-    g = eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors["2+"])
+    s = QuadraticSpace.for_geometry(geometry, 4).signature[-1]
+    g = float(eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors["2+"]))
     g2 = eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors["2-"])
-    g = float(g)
-    if geometry == "hyp":
-        t2 = (1.0 - g) / (3.0 + g)
-    else:
-        t2 = (g + 1.0) / (g - 3.0)
-    t2 = max(t2, 0.0)
+    t2 = max(s * (1.0 - s * g) / (3.0 + s * g), 0.0)
     t = sqrt(t2)
     if float(g2) > 0:
         t = -t
@@ -644,8 +618,6 @@ def find_cusp_subgroups(lift, tol=1e-9):
     """
     names = lift.names
     gram = gram_matrix(lift)
-    if lift.exact:
-        gram = np.array([[float(x) for x in row] for row in gram])
     n = len(names)
     tangent_pairs = [(i, j) for i, j in combinations(range(n), 2)
                      if abs(abs(gram[i, j]) - 1) <= tol]

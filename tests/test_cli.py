@@ -49,6 +49,14 @@ def test_verify_hp_exact(capsys):
     assert out == (PINNED / "verify-hp.txt").read_text()
 
 
+@pytest.mark.parametrize("lam", ["5e18", "1e19", "1e155", "1e300"])
+def test_verify_hp_large_lambda(capsys, lam):
+    # lambda past 2**62 runs on Python ints (an AttributeError traceback at the parent)
+    code, out = run(capsys, "verify", "--geometry", "hp", "--t", lam)
+    assert code == 0
+    assert "relation_defect: 0\n" in out
+
+
 def test_verify_bad_flag(capsys):
     assert main(["verify", "--geometry", "nope"]) == 2
     assert main(["frobnicate"]) == 2
@@ -300,6 +308,11 @@ def test_out_of_range_parameter(capsys, argv):
     ["trace", "--geometry", "hyp", "--grid", "nan,0.5"],
     ["cusp", "--geometry", "hyp", "--group", "rect3", "--experiment", "--noise", "-1"],
     ["trace", "--geometry", "hyp", "--grid", "0:1:1000000000000"],
+    ["trace", "--geometry", "hyp", "--grid", "0.5", "--rank-tol", "0"],  # kernel 0 at the parent
+    ["trace", "--geometry", "hyp", "--grid", "0.5", "--rank-tol", "-1"],
+    ["trace", "--geometry", "hyp", "--grid", "0.5", "--rank-tol", "1"],
+    ["verify", "--geometry", "hyp", "--tol", "-1"],                  # exit 1 at the parent
+    ["cusp", "--geometry", "hyp", "--group", "rect3", "--class-tol", "-1"],  # PatternViolation
 ])
 def test_bad_arguments_rejected(capsys, argv):
     # nan/inf are refused before any computation; --trials below 1 only with --experiment
@@ -323,7 +336,7 @@ def test_linalg_error_is_numerical_failure(capfd, geometry, group):
 
 
 _NUMBERS = st.sampled_from(["0", "0.5", "-0.5", "1", "-1", "0.99", "2", "1e-300", "1e200",
-                            "-1e200", "nan", "inf", "x", ""])
+                            "-1e200", "5e18", "nan", "inf", "x", ""])
 _GRIDS = st.one_of(
     st.lists(_NUMBERS, max_size=3).map(",".join),
     st.tuples(_NUMBERS, _NUMBERS, st.sampled_from(["-1", "0", "1", "2", "3", "x"]))

@@ -79,6 +79,33 @@ def test_classify_rect_hp():
     assert got.kind == CuspKind.COLLAPSED and got.pair == (0, 2)
 
 
+def test_classify_rect_hp_two_degenerate_pairs():
+    from coxvar.halfpipe import DegenerateReflection
+
+    base = base_rect_hp()
+    x = np.array([0.0, 0.0, 1.0])
+    data = [DegenerateReflection(x, 0.0 * x), base[1], DegenerateReflection(-x, 0.0 * x), base[3]]
+    with pytest.raises(PatternViolation, match="one non-degenerate and one degenerate"):
+        classify_rect("hp", data)
+
+
+def test_classify_cube_hp_mixed_pair():
+    base = base_cube("hp")  # opposite pairs (0, 3) non-degenerate, (1, 4), (2, 5) degenerate
+    data = list(base)
+    data[4] = base[0]
+    with pytest.raises(PatternViolation, match=r"opposite pair \(1, 4\) mixes"):
+        classify_cube("hp", data)
+
+
+def test_classify_cube_hp_collapsed_degenerate_pair():
+    # both walls of an opposite pair commute with the same four others, so
+    # repeating one wall of the degenerate pair (2, 5) keeps the pattern
+    data = list(base_cube("hp"))
+    data[5] = data[2]
+    got = classify_cube("hp", data)
+    assert got.kind == CuspKind.COLLAPSED and got.pair == (2, 5)
+
+
 def test_classify_cube_pattern_violation():
     lift = standard_lift(0.4, "hyp")
     sub = find_cusp_subgroups(lift)[0]

@@ -138,6 +138,10 @@ def test_pair_arithmetic_matches_object_arrays(n, k, m, data):
     assert _same(px @ py - pz, x @ y - z)
     assert _same(pz + pz, z + z)
     assert _same(PairMatrix.concat([px @ py, pz], axis=1), np.hstack([x @ y, z]))
+    # scattering blocks into zeros gives what concatenating with zero blocks gives
+    zeros = np.full((n, 2), QSqrt2(0), dtype=object)
+    assert _same(PairMatrix.assemble((2 * n, m + 2), [(0, 0, pz), (n, 2, px @ py)]),
+                 np.block([[z, zeros], [zeros, x @ y]]))
     assert _same(pz * pz, z * z) and _same(2 * pz, 2 * z)
     assert (px @ py - pz).is_zero() == (not any((x @ y - z).reshape(-1)))
     assert (pz - pz).is_zero()
@@ -202,3 +206,15 @@ def test_overflow_guard_stays_exact(n, k, data):
     assert _same(prod - prod, x @ y - x @ y) and (prod - prod).is_zero()
     assert exact_rank(x) == _rref_rank(x, k)
     assert (px @ exact_nullspace(x)).is_zero()
+
+
+def test_scalar_beyond_int64():
+    # PairMatrix.of a scalar past 2**62 holds 0-d object arrays, whose numpy
+    # results come back as Python ints; products and the float view still work
+    big = PairMatrix.of(2 ** 70)
+    vector = PairMatrix.of(np.array([1, -2, 3]))
+    prod = big * vector
+    assert _same(prod, np.array([2 ** 70, -2 ** 71, 3 * 2 ** 70], dtype=object))
+    assert (big * big).item() == QSqrt2(2 ** 140)
+    assert np.asarray(big * big, dtype=float) == float(2 ** 140)
+    assert (big - big).is_zero()

@@ -193,6 +193,10 @@ def test_kernel_report_ill_conditioned():
     bad_tol = float(np.sqrt(s[50] * s[51]) / s[0])
     with pytest.raises(IllConditioned):
         kernel_report(system, lift, tol=bad_tol)
+    # a relative cut outside (0, 1) keeps every or no singular value: refused
+    for tol in (0.0, -1.0, 1.0, 2.0):
+        with pytest.raises(ValueError):
+            kernel_report(system, lift, tol=tol)
 
 
 def test_orbit_tangent():
