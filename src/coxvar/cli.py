@@ -254,7 +254,7 @@ def _pair_label(geometry, lift, a, b, tol=1e-9):
         if geometry == "hyp":
             return classify_pair_hyp(lift.vectors[a], lift.vectors[b], tol).value
         return classify_pair_ads(lift.vectors[a], lift.vectors[b], tol).value
-    except Exception as exc:  # mixed/degenerate pairs are reported, not fatal
+    except GeometryError as exc:  # mixed/degenerate pairs are reported, not fatal
         return type(exc).__name__
 
 

@@ -3,16 +3,25 @@
 A representation of the rectangle group (dimension 3) or the cube group
 (dimension 4) by reflections is a cusp group when the fixed hyperplanes
 are distinct and share a point at infinity, and a collapsed cusp group
-when one opposite pair of generators shares its reflection.  One
-pattern pass serves every geometry and group: it checks the reflection
-kinds of each opposite pair (half-pipe), that every adjacent pair
-commutes, and returns COLLAPSED for the first coinciding opposite pair.
-What is left reads positions.  For the cube the shared ideal point is
-detected linearly: a common b-orthogonal null vector of the six normals
-(in half-pipe geometry, a common boundary point of the dual data),
-which avoids accumulating pairwise tolerance errors.  For the rectangle
-the classification is by the two opposite-pair positions, read in the
-terms of H^n for hyperbolic and half-pipe data.
+when one opposite pair of generators shares its reflection.
+
+Inside this module a configuration has one representation: the packed
+unknown vector of ``_problem``, the vector the perturbation trials move.
+``_problem`` compiles the norm + commutation rows of the group once, and
+the pattern check reads them: an adjacent pair commutes iff its row is
+at most the tolerance in absolute value.  Half-pipe reflection kinds are
+checked when the configuration is packed.  COLLAPSED is returned for the
+first coinciding opposite pair; what is left reads positions off the
+blocks of the vector.  For the cube the shared ideal point is detected
+linearly: a common b-orthogonal null vector of the six normals (in
+half-pipe geometry, a common boundary point of the dual data), which
+avoids accumulating pairwise tolerance errors.  For the rectangle the
+classification is by the two opposite-pair positions, read in the terms
+of H^n for hyperbolic and half-pipe data.  Half-pipe classes are
+invariant under the rescaling (A, v) -> (A, mu v) of the degenerate
+direction, so the translation coordinates are divided by the largest of
+1 and their absolute values before any tolerance test: every rho_lambda
+with lambda != 0 classifies as rho_1 does.
 
 The rigidity experiments perturb a cusp configuration, project back
 onto the norm + commutation variety of that base only (the norm targets
@@ -33,10 +42,9 @@ import numpy as np
 
 from .coxeter import gamma_cube, gamma_rect
 from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair_ads,
-                       classify_pair_hyp, coincident, eval_bilinear, eval_form)
+                       classify_pair_hyp, coincident, eval_form)
 from .halfpipe import (DegenerateReflection, HPPointsClass, NonDegenerateReflection,
-                       classify_hp_dual_points, hp_commute, reflection_span_coefficient,
-                       rho_lambda)
+                       classify_hp_dual_points, reflection_span_coefficient, rho_lambda)
 from .repvar import (ConstraintSystem, NoConvergence, Pair, build_constraints,
                      find_cusp_subgroups, gauss_newton, standard_lift)
 
@@ -101,75 +109,9 @@ _ADS_SPACELIKE = {PairClassAdS.INTERSECTING, PairClassAdS.TANGENT_AT_INFINITY,
                   PairClassAdS.DISJOINT}
 
 
-def _pattern(geometry, group, data, tol):
-    """Check the commutation pattern; COLLAPSED at the first coinciding opposite pair.
-
-    hp: each opposite pair holds two reflections of one kind (for the
-    rectangle, one non-degenerate and one degenerate pair), then every
-    adjacent pair must commute as isometries; hyp/ads: every adjacent
-    pair of normals must be orthogonal.  Returns the COLLAPSED class or
-    None.
-    """
-    opposite = _OPPOSITE[group]
-    if geometry == "hp":
-        kinds = [type(r) for r in data]
-        mixed = [(i, j) for i, j in opposite if kinds[i] is not kinds[j]]
-        if group == "rect" and (mixed or kinds[0] is kinds[1]):
-            raise PatternViolation("opposite pairs must be one non-degenerate and one degenerate")
-        if mixed:
-            raise PatternViolation(f"opposite pair {mixed[0]} mixes reflection kinds")
-        isos = [r.isometry() for r in data]
-        for i, j in _ADJACENT[group]:
-            if not hp_commute(isos[i], isos[j], tol):
-                raise PatternViolation(f"generators {i} and {j} must commute")
-
-        def same(i, j):
-            a, b = data[i], data[j]
-            if isinstance(a, NonDegenerateReflection):
-                return np.max(np.abs(np.asarray(a.p, dtype=float)
-                                     - np.asarray(b.p, dtype=float))) <= tol
-            return (coincident(np.asarray(a.X, dtype=float), np.asarray(b.X, dtype=float), tol)
-                    and isos[i].max_difference(isos[j]) <= tol)
-    else:
-        vectors = [np.asarray(v, dtype=float) for v in data]
-        space = QuadraticSpace.for_geometry(geometry, len(vectors[0]) - 1)
-        for i, j in _ADJACENT[group]:
-            b = float(eval_bilinear(space, vectors[i], vectors[j]))
-            if abs(b) > tol:
-                raise PatternViolation(f"generators {i} and {j} must commute; b = {b:.3g}")
-
-        def same(i, j):
-            return coincident(vectors[i], vectors[j], tol)
-    for i, j in opposite:
-        if same(i, j):
-            return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
-    return None
-
-
-def _position(geometry, a, b, tol):
-    """Position of two walls of one kind: an AdS pair class, else in the terms of H^n."""
-    if geometry == "ads":
-        return classify_pair_ads(np.asarray(a, dtype=float), np.asarray(b, dtype=float), tol)
-    if isinstance(a, NonDegenerateReflection):
-        return _HP_POINTS_POSITION[classify_hp_dual_points(
-            np.asarray(a.p, dtype=float), np.asarray(b.p, dtype=float), tol)]
-    if geometry == "hp":
-        a, b = a.X, b.X
-    return classify_pair_hyp(np.asarray(a, dtype=float), np.asarray(b, dtype=float), tol)
-
-
-def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
-    """Classify a rectangle-group configuration near a (collapsed) cusp.
-
-    ``data`` lists the four reflection data in cyclic order (adjacent
-    entries commute): normal vectors for hyp/ads, HPReflection objects
-    for hp.  Opposite pairs are (0, 2) and (1, 3).
-    """
-    collapsed = _pattern(geometry, "rect", data, tol)
-    if collapsed is not None:
-        return collapsed
+def _rect_class(geometry, classes):
+    """The rectangle class of the positions of its two opposite pairs."""
     opposite = _OPPOSITE["rect"]
-    classes = [_position(geometry, data[i], data[j], tol) for i, j in opposite]
     if geometry == "ads" and (classes[0] in _ADS_SPACELIKE) == (classes[1] in _ADS_SPACELIKE):
         raise PatternViolation("an AdS rectangle needs one spacelike and one timelike pair")
     kind = _KIND_OF_POSITIONS.get(frozenset(classes))
@@ -183,31 +125,8 @@ def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
     return CuspClass(kind)
 
 
-def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
-    """Classify a cube-group configuration near a (collapsed) cusp.
-
-    ``data`` lists six reflection data with opposite pairs (0,3), (1,4),
-    (2,5); all other pairs must commute.  The shared ideal point is
-    found as the common solution of six linear conditions, then tested
-    for nullity.
-    """
-    collapsed = _pattern(geometry, "cube", data, tol)
-    if collapsed is not None:
-        return collapsed
-    if geometry == "hp":
-        # (y, y_n) lies on the wall over H_X iff b_1(X, y) = 0, and on the
-        # wall dual to p iff b_1(p, y) + y_n = 0
-        walls = [(r.X, 0.0) if isinstance(r, DegenerateReflection) else (r.p, 1.0)
-                 for r in data]
-        form = np.array([-1.0] + [1.0] * (len(walls[0][0]) - 1))  # b_1 on R^{1,n-1}
-        rows = np.array([np.concatenate([form * np.asarray(w, dtype=float), [c]])
-                         for w, c in walls])
-        null_form = np.concatenate([form, [0.0]])
-    else:
-        vectors = [np.asarray(v, dtype=float) for v in data]
-        space = QuadraticSpace.for_geometry(geometry, len(vectors[0]) - 1)
-        null_form = np.array(space.signature, dtype=float)
-        rows = np.array([null_form * v for v in vectors])
+def _cube_class(rows, null_form, tol, hp):
+    """Cusp iff the walls with these rows share one point, and it is null."""
     u, s, vt = np.linalg.svd(rows)
     ncols = rows.shape[1]
     small = int(np.sum(s <= tol * s[0])) + max(0, ncols - len(s))
@@ -219,17 +138,38 @@ def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
     qval = float(np.sum(null_form * point * point))
     if abs(qval) > tol:
         return CuspClass(CuspKind.UNCLASSIFIED, reason="common point not at infinity")
-    if geometry == "hp" and np.max(np.abs(point[:-1])) <= tol:
+    if hp and np.max(np.abs(point[:-1])) <= tol:
         return CuspClass(CuspKind.UNCLASSIFIED, reason="common point only at the degenerate end")
     return CuspClass(CuspKind.CUSP)
 
 
+def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
+    """Classify a rectangle-group configuration near a (collapsed) cusp.
+
+    ``data`` lists the four reflection data in cyclic order (adjacent
+    entries commute): normal vectors for hyp/ads, HPReflection objects
+    for hp.  Opposite pairs are (0, 2) and (1, 3).
+    """
+    return classify(geometry, "rect", data, tol)
+
+
+def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
+    """Classify a cube-group configuration near a (collapsed) cusp.
+
+    ``data`` lists six reflection data with opposite pairs (0,3), (1,4),
+    (2,5); all other pairs must commute.  The shared ideal point is
+    found as the common solution of six linear conditions, then tested
+    for nullity.
+    """
+    return classify(geometry, "cube", data, tol)
+
+
 def classify(geometry, group, data, tol=DEFAULT_CLASS_TOL):
-    if group == "rect":
-        return classify_rect(geometry, data, tol)
-    if group == "cube":
-        return classify_cube(geometry, data, tol)
-    raise ValueError(f"unknown group {group!r}")
+    """Pack ``data`` as ``_problem`` does and classify the packed vector."""
+    if group not in _OPPOSITE:
+        raise ValueError(f"unknown group {group!r}")
+    params, _, _, classify_at = _problem(geometry, group, data)
+    return classify_at(params, tol)
 
 
 # -- perturbation experiments -------------------------------------------------
@@ -253,7 +193,7 @@ class ExperimentStats:
 
 
 def _problem(geometry, group, base):
-    """Unknowns and constraint maps of the configurations near ``base``.
+    """Unknowns, constraint maps and classifier of the configurations near ``base``.
 
     hyp/ads: one block per normal; the rows are the norm + commutation
     system of the group, each norm target the sign of q on the base
@@ -263,10 +203,15 @@ def _problem(geometry, group, base):
     rows are q_1(X) = 1, b_1(X_i, X_j) = 0 for adjacent degenerate pairs
     and b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate
     pairs ((r_X, cX) and (-id, 2p) commute iff (id - r_X)(2p) = 2 c X).
-    Returns (params, F, J, unpack): the base packed into unknowns, the
-    two maps, and unpack(x) -> reflection data as ``classify`` takes it.
+    Packing checks the hp reflection kinds of the opposite pairs, then
+    refuses an adjacent non-degenerate pair: (-id, 2p) and (-id, 2q)
+    commute only when p = q, so no row can stand for it.
+    Returns (params, F, J, classify_at): the base packed into unknowns,
+    the two maps, and classify_at(x, tol) -> CuspClass.
     """
-    if geometry in ("hyp", "ads"):
+    opposite, adjacent = _OPPOSITE[group], _ADJACENT[group]
+    hp = geometry == "hp"
+    if not hp:
         racg = gamma_rect() if group == "rect" else gamma_cube()
         vectors = [np.asarray(v, dtype=float) for v in base]
         dim = len(vectors[0])
@@ -274,39 +219,84 @@ def _problem(geometry, group, base):
         targets = {n: 1 if eval_form(space, v) > 0 else -1
                    for n, v in zip(racg.generators, vectors)}
         system = build_constraints(racg, targets)
-        start = {n: k * dim for k, n in enumerate(racg.generators)}
-        F, J = system.maps(space.signature, start)
-        return np.concatenate(vectors), F, J, lambda x: np.split(x, len(vectors))
-    params = []
-    start = {}
-    deg = []
-    for k, r in enumerate(base):
-        start[str(k)] = len(params)
-        vec = np.asarray(r.X if isinstance(r, DegenerateReflection) else r.p, dtype=float)
-        params.extend(vec)
-        if isinstance(r, DegenerateReflection):
-            start[f"c{k}"] = len(params)
-            params.append(float(reflection_span_coefficient(r)))
-            deg.append(k)
-    cons = [Pair(str(k), str(k), 1) for k in deg]
-    for i, j in _ADJACENT[group]:
-        if i in deg and j in deg:
-            cons.append(Pair(str(i), str(j), 0))
-        else:
-            x, p = (i, j) if i in deg else (j, i)
-            cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
-    dim = len(vec)
-    F, J = ConstraintSystem(tuple(cons)).maps(QuadraticSpace.minkowski(dim).signature, start)
+        walls = [k * dim for k in range(len(vectors))]
+        start = dict(zip(racg.generators, walls))
+        pairs = sorted(racg.commuting_pairs)
+        rows = np.array([len(walls) + pairs.index(ij) for ij in adjacent])
+        params, normal = np.concatenate(vectors), [True] * len(walls)
+    else:
+        normal = [isinstance(r, DegenerateReflection) for r in base]
+        mixed = [(i, j) for i, j in opposite if normal[i] != normal[j]]
+        if group == "rect" and (mixed or normal[0] == normal[1]):
+            raise PatternViolation("opposite pairs must be one non-degenerate and one degenerate")
+        if mixed:
+            raise PatternViolation(f"opposite pair {mixed[0]} mixes reflection kinds")
+        for i, j in adjacent:
+            if not (normal[i] or normal[j]):
+                raise PatternViolation(f"generators {i} and {j} must commute")
+        params, start = [], {}
+        for k, r in enumerate(base):
+            start[str(k)] = len(params)
+            vec = np.asarray(r.X if normal[k] else r.p, dtype=float)
+            params.extend(vec)
+            if normal[k]:
+                start[f"c{k}"] = len(params)
+                params.append(float(reflection_span_coefficient(r)))
+        params, dim = np.array(params), len(vec)
+        walls = [start[str(k)] for k in range(len(base))]
+        cons = [Pair(str(k), str(k), 1) for k in range(len(base)) if normal[k]]
+        for i, j in adjacent:
+            if normal[i] and normal[j]:
+                cons.append(Pair(str(i), str(j), 0))
+            else:
+                x, p = (i, j) if normal[i] else (j, i)
+                cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
+        rows = slice(-len(adjacent), None)
+        system = ConstraintSystem(tuple(cons))
+        space = QuadraticSpace.minkowski(dim)
+    F, J = system.maps(space.signature, start)
+    sig = np.array(space.signature, dtype=float)
+    # hp: (y, y_n) lies on the wall over H_X iff b_1(X, y) = 0, and on the
+    # wall dual to p iff b_1(p, y) + y_n = 0
+    null_form = np.concatenate([sig, [0.0]]) if hp else sig
+    on_dual = np.array([[0.0 if n else 1.0] for n in normal])
+    blocks = np.array(walls)[:, None] + np.arange(dim)
+    # every coordinate outside the normals: the hp dual points and coefficients c
+    translations = np.setdiff1d(np.arange(len(params)), blocks[normal])
 
-    def unpack(x):
-        out = []
-        for k in range(len(base)):
-            block = x[start[str(k)]:start[str(k)] + dim]
-            out.append(DegenerateReflection(block, x[start[f"c{k}"]] * block) if k in deg
-                       else NonDegenerateReflection(block))
-        return out
+    def same(x, w, i, j, tol):
+        if not normal[i]:
+            return np.max(np.abs(w[i] - w[j])) <= tol
+        # hp: also the translations c X, each c stored after its X
+        return coincident(w[i], w[j], tol) and (not hp or np.max(np.abs(
+            x[walls[i] + dim] * w[i] - x[walls[j] + dim] * w[j])) <= tol)
 
-    return np.array(params), F, J, unpack
+    def position(w, i, j, tol):
+        if not normal[i]:
+            return _HP_POINTS_POSITION[classify_hp_dual_points(w[i], w[j], tol)]
+        if geometry == "ads":
+            return classify_pair_ads(w[i], w[j], tol)
+        return classify_pair_hyp(w[i], w[j], tol)
+
+    def classify_at(x, tol):
+        mu = np.max(np.abs(x[translations]), initial=1.0)
+        if mu > 1:
+            x = x.copy()
+            x[translations] /= mu
+        for (i, j), b in zip(adjacent, F(x)[rows]):
+            if abs(b) > tol:
+                raise PatternViolation(f"generators {i} and {j} must commute"
+                                       + ("" if hp else f"; b = {b:.3g}"))
+        w = x[blocks]
+        for i, j in opposite:
+            if same(x, w, i, j, tol):
+                return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
+        if group == "rect":
+            return _rect_class(geometry, [position(w, i, j, tol) for i, j in opposite])
+        cube_rows = np.hstack([sig * w, on_dual]) if hp else sig * w
+        return _cube_class(cube_rows, null_form, tol, hp)
+
+    return params, F, J, classify_at
 
 
 def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
@@ -324,7 +314,7 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     base_class = classify(geometry, group, base, tol_class)
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
         raise ValueError(f"base configuration classifies as {base_class.name}, need a cusp")
-    params, F, J, unpack = _problem(geometry, group, base)
+    params, F, J, classify_at = _problem(geometry, group, base)
     counts = {}
     records = []
     for k in range(trials):
@@ -332,7 +322,7 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
         x0 = params + rng.uniform(-noise, noise, size=len(params))
         try:
             x, iters, res = gauss_newton(F, J, x0, None, MAX_ITER, TOL_RES)
-            klass = classify(geometry, group, unpack(x), tol_class).name
+            klass = classify_at(x, tol_class).name
         except NoConvergence:
             klass, res, iters = "no_convergence", float("nan"), MAX_ITER
         counts[klass] = counts.get(klass, 0) + 1

@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
-from .geometry import (DEFAULT_TOL, QuadraticSpace, classify_pair_hyp, eval_form,
-                       reflection_matrix)
+from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair_hyp,
+                       eval_form, reflection_matrix)
 from .linalg_exact import PairMatrix
 from .scalars import is_exact
 
@@ -215,7 +215,7 @@ def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
     if deg1 and deg2:
         try:
             pos = classify_pair_hyp(r1.X, r2.X, tol)
-        except Exception:
+        except GeometryError:
             pos = None
         commuting = hp_commute(r1.isometry(), r2.isometry(), tol)
         return HPPairReport("degenerate", pos, commuting)

@@ -393,12 +393,14 @@ class RankReport:
     gap_ratio: float
 
 
-def _rank_cut(s, tol):
-    """Numeric rank of the singular values s, and the gap ratio at the cut.
+def _rank_cut(s, tol, shape):
+    """Numeric rank and gap ratio at the cut of the singular values s of a matrix.
 
-    The cut is relative (tol * sigma_max, with 0 < tol < 1); the ratio
-    across it must reach MIN_GAP_RATIO, otherwise the dimension claim
-    would be numerically meaningless and IllConditioned is raised.
+    The cut is relative (tol * sigma_max, with 0 < tol < 1).  The ratio
+    across it must reach MIN_GAP_RATIO, and the largest value cut as zero
+    must lie below the rounding floor sigma_max * max(shape) * eps
+    (numpy's matrix_rank default); otherwise the dimension claim would be
+    numerically meaningless and IllConditioned is raised.
     """
     if not 0 < tol < 1:
         raise ValueError(f"the relative rank tolerance must lie in (0, 1), got {tol}")
@@ -409,6 +411,10 @@ def _rank_cut(s, tol):
     if gap < MIN_GAP_RATIO:
         raise IllConditioned(
             f"no spectral gap at the rank cut: sigma_{rank}/sigma_{rank + 1} = {gap:.3g}")
+    floor = s[0] * max(shape) * np.finfo(float).eps
+    if s[rank] > floor:
+        raise IllConditioned(f"sigma_{rank + 1} = {s[rank]:.3g} is cut as zero above the "
+                             f"rounding floor {floor:.3g}")
     return rank, gap
 
 
@@ -420,7 +426,7 @@ def kernel_report(system, lift, tol=DEFAULT_RANK_TOL):
                       "the lift is not on the variety", stacklevel=2)
     J = jacobian(system, lift)
     u, s, vt = np.linalg.svd(J)
-    rank, gap = _rank_cut(s, tol)
+    rank, gap = _rank_cut(s, tol, J.shape)
     return RankReport(
         singular_values=s,
         numeric_rank=rank,
@@ -551,7 +557,7 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
     for _ in range(steps):
         J = Jmap(x)[:, free_idx]
         u, s, vt = np.linalg.svd(J)
-        null_dim = J.shape[1] - _rank_cut(s, rank_tol)[0]
+        null_dim = J.shape[1] - _rank_cut(s, rank_tol, J.shape)[0]
         if null_dim != 1:
             raise SliceDegenerate(f"gauge-restricted kernel has dimension {null_dim}, expected 1")
         tangent = np.zeros(lift.n_coords)

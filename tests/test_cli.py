@@ -118,6 +118,13 @@ def test_cusp_base_only(capsys):
     assert out.strip().splitlines()[-1].split(",")[1] == "cusp"
 
 
+def test_cusp_hp_cube_large_lambda(capsys):
+    # rho_lambda is rho_1 rescaled (an exit 2 commutation error at the parent)
+    code, out = run(capsys, "cusp", "--geometry", "hp", "--group", "cube4", "--lam", "1e8")
+    assert code == 0
+    assert out.splitlines()[-1] == "-1,cusp,0,0"
+
+
 def test_cusp_experiment(capsys, tmp_path):
     summary = tmp_path / "sum.json"
     code, out = run(capsys, "cusp", "--geometry", "hyp", "--group", "rect3",
@@ -204,6 +211,16 @@ def test_trace_numerical_failure_exit_code(capsys):
     code, _ = run(capsys, "trace", "--geometry", "hyp", "--system", "g0",
                   "--grid", "0.4", "--rank-tol", "0.2")
     assert code == 3
+
+
+@pytest.mark.parametrize("system", ["g", "g0"])
+def test_trace_rank_cut_above_rounding_floor(capsys, system):
+    # near the AdS end the gap check alone accepted a kernel of 20 (exit 0)
+    code = main(["trace", "--geometry", "ads", "--system", system, "--grid", "0.9999999"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "rounding floor" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

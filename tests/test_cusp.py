@@ -106,6 +106,27 @@ def test_classify_cube_hp_collapsed_degenerate_pair():
     assert got.kind == CuspKind.COLLAPSED and got.pair == (2, 5)
 
 
+def test_classify_cube_hp_adjacent_nondegenerate_walls():
+    # (0, 3) is a non-degenerate pair; making (1, 4) one too puts two
+    # non-degenerate walls side by side, which no commutation row can hold
+    # (this used to report the first failing commutator instead: here (1, 3))
+    from coxvar.halfpipe import NonDegenerateReflection
+
+    base = base_cube("hp")
+    for p1, p4 in ((base[0].p, base[3].p), (np.zeros(4), np.ones(4))):
+        data = list(base)
+        data[1], data[4] = NonDegenerateReflection(p1), NonDegenerateReflection(p4)
+        with pytest.raises(PatternViolation, match="generators 0 and 1 must commute"):
+            classify_cube("hp", data)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6, 1e8, 1e12, 1e100])
+def test_classify_cube_hp_invariant_under_rescaling(lam):
+    # rho_lambda is conjugate to rho_1 under (A, v) -> (A, v / lambda)
+    assert classify_cube("hp", base_cube("hp", lam=lam)).kind == CuspKind.CUSP
+    assert classify_cube("hp", base_cube("hp", lam=-lam)).kind == CuspKind.CUSP
+
+
 def test_classify_cube_pattern_violation():
     lift = standard_lift(0.4, "hyp")
     sub = find_cusp_subgroups(lift)[0]

@@ -1,8 +1,11 @@
 """CLI reports compared byte for byte with the files in tests/golden/.
 
 Every report here is deterministic (seeded experiments, fixed grids),
-so any change in its bytes is a change in behaviour.  When a change is
-meant, regenerate the files from the repository root with
+so any change in its bytes is a change in behaviour.  Each case also
+pins its exit code and its stderr: ``<stem>.status`` holds the line
+``exit <code>`` followed by everything the command wrote to stderr.
+When a change is meant, regenerate the files from the repository root
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -33,37 +36,56 @@ def _cases():
                    False)
     for geometry, t in (("hyp", "1"), ("ads", "0.5"), ("hp", "0.5")):
         yield f"verify-{geometry}", ["verify", "--geometry", geometry, "--t", t], False
+    for geometry, t in (("hyp", "0.5"), ("hyp", "-0.3"), ("hyp", "0"), ("ads", "-0.3"),
+                        ("ads", "0"), ("hp", "1")):
+        yield f"verify-{geometry}-t{t}", ["verify", "--geometry", geometry, f"--t={t}"], False
     for geometry in ("hyp", "ads", "hp"):
         for group in ("rect3", "cube4"):
             yield (f"cusp-{geometry}-{group}",
                    ["cusp", "--geometry", geometry, "--group", group, "--experiment",
                     "--trials", "200", "--seed", "7"], True)
+        for t in ("0.4", "-0.7"):
+            yield (f"cusp-{geometry}-cube4-t{t}",
+                   ["cusp", "--geometry", geometry, "--group", "cube4", f"--t={t}"], True)
+    yield ("cusp-hp-cube4-lam0",
+           ["cusp", "--geometry", "hp", "--group", "cube4", "--lam", "0"], True)
+    yield "cohomology-full-hyp", ["cohomology", "--target", "full-hyp"], False
 
 
 CASES = {stem: (argv, summary) for stem, argv, summary in _cases()}
 
 
+def _names(stem):
+    """The file names a case may write: report, JSON summary, status."""
+    ext = {"verify": "txt", "cohomology": "json"}.get(CASES[stem][0][0], "csv")
+    return f"{stem}.{ext}", f"{stem}.summary.json", f"{stem}.status"
+
+
 def reports(stem):
-    """{file name: text} of one case: the report, and its JSON summary if any."""
+    """{file name: text} of one case: the report and JSON summary when written, and the status."""
     argv, summary = CASES[stem]
+    report, summary_name, status = _names(stem)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report"
         extra = ["--output", str(out)]
         if summary:
             extra += ["--summary", str(Path(tmp) / "summary")]
-        with contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
             code = main(argv + extra)
-        assert code == 0, f"{stem}: exit {code}"
-        ext = "txt" if argv[0] == "verify" else "csv"
-        files = {f"{stem}.{ext}": out.read_text()}
-        if summary:
-            files[f"{stem}.summary.json"] = (Path(tmp) / "summary").read_text()
+        files = {status: f"exit {code}\n{stderr.getvalue()}"}
+        for name, path in ((report, out), (summary_name, Path(tmp) / "summary")):
+            if path.exists():
+                files[name] = path.read_text()
     return files
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_report_matches_golden(stem):
-    for name, text in reports(stem).items():
+    files = reports(stem)
+    for name in _names(stem):
+        assert (name in files) == (GOLDEN / name).exists(), f"{name}: written iff in tests/golden"
+    for name, text in files.items():
         assert text == (GOLDEN / name).read_text(), f"{name} differs from tests/golden"
 
 

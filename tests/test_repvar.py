@@ -199,6 +199,17 @@ def test_kernel_report_ill_conditioned():
             kernel_report(system, lift, tol=tol)
 
 
+@pytest.mark.parametrize("tangencies", [False, True])
+def test_kernel_report_cut_above_rounding_floor(tangencies):
+    # the normals grow like (1 - t^2)^-1/2: at t = 0.9999999 the gap ratio
+    # passes (about 1.5e3) but the values cut as zero are far above rounding,
+    # and the kernel would read 20; at t = 0.99999 it is still 11
+    system = constraint_system("ads", with_tangencies=tangencies)
+    with pytest.raises(IllConditioned, match="rounding floor"):
+        kernel_report(system, standard_lift(0.9999999, "ads"))
+    assert kernel_report(system, standard_lift(0.99999, "ads")).kernel_dim == 11
+
+
 def test_orbit_tangent():
     system = constraint_system("hyp", with_tangencies=False)
     for t in (0.5, 0.0):
