@@ -21,13 +21,18 @@ of H^n for hyperbolic and half-pipe data.  Half-pipe classes are
 invariant under the rescaling (A, v) -> (A, mu v) of the degenerate
 direction, so the translation coordinates are divided by the largest of
 1 and their absolute values before any tolerance test: every rho_lambda
-with lambda != 0 classifies as rho_1 does.
+with lambda != 0 classifies as rho_1 does.  The classifier takes a stack
+of packed vectors and runs each check on the whole stack, with the
+thresholds of geometry.classify_pair_hyp/_ads and
+halfpipe.classify_hp_dual_points; a row that fails a check raises what
+it would raise alone, the lowest such row first.
 
 The rigidity experiments perturb a cusp configuration, project back
 onto the norm + commutation variety of that base only (the norm targets
 are read off the base; the tangency conditions are deliberately left
 out: their preservation is the claim under test), and classify the
-result.  The projection problem is compiled once per experiment.  In
+result.  The projection problem is compiled once per experiment, and the
+trials are projected and classified in stacks of TRIAL_CHUNK.  In
 dimension 4 every projected configuration must come back a cusp group;
 in dimension 3 the rectangle group is flexible and splits into one
 intersecting and one disjoint opposite pair.
@@ -37,21 +42,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
 from .coxeter import gamma_cube, gamma_rect
-from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair_ads,
-                       classify_pair_hyp, coincident, eval_form)
-from .halfpipe import (DegenerateReflection, HPPointsClass, NonDegenerateReflection,
-                       classify_hp_dual_points, reflection_span_coefficient, rho_lambda)
-from .repvar import (ConstraintSystem, NoConvergence, Pair, build_constraints,
+from .geometry import (CoincidentHyperplanes, MixedTypePair, NotUnitSpacelike, PairClassAdS,
+                       PairClassHyp, QuadraticSpace, coincident, eval_form)
+from .halfpipe import (DegenerateReflection, NonDegenerateReflection,
+                       reflection_span_coefficient, rho_lambda)
+from .repvar import (ConstraintSystem, NonFiniteResidual, Pair, build_constraints,
                      find_cusp_subgroups, gauss_newton, standard_lift)
 
 DEFAULT_CLASS_TOL = 1e-7
 # Gauss-Newton stopping rule of the perturb-project trials
 MAX_ITER = 50
 TOL_RES = 1e-12
+# trials per stacked Gauss-Newton + classification pass; bounds peak memory
+TRIAL_CHUNK = 128
 
 
 class CuspError(Exception):
@@ -89,10 +97,6 @@ _OPPOSITE = {"rect": ((0, 2), (1, 3)), "cube": ((0, 3), (1, 4), (2, 5))}
 _ADJACENT = {"rect": ((0, 1), (1, 2), (2, 3), (0, 3)),
              "cube": tuple((i, j) for i in range(6) for j in range(i + 1, 6)
                            if (i, j) not in _OPPOSITE["cube"])}
-# the position of two non-degenerate hp walls, in the terms of H^n
-_HP_POINTS_POSITION = {HPPointsClass.INTERSECT: PairClassHyp.INTERSECTING,
-                       HPPointsClass.BOUNDARY_TANGENT: PairClassHyp.TANGENT_AT_INFINITY,
-                       HPPointsClass.DISJOINT: PairClassHyp.DISJOINT}
 # rectangle classes by the positions of its two opposite pairs (hyp and hp
 # read H^n positions; AdS pairs one spacelike and one timelike pair)
 _KIND_OF_POSITIONS = {
@@ -107,6 +111,15 @@ _KIND_OF_POSITIONS = {
 }
 _ADS_SPACELIKE = {PairClassAdS.INTERSECTING, PairClassAdS.TANGENT_AT_INFINITY,
                   PairClassAdS.DISJOINT}
+
+
+def _bilinear(sig, x, y):
+    """b(x, y) along the last axis, added left to right as eval_bilinear adds."""
+    terms = sig * x * y
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
 
 
 def _rect_class(geometry, classes):
@@ -125,22 +138,25 @@ def _rect_class(geometry, classes):
     return CuspClass(kind)
 
 
+_CUBE_CLASSES = (CuspClass(CuspKind.CUSP),
+                 *(CuspClass(CuspKind.UNCLASSIFIED, reason=r) for r in (
+                     "no common fixed point", "degenerate configuration",
+                     "common point not at infinity",
+                     "common point only at the degenerate end")))
+
+
 def _cube_class(rows, null_form, tol, hp):
-    """Cusp iff the walls with these rows share one point, and it is null."""
+    """Cusp iff the walls with these rows share one point, and it is null.
+
+    ``rows`` is a stack (T, 6, c) of wall rows; one CuspClass per entry.
+    """
     u, s, vt = np.linalg.svd(rows)
-    ncols = rows.shape[1]
-    small = int(np.sum(s <= tol * s[0])) + max(0, ncols - len(s))
-    if small == 0:
-        return CuspClass(CuspKind.UNCLASSIFIED, reason="no common fixed point")
-    if small > 1:
-        return CuspClass(CuspKind.UNCLASSIFIED, reason="degenerate configuration")
-    point = vt[-1]
-    qval = float(np.sum(null_form * point * point))
-    if abs(qval) > tol:
-        return CuspClass(CuspKind.UNCLASSIFIED, reason="common point not at infinity")
-    if hp and np.max(np.abs(point[:-1])) <= tol:
-        return CuspClass(CuspKind.UNCLASSIFIED, reason="common point only at the degenerate end")
-    return CuspClass(CuspKind.CUSP)
+    small = np.sum(s <= tol * s[:, :1], axis=-1) + max(0, rows.shape[-1] - s.shape[-1])
+    point = vt[:, -1]
+    qval = np.sum(null_form * point * point, axis=-1)
+    degenerate_end = hp & (np.max(np.abs(point[:, :-1]), axis=-1) <= tol)
+    code = np.select([small == 0, small > 1, np.abs(qval) > tol, degenerate_end], [1, 2, 3, 4])
+    return [_CUBE_CLASSES[c] for c in code]
 
 
 def classify_rect(geometry, data, tol=DEFAULT_CLASS_TOL):
@@ -169,7 +185,7 @@ def classify(geometry, group, data, tol=DEFAULT_CLASS_TOL):
     if group not in _OPPOSITE:
         raise ValueError(f"unknown group {group!r}")
     params, _, _, classify_at = _problem(geometry, group, data)
-    return classify_at(params, tol)
+    return classify_at(params[None], tol)[0]
 
 
 # -- perturbation experiments -------------------------------------------------
@@ -207,7 +223,8 @@ def _problem(geometry, group, base):
     refuses an adjacent non-degenerate pair: (-id, 2p) and (-id, 2q)
     commute only when p = q, so no row can stand for it.
     Returns (params, F, J, classify_at): the base packed into unknowns,
-    the two maps, and classify_at(x, tol) -> CuspClass.
+    the two maps (on one vector or a stack), and classify_at(x, tol),
+    which maps a stack x (T, n) to a list of T CuspClasses.
     """
     opposite, adjacent = _OPPOSITE[group], _ADJACENT[group]
     hp = geometry == "hp"
@@ -263,38 +280,96 @@ def _problem(geometry, group, base):
     blocks = np.array(walls)[:, None] + np.arange(dim)
     # every coordinate outside the normals: the hp dual points and coefficients c
     translations = np.setdiff1d(np.arange(len(params)), blocks[normal])
+    # the rectangle class (or the error) of each pair of position codes
+    positions = tuple(PairClassAdS if geometry == "ads" else PairClassHyp)
+    rect_classes = np.empty((len(positions),) * 2, dtype=object)
+    for c0, c1 in np.ndindex(rect_classes.shape):
+        try:
+            rect_classes[c0, c1] = _rect_class(geometry, [positions[c0], positions[c1]])
+        except PatternViolation as exc:  # raised when a row lands here
+            rect_classes[c0, c1] = exc.with_traceback(None)
 
     def same(x, w, i, j, tol):
         if not normal[i]:
-            return np.max(np.abs(w[i] - w[j])) <= tol
+            return np.max(np.abs(w[:, i] - w[:, j]), axis=-1) <= tol
         # hp: also the translations c X, each c stored after its X
-        return coincident(w[i], w[j], tol) and (not hp or np.max(np.abs(
-            x[walls[i] + dim] * w[i] - x[walls[j] + dim] * w[j])) <= tol)
+        return coincident(w[:, i], w[:, j], tol) & (not hp or np.max(np.abs(
+            x[:, walls[i] + dim, None] * w[:, i] - x[:, walls[j] + dim, None] * w[:, j]),
+            axis=-1) <= tol)
 
     def position(w, i, j, tol):
-        if not normal[i]:
-            return _HP_POINTS_POSITION[classify_hp_dual_points(w[i], w[j], tol)]
-        if geometry == "ads":
-            return classify_pair_ads(w[i], w[j], tol)
-        return classify_pair_hyp(w[i], w[j], tol)
+        """Index into ``positions`` of walls i, j per row, and the errors
+        classify_pair_hyp/_ads raise, in their order of checking."""
+        if not normal[i]:  # classify_hp_dual_points: the sign of q(p - q)
+            d = w[:, i] - w[:, j]
+            val = _bilinear(sig, d, d)
+            return np.select([val > tol, val < -tol], [0, 2], 1), []
+        x, y = w[:, i], w[:, j]
+        qx, qy = _bilinear(sig, x, x), _bilinear(sig, y, y)
+        ab = np.abs(_bilinear(sig, x, y))
+        # the codes follow the enum order of ``positions``
+        if geometry != "ads":
+            errors = [((np.abs(qx - 1) > tol) | (np.abs(qy - 1) > tol),
+                       NotUnitSpacelike("normals must satisfy q_1 = 1"))]
+            side = np.select([ab < 1 - tol, ab > 1 + tol], [0, 2], 1)
+        else:
+            x_space, x_time = np.abs(qx + 1) <= tol, np.abs(qx - 1) <= tol
+            y_space, y_time = np.abs(qy + 1) <= tol, np.abs(qy - 1) <= tol
+            errors = [(~((x_space | x_time) & (y_space | y_time)),
+                       NotUnitSpacelike("normals must satisfy q_{-1} = +-1")),
+                      ((x_space & y_time) | (x_time & y_space), MixedTypePair(
+                          "no classification for a spacelike/timelike normal pair"))]
+            side = np.select([ab > 1 + tol, ab < 1 - tol], [0, 2], 1) + 3 * ~x_space
+        errors.append((coincident(x, y, tol),
+                       CoincidentHyperplanes("X = +-Y defines a single hyperplane")))
+        return side, errors
 
     def classify_at(x, tol):
-        mu = np.max(np.abs(x[translations]), initial=1.0)
-        if mu > 1:
-            x = x.copy()
-            x[translations] /= mu
-        for (i, j), b in zip(adjacent, F(x)[rows]):
-            if abs(b) > tol:
-                raise PatternViolation(f"generators {i} and {j} must commute"
-                                       + ("" if hp else f"; b = {b:.3g}"))
-        w = x[blocks]
+        """The CuspClass of each row of the stack x (T, n).
+
+        A row that fails a check raises what a lone row raises; of
+        several, the lowest row raises.
+        """
+        x = np.array(x, dtype=float)
+        mu = np.max(np.abs(x[:, translations]), axis=-1, initial=1.0)
+        x[:, translations] /= np.where(mu > 1, mu, 1.0)[:, None]
+        out = np.empty(len(x), dtype=object)
+        pending = np.ones(len(x), dtype=bool)
+
+        def settle(mask, value):
+            out[pending & mask] = value
+            pending[mask] = False
+
+        b = F(x)[:, rows]
+        bad = np.abs(b) > tol
+        failing = bad.any(axis=-1)
+        for k in np.flatnonzero(failing):
+            a = int(np.argmax(bad[k]))
+            i, j = adjacent[a]
+            out[k] = PatternViolation(f"generators {i} and {j} must commute"
+                                      + ("" if hp else f"; b = {b[k, a]:.3g}"))
+        pending[failing] = False
+        w = x[:, blocks]
         for i, j in opposite:
-            if same(x, w, i, j, tol):
-                return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
+            settle(same(x, w, i, j, tol), CuspClass(CuspKind.COLLAPSED, pair=(i, j)))
         if group == "rect":
-            return _rect_class(geometry, [position(w, i, j, tol) for i, j in opposite])
-        cube_rows = np.hstack([sig * w, on_dual]) if hp else sig * w
-        return _cube_class(cube_rows, null_form, tol, hp)
+            sides = []
+            for i, j in opposite:
+                side, errors = position(w, i, j, tol)
+                for mask, exc in errors:
+                    settle(mask, exc)
+                sides.append(side)
+            out[pending] = rect_classes[sides[0][pending], sides[1][pending]]
+        elif pending.any():
+            cube_rows = sig * w[pending]
+            if hp:
+                cube_rows = np.concatenate(
+                    [cube_rows, np.broadcast_to(on_dual, cube_rows.shape[:-1] + (1,))], axis=-1)
+            out[pending] = _cube_class(cube_rows, null_form, tol, hp)
+        for v in out:
+            if isinstance(v, Exception):
+                raise type(v)(*v.args)
+        return list(out)
 
     return params, F, J, classify_at
 
@@ -310,23 +385,41 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     ``_problem``), and classifies.  Tangency conditions are not
     projected onto: whether they survive is exactly what the experiment
     measures.
+
+    The trials run in stacks of TRIAL_CHUNK: one gauss_newton and one
+    classify_at per stack, every row as it would run alone, so the
+    records do not depend on the chunk size.  A trial whose projection
+    does not converge in MAX_ITER steps is tallied as no_convergence
+    (residual nan); an error is raised for the lowest trial that has
+    one, as if the trials ran one after the other.
     """
+    if not (isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     base_class = classify(geometry, group, base, tol_class)
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
         raise ValueError(f"base configuration classifies as {base_class.name}, need a cusp")
     params, F, J, classify_at = _problem(geometry, group, base)
     counts = {}
     records = []
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        x0 = params + rng.uniform(-noise, noise, size=len(params))
+    for first in range(0, trials, TRIAL_CHUNK):
+        ks = range(first, min(first + TRIAL_CHUNK, trials))
+        x0 = np.array([params + np.random.default_rng([seed, k]).uniform(
+            -noise, noise, size=len(params)) for k in ks])
         try:
             x, iters, res = gauss_newton(F, J, x0, None, MAX_ITER, TOL_RES)
-            klass = classify_at(x, tol_class).name
-        except NoConvergence:
-            klass, res, iters = "no_convergence", float("nan"), MAX_ITER
-        counts[klass] = counts.get(klass, 0) + 1
-        records.append(TrialRecord(k, klass, res, iters))
+        except NonFiniteResidual as exc:
+            # the trials before the failing one come first, errors included
+            x, _, res = gauss_newton(F, J, x0[:exc.row], None, MAX_ITER, TOL_RES)
+            classify_at(x[res <= TOL_RES], tol_class)
+            raise
+        converged = res <= TOL_RES
+        klass = np.full(len(ks), "no_convergence", dtype=object)
+        klass[converged] = [c.name for c in classify_at(x[converged], tol_class)]
+        for k, name, r, it, ok in zip(ks, klass, res, iters, converged):
+            counts[name] = counts.get(name, 0) + 1
+            records.append(TrialRecord(k, name, float(r) if ok else float("nan"), int(it)))
     return ExperimentStats(base_class.name, counts, records)
 
 

@@ -156,10 +156,13 @@ def reflection_matrix(space, X, tol=DEFAULT_TOL):
 
 
 def coincident(X, Y, tol):
-    """Is X = +-Y within tol (the same hyperplane, the same reflection)?"""
-    d1 = max(abs(xi - yi) for xi, yi in zip(X, Y))
-    d2 = max(abs(xi + yi) for xi, yi in zip(X, Y))
-    return d1 <= tol or d2 <= tol
+    """Is X = +-Y within tol (the same hyperplane, the same reflection)?
+
+    The vectors run along the last axis, so stacks of vectors give one
+    answer per vector.
+    """
+    X, Y = np.asarray(X), np.asarray(Y)
+    return (np.max(np.abs(X - Y), axis=-1) <= tol) | (np.max(np.abs(X + Y), axis=-1) <= tol)
 
 
 def _resolve_tol(X, tol):

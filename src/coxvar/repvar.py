@@ -34,6 +34,7 @@ from itertools import combinations
 from math import isfinite, sqrt
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
@@ -261,14 +262,16 @@ class ConstraintSystem:
         return len(self.constraints)
 
     def maps(self, signature, start):
-        """Residual and Jacobian as functions of a flat coordinate vector x.
+        """Residual and Jacobian as functions of flat coordinate vectors x.
 
-        Block n occupies x[start[n]:start[n] + d], d = len(signature),
-        and the form is diagonal with that signature.  The residual runs
-        on float or exact (object) arrays alike; the Jacobian is built by
-        scatter: a pairing row carries scale * Q x_b in block a and
-        scale * Q x_a in block b (2 Q x_a for a norm), and -1 in the
-        linear column.
+        Block n occupies x[..., start[n]:start[n] + d], d = len(signature),
+        and the form is diagonal with that signature.  Both maps act on
+        the last axis, so a stack x of shape (..., n) gives residuals
+        (..., rows) and Jacobians (..., rows, n), each row as the lone
+        vector would.  The residual runs on float or exact (object)
+        arrays alike; the Jacobian is built by scatter: a pairing row
+        carries scale * Q x_b in block a and scale * Q x_a in block b
+        (2 Q x_a for a norm), and -1 in the linear column.
         """
         sig = np.array(signature)
         try:
@@ -284,15 +287,15 @@ class ConstraintSystem:
         rows = np.arange(len(self))[:, None]
 
         def residual_at(x):
-            r = scale * (sig * x[cols_a] * x[cols_b]).sum(axis=-1) - target
-            r[lin_rows] -= x[lin]
+            r = scale * (sig * x[..., cols_a] * x[..., cols_b]).sum(axis=-1) - target
+            r[..., lin_rows] -= x[..., lin]
             return r
 
         def jacobian_at(x):
-            J = np.zeros((len(rows), len(x)))
-            J[rows, cols_a] = scale[:, None] * (sig * x[cols_b])
-            J[rows, cols_b] += scale[:, None] * (sig * x[cols_a])
-            J[lin_rows, lin] = -1.0
+            J = np.zeros(x.shape[:-1] + (len(rows), x.shape[-1]))
+            J[..., rows, cols_a] = scale[:, None] * (sig * x[..., cols_b])
+            J[..., rows, cols_b] += scale[:, None] * (sig * x[..., cols_a])
+            J[..., lin_rows, lin] = -1.0
             return J
 
         return residual_at, jacobian_at
@@ -495,30 +498,88 @@ def known_tangent(t, geometry):
 
 # -- projection and tracing -------------------------------------------------
 
-def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
-    """Gauss-Newton least-squares iteration x <- x + lstsq(J(x), -F(x)).
+class NonFiniteResidual(np.linalg.LinAlgError):
+    """A Gauss-Newton row reached a non-finite residual; ``row`` is its
+    index in the stack and ``iterations`` the steps it had taken."""
 
-    Only the coordinates in free_idx move (all of them when None).
-    Stops once max|F(x)| <= tol_res and returns (x, iterations,
-    residual); raises NoConvergence after max_iter steps, and
-    LinAlgError on a non-finite residual (before LAPACK sees it).
+    def __init__(self, row, iterations, residual):
+        super().__init__(f"non-finite residual {residual} after {iterations} "
+                         f"Gauss-Newton steps")
+        self.row, self.iterations = row, iterations
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a, b):
+    """Minimum-norm least-squares solutions of a stack: a (T, M, N), b (T, M).
+
+    One call of the LAPACK gelsd gufunc that numpy's ``linalg.lstsq``
+    wraps, with its default rcond = eps * max(M, N) and its error
+    handling, so every row gets the bits a lone ``linalg.lstsq(a[k],
+    b[k])`` returns.
+    """
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b[..., None], np.finfo(float).eps * max(m, n),
+                                         signature="ddd->ddid")
+    return x[..., 0]
+
+
+def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
+    """Gauss-Newton least-squares iteration x <- x + lstsq(J(x), -F(x)) over a stack.
+
+    x0 is one point (n,) or a stack (T, n); F and J act on the last axis
+    as ConstraintSystem.maps does.  Only the coordinates in free_idx
+    move (all of them when None).  Every row iterates as it would alone:
+    it retires at the first iteration where max|F| <= tol_res, and the
+    rows still active share one stacked least-squares step.
+
+    A stack returns (x, iterations, residual) as arrays over its rows; a
+    row still above tol_res after max_iter steps keeps its last iterate,
+    iterations max_iter and its last residual.  A single point returns
+    (x, iterations, residual) as one vector and two scalars, and raises
+    NoConvergence instead.  A non-finite residual raises
+    NonFiniteResidual (a LinAlgError, raised before LAPACK sees the row)
+    for the lowest-index row that reaches one, with that row's own
+    iteration count.
     """
     free = slice(None) if free_idx is None else free_idx
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, ndmin=2)
+    iters = np.full(len(x), max_iter)
+    res = np.empty(len(x))
+    active = np.arange(len(x))
+    failed = None
     for it in range(max_iter + 1):
+        xa = x[active]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite: raised below
-            r = F(x)
-            res = float(np.max(np.abs(r))) if len(r) else 0.0
-        if not isfinite(res):
-            raise np.linalg.LinAlgError(f"non-finite residual {res} after {it} "
-                                        f"Gauss-Newton steps")
-        if res <= tol_res:
-            return x, it, res
+            r = F(xa)
+            res_a = np.max(np.abs(r), axis=-1, initial=0.0)
+        bad = np.flatnonzero(~np.isfinite(res_a))
+        if len(bad):
+            # rows after the first failure cannot change which row is reported
+            k = bad[0]
+            failed = (int(active[k]), it, float(res_a[k]))
+            active, xa, r, res_a = active[:k], xa[:k], r[:k], res_a[:k]
+        done = res_a <= tol_res
+        iters[active[done]] = it
+        res[active] = res_a
         if it == max_iter:
             break
-        step, *_ = np.linalg.lstsq(J(x)[:, free], -r, rcond=None)
-        x[free] += step
-    raise NoConvergence(f"residual {res:.3g} after {max_iter} Gauss-Newton steps")
+        active, xa, r = active[~done], xa[~done], r[~done]
+        if not len(active):
+            break
+        xa[:, free] += _lstsq(J(xa)[..., free], -r)
+        x[active] = xa
+    if failed is not None:
+        raise NonFiniteResidual(*failed)
+    if np.ndim(x0) > 1:
+        return x, iters, res
+    if res[0] > tol_res:
+        raise NoConvergence(f"residual {res[0]:.3g} after {max_iter} Gauss-Newton steps")
+    return x[0], int(iters[0]), float(res[0])
 
 
 def project_to_variety(system, start, max_iter=50, tol_res=1e-12):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from coxvar.cusp import (CuspKind, PatternViolation, base_cube, base_rect_ads, base_rect_hp,
-                         base_rect_hyp, classify_cube, classify_rect, rigidity_experiment)
-from coxvar.geometry import MixedTypePair, QuadraticSpace, reflection_matrix
-from coxvar.halfpipe import rho_lambda
-from coxvar.repvar import collapsed_lift_exact, find_cusp_subgroups, standard_lift
+from coxvar import cusp
+from coxvar.cusp import (TRIAL_CHUNK, CuspClass, CuspKind, PatternViolation, _problem,
+                         _rect_class, base_cube, base_rect_ads, base_rect_hp, base_rect_hyp,
+                         classify_cube, classify_rect, rigidity_experiment)
+from coxvar.geometry import (MixedTypePair, NotUnitSpacelike, PairClassHyp, QuadraticSpace,
+                             classify_pair_ads, classify_pair_hyp, coincident, reflection_matrix)
+from coxvar.halfpipe import HPPointsClass, classify_hp_dual_points, rho_lambda
+from coxvar.repvar import (NonFiniteResidual, collapsed_lift_exact, find_cusp_subgroups,
+                           gauss_newton, standard_lift)
 
 
 def test_classify_rect_hyp_examples():
@@ -193,6 +197,61 @@ def test_classification_invariant_under_signs_and_isometries():
     assert classify_cube("ads", moved, tol=1e-6).kind == CuspKind.CUSP
 
 
+def test_classify_at_stack_raises_for_lowest_row():
+    params, _, _, classify_at = _problem("hyp", "rect", base_rect_hyp())
+    unit = params.copy()
+    unit[4:8] *= 1.5  # wall 1 is no longer a unit normal; every pair still commutes
+    broken = params.copy()
+    broken[14] += 0.5  # b(wall 2, wall 3) = 0.5
+    assert [c.kind for c in classify_at(np.array([params, params]), 1e-7)] == [CuspKind.CUSP] * 2
+    with pytest.raises(NotUnitSpacelike):
+        classify_at(np.array([params, unit, broken]), 1e-7)
+    with pytest.raises(PatternViolation, match=r"^generators 2 and 3 must commute; b = 0\.5$"):
+        classify_at(np.array([params, broken, unit]), 1e-7)
+
+
+_HP_POSITION = {HPPointsClass.INTERSECT: PairClassHyp.INTERSECTING,
+                HPPointsClass.BOUNDARY_TANGENT: PairClassHyp.TANGENT_AT_INFINITY,
+                HPPointsClass.DISJOINT: PairClassHyp.DISJOINT}
+
+
+def _rect_reference(geometry, x, tol):
+    """The class of one packed rectangle from the scalar pair classifiers."""
+    if geometry == "hp":  # (p0, X1, c1, p2, X3, c3); the translations stay below 1,
+        # so classify_at does not rescale them
+        p0, x1, c1, p2, x3, c3 = x[0:3], x[3:6], x[6], x[7:10], x[10:13], x[13]
+        if np.max(np.abs(p0 - p2)) <= tol:
+            return CuspClass(CuspKind.COLLAPSED, pair=(0, 2))
+        if coincident(x1, x3, tol) and np.max(np.abs(c1 * x1 - c3 * x3)) <= tol:
+            return CuspClass(CuspKind.COLLAPSED, pair=(1, 3))
+        classes = [_HP_POSITION[classify_hp_dual_points(p0, p2, tol)],
+                   classify_pair_hyp(x1, x3, tol)]
+    else:
+        w = x.reshape(4, 4)
+        for i, j in ((0, 2), (1, 3)):
+            if coincident(w[i], w[j], tol):
+                return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
+        pair = classify_pair_ads if geometry == "ads" else classify_pair_hyp
+        classes = [pair(w[0], w[2], tol), pair(w[1], w[3], tol)]
+    return _rect_class(geometry, classes)
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads", "hp"])
+def test_stacked_rect_classes_match_pair_classifiers(geometry):
+    # projected rectangles from the base out to noise 0.3, on both sides of
+    # the tangency thresholds, at two tolerances
+    base = {"hyp": base_rect_hyp, "ads": base_rect_ads, "hp": base_rect_hp}[geometry]()
+    params, F, J, classify_at = _problem(geometry, "rect", base)
+    rng = np.random.default_rng(9)
+    scale = np.geomspace(1e-10, 0.3, 200)[:, None]
+    x, _, res = gauss_newton(F, J, params + scale * rng.uniform(-1, 1, (200, len(params))))
+    x = x[res <= 1e-12]
+    for tol in (1e-7, 1e-3):
+        expected = [_rect_reference(geometry, row, tol) for row in x]
+        assert classify_at(x, tol) == expected
+        assert len({c.kind for c in expected}) >= 2
+
+
 def test_rigidity_experiment_requires_cusp_base():
     with pytest.raises(ValueError):
         rigidity_experiment("hyp", "rect", _rect_split_hyp(), 3)
@@ -233,3 +292,51 @@ def test_rigidity_targets_from_base(group, expected):
     base = base_rect_hyp() if group == "rect" else base_cube("hyp")
     stats = rigidity_experiment("hyp", group, base, 200, noise=0.3, seed=7)
     assert stats.counts == expected
+
+
+def _record_keys(stats):
+    return [(r.trial, r.klass, repr(r.residual), r.iterations) for r in stats.records]
+
+
+def test_rigidity_records_do_not_depend_on_batching(monkeypatch):
+    # noise 30 mixes cusp, collapsed and no_convergence trials in one stack
+    base = base_cube("ads")
+    longest = 2 * TRIAL_CHUNK + 5
+    full = _record_keys(rigidity_experiment("ads", "cube", base, longest, noise=30, seed=3))
+    assert {k[1] for k in full} == {"cusp", "collapsed", "no_convergence"}
+    for n in (1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1):
+        stats = rigidity_experiment("ads", "cube", base, n, noise=30, seed=3)
+        assert _record_keys(stats) == full[:n]
+    monkeypatch.setattr(cusp, "TRIAL_CHUNK", 1)  # every trial alone
+    assert _record_keys(rigidity_experiment("ads", "cube", base, longest, noise=30,
+                                            seed=3)) == full
+
+
+@pytest.mark.parametrize("tol_class, error", [(1e-7, NonFiniteResidual),
+                                              (1e-15, PatternViolation)])
+def test_rigidity_errors_raise_in_trial_order(monkeypatch, tol_class, error):
+    # trial 5 of the first stack fails in Gauss-Newton; at a class tolerance
+    # below the projection residual, trials 0-4 fail classification first
+    def failing_at_5(F, J, x0, *args):
+        if len(x0) > 5:
+            raise NonFiniteResidual(5, 0, float("nan"))
+        return gauss_newton(F, J, x0, *args)
+
+    monkeypatch.setattr(cusp, "gauss_newton", failing_at_5)
+    with pytest.raises(error):
+        rigidity_experiment("hyp", "cube", base_cube("hyp"), 10, tol_class=tol_class)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"noise": -1.0}, "noise"),
+                                          ({"noise": math.nan}, "noise"),
+                                          ({"noise": math.inf}, "noise"),
+                                          ({"trials": -1}, "trials")])
+def test_rigidity_experiment_rejects_bad_input(kwargs, name):
+    args = {"trials": 3, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        rigidity_experiment("hyp", "rect", base_rect_hyp(), **args)
+
+
+def test_rigidity_zero_trials():
+    stats = rigidity_experiment("hyp", "rect", base_rect_hyp(), 0)
+    assert (stats.base_class, stats.counts, stats.records) == ("cusp", {}, [])

@@ -7,9 +7,10 @@ from coxvar.coxeter import gamma22, gamma_rect
 from coxvar.cusp import _problem, base_cube
 from coxvar.geometry import eval_bilinear, eval_form
 from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, NoConvergence,
-                           OverlappingConstraint, ParameterOutOfRange, SliceDegenerate,
-                           build_constraints, canonical_tangency_pairs, constraint_system,
-                           find_cusp_subgroups, find_tangency_pairs, gram_matrix,
+                           NonFiniteResidual, OverlappingConstraint, ParameterOutOfRange,
+                           SliceDegenerate, _lstsq, build_constraints, canonical_tangency_pairs,
+                           collapsed_lift_exact, constraint_system, find_cusp_subgroups,
+                           find_tangency_pairs, gauss_newton, gram_matrix,
                            hyp_norm_targets, jacobian, kernel_report, known_tangent,
                            nearest_standard_t, orbit_tangent, project_to_variety, residual,
                            residual_max, standard_lift, standard_lift_ads, standard_lift_hyp,
@@ -158,6 +159,99 @@ def test_jacobian_matches_finite_differences():
                 fd[:, col] = (F(x + e) - F(x - e)) / (2 * h)
             worst = max(worst, np.max(np.abs(jac - fd)) / np.max(np.abs(jac)))
         assert worst < 1e-6
+
+
+def test_maps_on_stacks_match_rows():
+    rng = np.random.default_rng(2)
+    system = constraint_system("hyp", with_tangencies=True)
+    lift = standard_lift_hyp(0.3)
+    hyp_maps = system.maps(lift.space.signature, {n: 5 * k for k, n in enumerate(lift.names)})
+    hp_params, *hp_maps, _ = _problem("hp", "cube", base_cube("hp"))
+    for (F, J), x0 in ((hyp_maps, lift.flatten()), (hp_maps, hp_params)):
+        xs = x0 + rng.normal(scale=0.1, size=(6, len(x0)))
+        r, jac = F(xs), J(xs)
+        assert r.shape == (6, len(F(x0))) and jac.shape == r.shape + (len(x0),)
+        for k, x in enumerate(xs):
+            assert r[k].tobytes() == F(x).tobytes()
+            assert jac[k].tobytes() == J(x).tobytes()
+    # exact (object) rows: the table lift and the collapsed lift
+    F = hyp_maps[0]
+    exact = [table_lift_exact(), collapsed_lift_exact("hyp")]
+    r = F(np.array([e.flatten() for e in exact]))
+    for k, e in enumerate(exact):
+        assert list(r[k]) == list(residual(system, e))
+    assert all(v == 0 for v in r[0])
+
+
+@pytest.mark.parametrize("shape", [(18, 30), (138, 90)])
+def test_stacked_lstsq_matches_numpy(shape):
+    # the rigidity steps (M < N) and the trace corrector (M > N), with
+    # rank-deficient members that exercise the rcond cut
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6,) + shape)
+    a[3:, 1] = a[3:, 0]
+    a[4:, :, 2] = a[4:, :, 1]
+    b = rng.normal(size=(6, shape[0]))
+    x = _lstsq(a, b)
+    for k in range(6):
+        assert x[k].tobytes() == np.linalg.lstsq(a[k], b[k], rcond=None)[0].tobytes()
+
+
+def test_stacked_lstsq_non_finite_raises():
+    # nan only: LAPACK's gelsd does not return on an infinite entry, which is
+    # why gauss_newton checks the residual before any step
+    a = np.ones((2, 3, 4))
+    a[1, 0, 0] = np.nan
+    b = np.ones((2, 3))
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        _lstsq(a, b)
+    with pytest.raises(np.linalg.LinAlgError) as lone:
+        np.linalg.lstsq(a[1], b[1], rcond=None)
+    assert str(stacked.value) == str(lone.value)
+
+
+def _root_maps():
+    """F(x) = x_0^2 - x_1 with x_1 held fixed: no real root when x_1 < 0."""
+    def F(x):
+        return x[..., :1] ** 2 - x[..., 1:]
+
+    def J(x):
+        return np.stack([2 * x[..., :1], -np.ones_like(x[..., 1:])], axis=-1)
+
+    return F, J
+
+
+def test_gauss_newton_stack_rows_run_as_alone():
+    F, J = _root_maps()
+    x0 = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 5.0], [1.0, 1.0]])
+    x, iters, res = gauss_newton(F, J, x0, free_idx=[0])
+    for k in (0, 2, 3):
+        xk, ik, rk = gauss_newton(F, J, x0[k], free_idx=[0])
+        assert (x[k].tobytes(), iters[k], res[k]) == (xk.tobytes(), ik, rk)
+    assert iters[3] == 0
+    with pytest.raises(NoConvergence, match="after 50 Gauss-Newton steps"):
+        gauss_newton(F, J, x0[1], free_idx=[0])
+    assert iters[1] == 50 and res[1] > 1e-12
+
+
+@pytest.mark.parametrize("rows, row, message", [
+    # row 2 overflows at once, row 1 after one step
+    ([[1e-200, -1.0], [1e200, -1.0]], 1, "non-finite residual inf after 1 Gauss-Newton steps"),
+    # rows 1 and 2 both fail at once
+    ([[np.nan, 1.0], [np.nan, 1.0]], 1, "non-finite residual nan after 0 Gauss-Newton steps"),
+])
+def test_gauss_newton_stack_reports_lowest_non_finite_row(rows, row, message):
+    # the lowest failing row is reported, with its own iteration count, as
+    # when the rows run one after the other
+    F, J = _root_maps()
+    x0 = np.array([[1.5, 2.0]] + rows)
+    with pytest.raises(NonFiniteResidual) as stacked:
+        gauss_newton(F, J, x0, free_idx=[0])
+    assert stacked.value.row == row
+    with pytest.raises(np.linalg.LinAlgError) as lone:
+        gauss_newton(F, J, x0[row], free_idx=[0])
+    assert str(stacked.value) == str(lone.value) == message
+    assert stacked.value.iterations == int(message.split()[-3])
 
 
 @pytest.mark.parametrize("geometry", ["hyp", "ads"])
