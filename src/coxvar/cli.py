@@ -85,13 +85,14 @@ def _verify_user_lift(args, out):
         raise ValueError(f"lift names {sorted(lift.names)} do not match the group's "
                          f"generators {sorted(racg.generators)}")
     system = build_constraints(racg, lift.norm_targets)
-    res = residual_max(system, lift)
+    with np.errstate(all="ignore"):  # a non-finite value fails the checks below
+        res = residual_max(system, lift)
+        flift = lift.as_float()
+        images = {n: reflection_matrix(flift.space, flift.vectors[n]) for n in flift.names}
+        report = verify_representation(racg, images, tol=args.tol)
     out.write(f"group: {len(racg.generators)} generators, "
               f"{len(racg.commuting_pairs)} commuting pairs\n")
     out.write(f"residual_max: {format_scalar(res)}\n")
-    flift = lift.as_float()
-    images = {n: reflection_matrix(flift.space, flift.vectors[n]) for n in flift.names}
-    report = verify_representation(racg, images, tol=args.tol)
     out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
     for f in report.failing_relations:
         out.write(f"FAIL {f}\n")
@@ -163,11 +164,11 @@ def cmd_trace(args):
 # -- cohomology --------------------------------------------------------------
 
 _COH_TARGETS = {
-    "r13": ("collapsed holonomy on R^{1,3}", 4),
-    "so13": ("adjoint on so(1,3)", 6),
-    "full-hyp": ("adjoint on so(1,4)", 10),
-    "full-ads": ("adjoint on so(2,3)", 10),
-    "full-hp": ("adjoint on isom(R^{1,3})", 10),
+    "r13": "collapsed holonomy on R^{1,3}",
+    "so13": "adjoint on so(1,3)",
+    "full-hyp": "adjoint on so(1,4)",
+    "full-ads": "adjoint on so(2,3)",
+    "full-hp": "adjoint on isom(R^{1,3})",
 }
 
 
@@ -175,21 +176,16 @@ def cmd_cohomology(args):
     racg = gamma22()
     if args.target == "r13":
         rep = coh.rho0_rep()
-        split = None
     elif args.target == "so13":
         rep = coh.so13_adjoint_rep()
-        split = None
     else:
-        geometry = args.target.split("-", 1)[1]
-        rep = coh.adjoint_collapsed_rep(geometry)
-        split = "pending"
+        rep = coh.adjoint_collapsed_rep(args.target.split("-", 1)[1])
     report = coh.cohomology_report(racg, rep)
-    if split is not None:
-        split = list(coh.split_h1(racg, rep, report))
+    split = list(coh.split_h1(racg, rep, report)) if args.target.startswith("full-") else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "group": "gamma22",
-        "rep_name": _COH_TARGETS[args.target][0],
+        "rep_name": _COH_TARGETS[args.target],
         "dimV": rep.dimV,
         "dimZ1": report.dimZ1,
         "dimB1": report.dimB1,

@@ -253,22 +253,23 @@ def verify_representation(racg, rep, tol=1e-10):
     """Check squares, commutators, and distinctness of commuting images.
 
     Failures are reported rather than raised; max_defect is the largest
-    deviation from the identity over all relation checks.
+    deviation from the identity over all relation checks.  A non-finite
+    defect fails its check and makes max_defect non-finite too.
     """
     mats = {name: _as_matrix(rep[name]) for name in racg.generators}
     ident = _identity_like(next(iter(mats.values())))
     failures = []
-    max_defect = 0.0
+    defects = [0.0]
+
+    def check(d, label):
+        defects.append(d)
+        if not d <= tol:  # nan compares False
+            failures.append(label)
+
     for name, m in mats.items():
-        d = _max_abs(m @ m - ident)
-        max_defect = max(max_defect, d)
-        if d > tol:
-            failures.append(f"square:{name}")
+        check(_max_abs(m @ m - ident), f"square:{name}")
     for a, b in racg.commuting_name_pairs():
-        d = _max_abs(mats[a] @ mats[b] - mats[b] @ mats[a])
-        max_defect = max(max_defect, d)
-        if d > tol:
-            failures.append(f"commutator:{a},{b}")
+        check(_max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]), f"commutator:{a},{b}")
         if _max_abs(mats[a] - mats[b]) <= tol:
             failures.append(f"coincide:{a},{b}")
-    return VerificationReport(max_defect, failures)
+    return VerificationReport(float(np.max(defects)), failures)

@@ -182,8 +182,6 @@ def classify_cube(geometry, data, tol=DEFAULT_CLASS_TOL):
 
 def classify(geometry, group, data, tol=DEFAULT_CLASS_TOL):
     """Pack ``data`` as ``_problem`` does and classify the packed vector."""
-    if group not in _OPPOSITE:
-        raise ValueError(f"unknown group {group!r}")
     params, _, _, classify_at = _problem(geometry, group, data)
     return classify_at(params[None], tol)[0]
 
@@ -226,6 +224,8 @@ def _problem(geometry, group, base):
     the two maps (on one vector or a stack), and classify_at(x, tol),
     which maps a stack x (T, n) to a list of T CuspClasses.
     """
+    if group not in _OPPOSITE:
+        raise ValueError(f"unknown group {group!r}")
     opposite, adjacent = _OPPOSITE[group], _ADJACENT[group]
     hp = geometry == "hp"
     if not hp:
@@ -397,10 +397,10 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    base_class = classify(geometry, group, base, tol_class)
+    params, F, J, classify_at = _problem(geometry, group, base)
+    base_class = classify_at(params[None], tol_class)[0]
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
         raise ValueError(f"base configuration classifies as {base_class.name}, need a cusp")
-    params, F, J, classify_at = _problem(geometry, group, base)
     counts = {}
     records = []
     for first in range(0, trials, TRIAL_CHUNK):

@@ -12,10 +12,12 @@ accepts whatever PairMatrix.of does and returns PairMatrix, ranks or
 pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
-over Z[sqrt 2] with a gcd reduction of each new row.  On the cocycle
-systems of the 22-generator group the coefficients never grow beyond a
-few bits, and one 800 x 88 system reduces in a few hundredths of a
-second.
+over Z[sqrt 2] directly on the a, b arrays of a PairMatrix: each pivot
+is one array step on every row that meets its column, and each of those
+rows is then divided by its gcd.  The same int64/Python-int switch
+guards every step.  On the cocycle systems of the 22-generator group
+the coefficients never grow beyond a few bits, and the 800 x 88 full-ads
+system reduces in about 15 ms (Python 3.11, numpy 2.4, one core).
 """
 
 from __future__ import annotations
@@ -203,110 +205,83 @@ class PairMatrix:
         return np.asarray(_quotient(self.a, self.den) + _quotient(self.b, self.den) * sqrt(2.0))
 
 
-# -- fraction-free elimination on (int, int) rows -------------------------
+# -- fraction-free elimination on the integer arrays ----------------------
 
-def _rows(pm):
-    """Nonzero rows of a pair matrix as lists of (a, b) Python int pairs.
-
-    Zero rows and the common denominator are dropped: neither changes
-    a rank, pivot or solution.
-    """
-    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=1)
-    return [list(zip(ra, rb)) for ra, rb in zip(pm.a[keep].tolist(), pm.b[keep].tolist())]
-
-
-def _reduce_row(row):
-    g = 0
-    for a, b in row:
-        g = gcd(g, gcd(abs(a), abs(b)))
-        if g == 1:
-            return row
-    if g <= 1:
-        return row
-    return [(a // g, b // g) for a, b in row]
-
-
-def _eliminate(row, piv, col):
-    """row := piv[col]*row - row[col]*piv in Z[sqrt2], then gcd-reduced."""
-    pa, pb = piv[col]
-    ra, rb = row[col]
-    new = [(pa * xa + 2 * pb * xb - (ra * ya + 2 * rb * yb),
-            pa * xb + pb * xa - (ra * yb + rb * ya))
-           for (xa, xb), (ya, yb) in zip(row, piv)]
-    return _reduce_row(new)
-
-
-def _echelon(rows, ncols):
-    """Fraction-free reduced row echelon form of nonzero integer-pair rows.
+def _echelon(pm, ncols):
+    """Fraction-free reduced row echelon form of a PairMatrix over Z[sqrt 2].
 
     Pivots are taken in the first ``ncols`` columns only; columns past
-    them are carried along (right-hand sides).  Returns (pivot_rows,
-    pivot_cols, rest): pivot_rows[k] has its pivot in column
-    pivot_cols[k] (increasing) and zeros in every other pivot column;
-    ``rest`` holds the nonzero rows left over, which are zero in the
-    first ``ncols`` columns.
+    them are carried along (right-hand sides).  Zero rows and the common
+    denominator are dropped: neither changes a rank, pivot or solution.
+    Each pivot is one array step on the rows that meet its column,
+    row := p*row - row[col]*pivot, and each of those rows is divided by
+    its gcd.  Returns (a, b, pivot_cols, rest): row k of the integer
+    arrays a, b has its pivot in column pivot_cols[k] (increasing) and
+    zeros in every other pivot column; ``rest`` says whether a nonzero
+    row is left over, which is zero in the first ``ncols`` columns.
     """
-    work = list(rows)
-    pivots = []
-    pivot_cols = []
+    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=1)
+    a, b = pm.a[keep], pm.b[keep]
+    is_pivot = np.zeros(len(a), dtype=bool)
+    pivot_rows, pivot_cols = [], []
     for col in range(ncols):
-        pivot_idx = None
-        best = None
-        for i, r in enumerate(work):
-            pa, pb = r[col]
-            if pa or pb:
-                size = abs(pa) + abs(pb)
-                if best is None or size < best:
-                    best = size
-                    pivot_idx = i
-                    if size <= 2:
-                        break
-        if pivot_idx is None:
+        nonzero = (a[:, col] != 0) | (b[:, col] != 0)
+        candidates = np.flatnonzero(nonzero & ~is_pivot)
+        if not candidates.size:
             continue
-        piv = work.pop(pivot_idx)
-        remaining = []
-        for r in work:
-            if r[col] != (0, 0):
-                r = _eliminate(r, piv, col)
-                if not any(a or b for a, b in r):
-                    continue
-            remaining.append(r)
-        work = remaining
-        pivots = [_eliminate(r, piv, col) if r[col] != (0, 0) else r for r in pivots]
-        pivots.append(piv)
+        p = candidates[np.argmin(np.abs(a[candidates, col]) + np.abs(b[candidates, col]))]
+        rows = np.flatnonzero(nonzero)
+        rows = rows[rows != p]
+        m = max(_max_abs(a), _max_abs(b))
+        a, b = _int_arrays(6 * m * m, a, b)
+        pa, pb = a[p, col], b[p, col]
+        ra, rb = a[rows, col, None], b[rows, col, None]
+        xa, xb = a[rows], b[rows]
+        new_a = pa * xa + 2 * pb * xb - (ra * a[p] + 2 * rb * b[p])
+        new_b = pa * xb + pb * xa - (ra * b[p] + rb * a[p])
+        g = np.gcd(np.gcd.reduce(new_a, axis=1), np.gcd.reduce(new_b, axis=1))
+        g[g == 0] = 1
+        a[rows] = new_a // g[:, None]
+        b[rows] = new_b // g[:, None]
+        is_pivot[p] = True
+        pivot_rows.append(p)
         pivot_cols.append(col)
-    return pivots, pivot_cols, work
+    rest = ((a[~is_pivot] != 0) | (b[~is_pivot] != 0)).any()
+    return a[pivot_rows], b[pivot_rows], pivot_cols, bool(rest)
 
 
-def _back_substitute(pivots, pivot_cols, rhs, shape, ones=()):
-    """The PairMatrix x of ``shape`` with x[pivot_cols[k], j] = rhs[k][j] / pivot k,
-    x[i, j] = 1 for each (i, j) in ``ones`` and zeros elsewhere.
+def _back_substitute(a, b, pivot_cols, rhs, nrows, unit_rows=()):
+    """The PairMatrix x with x[pivot_cols[k]] = rhs[k] / pivot k, x[unit_rows[j], j] = 1
+    and zeros elsewhere.
 
-    c / p is c * conj(p) / norm(p); every entry is written over the lcm
-    of the pivot norms and the result is reduced, so it equals
-    PairMatrix.of of the same quotients as QSqrt2 values.
+    ``a``, ``b`` are the pivot rows _echelon returns and ``rhs`` the
+    (a, b) arrays of the numerators, one row per pivot.  c / p is
+    c * conj(p) / norm(p); every entry is written over the lcm of the
+    pivot norms and the result is reduced, so it equals PairMatrix.of of
+    the same quotients as QSqrt2 values.
     """
-    piv = [row[col] for row, col in zip(pivots, pivot_cols)]
-    norms = [pa * pa - 2 * pb * pb for pa, pb in piv]  # nonzero: sqrt 2 is irrational
+    k = np.arange(len(pivot_cols))
+    pa, pb = a[k, pivot_cols].tolist(), b[k, pivot_cols].tolist()
+    norms = [x * x - 2 * y * y for x, y in zip(pa, pb)]  # nonzero: sqrt 2 is irrational
     den = lcm(*norms)
-    a = [[0] * shape[1] for _ in range(shape[0])]
-    b = [[0] * shape[1] for _ in range(shape[0])]
-    for i, j in ones:
-        a[i][j] = den
-    for (pa, pb), norm, col, cs in zip(piv, norms, pivot_cols, rhs):
-        scale = den // norm
-        for j, (ca, cb) in enumerate(cs):
-            if ca or cb:
-                a[col][j] = (ca * pa - 2 * cb * pb) * scale
-                b[col][j] = (cb * pa - ca * pb) * scale
-    return PairMatrix(np.array(a, dtype=object).reshape(shape),
-                      np.array(b, dtype=object).reshape(shape), den).reduced()
+    scale = [den // n for n in norms]
+    ca, cb = rhs
+    bound = max(3 * max(_max_abs(ca), _max_abs(cb)) * max(map(abs, pa + pb), default=0)
+                * max(map(abs, scale), default=0), den)
+    ca, cb, pa, pb, scale = _int_arrays(bound, ca, cb, *(np.array(v, dtype=object)[:, None]
+                                                          for v in (pa, pb, scale)))
+    xa = np.zeros((nrows, ca.shape[1]), dtype=ca.dtype)
+    xb = np.zeros_like(xa)
+    xa[pivot_cols] = (ca * pa - 2 * cb * pb) * scale
+    xb[pivot_cols] = (cb * pa - ca * pb) * scale
+    xa[unit_rows, np.arange(len(unit_rows))] = den
+    return PairMatrix(xa, xb, den).reduced()
 
 
 def exact_pivots(matrix):
     """Pivot columns: each column that is not in the span of the ones before it."""
     pm = PairMatrix.of(matrix)
-    return _echelon(_rows(pm), pm.shape[1])[1]
+    return _echelon(pm, pm.shape[1])[2]
 
 
 def exact_rank(matrix):
@@ -322,12 +297,9 @@ def exact_nullspace(matrix):
     """
     pm = PairMatrix.of(matrix)
     ncols = pm.shape[1]
-    pivots, pivot_cols, _ = _echelon(_rows(pm), ncols)
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    rhs = [[(-row[f][0], -row[f][1]) for f in free] for row in pivots]
-    return _back_substitute(pivots, pivot_cols, rhs, (ncols, len(free)),
-                            ones=[(f, j) for j, f in enumerate(free)])
+    a, b, pivot_cols, _ = _echelon(pm, ncols)
+    free = np.setdiff1d(np.arange(ncols), pivot_cols)
+    return _back_substitute(a, b, pivot_cols, (-a[:, free], -b[:, free]), ncols, free)
 
 
 def exact_solve(matrix, rhs):
@@ -343,11 +315,10 @@ def exact_solve(matrix, rhs):
     if single:
         r = r.reshape(-1, 1)
     ncols = pm.shape[1]
-    pivots, pivot_cols, rest = _echelon(_rows(PairMatrix.concat([pm, r], axis=1)), ncols)
+    a, b, pivot_cols, rest = _echelon(PairMatrix.concat([pm, r], axis=1), ncols)
     if rest:
         return None  # a nonzero row with no pivot: inconsistent
-    x = _back_substitute(pivots, pivot_cols, [row[ncols:] for row in pivots],
-                         (ncols, r.shape[1]))
+    x = _back_substitute(a, b, pivot_cols, (a[:, ncols:], b[:, ncols:]), ncols)
     return x[:, 0] if single else x
 
 

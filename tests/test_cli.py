@@ -263,6 +263,24 @@ def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
                  "--lift-file", str(lf)]) == 0
 
 
+@pytest.mark.parametrize("vectors", [
+    {"a": ["1e100", "1e100", "1.0", "0.0"], "b": ["0.0", "0.0", "0.0", "1.0"]},  # m @ m overflows
+    {"a": ["1e308", "0.0", "1.0", "0.0"], "b": ["0.0", "0.0", "0.0", "1.0"]},    # q(a) overflows
+], ids=["1e100", "1e308"])
+def test_verify_non_finite_lift(capsys, tmp_path, vectors):
+    # non-finite residuals or defects fail verification without numpy warnings
+    gf = tmp_path / "group.json"
+    lf = tmp_path / "lift.json"
+    gf.write_text(json.dumps(_GROUP))
+    lf.write_text(json.dumps({"signature": [-1, 1, 1, 1], "norm_targets": {"a": 1, "b": 1},
+                              "vectors": vectors}))
+    code = main(["verify", "--geometry", "hyp", "--group-file", str(gf), "--lift-file", str(lf)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "FAIL square:a" in captured.out
+
+
 _NAMES = st.sampled_from("abc")
 _SCALARS = st.sampled_from(["0", "1", "-1", "1/2", "sqrt2", "1-sqrt2", "0.5", "-2.0", "x", "", "1/0"])
 

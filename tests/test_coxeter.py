@@ -123,6 +123,22 @@ def test_verify_flags_coincidences():
     assert len(report.failing_relations) == 80
 
 
+def test_verify_fails_non_finite_images():
+    # max() skips a nan defect and nan > tol is False: both used to pass it
+    rep = _reflection_images(standard_lift_hyp(0.5))
+    rep["0+"] = np.full((5, 5), np.nan)
+    report = verify_representation(gamma22(), rep, tol=1e-12)
+    assert not report.ok and np.isnan(report.max_defect)
+    touching = [f"commutator:{a},{b}" for a, b in gamma22().commuting_name_pairs()
+                if "0+" in (a, b)]
+    assert report.failing_relations == ["square:0+"] + touching
+    # an infinite defect is reported as it is
+    rep["0+"] = np.full((5, 5), np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf in the defects
+        report = verify_representation(gamma22(), rep, tol=1e-12)
+    assert not report.ok and not np.isfinite(report.max_defect)
+
+
 def test_verify_collapsed_representation_exact():
     lift = collapsed_lift_exact("hyp")
     rep = {n: reflection_matrix(lift.space, lift.vectors[n]) for n in lift.names}

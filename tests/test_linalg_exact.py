@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxvar.linalg_exact import (PairMatrix, exact_in_span, exact_inverse, exact_nullspace,
-                                 exact_pivots, exact_rank, exact_solve)
+from coxvar.linalg_exact import (PairMatrix, _echelon, exact_in_span, exact_inverse,
+                                 exact_nullspace, exact_pivots, exact_rank, exact_solve)
 from coxvar.scalars import QSqrt2
 
 
@@ -206,6 +206,54 @@ def test_overflow_guard_stays_exact(n, k, data):
     assert _same(prod - prod, x @ y - x @ y) and (prod - prod).is_zero()
     assert exact_rank(x) == _rref_rank(x, k)
     assert (px @ exact_nullspace(x)).is_zero()
+
+
+near_2_20 = st.integers(2 ** 19, 2 ** 20) | st.integers(-2 ** 20, -2 ** 19)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.data())
+def test_elimination_crosses_int64_guard(nrows, ncols, data):
+    # 6 * max|entry|**2 is below 2**62 for the input, but the fraction-free
+    # steps square the entries until the rows run on Python ints
+    m = _matrix(data, nrows, ncols, st.builds(QSqrt2, near_2_20, near_2_20))
+    pm = PairMatrix.of(m)
+    assert pm.a.dtype == np.int64
+    assume(_echelon(pm, ncols)[0].dtype == object)
+    r = exact_rank(m)
+    assert r == _rref_rank(m, ncols)
+    ns = exact_nullspace(m)
+    assert ns.shape == (ncols, ncols - r) and _canonical(ns) and (pm @ ns).is_zero()
+    b = m @ _matrix(data, ncols, 2, st.builds(QSqrt2, small, small))
+    x = exact_solve(m, b)
+    assert _canonical(x) and (pm @ x - PairMatrix.of(b)).is_zero()
+
+
+def _identical(x, y):
+    """Both None, or the same den and the same integer arrays."""
+    if x is None or y is None:
+        return x is y
+    return (x.den == y.den and x.a.dtype == y.a.dtype
+            and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_row_permutation_invariance(nrows, ncols, data):
+    # the results are canonical, so the order of the equations cannot show
+    m = _matrix(data, nrows, ncols)
+    perm = data.draw(st.permutations(range(nrows)))
+    permuted = m[perm]
+    assert exact_pivots(permuted) == exact_pivots(m)
+    assert len(exact_pivots(m)) == _rref_rank(m, ncols)
+    ns = exact_nullspace(m)
+    assert _canonical(ns) and _identical(exact_nullspace(permuted), ns)
+    b = m @ _matrix(data, ncols, 2)
+    x = exact_solve(m, b)
+    assert _canonical(x) and _identical(exact_solve(permuted, b[perm]), x)
+    # a random right-hand side, consistent or not (None), gives the same answer
+    c = _matrix(data, nrows, 1)
+    assert _identical(exact_solve(permuted, c[perm]), exact_solve(m, c))
 
 
 def test_scalar_beyond_int64():
