@@ -30,7 +30,7 @@ import numpy as np
 from . import cohomology as coh
 from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
-from .geometry import GeometryError, classify_pair_ads, classify_pair_hyp, reflection_matrix
+from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
 from .halfpipe import HalfPipeError, rho_lambda
 from .repvar import (IllConditioned, Lift, NoConvergence, build_constraints,
                      constraint_system, gram_matrix, kernel_report, residual_max,
@@ -245,32 +245,26 @@ def cmd_cusp(args):
 
 # -- gram --------------------------------------------------------------------
 
-def _pair_label(geometry, lift, a, b, tol=1e-9):
-    try:
-        if geometry == "hyp":
-            return classify_pair_hyp(lift.vectors[a], lift.vectors[b], tol).value
-        return classify_pair_ads(lift.vectors[a], lift.vectors[b], tol).value
-    except GeometryError as exc:  # mixed/degenerate pairs are reported, not fatal
-        return type(exc).__name__
-
-
 def cmd_gram(args):
     lift = standard_lift(args.t, args.geometry)
     gram = gram_matrix(lift)
     names = lift.names
+    rows, cols = np.triu_indices(len(names))
+    values = gram[rows, cols]
+    labels = np.where(rows == cols, "norm", "orthogonal").astype(object)
+    paired = (rows != cols) & ~(np.abs(values) <= 1e-9)
+    vectors = np.array([lift.vectors[n] for n in names])
+    codes, errors = pair_positions(args.geometry, vectors[rows[paired]], vectors[cols[paired]],
+                                   1e-9)
+    classes = np.array([c.value for c in POSITION_CLASSES[args.geometry]], dtype=object)
+    pair_labels = classes[codes]
+    # mixed/degenerate pairs are reported, not fatal: the first failed check names them
+    for mask, exc in reversed(errors):
+        pair_labels[mask] = type(exc).__name__
+    labels[paired] = pair_labels
     lines = ["# coxvar gram v1", "a,b,value,classification"]
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if j < i:
-                continue
-            v = gram[i, j]
-            if i == j:
-                label = "norm"
-            elif abs(v) <= 1e-9:
-                label = "orthogonal"
-            else:
-                label = _pair_label(args.geometry, lift, a, b)
-            lines.append(f"{a},{b},{format_scalar(v)},{label}")
+    lines.extend(f"{names[i]},{names[j]},{format_scalar(v)},{label}"
+                 for i, j, v, label in zip(rows, cols, values, labels))
     _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -363,8 +357,9 @@ def main(argv=None):
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (NoConvergence, IllConditioned, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a ValueError, so it is caught before bad input
+    except (NoConvergence, IllConditioned, np.linalg.LinAlgError, OverflowError) as exc:
+        # LinAlgError is a ValueError, so it is caught before bad input; an
+        # OverflowError is an exact value too large for a float
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, GeometryError, RelationError,

@@ -17,15 +17,16 @@ linearly: a common b-orthogonal null vector of the six normals (in
 half-pipe geometry, a common boundary point of the dual data), which
 avoids accumulating pairwise tolerance errors.  For the rectangle the
 classification is by the two opposite-pair positions, read in the terms
-of H^n for hyperbolic and half-pipe data.  Half-pipe classes are
+of H^n for hyperbolic and half-pipe data: geometry.pair_positions, the
+one home of the position thresholds and checks, gives them for the whole
+stack at once.  Half-pipe classes are
 invariant under the rescaling (A, v) -> (A, mu v) of the degenerate
 direction, so the translation coordinates are divided by the largest of
 1 and their absolute values before any tolerance test: every rho_lambda
 with lambda != 0 classifies as rho_1 does.  The classifier takes a stack
-of packed vectors and runs each check on the whole stack, with the
-thresholds of geometry.classify_pair_hyp/_ads and
-halfpipe.classify_hp_dual_points; a row that fails a check raises what
-it would raise alone, the lowest such row first.
+of packed vectors and runs each check on the whole stack; a row that
+fails a check raises what it would raise alone, the lowest such row
+first.
 
 The rigidity experiments perturb a cusp configuration, project back
 onto the norm + commutation variety of that base only (the norm targets
@@ -47,8 +48,8 @@ from math import isfinite
 import numpy as np
 
 from .coxeter import gamma_cube, gamma_rect
-from .geometry import (CoincidentHyperplanes, MixedTypePair, NotUnitSpacelike, PairClassAdS,
-                       PairClassHyp, QuadraticSpace, coincident, eval_form)
+from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, coincident, eval_form,
+                       pair_positions)
 from .halfpipe import (DegenerateReflection, NonDegenerateReflection,
                        reflection_span_coefficient, rho_lambda)
 from .repvar import (ConstraintSystem, NonFiniteResidual, Pair, build_constraints,
@@ -111,15 +112,6 @@ _KIND_OF_POSITIONS = {
 }
 _ADS_SPACELIKE = {PairClassAdS.INTERSECTING, PairClassAdS.TANGENT_AT_INFINITY,
                   PairClassAdS.DISJOINT}
-
-
-def _bilinear(sig, x, y):
-    """b(x, y) along the last axis, added left to right as eval_bilinear adds."""
-    terms = sig * x * y
-    total = terms[..., 0]
-    for k in range(1, terms.shape[-1]):
-        total = total + terms[..., k]
-    return total
 
 
 def _rect_class(geometry, classes):
@@ -297,33 +289,6 @@ def _problem(geometry, group, base):
             x[:, walls[i] + dim, None] * w[:, i] - x[:, walls[j] + dim, None] * w[:, j]),
             axis=-1) <= tol)
 
-    def position(w, i, j, tol):
-        """Index into ``positions`` of walls i, j per row, and the errors
-        classify_pair_hyp/_ads raise, in their order of checking."""
-        if not normal[i]:  # classify_hp_dual_points: the sign of q(p - q)
-            d = w[:, i] - w[:, j]
-            val = _bilinear(sig, d, d)
-            return np.select([val > tol, val < -tol], [0, 2], 1), []
-        x, y = w[:, i], w[:, j]
-        qx, qy = _bilinear(sig, x, x), _bilinear(sig, y, y)
-        ab = np.abs(_bilinear(sig, x, y))
-        # the codes follow the enum order of ``positions``
-        if geometry != "ads":
-            errors = [((np.abs(qx - 1) > tol) | (np.abs(qy - 1) > tol),
-                       NotUnitSpacelike("normals must satisfy q_1 = 1"))]
-            side = np.select([ab < 1 - tol, ab > 1 + tol], [0, 2], 1)
-        else:
-            x_space, x_time = np.abs(qx + 1) <= tol, np.abs(qx - 1) <= tol
-            y_space, y_time = np.abs(qy + 1) <= tol, np.abs(qy - 1) <= tol
-            errors = [(~((x_space | x_time) & (y_space | y_time)),
-                       NotUnitSpacelike("normals must satisfy q_{-1} = +-1")),
-                      ((x_space & y_time) | (x_time & y_space), MixedTypePair(
-                          "no classification for a spacelike/timelike normal pair"))]
-            side = np.select([ab > 1 + tol, ab < 1 - tol], [0, 2], 1) + 3 * ~x_space
-        errors.append((coincident(x, y, tol),
-                       CoincidentHyperplanes("X = +-Y defines a single hyperplane")))
-        return side, errors
-
     def classify_at(x, tol):
         """The CuspClass of each row of the stack x (T, n).
 
@@ -355,7 +320,9 @@ def _problem(geometry, group, base):
         if group == "rect":
             sides = []
             for i, j in opposite:
-                side, errors = position(w, i, j, tol)
+                # hp: one pair of dual points, one pair of H^n normals
+                kind = ("ads" if geometry == "ads" else "hyp") if normal[i] else "hp"
+                side, errors = pair_positions(kind, w[:, i], w[:, j], tol)
                 for mask, exc in errors:
                     settle(mask, exc)
                 sides.append(side)

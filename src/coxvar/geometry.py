@@ -12,10 +12,16 @@ two hyperplanes is read off the bilinear pairing of their unit normals:
 infinity, and disjoint in the hyperbolic case, with the inequalities
 reversed for spacelike AdS hyperplanes.
 
+The forms and the position test act on the last axis: a stack of
+vectors gives one value (one position) per vector, each with the bits
+of the lone vector.  ``pair_positions`` holds every position threshold
+and check; the classifiers of one pair are that test on one pair.
+
 All operations run on either backend: numpy float arrays with a
 tolerance, or exact data with exact zero tests (tol=0).  Exact vectors
-are sequences of QSqrt2 (or a PairMatrix, for reflection_matrix), and
-an exact reflection is a linalg_exact.PairMatrix.
+are sequences or object arrays of QSqrt2 (or a PairMatrix, for
+reflection_matrix), and an exact reflection is a
+linalg_exact.PairMatrix.
 """
 
 from __future__ import annotations
@@ -120,18 +126,44 @@ class PairClassAdS(Enum):
     TIMELIKE_INTERSECTION = "timelike_intersection"
 
 
+class HPPointsClass(Enum):
+    """Half-pipe hyperplanes dual to two points of R^{1,n-1}."""
+
+    INTERSECT = "intersect"
+    BOUNDARY_TANGENT = "boundary_tangent"
+    DISJOINT = "disjoint"
+
+
+# the classes of pair_positions, its codes in this order
+POSITION_CLASSES = {"hyp": tuple(PairClassHyp), "ads": tuple(PairClassAdS),
+                    "hp": tuple(HPPointsClass)}
+
+
 def eval_form(space, x):
-    """q(x) for the space's diagonal form."""
-    if len(x) != space.dim:
-        raise DimensionMismatch(f"vector has length {len(x)}, space has dim {space.dim}")
-    return sum(s * xi * xi for s, xi in zip(space.signature, x) if s)
+    """q(x) for the space's diagonal form, along the last axis of x."""
+    return eval_bilinear(space, x, x)
 
 
 def eval_bilinear(space, x, y):
-    """b(x, y), the symmetric bilinear form polarising q."""
-    if len(x) != space.dim or len(y) != space.dim:
-        raise DimensionMismatch("vector length must equal the space dimension")
-    return sum(s * xi * yi for s, xi, yi in zip(space.signature, x, y) if s)
+    """b(x, y), the symmetric bilinear form polarising q, along the last axis.
+
+    Float or exact (object) arrays alike.  The terms s x_k y_k with s != 0
+    are added left to right from 0, as Python's sum adds them, so every
+    entry of a stack has the bits of the sum over its lone vectors.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape[-1:] != (space.dim,) or y.shape[-1:] != (space.dim,):
+        raise DimensionMismatch(f"vectors must run along a last axis of length {space.dim}")
+    sig = np.array(space.signature)
+    if 0 in space.signature:
+        keep = np.flatnonzero(sig)
+        sig, x, y = sig[keep], x[..., keep], y[..., keep]
+    terms = sig * x * y
+    if not terms.shape[-1]:
+        return terms.sum(axis=-1)  # no term: 0 per vector
+    # accumulate adds left to right; the final + 0 turns -0.0 into 0.0, as
+    # a sum started at 0 does, and changes no other value
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0
 
 
 def reflection_matrix(space, X, tol=DEFAULT_TOL):
@@ -171,59 +203,66 @@ def _resolve_tol(X, tol):
     return 0 if is_exact(X) else DEFAULT_TOL
 
 
-def classify_pair_hyp(X, Y, tol=None):
-    """Relative position of the hyperbolic hyperplanes normal to X and Y.
+def pair_positions(geometry, X, Y, tol):
+    """Positions of the hyperplane pairs (X, Y), vectors along the last axis.
 
-    Requires unit spacelike normals (q_1 = 1).  Intersecting iff
-    |b_1(X,Y)| < 1, tangent at infinity iff |b_1| = 1, disjoint closures
-    iff |b_1| > 1 (thresholds widened by tol on the float backend).
+    "hyp", unit spacelike normals (q = 1): intersecting iff |b| < 1,
+    tangent at infinity iff |b| = 1, disjoint closures iff |b| > 1.
+    "ads", normals of equal type: a spacelike pair (q = -1) intersects
+    iff |b| > 1, is tangent at infinity iff = 1, disjoint iff < 1; a
+    timelike pair (q = +1) always meets, in a spacelike, lightlike or
+    timelike intersection as |b| >, =, < 1.  "hp", points of R^{1,n-1}:
+    the dual half-pipe hyperplanes intersect, are tangent at the
+    boundary or have disjoint closures as q(X - Y) >, =, < 0.  Every
+    threshold is widened by tol.
+
+    Returns (codes, errors): per pair the index of its class in
+    POSITION_CLASSES[geometry], and the checks a pair must pass first as
+    (mask, exception) in the order they are made (unit norms, mixed
+    type, coincident), each mask true where the check fails.
     """
-    tol = _resolve_tol(X, tol)
-    space = QuadraticSpace.hyperbolic(len(X) - 1)
-    for v in (X, Y):
-        if abs(eval_form(space, v) - 1) > tol:
-            raise NotUnitSpacelike("normals must satisfy q_1 = 1")
-    if coincident(X, Y, tol):
-        raise CoincidentHyperplanes("X = +-Y defines a single hyperplane")
+    X, Y = np.asarray(X), np.asarray(Y)
+    if geometry == "hp":
+        val = eval_form(QuadraticSpace.minkowski(X.shape[-1]), X - Y)
+        return np.select([val > tol, val < -tol], [0, 2], 1), []
+    space = QuadraticSpace.for_geometry(geometry, X.shape[-1] - 1)
+    qx, qy = eval_form(space, X), eval_form(space, Y)
     ab = abs(eval_bilinear(space, X, Y))
-    if ab < 1 - tol:
-        return PairClassHyp.INTERSECTING
-    if ab > 1 + tol:
-        return PairClassHyp.DISJOINT
-    return PairClassHyp.TANGENT_AT_INFINITY
+    if geometry == "hyp":
+        errors = [((abs(qx - 1) > tol) | (abs(qy - 1) > tol),
+                   NotUnitSpacelike("normals must satisfy q_1 = 1"))]
+        codes = np.select([ab < 1 - tol, ab > 1 + tol], [0, 2], 1)
+    else:
+        # logical_not and where, not ~: exact data compares to Python bools
+        x_space, x_time = abs(qx + 1) <= tol, abs(qx - 1) <= tol
+        y_space, y_time = abs(qy + 1) <= tol, abs(qy - 1) <= tol
+        errors = [(np.logical_not((x_space | x_time) & (y_space | y_time)),
+                   NotUnitSpacelike("normals must satisfy q_{-1} = +-1")),
+                  ((x_space & y_time) | (x_time & y_space),
+                   MixedTypePair("no classification for a spacelike/timelike normal pair"))]
+        codes = np.select([ab > 1 + tol, ab < 1 - tol], [0, 2], 1) + np.where(x_space, 0, 3)
+    errors.append((coincident(X, Y, tol),
+                   CoincidentHyperplanes("X = +-Y defines a single hyperplane")))
+    return codes, errors
+
+
+def classify_pair(geometry, X, Y, tol=None):
+    """The class of one pair: pair_positions on one pair, raising the
+    exception of the first check it fails."""
+    code, errors = pair_positions(geometry, X, Y, _resolve_tol(X, tol))
+    for mask, exc in errors:
+        if mask:
+            raise exc
+    return POSITION_CLASSES[geometry][int(code)]
+
+
+def classify_pair_hyp(X, Y, tol=None):
+    """Relative position of the hyperbolic hyperplanes normal to X and Y
+    (see pair_positions)."""
+    return classify_pair("hyp", X, Y, tol)
 
 
 def classify_pair_ads(X, Y, tol=None):
-    """Relative position of two AdS hyperplanes with normals of equal type.
-
-    Spacelike pair (q_{-1} = -1 on both): intersect iff |b_{-1}| > 1,
-    tangent at infinity iff = 1, disjoint iff < 1.  Timelike pair
-    (q_{-1} = +1): the hyperplanes always meet; the intersection is
-    spacelike iff |b_{-1}| > 1, lightlike iff = 1, timelike iff < 1.
-    """
-    tol = _resolve_tol(X, tol)
-    space = QuadraticSpace.anti_de_sitter(len(X) - 1)
-    qx = eval_form(space, X)
-    qy = eval_form(space, Y)
-    x_space = abs(qx + 1) <= tol
-    x_time = abs(qx - 1) <= tol
-    y_space = abs(qy + 1) <= tol
-    y_time = abs(qy - 1) <= tol
-    if not ((x_space or x_time) and (y_space or y_time)):
-        raise NotUnitSpacelike("normals must satisfy q_{-1} = +-1")
-    if (x_space and y_time) or (x_time and y_space):
-        raise MixedTypePair("no classification for a spacelike/timelike normal pair")
-    if coincident(X, Y, tol):
-        raise CoincidentHyperplanes("X = +-Y defines a single hyperplane")
-    ab = abs(eval_bilinear(space, X, Y))
-    if x_space:
-        if ab > 1 + tol:
-            return PairClassAdS.INTERSECTING
-        if ab < 1 - tol:
-            return PairClassAdS.DISJOINT
-        return PairClassAdS.TANGENT_AT_INFINITY
-    if ab > 1 + tol:
-        return PairClassAdS.SPACELIKE_INTERSECTION
-    if ab < 1 - tol:
-        return PairClassAdS.TIMELIKE_INTERSECTION
-    return PairClassAdS.LIGHTLIKE_INTERSECTION
+    """Relative position of two AdS hyperplanes with normals of equal type
+    (see pair_positions)."""
+    return classify_pair("ads", X, Y, tol)

@@ -24,13 +24,12 @@ classifies reflections runs on floats with a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
-from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair_hyp,
-                       eval_form, reflection_matrix)
+from .geometry import (DEFAULT_TOL, GeometryError, HPPointsClass, QuadraticSpace,
+                       classify_pair, classify_pair_hyp, eval_form, reflection_matrix)
 from .linalg_exact import PairMatrix
 from .scalars import is_exact
 
@@ -118,26 +117,14 @@ def hp_commute(a, b, tol=DEFAULT_TOL):
     return (a @ b).max_difference(b @ a) <= tol
 
 
-class HPPointsClass(Enum):
-    INTERSECT = "intersect"
-    BOUNDARY_TANGENT = "boundary_tangent"
-    DISJOINT = "disjoint"
-
-
 def classify_hp_dual_points(p, q, tol=DEFAULT_TOL):
     """Relative position of the hyperplanes dual to points p, q of R^{1,n-1}.
 
     They intersect iff p - q is spacelike, are tangent at the boundary
     iff lightlike (including p = q), and have disjoint closures iff
-    timelike.
+    timelike (geometry.pair_positions on one pair).
     """
-    d = [pi - qi for pi, qi in zip(p, q)]
-    val = eval_form(_minkowski_space(len(d)), d)
-    if val > tol:
-        return HPPointsClass.INTERSECT
-    if val < -tol:
-        return HPPointsClass.DISJOINT
-    return HPPointsClass.BOUNDARY_TANGENT
+    return classify_pair("hp", p, q, tol)
 
 
 # -- reflections -------------------------------------------------------------

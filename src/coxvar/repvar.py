@@ -322,12 +322,14 @@ def build_constraints(racg, norm_targets, tangency_pairs=None):
 def find_tangency_pairs(lift, tol=1e-9):
     """All generator pairs with |b| = 1 within tol, with the sign of b.
 
-    Raises AmbiguousNearThreshold when a pair sits between tol and
-    10*tol away from +-1: neither clearly tangent nor clearly not.
+    Read off gram_matrix, so an exact lift is censused on its float Gram
+    matrix.  Raises AmbiguousNearThreshold when a pair sits between tol
+    and 10*tol away from +-1: neither clearly tangent nor clearly not.
     """
+    gram = gram_matrix(lift)
     out = []
-    for a, b in combinations(lift.names, 2):
-        v = eval_bilinear(lift.space, lift.vectors[a], lift.vectors[b])
+    for (i, a), (j, b) in combinations(enumerate(lift.names), 2):
+        v = gram[i, j]
         gap = abs(abs(v) - 1)
         if gap <= tol:
             out.append(((a, b), 1 if v > 0 else -1))
@@ -638,16 +640,15 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
 # -- Gram matrices and the cusp census ---------------------------------------
 
 def gram_matrix(lift):
-    """Pairwise b-values in the order of lift.names (norms on the diagonal)."""
-    n = len(lift.names)
-    out = np.zeros((n, n))
-    for i, a in enumerate(lift.names):
-        for j, b in enumerate(lift.names):
-            if j < i:
-                out[i, j] = out[j, i]
-            else:
-                out[i, j] = eval_bilinear(lift.space, lift.vectors[a], lift.vectors[b])
-    return out
+    """Pairwise b-values in the order of lift.names (norms on the diagonal).
+
+    One stacked eval_bilinear over the lift's own scalars: an exact lift
+    pairs exactly and is converted to float once, at the end.
+    """
+    vectors = np.array([lift.vectors[n] for n in lift.names],
+                       dtype=object if lift.exact else float)
+    gram = eval_bilinear(lift.space, vectors[:, None], vectors[None, :])
+    return np.asarray(gram, dtype=float)
 
 
 def nearest_standard_t(lift, geometry):
@@ -676,6 +677,11 @@ def find_cusp_subgroups(lift, tol=1e-9):
     returned in cube order (a1, b1, c1, a2, b2, c2) with opposite pairs
     (a1, a2), (b1, b2), (c1, c2).
 
+    Two tangent pairs are compatible when they are disjoint and all four
+    cross pairings are orthogonal, so a cube is three mutually compatible
+    tangent pairs: a triangle of the compatibility matrix over the
+    tangent pairs.
+
     The census is meaningful where the 22 hyperplanes are distinct
     (interior parameters other than the collapse): there it returns the
     12 subsets attached to the ideal vertices.  At the collapsed lift
@@ -684,25 +690,17 @@ def find_cusp_subgroups(lift, tol=1e-9):
     instead of re-running the census.
     """
     names = lift.names
-    gram = gram_matrix(lift)
-    n = len(names)
-    tangent_pairs = [(i, j) for i, j in combinations(range(n), 2)
-                     if abs(abs(gram[i, j]) - 1) <= tol]
-    orthogonal = {(i, j) for i, j in combinations(range(n), 2) if abs(gram[i, j]) <= tol}
+    gram = np.abs(gram_matrix(lift))
+    a, b = np.nonzero(np.triu(np.abs(gram - 1) <= tol, 1))  # the tangent pairs a < b
+    orthogonal = gram <= tol
+    compatible = (orthogonal[a][:, a] & orthogonal[a][:, b] & orthogonal[b][:, a]
+                  & orthogonal[b][:, b] & (a[:, None] != a) & (a[:, None] != b)
+                  & (b[:, None] != a) & (b[:, None] != b))
     found = []
-    for triple in combinations(tangent_pairs, 3):
-        members = {k for p in triple for k in p}
-        if len(members) != 6:
-            continue
-        opposite = {tuple(sorted(p)) for p in triple}
-        ok = True
-        for i, j in combinations(sorted(members), 2):
-            if (i, j) in opposite:
-                continue
-            if (i, j) not in orthogonal:
-                ok = False
-                break
-        if ok:
-            (a1, a2), (b1, b2), (c1, c2) = sorted(opposite)
-            found.append((names[a1], names[b1], names[c1], names[a2], names[b2], names[c2]))
+    for p in range(len(a)):
+        later = np.flatnonzero(compatible[p, p + 1:]) + p + 1
+        for q in later:
+            for r in later[later > q]:
+                if compatible[q, r]:
+                    found.append(tuple(names[k] for k in (a[p], a[q], a[r], b[p], b[q], b[r])))
     return sorted(found)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coxvar.coxeter import cuboctahedron_vectors, gamma22_vectors
-from coxvar.geometry import (CoincidentHyperplanes, DegenerateNormal, DimensionMismatch,
-                             MixedTypePair, NotUnitSpacelike, PairClassAdS, PairClassHyp,
-                             QuadraticSpace, classify_pair_ads, classify_pair_hyp, eval_bilinear,
-                             eval_form, reflection_matrix)
+from coxvar.geometry import (POSITION_CLASSES, CoincidentHyperplanes, DegenerateNormal,
+                             DimensionMismatch, GeometryError, MixedTypePair, NotUnitSpacelike,
+                             PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair,
+                             classify_pair_ads, classify_pair_hyp, eval_bilinear, eval_form,
+                             pair_positions, reflection_matrix)
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import standard_lift_ads
 from coxvar.scalars import QSqrt2
@@ -157,3 +159,56 @@ def test_classification_invariance_random(seed):
     g = _random_isometry(rng, H4)
     gX, gY = g @ X, g @ Y
     assert classify_pair_hyp(gX, gY, tol=1e-7) == got
+
+
+def _python_sum(signature, x, y):
+    """b(x, y) of one pair of vectors as a generator sum over Python floats."""
+    return sum(s * xi * yi for s, xi, yi in zip(signature, x.tolist(), y.tolist()) if s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_bilinear_stack_bits_random(data):
+    dim = data.draw(st.integers(1, 6))
+    signature = tuple(data.draw(st.lists(st.sampled_from((-1, 0, 1)),
+                                         min_size=dim, max_size=dim)))
+    space = QuadraticSpace(dim, signature)
+    shape = (data.draw(st.integers(1, 5)), dim)
+    entries = st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1.0, -1.0))
+    x = data.draw(arrays(np.float64, shape, elements=entries))
+    y = data.draw(arrays(np.float64, shape, elements=entries))
+    ref = np.array([_python_sum(signature, u, v) for u, v in zip(x, y)], dtype=float)
+    got = np.asarray(eval_bilinear(space, x, y), dtype=float)
+    assert got.shape == ref.shape
+    # bit for bit, signed zeros included
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    one = np.asarray(eval_bilinear(space, x[0], y[0]), dtype=float)
+    assert one.shape == () and one.view(np.int64) == ref[:1].view(np.int64)[0]
+    assert np.array_equal(np.asarray(eval_form(space, x), dtype=float).view(np.int64),
+                          np.array([_python_sum(signature, u, u) for u in x]).view(np.int64))
+
+
+def _first_failure(errors, k):
+    return next((type(exc) for mask, exc in errors if np.asarray(mask)[k]), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(("hyp", "ads", "hp")))
+def test_pair_positions_stack_matches_one_pair(seed, geometry):
+    # a stack classifies each pair as classify_pair does alone: class or first error
+    rng = np.random.default_rng(seed)
+    space = QuadraticSpace.for_geometry("ads" if geometry == "ads" else "hyp", 4)
+    X, Y = rng.normal(size=(2, 12, 5))
+    # even rows: unit normals (of either type), two of them coincident pairs
+    X[::2] /= np.sqrt(np.abs(eval_form(space, X[::2])))[:, None]
+    Y[::2] /= np.sqrt(np.abs(eval_form(space, Y[::2])))[:, None]
+    Y[2], Y[4] = -X[2], X[4]
+    codes, errors = pair_positions(geometry, X, Y, 1e-9)
+    for k in range(12):
+        try:
+            want = classify_pair(geometry, X[k], Y[k], 1e-9)
+        except GeometryError as exc:
+            assert _first_failure(errors, k) is type(exc)
+        else:
+            assert _first_failure(errors, k) is None
+            assert POSITION_CLASSES[geometry][codes[k]] is want

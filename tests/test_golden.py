@@ -29,6 +29,8 @@ def _cases():
     """(stem, argv, summary): argv without --output; summary: also write --summary."""
     for geometry in ("hyp", "ads"):
         yield f"gram-{geometry}", ["gram", "--geometry", geometry, "--t", "0.5"], False
+        # the collapse: 28 coinciding pairs take the error-label path
+        yield f"gram-{geometry}-t0", ["gram", "--geometry", geometry, "--t", "0"], False
     for geometry in ("hyp", "ads"):
         for system in ("g", "g0"):
             yield (f"trace-{geometry}-{system}",
@@ -37,7 +39,7 @@ def _cases():
     for geometry, t in (("hyp", "1"), ("ads", "0.5"), ("hp", "0.5")):
         yield f"verify-{geometry}", ["verify", "--geometry", geometry, "--t", t], False
     for geometry, t in (("hyp", "0.5"), ("hyp", "-0.3"), ("hyp", "0"), ("ads", "-0.3"),
-                        ("ads", "0"), ("hp", "1")):
+                        ("ads", "0"), ("hp", "1"), ("hp", "1.5e308")):
         yield f"verify-{geometry}-t{t}", ["verify", "--geometry", geometry, f"--t={t}"], False
     for geometry in ("hyp", "ads", "hp"):
         for group in ("rect3", "cube4"):

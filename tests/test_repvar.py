@@ -78,6 +78,17 @@ def test_find_tangency_pairs():
     assert dict(find_tangency_pairs(standard_lift_ads(0.6))) == ads
 
 
+def test_find_tangency_pairs_exact_lifts():
+    # exact lifts are censused on their float Gram matrix
+    at_one = find_tangency_pairs(standard_lift(1.0, "hyp"))
+    assert len(at_one) == 60
+    assert find_tangency_pairs(table_lift_exact()) == at_one
+    for geometry in ("hyp", "ads"):
+        collapsed = find_tangency_pairs(standard_lift(0.0, geometry))
+        assert len(collapsed) == 52
+        assert find_tangency_pairs(collapsed_lift_exact(geometry)) == collapsed
+
+
 def test_find_tangency_ambiguous():
     lift = standard_lift_hyp(0.5)
     vecs = dict(lift.vectors)
@@ -411,6 +422,46 @@ def test_find_cusp_subgroups():
     # the census is the same at other interior parameters
     assert find_cusp_subgroups(standard_lift_ads(-0.7)) == [
         tuple(s) for s in find_cusp_subgroups(standard_lift_hyp(0.2))]
+
+
+def _cube_subsets_by_triples(lift, tol=1e-9):
+    """The census by its definition: every triple of disjoint tangent pairs
+    whose 12 other pairs are orthogonal."""
+    from itertools import combinations
+
+    gram = gram_matrix(lift)
+    idx = range(len(lift.names))
+    tangent = [(i, j) for i, j in combinations(idx, 2) if abs(abs(gram[i, j]) - 1) <= tol]
+    found = []
+    for triple in combinations(tangent, 3):
+        members = sorted({k for pair in triple for k in pair})
+        if len(members) == 6 and all(abs(gram[i, j]) <= tol for i, j in combinations(members, 2)
+                                     if (i, j) not in triple):
+            (a1, a2), (b1, b2), (c1, c2) = triple
+            found.append(tuple(lift.names[k] for k in (a1, b1, c1, a2, b2, c2)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads"])
+def test_find_cusp_subgroups_at_the_collapse(geometry):
+    # the accidental Gram matches of the collapsed lift: 336 subsets
+    subsets = find_cusp_subgroups(standard_lift(0.0, geometry))
+    assert len(subsets) == 336
+    assert find_cusp_subgroups(collapsed_lift_exact(geometry)) == subsets
+    if geometry == "hyp":
+        assert subsets == _cube_subsets_by_triples(standard_lift(0.0, geometry))
+
+
+def test_find_cusp_subgroups_matches_its_definition():
+    for lift in (standard_lift(0.4, "hyp"), standard_lift(-0.7, "ads"),
+                 standard_lift(1.0, "hyp")):
+        assert find_cusp_subgroups(lift) == _cube_subsets_by_triples(lift)
+
+
+def test_find_cusp_subgroups_exact_table():
+    subsets = find_cusp_subgroups(standard_lift(1.0, "hyp"))
+    assert len(subsets) == 12
+    assert find_cusp_subgroups(table_lift_exact()) == subsets
 
 
 def test_cusp_subgroup_rect_restrictions_are_cusps():
