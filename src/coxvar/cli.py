@@ -245,17 +245,26 @@ def cmd_cusp(args):
 
 # -- gram --------------------------------------------------------------------
 
+GRAM_TOL = 1e-9  # label tolerance: orthogonality, unit norms and positions
+
+
 def cmd_gram(args):
     lift = standard_lift(args.t, args.geometry)
+    # labels at GRAM_TOL mean nothing for a lift that is further off the variety
+    res = residual_max(constraint_system(args.geometry, with_tangencies=True), lift)
+    if not res <= GRAM_TOL:
+        raise IllConditioned(f"the {args.geometry} lift at t = {format_scalar(args.t)} is off "
+                             f"the variety: residual_max {format_scalar(res)} exceeds the "
+                             f"label tolerance {format_scalar(GRAM_TOL)}")
     gram = gram_matrix(lift)
     names = lift.names
     rows, cols = np.triu_indices(len(names))
     values = gram[rows, cols]
     labels = np.where(rows == cols, "norm", "orthogonal").astype(object)
-    paired = (rows != cols) & ~(np.abs(values) <= 1e-9)
+    paired = (rows != cols) & ~(np.abs(values) <= GRAM_TOL)
     vectors = np.array([lift.vectors[n] for n in names])
     codes, errors = pair_positions(args.geometry, vectors[rows[paired]], vectors[cols[paired]],
-                                   1e-9)
+                                   GRAM_TOL)
     classes = np.array([c.value for c in POSITION_CLASSES[args.geometry]], dtype=object)
     pair_labels = classes[codes]
     # mixed/degenerate pairs are reported, not fatal: the first failed check names them

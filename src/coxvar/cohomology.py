@@ -28,8 +28,7 @@ import numpy as np
 from .coxeter import GAMMA22_NAMES, gamma22
 from .geometry import QuadraticSpace
 from .halfpipe import rho_lambda
-from .linalg_exact import (PairMatrix, exact_inverse, exact_nullspace, exact_pivots,
-                           exact_rank, exact_solve)
+from .linalg_exact import PairMatrix, exact_nullspace, exact_pivots, exact_rank, exact_solve
 
 
 H_BLOCK = 6  # dim so(1,3): the horizontal block of the adapted basis
@@ -51,6 +50,17 @@ class SingularNormalization(CohomologyError):
     pass
 
 
+def _stack(mats):
+    """One PairMatrix (N, ...) of N equal-shape matrices over their common denominator."""
+    return PairMatrix.concat([PairMatrix.of(m)[None] for m in mats])
+
+
+def _first_nonzero(stack):
+    """Index of the first nonzero matrix of a (N, ...) stack, or None."""
+    nonzero = ((stack.a != 0) | (stack.b != 0)).reshape(len(stack.a), -1).any(axis=1)
+    return int(np.argmax(nonzero)) if nonzero.any() else None
+
+
 @dataclass(frozen=True)
 class LinearRep:
     """Exact representation of a RACG on V, validated on construction.
@@ -64,17 +74,22 @@ class LinearRep:
     images: dict
 
     def __post_init__(self):
-        ident = PairMatrix.identity(self.dimV)
-        mats = {}
-        for name in self.racg.generators:
-            m = self.images[name]
+        names = self.racg.generators
+        mats = {n: PairMatrix.of(self.images[n]) for n in names}
+        for name, m in mats.items():
             if m.shape != (self.dimV, self.dimV):
                 raise ValueError(f"image of {name!r} has wrong shape")
-            p = mats[name] = PairMatrix.of(m)
-            if not (p @ p - ident).is_zero():
-                raise ValueError(f"image of {name!r} does not square to the identity")
-        for a, b in self.racg.commuting_name_pairs():
-            if not (mats[a] @ mats[b] - mats[b] @ mats[a]).is_zero():
+        # one stacked product for the squares, two for the commutators
+        R = _stack(mats.values())
+        bad = _first_nonzero(R @ R - PairMatrix.identity(self.dimV))
+        if bad is not None:
+            raise ValueError(f"image of {names[bad]!r} does not square to the identity")
+        pairs = sorted(self.racg.commuting_pairs)
+        if pairs:
+            i, j = map(list, zip(*pairs))
+            bad = _first_nonzero(R[i] @ R[j] - R[j] @ R[i])
+            if bad is not None:
+                a, b = (names[k] for k in pairs[bad])
                 raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
         object.__setattr__(self, "images", mats)
 
@@ -122,29 +137,41 @@ def _coboundary_candidates(racg, images):
 def cocycle_space(racg, rep):
     """Exact basis of Z^1, one cocycle per column.
 
-    The square conditions are solved per generator first (kernel of
-    id + rho(s)); the pair conditions then form one global system on
-    the concatenated kernel coordinates.
+    The square conditions are solved first, one kernel of id + rho(s)
+    per distinct image; the pair conditions then form one global system
+    on the concatenated kernel coordinates, cut from the one stacked
+    product (id - rho(s)) @ [all kernels].
     """
     dimV = rep.dimV
     ident = PairMatrix.identity(dimV)
     names = racg.generators
-    kernels = {n: exact_nullspace(ident + rep.images[n]) for n in names}
-    widths = [kernels[n].shape[1] for n in names]
+    R = _stack(rep.images[n] for n in names)
+    by_image = {}
+    kernels = []
+    # over the common denominator of R, equal integer rows are equal images
+    for n, ra, rb in zip(names, R.a.reshape(len(names), -1).tolist(),
+                         R.b.reshape(len(names), -1).tolist()):
+        key = (tuple(ra), tuple(rb))
+        if key not in by_image:
+            by_image[key] = exact_nullspace(ident + rep.images[n])
+        kernels.append(by_image[key])
+    widths = [ker.shape[1] for ker in kernels]
     total = sum(widths)
     if total == 0:
         return PairMatrix.zeros((len(names) * dimV, 0))
-    offsets = dict(zip(names, np.cumsum([0] + widths).tolist()))
-    pairs = racg.commuting_name_pairs()
+    offsets = np.cumsum([0] + widths).tolist()
+    # moved[i, :, offsets[j]:offsets[j + 1]] is (id - rho(i)) tau(j) on j's kernel coordinates
+    moved = (ident - R) @ PairMatrix.concat(kernels, axis=1)
+    pairs = sorted(racg.commuting_pairs)
     blocks = []
-    for k, (a, b) in enumerate(pairs):
-        # (id - rho(a)) tau(b) - (id - rho(b)) tau(a) = 0 on the kernel coordinates
-        blocks.append((k * dimV, offsets[b], (ident - rep.images[a]) @ kernels[b]))
-        blocks.append((k * dimV, offsets[a], (rep.images[b] - ident) @ kernels[a]))
+    for k, (i, j) in enumerate(pairs):
+        # (id - rho(i)) tau(j) - (id - rho(j)) tau(i) = 0
+        blocks.append((k * dimV, offsets[j], moved[i, :, offsets[j]:offsets[j + 1]]))
+        blocks.append((k * dimV, offsets[i], -moved[j, :, offsets[i]:offsets[i + 1]]))
     coeffs = exact_nullspace(PairMatrix.assemble((len(pairs) * dimV, total), blocks))
-    return PairMatrix.concat(
-        [kernels[n] @ coeffs[offsets[n]:offsets[n] + kernels[n].shape[1]]
-         for n in names]).reduced()
+    diagonal = PairMatrix.assemble((len(names) * dimV, total),
+                                   [(i * dimV, offsets[i], ker) for i, ker in enumerate(kernels)])
+    return (diagonal @ coeffs).reduced()
 
 
 def coboundary_space(racg, rep):
@@ -257,21 +284,31 @@ def adapted_basis(geometry):
 def adjoint_rep(racg, images, basis):
     """Matrices of X -> g X g^{-1} on span(basis), one per generator.
 
-    Raises BasisNotClosed when conjugation leaves the span of the given
-    basis elements.
+    Every image is an involution, so g^{-1} = g: all conjugates come
+    from one stacked product and all coordinates from one solve.
+    Raises ValueError for an image that is not an involution, and
+    BasisNotClosed when conjugation leaves the span of the given basis
+    elements.
     """
-    stack = PairMatrix.concat([PairMatrix.of(b).reshape(1, *b.shape) for b in basis])
+    names = racg.generators
+    stack = _stack(basis)
     k = len(basis)
     flat_basis = stack.reshape(k, -1).T
-    ad_images = {}
-    for n in racg.generators:
-        g = PairMatrix.of(images[n])
-        # column j: g basis[j] g^-1, flattened
-        conj = ((g @ stack) @ exact_inverse(g)).reshape(k, -1).T
-        coeff = exact_solve(flat_basis, conj)
-        if coeff is None or not (flat_basis @ coeff - conj).is_zero():
-            raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
-        ad_images[n] = coeff
+    G = _stack(images[n] for n in names)
+    bad = _first_nonzero(G @ G - PairMatrix.identity(G.shape[1]))
+    if bad is not None:
+        raise ValueError(f"image of {names[bad]!r} is not an involution")
+    # column i*k + j: g_i basis[j] g_i, flattened
+    conj = ((G[:, None] @ stack) @ G[:, None]).reshape(len(names) * k, -1).T
+    coeff = exact_solve(flat_basis, conj)
+    if coeff is None or not (flat_basis @ coeff - conj).is_zero():
+        for i, n in enumerate(names):  # name the first generator that leaves the span
+            block = conj[:, i * k:(i + 1) * k]
+            c = exact_solve(flat_basis, block)
+            if c is None or not (flat_basis @ c - block).is_zero():
+                break
+        raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
+    ad_images = {n: coeff[:, i * k:(i + 1) * k].reduced() for i, n in enumerate(names)}
     return LinearRep(racg, k, ad_images)
 
 

@@ -153,6 +153,21 @@ def test_gram_census(capsys):
     assert len(rows) == 22 * 23 // 2
 
 
+@pytest.mark.parametrize("geometry,t,expected", [
+    ("ads", "0.999999", 0),        # residual 3.5e-10
+    ("ads", "0.9999999", 3),       # residual 2.8e-9, above the 1e-9 label tolerance
+    ("hyp", "0.9999999999", 0),    # the hyperbolic lift stays on the variety
+])
+def test_gram_refuses_lift_off_the_variety(capsys, geometry, t, expected):
+    code = main(["gram", "--geometry", geometry, f"--t={t}"])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert "label tolerance" in captured.err
+
+
 def test_user_group_and_lift(capsys, tmp_path):
     racg = gamma_rect()
     base = base_rect_hyp()

@@ -1,7 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from coxvar import cohomology as coh
+from coxvar import linalg_exact
+from coxvar.cli import main
 from coxvar.coxeter import cuboctahedron_vectors, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry
@@ -221,3 +226,82 @@ def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
     conj = {n: h @ rep.image(n) @ exact_inverse(h) for n in racg22.generators}
     rep2 = coh.LinearRep(racg22, 4, conj)
     assert coh.cohomology_report(racg22, rep2).dimH1 == 1
+
+
+# -- stacked checks: each names the first failing generator or pair -------------
+
+def test_linear_rep_names_first_non_involution():
+    racg = gamma_rect()  # s1, t1, s2, t2
+    images = dict(zip(racg.generators, [PairMatrix.identity(2), 2 * PairMatrix.identity(2),
+                                        2 * PairMatrix.identity(2), PairMatrix.identity(2)]))
+    with pytest.raises(ValueError) as err:
+        coh.LinearRep(racg, 2, images)
+    assert str(err.value) == "image of 't1' does not square to the identity"
+
+
+def test_linear_rep_names_first_non_commuting_pair():
+    racg = gamma_rect()  # pairs in order: (s1, t1), (s1, t2), (t1, s2), (s2, t2)
+    flip, swap = PairMatrix.of(np.diag([1, -1])), PairMatrix.of(np.array([[0, 1], [1, 0]]))
+    images = dict(zip(racg.generators, [PairMatrix.identity(2), flip, swap, flip]))
+    with pytest.raises(ValueError) as err:
+        coh.LinearRep(racg, 2, images)
+    assert str(err.value) == "images of commuting pair (t1, s2) do not commute"
+
+
+def test_adjoint_rep_rejects_non_involution():
+    racg = gamma_rect()
+    images = {n: PairMatrix.identity(4) for n in racg.generators}
+    images["t1"] = images["s2"] = PairMatrix.of(np.diag([2, 1, 1, 1]))
+    with pytest.raises(ValueError) as err:
+        coh.adjoint_rep(racg, images, coh.so13_basis())
+    assert str(err.value) == "image of 't1' is not an involution"
+
+
+def test_basis_not_closed_names_first_failing_generator():
+    racg = gamma_rect()
+    r = reflection_matrix(MINK, CUBO["A"])
+    images = {"s1": PairMatrix.identity(4), "t1": PairMatrix.identity(4), "s2": r, "t2": r}
+    boost = coh.so13_basis()[1]  # fixed by the identity, moved off its line by r
+    with pytest.raises(coh.BasisNotClosed) as err:
+        coh.adjoint_rep(racg, images, [boost])
+    assert str(err.value) == "Ad(rho(s2)) leaves the basis span"
+
+
+# -- structure: how many eliminations the exact path runs ------------------------
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that counts the calls of linalg_exact._echelon while the test runs."""
+    calls = []
+    echelon = linalg_exact._echelon
+
+    def counted(*args):
+        calls.append(1)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg_exact, "_echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads", "hp"])
+def test_adjoint_rep_runs_one_elimination(eliminations, geometry):
+    coh.adjoint_collapsed_rep(geometry)
+    assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("target", ["r13", "so13", "full"])
+def test_cocycle_space_one_kernel_per_distinct_image(racg22, eliminations, target):
+    rep = {"r13": coh.rho0_rep, "so13": coh.so13_adjoint_rep,
+           "full": lambda: coh.adjoint_collapsed_rep("hp")}[target]()
+    distinct = {str((m.den, m.a.tolist(), m.b.tolist()))
+                for m in (rep.image(n).reduced() for n in racg22.generators)}
+    assert len(distinct) == 15  # of 22 generators
+    eliminations.clear()
+    coh.cocycle_space(racg22, rep)
+    assert len(eliminations) == len(distinct) + 1  # the kernels, then the pair system
+
+
+def test_full_report_eliminations(eliminations):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cohomology", "--target", "full-ads"]) == 0
+    assert len(eliminations) <= 23  # 73 with one inverse and one solve per generator

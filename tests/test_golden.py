@@ -31,6 +31,8 @@ def _cases():
         yield f"gram-{geometry}", ["gram", "--geometry", geometry, "--t", "0.5"], False
         # the collapse: 28 coinciding pairs take the error-label path
         yield f"gram-{geometry}-t0", ["gram", "--geometry", geometry, "--t", "0"], False
+    # the AdS lift near t = 1 is off the variety by more than the label tolerance
+    yield "gram-ads-t0.9999999999", ["gram", "--geometry", "ads", "--t=0.9999999999"], False
     for geometry in ("hyp", "ads"):
         for system in ("g", "g0"):
             yield (f"trace-{geometry}-{system}",
