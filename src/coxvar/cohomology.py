@@ -50,14 +50,9 @@ class SingularNormalization(CohomologyError):
     pass
 
 
-def _stack(mats):
-    """One PairMatrix (N, ...) of N equal-shape matrices over their common denominator."""
-    return PairMatrix.concat([PairMatrix.of(m)[None] for m in mats])
-
-
 def _first_nonzero(stack):
     """Index of the first nonzero matrix of a (N, ...) stack, or None."""
-    nonzero = ((stack.a != 0) | (stack.b != 0)).reshape(len(stack.a), -1).any(axis=1)
+    nonzero = ((stack.a != 0) | (stack.b != 0)).any(axis=tuple(range(1, stack.a.ndim)))
     return int(np.argmax(nonzero)) if nonzero.any() else None
 
 
@@ -80,17 +75,15 @@ class LinearRep:
             if m.shape != (self.dimV, self.dimV):
                 raise ValueError(f"image of {name!r} has wrong shape")
         # one stacked product for the squares, two for the commutators
-        R = _stack(mats.values())
+        R = PairMatrix.stack(mats.values())
         bad = _first_nonzero(R @ R - PairMatrix.identity(self.dimV))
         if bad is not None:
             raise ValueError(f"image of {names[bad]!r} does not square to the identity")
-        pairs = sorted(self.racg.commuting_pairs)
-        if pairs:
-            i, j = map(list, zip(*pairs))
-            bad = _first_nonzero(R[i] @ R[j] - R[j] @ R[i])
-            if bad is not None:
-                a, b = (names[k] for k in pairs[bad])
-                raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
+        i, j = np.array(sorted(self.racg.commuting_pairs), dtype=int).reshape(-1, 2).T
+        bad = _first_nonzero(R[i] @ R[j] - R[j] @ R[i])
+        if bad is not None:
+            a, b = names[i[bad]], names[j[bad]]
+            raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
         object.__setattr__(self, "images", mats)
 
     def image(self, name):
@@ -130,48 +123,43 @@ def _coboundary_candidates(racg, images):
 
     ``images`` maps generator names to PairMatrix images.
     """
-    ident = PairMatrix.identity(images[racg.generators[0]].shape[0])
-    return PairMatrix.concat([images[n] - ident for n in racg.generators])
+    R = PairMatrix.stack(images[n] for n in racg.generators)
+    return (R - PairMatrix.identity(R.shape[-1])).reshape(-1, R.shape[-1])
 
 
 def cocycle_space(racg, rep):
     """Exact basis of Z^1, one cocycle per column.
 
-    The square conditions are solved first, one kernel of id + rho(s)
-    per distinct image; the pair conditions then form one global system
-    on the concatenated kernel coordinates, cut from the one stacked
-    product (id - rho(s)) @ [all kernels].
+    The square conditions are solved first, one stacked elimination for
+    the kernels of id + rho(s) of all distinct images; the pair conditions
+    then form one global system on the concatenated kernel coordinates,
+    cut from the one stacked product (id - rho(s)) @ [all kernels].
     """
     dimV = rep.dimV
     ident = PairMatrix.identity(dimV)
     names = racg.generators
-    R = _stack(rep.images[n] for n in names)
-    by_image = {}
-    kernels = []
+    R = PairMatrix.stack(rep.images[n] for n in names)
     # over the common denominator of R, equal integer rows are equal images
-    for n, ra, rb in zip(names, R.a.reshape(len(names), -1).tolist(),
-                         R.b.reshape(len(names), -1).tolist()):
-        key = (tuple(ra), tuple(rb))
-        if key not in by_image:
-            by_image[key] = exact_nullspace(ident + rep.images[n])
-        kernels.append(by_image[key])
-    widths = [ker.shape[1] for ker in kernels]
-    total = sum(widths)
-    if total == 0:
-        return PairMatrix.zeros((len(names) * dimV, 0))
-    offsets = np.cumsum([0] + widths).tolist()
-    # moved[i, :, offsets[j]:offsets[j + 1]] is (id - rho(i)) tau(j) on j's kernel coordinates
-    moved = (ident - R) @ PairMatrix.concat(kernels, axis=1)
-    pairs = sorted(racg.commuting_pairs)
-    blocks = []
-    for k, (i, j) in enumerate(pairs):
-        # (id - rho(i)) tau(j) - (id - rho(j)) tau(i) = 0
-        blocks.append((k * dimV, offsets[j], moved[i, :, offsets[j]:offsets[j + 1]]))
-        blocks.append((k * dimV, offsets[i], -moved[j, :, offsets[i]:offsets[i + 1]]))
-    coeffs = exact_nullspace(PairMatrix.assemble((len(pairs) * dimV, total), blocks))
-    diagonal = PairMatrix.assemble((len(names) * dimV, total),
-                                   [(i * dimV, offsets[i], ker) for i, ker in enumerate(kernels)])
-    return (diagonal @ coeffs).reduced()
+    slots = {}
+    which = [slots.setdefault((tuple(ra), tuple(rb)), len(slots))
+             for ra, rb in zip(R.a.reshape(len(names), -1).tolist(),
+                               R.b.reshape(len(names), -1).tolist())]
+    bases = exact_nullspace(ident + R[[which.index(s) for s in range(len(slots))]])
+    # tau(s) on the kernel coordinates of s: the columns that s owns
+    kernels = PairMatrix.concat([bases[s] for s in which], axis=1)
+    owner = np.repeat(np.arange(len(names)), [bases[s].shape[1] for s in which])
+    # moved[i] is (id - rho(i)) applied to every kernel column
+    moved = (ident - R) @ kernels
+    i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
+    # pair k: (id - rho(i)) tau(j) - (id - rho(j)) tau(i) = 0, on the columns j, then i, owns
+    a, b = (np.zeros((len(i), dimV, len(owner)), dtype=moved.a.dtype) for _ in "ab")
+    for cols, src, sign in ((j, i, 1), (i, j, -1)):
+        k, c = np.nonzero(owner == cols[:, None])
+        a[k, :, c], b[k, :, c] = sign * moved.a[src[k], :, c], sign * moved.b[src[k], :, c]
+    coeffs = exact_nullspace(PairMatrix(a, b, moved.den).reshape(len(i) * dimV, len(owner)))
+    own = owner == np.arange(len(names))[:, None, None]
+    diagonal = PairMatrix(np.where(own, kernels.a, 0), np.where(own, kernels.b, 0), kernels.den)
+    return (diagonal.reshape(len(names) * dimV, len(owner)) @ coeffs).reduced()
 
 
 def coboundary_space(racg, rep):
@@ -291,10 +279,10 @@ def adjoint_rep(racg, images, basis):
     elements.
     """
     names = racg.generators
-    stack = _stack(basis)
+    stack = PairMatrix.stack(basis)
     k = len(basis)
     flat_basis = stack.reshape(k, -1).T
-    G = _stack(images[n] for n in names)
+    G = PairMatrix.stack(images[n] for n in names)
     bad = _first_nonzero(G @ G - PairMatrix.identity(G.shape[1]))
     if bad is not None:
         raise ValueError(f"image of {names[bad]!r} is not an involution")
@@ -334,10 +322,9 @@ def split_h1(racg, rep, report=None):
     the projected representatives modulo that block's coboundaries.
     """
     dimV = rep.dimV
-    for n in racg.generators:
-        m = rep.images[n]
-        if not (m[:H_BLOCK, H_BLOCK:].is_zero() and m[H_BLOCK:, :H_BLOCK].is_zero()):
-            raise BasisNotAdapted("Ad images are not block diagonal in this basis")
+    R = PairMatrix.stack(rep.images[n] for n in racg.generators)
+    if not (R[:, :H_BLOCK, H_BLOCK:].is_zero() and R[:, H_BLOCK:, :H_BLOCK].is_zero()):
+        raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
         report = cohomology_report(racg, rep)
     reps = report.h1_representatives
@@ -346,8 +333,9 @@ def split_h1(racg, rep, report=None):
         coboundaries = _coboundary_candidates(
             racg, {n: rep.images[n][lo:hi, lo:hi] for n in racg.generators})
         rows = [i * dimV + r for i in range(len(racg.generators)) for r in range(lo, hi)]
-        both = PairMatrix.concat([coboundaries, reps[rows]], axis=1)
-        return exact_rank(both) - exact_rank(coboundaries)
+        # rank(both) - rank(coboundaries): the pivots past the coboundary columns
+        pivots = exact_pivots(PairMatrix.concat([coboundaries, reps[rows]], axis=1))
+        return sum(c >= coboundaries.shape[1] for c in pivots)
 
     return (projected_dim(0, H_BLOCK), projected_dim(H_BLOCK, dimV))
 

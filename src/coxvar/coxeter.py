@@ -197,14 +197,11 @@ def gamma_co():
 # -- word evaluation and representation checks --------------------------
 
 def _as_matrix(image):
-    if hasattr(image, "projective_matrix"):
-        return image.projective_matrix()
-    return image
+    return image.projective_matrix() if hasattr(image, "projective_matrix") else image
 
 
 def _identity_like(mat):
-    n = mat.shape[0]
-    return PairMatrix.identity(n) if is_exact(mat) else np.eye(n)
+    return (PairMatrix.identity if is_exact(mat) else np.eye)(mat.shape[0])
 
 
 def evaluate_word(rep, word, racg=None):
@@ -213,9 +210,7 @@ def evaluate_word(rep, word, racg=None):
     ``rep`` maps generator names to images; ``word`` is a sequence of
     names (or indices into ``racg.generators`` when ``racg`` is given).
     """
-    images = {}
-    for key, img in rep.items():
-        images[key] = _as_matrix(img)
+    images = {key: _as_matrix(img) for key, img in rep.items()}
     letters = []
     for w in word:
         if isinstance(w, int):
@@ -226,17 +221,11 @@ def evaluate_word(rep, word, racg=None):
             raise IndexOutOfRange(f"no image for generator {w!r}")
         letters.append(w)
     if not letters:
-        some = next(iter(images.values()))
-        return _identity_like(some)
+        return _identity_like(next(iter(images.values())))
     out = images[letters[0]]
     for w in letters[1:]:
         out = out @ images[w]
     return out
-
-
-def _max_abs(mat):
-    """Largest |entry|; an exact matrix is read through its float view."""
-    return float(np.max(np.abs(np.asarray(mat, dtype=float))))
 
 
 @dataclass
@@ -249,27 +238,29 @@ class VerificationReport:
         return not self.failing_relations
 
 
+def _defects(stack):
+    """Largest |entry| of each matrix of a stack, read through the float view."""
+    return np.max(np.abs(np.asarray(stack, dtype=float)), axis=(-2, -1)).tolist()
+
+
 def verify_representation(racg, rep, tol=1e-10):
     """Check squares, commutators, and distinctness of commuting images.
 
     Failures are reported rather than raised; max_defect is the largest
     deviation from the identity over all relation checks.  A non-finite
-    defect fails its check and makes max_defect non-finite too.
+    defect fails its check and makes max_defect non-finite too.  Each kind
+    of check is one stacked product (or difference) of the images.
     """
-    mats = {name: _as_matrix(rep[name]) for name in racg.generators}
-    ident = _identity_like(next(iter(mats.values())))
-    failures = []
-    defects = [0.0]
-
-    def check(d, label):
-        defects.append(d)
+    mats = [_as_matrix(rep[name]) for name in racg.generators]
+    M = PairMatrix.stack(mats) if is_exact(mats[0]) else np.stack(mats)
+    i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
+    squares = _defects(M @ M - _identity_like(mats[0]))
+    commutators = _defects(M[i] @ M[j] - M[j] @ M[i])
+    coincidences = _defects(M[i] - M[j])
+    failures = [f"square:{n}" for n, d in zip(racg.generators, squares) if not d <= tol]
+    for (a, b), d, c in zip(racg.commuting_name_pairs(), commutators, coincidences):
         if not d <= tol:  # nan compares False
-            failures.append(label)
-
-    for name, m in mats.items():
-        check(_max_abs(m @ m - ident), f"square:{name}")
-    for a, b in racg.commuting_name_pairs():
-        check(_max_abs(mats[a] @ mats[b] - mats[b] @ mats[a]), f"commutator:{a},{b}")
-        if _max_abs(mats[a] - mats[b]) <= tol:
+            failures.append(f"commutator:{a},{b}")
+        if c <= tol:
             failures.append(f"coincide:{a},{b}")
-    return VerificationReport(float(np.max(defects)), failures)
+    return VerificationReport(float(np.max([0.0] + squares + commutators)), failures)

@@ -170,21 +170,27 @@ def reflection_matrix(space, X, tol=DEFAULT_TOL):
     """Matrix of the reflection r_X: fixes X-perp, sends X to -X.
 
     r_X = I - (2/q(X)) X (JX)^T, an involution in O(q): a PairMatrix for
-    exact X, where q(X) = 0 is tested exactly, else a float array.
+    exact X, where q(X) = 0 is tested exactly, else a float array.  A stack
+    of normals (last axis) gives the stack of their reflections, each with
+    the bits of its lone reflection (PairMatrix.unstack splits an exact one).
     """
     sig = np.array(space.signature)
     if is_exact(X):
-        X = PairMatrix.of(X).reshape(space.dim, 1)
-        JX = X * sig[:, None]
-        q = (X.T @ JX).item(0, 0)
-        if q == 0:
+        X = PairMatrix.of(X)
+        JX = X * sig
+        q = X[..., None, :] @ JX[..., :, None]
+        qs = [q.item(*k) for k in np.ndindex(q.shape)]
+        if 0 in qs:
             raise DegenerateNormal("q(X) = 0: no reflection")
-        return (PairMatrix.identity(space.dim) - X @ JX.T * (2 / q)).reduced()
+        factor = PairMatrix.of([2 / x for x in qs]).reshape(q.shape)
+        outer = X[..., :, None] @ JX[..., None, :]
+        return (PairMatrix.identity(space.dim) - outer * factor).reduced()
     q = eval_form(space, X)
-    if abs(q) <= tol:
+    if (np.abs(q) <= tol).any():
         raise DegenerateNormal("q(X) = 0 within tolerance: no reflection")
     X = np.asarray(X, dtype=float)
-    return np.eye(space.dim) - (2.0 / q) * np.outer(X, sig * X)
+    outer = X[..., :, None] * (sig * X)[..., None, :]
+    return np.eye(space.dim) - (2.0 / q)[..., None, None] * outer
 
 
 def coincident(X, Y, tol):

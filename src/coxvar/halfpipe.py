@@ -42,10 +42,6 @@ class NotFormPreserving(HalfPipeError):
     pass
 
 
-def _minkowski_space(dim):
-    return QuadraticSpace.minkowski(dim)
-
-
 @dataclass(frozen=True)
 class MinkowskiIsometry:
     """Pair (A, v): x -> A x + v with A preserving the Minkowski form.
@@ -74,7 +70,7 @@ class MinkowskiIsometry:
                                  self.linear @ other.translation + self.translation)
 
     def is_form_preserving(self, tol=DEFAULT_TOL):
-        J = _minkowski_space(self.dim).form_matrix()
+        J = QuadraticSpace.minkowski(self.dim).form_matrix()
         if self.exact:
             J = PairMatrix.of(J)
             return (self.linear.T @ J @ self.linear - J).is_zero()
@@ -101,7 +97,7 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
     if not iso.is_form_preserving(tol):
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
-    J = _minkowski_space(n).form_matrix()
+    J = QuadraticSpace.minkowski(n).form_matrix()
     if iso.exact:
         row = -(iso.translation.reshape(1, n) @ PairMatrix.of(J) @ iso.linear)
         return PairMatrix.assemble((n + 1, n + 1), [(0, 0, iso.linear), (n, 0, row),
@@ -158,7 +154,7 @@ class DegenerateReflection:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if abs(eval_form(_minkowski_space(len(X)), X) - 1) > 1e-7:
+        if abs(eval_form(QuadraticSpace.minkowski(len(X)), X) - 1) > 1e-7:
             raise ValueError("degenerate reflection requires q_1(X) = 1")
         lam = float(X @ v) / float(X @ X)
         if np.max(np.abs(v - lam * X)) > 1e-7 * max(1.0, np.abs(v).max()):
@@ -166,7 +162,7 @@ class DegenerateReflection:
 
     def isometry(self):
         X = np.asarray(self.X, dtype=float)
-        return MinkowskiIsometry(reflection_matrix(_minkowski_space(len(X)), X),
+        return MinkowskiIsometry(reflection_matrix(QuadraticSpace.minkowski(len(X)), X),
                                  np.asarray(self.v, dtype=float))
 
 
@@ -257,7 +253,7 @@ def _reflection_axis(lin):
     diff = np.eye(n) - lin
     col = int(np.argmax(np.linalg.norm(diff, axis=0)))
     X = diff[:, col]
-    q = float(eval_form(_minkowski_space(n), X))
+    q = float(eval_form(QuadraticSpace.minkowski(n), X))
     if q <= 0:
         raise ValueError("reflection axis is not spacelike")
     return X / np.sqrt(q)
@@ -272,34 +268,24 @@ def rho_lambda(lam):
     on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
     exact lam.
     """
-    exact = is_exact(lam)
-    space = _minkowski_space(4)
     cubo = cuboctahedron_vectors()
-    linear = {}
-    translation = {}
-
-    def vec(name):
-        v = cubo[name]
-        return v if exact else np.array([float(x) for x in v])
-
-    if exact:
-        lam = PairMatrix.of(lam)
-        minus_id = -PairMatrix.identity(4)
-        zero = PairMatrix.zeros(4)
+    # the 8 triangle normals, then the 6 quads: one stack of reflections
+    normals = [cubo[str(i)] for i in range(8)] + [cubo[x] for x in LETTER_NAMES]
+    signs = np.array([(-1) ** i for i in range(8)])
+    if is_exact(lam):
+        minus_id, zero = -PairMatrix.identity(4), PairMatrix.zeros(4)
+        refls = reflection_matrix(QuadraticSpace.minkowski(4), normals).unstack()
+        taus = (PairMatrix.of(lam) * signs)[:, None] * normals[:8]
     else:
-        minus_id = -np.eye(4)
-        zero = np.zeros(4)
-        lam = float(lam)
-
+        minus_id, zero = -np.eye(4), np.zeros(4)
+        normals = np.array(normals, dtype=float)
+        refls = reflection_matrix(QuadraticSpace.minkowski(4), normals)
+        taus = (signs * float(lam))[:, None] * normals[:8]
+    linear, translation = {}, {}
     for i in range(8):
-        sign = 1 if i % 2 == 0 else -1
-        tau = (sign * lam) * vec(str(i))
-        linear[f"{i}+"] = minus_id
-        translation[f"{i}+"] = tau
-        linear[f"{i}-"] = reflection_matrix(space, vec(str(i)))
-        translation[f"{i}-"] = tau
-    for x in LETTER_NAMES:
-        linear[x] = reflection_matrix(space, vec(x))
-        translation[x] = zero
+        linear[f"{i}+"], linear[f"{i}-"] = minus_id, refls[i]
+        translation[f"{i}+"] = translation[f"{i}-"] = taus[i]
+    for x, refl in zip(LETTER_NAMES, refls[8:]):
+        linear[x], translation[x] = refl, zero
     assert set(linear) == set(GAMMA22_NAMES)
     return HPRepresentation(linear, translation)

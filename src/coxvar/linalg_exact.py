@@ -12,17 +12,14 @@ accepts whatever PairMatrix.of does and returns PairMatrix, ranks or
 pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
-over Z[sqrt 2] directly on the a, b arrays of a PairMatrix: each pivot
-is one array step on every row that meets its column, and each of those
-rows is then divided by its gcd.  The same int64/Python-int switch
-guards every step, on a running bound of max|entry|: the bound at entry,
-raised after each pivot to the largest entry of the rewritten rows, so
-no step rescans the whole matrix.  On the cocycle systems of the
-22-generator group the coefficients never grow beyond a few bits, and
-the 800 x 88 full-ads system reduces in about 15 ms (Python 3.11,
-numpy 2.4, one core).  Callers stack their work into few eliminations:
-an adjoint representation is one multi-column exact_solve, since its
-images are involutions and need no inverse.
+over Z[sqrt 2] (Bareiss, Math. Comp. 22, 1968) directly on the a, b
+arrays: each pivot is one array step on every row that meets its
+column, each such row then divided by its gcd.  A (T, m, n) stack is
+eliminated in lockstep, every member with its own pivots, so T small
+systems (the kernels of id + rho(s) of a cocycle space) cost one pass
+of numpy calls.  One int64/Python-int switch guards every step, on a
+running bound of max|entry| raised after each pivot by the rewritten
+rows only.  Every member's result has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -72,6 +69,16 @@ def _quotient(ints, den):
         return np.array([x / den for x in ints.reshape(-1).tolist()],
                         dtype=float).reshape(ints.shape)
     return ints / den
+
+
+def _reduce_members(a, b, dens):
+    """Each (a[t] + b[t]*sqrt(2)) / dens[t] over its least common denominator, as ``of``."""
+    flat_a, flat_b = a.reshape(len(dens), -1), b.reshape(len(dens), -1)
+    g = np.gcd(np.gcd.reduce(flat_a, axis=1), np.gcd.reduce(flat_b, axis=1)).tolist()
+    top = np.maximum(np.abs(flat_a).max(axis=1, initial=0),
+                     np.abs(flat_b).max(axis=1, initial=0)).tolist()
+    return [PairMatrix(*_int_arrays(m // x, a[t, ...] // x, b[t, ...] // x), d // x)
+            for t, (m, d, x) in enumerate(zip(top, dens, map(gcd, dens, g)))]
 
 
 class PairMatrix:
@@ -126,6 +133,11 @@ class PairMatrix:
         parts, den = _common([cls.of(m) for m in mats])
         return cls(np.concatenate([a for a, _ in parts], axis=axis),
                    np.concatenate([b for _, b in parts], axis=axis), den)
+
+    @classmethod
+    def stack(cls, mats):
+        """One (N, ...) stack of N equal-shape matrices over their common denominator."""
+        return cls.concat([cls.of(m)[None] for m in mats])
 
     @classmethod
     def assemble(cls, shape, blocks):
@@ -192,10 +204,11 @@ class PairMatrix:
 
     def reduced(self):
         """The same matrix over its least common denominator, as ``of`` builds it."""
-        g = gcd(self.den, int(np.gcd.reduce(self.a, axis=None)),
-                int(np.gcd.reduce(self.b, axis=None)))
-        a, b = (self.a, self.b) if g == 1 else (self.a // g, self.b // g)
-        return PairMatrix(*_int_arrays(max(_max_abs(a), _max_abs(b)), a, b), self.den // g)
+        return _reduce_members(self.a[None], self.b[None], [self.den])[0]
+
+    def unstack(self):
+        """The members of a stack along axis 0, each reduced on its own."""
+        return _reduce_members(self.a, self.b, [self.den] * len(self.a))
 
     def item(self, *idx):
         """One entry as a QSqrt2; ``idx`` as numpy's ndarray.item takes it."""
@@ -213,83 +226,101 @@ class PairMatrix:
 # -- fraction-free elimination on the integer arrays ----------------------
 
 def _echelon(pm, ncols):
-    """Fraction-free reduced row echelon form of a PairMatrix over Z[sqrt 2].
+    """Fraction-free reduced row echelon forms of a (T, m, n) stack over Z[sqrt 2].
 
-    Pivots are taken in the first ``ncols`` columns only; columns past
-    them are carried along (right-hand sides).  Zero rows and the common
-    denominator are dropped: neither changes a rank, pivot or solution.
-    Each pivot is one array step on the rows that meet its column,
-    row := p*row - row[col]*pivot, and each of those rows is divided by
-    its gcd.  Returns (a, b, pivot_cols, rest): row k of the integer
-    arrays a, b has its pivot in column pivot_cols[k] (increasing) and
-    zeros in every other pivot column; ``rest`` says whether a nonzero
-    row is left over, which is zero in the first ``ncols`` columns.
+    An (m, n) matrix is a stack of one.  Pivots are taken in the first
+    ``ncols`` columns only; the columns past them are carried along
+    (right-hand sides).  Zero rows and the common denominator are
+    dropped.  At each column every member takes its own pivot, the
+    smallest |a| + |b| of its non-pivot rows meeting it (the first on
+    ties), and one array step rewrites every row that meets it, row :=
+    p*row - row[col]*pivot, then divides each by its gcd.  Returns (a, b,
+    pivot_col, rest): row k of a[t], b[t] has its pivot in column
+    pivot_col[t, k] (increasing; ncols past the pivot rows) and zeros in
+    the other pivot columns; rest[t] says whether member t has a nonzero
+    row left (zero in the first ``ncols`` columns).
     """
-    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=1)
-    a, b = pm.a[keep], pm.b[keep]
+    pm = pm[None] if len(pm.shape) == 2 else pm
+    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=(0, 2))
+    T, m, n = len(pm.a), int(keep.sum()), pm.shape[-1]
+    # the members' rows one after the other: row r belongs to member r // m
+    a, b = pm.a[:, keep].reshape(T * m, n), pm.b[:, keep].reshape(T * m, n)
+    first_row = np.arange(T) * m
     # running bound on max|entry|: only the rewritten rows can grow
     bound = max(_max_abs(a), _max_abs(b))
-    is_pivot = np.zeros(len(a), dtype=bool)
-    pivot_rows, pivot_cols = [], []
+    pivot_col = np.full(T * m, ncols)  # ncols: not a pivot row
     for col in range(ncols):
-        nonzero = (a[:, col] != 0) | (b[:, col] != 0)
-        candidates = np.flatnonzero(nonzero & ~is_pivot)
-        if not candidates.size:
+        meets = (a[:, col] != 0) | (b[:, col] != 0)
+        candidates = (meets & (pivot_col == ncols)).reshape(T, m)
+        has = candidates.any(axis=1)
+        if not has.any():
             continue
-        p = candidates[np.argmin(np.abs(a[candidates, col]) + np.abs(b[candidates, col]))]
-        rows = np.flatnonzero(nonzero)
-        rows = rows[rows != p]
         a, b = _int_arrays(6 * bound * bound, a, b)
-        pa, pb = a[p, col], b[p, col]
+        weight = (np.abs(a[:, col]) + np.abs(b[:, col])).reshape(T, m)
+        p = np.argmin(np.where(candidates, weight, 2 * bound + 1), axis=1) + first_row
+        meets[p] = False
+        if not has.all():
+            meets &= np.repeat(has, m)
+        rows = np.flatnonzero(meets)
+        piv = p[rows // m] if T > 1 else p  # each row's pivot row
+        pa, pb = a[piv, col, None], b[piv, col, None]
         ra, rb = a[rows, col, None], b[rows, col, None]
-        xa, xb = a[rows], b[rows]
-        new_a = pa * xa + 2 * pb * xb - (ra * a[p] + 2 * rb * b[p])
-        new_b = pa * xb + pb * xa - (ra * b[p] + rb * a[p])
+        xa, xb, ya, yb = a[rows], b[rows], a[piv], b[piv]
+        new_a = pa * xa + 2 * pb * xb - (ra * ya + 2 * rb * yb)
+        new_b = pa * xb + pb * xa - (ra * yb + rb * ya)
         g = np.gcd(np.gcd.reduce(new_a, axis=1), np.gcd.reduce(new_b, axis=1))
         g[g == 0] = 1
         new_a //= g[:, None]
         new_b //= g[:, None]
         a[rows], b[rows] = new_a, new_b
         bound = max(bound, _max_abs(new_a), _max_abs(new_b))
-        is_pivot[p] = True
-        pivot_rows.append(p)
-        pivot_cols.append(col)
-    rest = ((a[~is_pivot] != 0) | (b[~is_pivot] != 0)).any()
-    return a[pivot_rows], b[pivot_rows], pivot_cols, bool(rest)
+        pivot_col[p[has]] = col
+    pivot_col = pivot_col.reshape(T, m)
+    rest = (((a != 0) | (b != 0)).any(axis=1).reshape(T, m) & (pivot_col == ncols)).any(axis=1)
+    order = np.argsort(pivot_col, axis=1, kind="stable")  # pivot rows first
+    return (a[order + first_row[:, None]], b[order + first_row[:, None]],
+            np.take_along_axis(pivot_col, order, axis=1), rest.tolist())
 
 
-def _back_substitute(a, b, pivot_cols, rhs, nrows, unit_rows=()):
-    """The PairMatrix x with x[pivot_cols[k]] = rhs[k] / pivot k, x[unit_rows[j], j] = 1
-    and zeros elsewhere.
+def _back_substitute(a, b, pivot_col, rhs, nrows, basis=False):
+    """One reduced PairMatrix x_t per member: x_t[pivot_col[t, k]] = rhs[t, k] / pivot k.
 
-    ``a``, ``b`` are the pivot rows _echelon returns and ``rhs`` the
-    (a, b) arrays of the numerators, one row per pivot.  c / p is
-    c * conj(p) / norm(p); every entry is written over the lcm of the
-    pivot norms and the result is reduced, so it equals PairMatrix.of of
-    the same quotients as QSqrt2 values.
+    ``a``, ``b``, ``pivot_col`` are what _echelon returns and ``rhs`` the
+    (a, b) arrays of the numerators, aligned with its rows.  c / p is
+    c * conj(p) / norm(p), over the lcm of the member's pivot norms, so
+    x_t equals PairMatrix.of of the same quotients.  With ``basis`` (rhs
+    the negated rows), x_t[j, j] = 1 for each free column j and only
+    those columns are kept: the nullspace basis of member t.
     """
-    k = np.arange(len(pivot_cols))
-    pa, pb = a[k, pivot_cols].tolist(), b[k, pivot_cols].tolist()
+    t, k = np.nonzero(pivot_col < nrows)
+    j, owner = pivot_col[t, k], t.tolist()
+    pa, pb = a[t, k, j].tolist(), b[t, k, j].tolist()
     norms = [x * x - 2 * y * y for x, y in zip(pa, pb)]  # nonzero: sqrt 2 is irrational
-    den = lcm(*norms)
-    scale = [den // n for n in norms]
-    ca, cb = rhs
-    bound = max(3 * max(_max_abs(ca), _max_abs(cb)) * max(map(abs, pa + pb), default=0)
-                * max(map(abs, scale), default=0), den)
+    dens = [lcm(*(n for i, n in zip(owner, norms) if i == u)) for u in range(len(pivot_col))]
+    scale = [dens[i] // n for i, n in zip(owner, norms)]
+    ca, cb = rhs[0][t, k], rhs[1][t, k]
+    bound = max([3 * max(_max_abs(ca), _max_abs(cb)) * max(map(abs, pa + pb), default=0)
+                 * max(map(abs, scale), default=0), *dens])
     ca, cb, pa, pb, scale = _int_arrays(bound, ca, cb, *(np.array(v, dtype=object)[:, None]
                                                           for v in (pa, pb, scale)))
-    xa = np.zeros((nrows, ca.shape[1]), dtype=ca.dtype)
+    xa = np.zeros((len(pivot_col), nrows, ca.shape[1]), dtype=ca.dtype)
     xb = np.zeros_like(xa)
-    xa[pivot_cols] = (ca * pa - 2 * cb * pb) * scale
-    xb[pivot_cols] = (cb * pa - ca * pb) * scale
-    xa[unit_rows, np.arange(len(unit_rows))] = den
-    return PairMatrix(xa, xb, den).reduced()
+    xa[t, j] = (ca * pa - 2 * cb * pb) * scale
+    xb[t, j] = (cb * pa - ca * pb) * scale
+    if not basis:
+        return _reduce_members(xa, xb, dens)
+    # add I: pivot column j of x_t is -e_j and vanishes, a free column j gets its 1 at j
+    diag = np.arange(nrows)
+    xa[:, diag, diag] += np.array(dens, dtype=xa.dtype)[:, None]
+    return [x[:, np.setdiff1d(diag, cols)]
+            for x, cols in zip(_reduce_members(xa, xb, dens), pivot_col)]
 
 
 def exact_pivots(matrix):
     """Pivot columns: each column that is not in the span of the ones before it."""
     pm = PairMatrix.of(matrix)
-    return _echelon(pm, pm.shape[1])[2]
+    cols = _echelon(pm, pm.shape[1])[2][0]
+    return cols[cols < pm.shape[1]].tolist()
 
 
 def exact_rank(matrix):
@@ -301,13 +332,14 @@ def exact_nullspace(matrix):
     """Basis of {x : M x = 0} as the columns of one PairMatrix.
 
     One column per free variable of M, in order: that variable is 1,
-    the other free variables are 0.
+    the other free variables are 0.  A (T, m, n) stack gives the list of
+    the T bases, all from one elimination; each is the basis its member
+    gives alone.
     """
     pm = PairMatrix.of(matrix)
-    ncols = pm.shape[1]
-    a, b, pivot_cols, _ = _echelon(pm, ncols)
-    free = np.setdiff1d(np.arange(ncols), pivot_cols)
-    return _back_substitute(a, b, pivot_cols, (-a[:, free], -b[:, free]), ncols, free)
+    a, b, pivot_col, _ = _echelon(pm, pm.shape[-1])
+    bases = _back_substitute(a, b, pivot_col, (-a, -b), pm.shape[-1], basis=True)
+    return bases if len(pm.shape) == 3 else bases[0]
 
 
 def exact_solve(matrix, rhs):
@@ -317,17 +349,14 @@ def exact_solve(matrix, rhs):
     the same shape class).  For underdetermined systems the particular
     solution with every free variable zero is returned.
     """
-    pm = PairMatrix.of(matrix)
-    r = PairMatrix.of(rhs)
-    single = len(r.shape) == 1
-    if single:
-        r = r.reshape(-1, 1)
+    pm, r = PairMatrix.of(matrix), PairMatrix.of(rhs)
     ncols = pm.shape[1]
-    a, b, pivot_cols, rest = _echelon(PairMatrix.concat([pm, r], axis=1), ncols)
-    if rest:
+    columns = r[:, None] if len(r.shape) == 1 else r
+    a, b, pivot_col, rest = _echelon(PairMatrix.concat([pm, columns], axis=1), ncols)
+    if rest[0]:
         return None  # a nonzero row with no pivot: inconsistent
-    x = _back_substitute(a, b, pivot_cols, (a[:, ncols:], b[:, ncols:]), ncols)
-    return x[:, 0] if single else x
+    x = _back_substitute(a, b, pivot_col, (a[:, :, ncols:], b[:, :, ncols:]), ncols)[0]
+    return x[:, 0] if len(r.shape) == 1 else x
 
 
 def exact_inverse(matrix):

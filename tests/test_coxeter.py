@@ -6,6 +6,8 @@ import pytest
 from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, evaluate_word,
                             gamma22, gamma_co, gamma_cube, gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
+from coxvar.halfpipe import rho_lambda
+from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import collapsed_lift_exact, standard_lift_ads, standard_lift_hyp
 
 
@@ -146,3 +148,54 @@ def test_verify_collapsed_representation_exact():
     assert report.ok and report.max_defect == 0.0
     # all positive generators share the image r
     assert all((rep["0+"] - rep[f"{i}+"]).is_zero() for i in range(8))
+
+
+def _verify_one_relation_at_a_time(racg, rep, tol):
+    """Reference for verify_representation: every relation checked on its own,
+    squares first, then per commuting pair its commutator and coincidence."""
+    mats = {n: rep[n] for n in racg.generators}
+    exact = isinstance(mats["A"], PairMatrix)
+    ident = PairMatrix.identity(5) if exact else np.eye(5)
+
+    def defect(m):
+        return float(np.max(np.abs(np.asarray(m, dtype=float))))
+
+    defects, failures = [0.0], []
+    for n, m in mats.items():
+        defects.append(defect(m @ m - ident))
+        if not defects[-1] <= tol:
+            failures.append(f"square:{n}")
+    for a, b in racg.commuting_name_pairs():
+        defects.append(defect(mats[a] @ mats[b] - mats[b] @ mats[a]))
+        if not defects[-1] <= tol:
+            failures.append(f"commutator:{a},{b}")
+        if defect(mats[a] - mats[b]) <= tol:
+            failures.append(f"coincide:{a},{b}")
+    return float(np.max(defects)), failures
+
+
+def test_verify_matches_relation_by_relation_reference_exact():
+    g = gamma22()
+    rep = {n: iso.projective_matrix() for n, iso in rho_lambda(1).as_isometries().items()}
+    rep["A"] = rep["A"] * 2  # not an involution
+    rep["B"] = rep["0-"]  # B commutes with 0-: a coincident pair
+    rep["C"] = rep["1+"]  # C commutes with 0+, 1+ does not
+    report = verify_representation(g, rep, tol=0)
+    max_defect, failures = _verify_one_relation_at_a_time(g, rep, 0)
+    assert report.failing_relations == failures and report.max_defect == max_defect
+    assert {"square:A", "coincide:0-,B", "commutator:0+,C"} <= set(failures)
+
+
+def test_verify_matches_relation_by_relation_reference_nan():
+    g = gamma22()
+    rep = _reflection_images(standard_lift_hyp(0.5))
+    rep["3-"] = np.full((5, 5), np.nan)
+    report = verify_representation(g, rep, tol=1e-12)
+    max_defect, failures = _verify_one_relation_at_a_time(g, rep, 1e-12)
+    assert report.failing_relations == failures and np.isnan(report.max_defect)
+    assert np.isnan(max_defect) and "square:3-" in failures
+    # a finite float representation: the same defect bit for bit
+    rep = _reflection_images(standard_lift_hyp(0.3))
+    report = verify_representation(g, rep, tol=1e-12)
+    assert (report.max_defect, report.failing_relations) == \
+        _verify_one_relation_at_a_time(g, rep, 1e-12)

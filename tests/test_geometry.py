@@ -77,6 +77,39 @@ def test_reflection_degenerate_normal():
         reflection_matrix(H4, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
 
 
+def _identical(x, y):
+    """The same den, dtype and integer arrays."""
+    return (x.den == y.den and x.a.dtype == y.a.dtype
+            and np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b))
+
+
+def test_reflection_stack_matches_single_reflections():
+    names = sorted(CUBO)
+    stack = reflection_matrix(MINK, [CUBO[n] for n in names])
+    assert stack.shape == (14, 4, 4)
+    for n, member in zip(names, stack.unstack()):
+        assert _identical(member, reflection_matrix(MINK, CUBO[n]))
+    table = reflection_matrix(H4, np.array([TABLE[n] for n in TABLE]).reshape(2, 11, 5))
+    assert table.shape == (2, 11, 5, 5)
+    for k, n in enumerate(TABLE):
+        member = table[k // 11, k % 11][None].unstack()[0]
+        assert _identical(member, reflection_matrix(H4, TABLE[n]))
+    # float normals: each member bit for bit
+    rng = np.random.default_rng(11)
+    normals = rng.normal(size=(3, 4, 5)) * np.array([0.5, 1, 1, 1, 1])
+    stack = reflection_matrix(H4, normals)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(stack[idx], reflection_matrix(H4, normals[idx]))
+
+
+def test_reflection_stack_rejects_a_lightlike_normal():
+    normals = [TABLE["A"], _vec(1, 1, 0, 0, 0), TABLE["B"]]
+    with pytest.raises(DegenerateNormal):
+        reflection_matrix(H4, normals)
+    with pytest.raises(DegenerateNormal):
+        reflection_matrix(H4, np.array(normals, dtype=float))
+
+
 def test_classify_pair_hyp_table_examples():
     assert classify_pair_hyp(TABLE["A"], TABLE["B"]) == PairClassHyp.TANGENT_AT_INFINITY
     assert classify_pair_hyp(TABLE["A"], TABLE["F"]) == PairClassHyp.DISJOINT

@@ -266,3 +266,65 @@ def test_scalar_beyond_int64():
     assert (big * big).item() == QSqrt2(2 ** 140)
     assert np.asarray(big * big, dtype=float) == float(2 ** 140)
     assert (big - big).is_zero()
+
+
+# -- stacked elimination: every member as it comes out alone -------------------
+
+def _member(data, kind, nrows, ncols):
+    """One matrix of a stack: of low rank, zero, full rank, or with large entries."""
+    if kind == "zero":
+        return PairMatrix.zeros((nrows, ncols))
+    if kind == "full":
+        # unit upper triangular: rank min(nrows, ncols)
+        upper = np.triu(_matrix(data, nrows, ncols), k=1)
+        return PairMatrix.of(upper) + PairMatrix.identity(max(nrows, ncols))[:nrows, :ncols]
+    if kind == "big":
+        return PairMatrix.of(_matrix(data, nrows, ncols, st.builds(QSqrt2, near_2_20, near_2_20)))
+    rank = data.draw(st.integers(0, min(nrows, ncols)))
+    left = _matrix(data, nrows, rank)
+    right = _matrix(data, rank, ncols)
+    return PairMatrix.of(left) @ PairMatrix.of(right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_stacked_nullspace_matches_members(nrows, ncols, data):
+    kinds = data.draw(st.lists(st.sampled_from(["rank", "zero", "full", "big"]),
+                               min_size=1, max_size=4))
+    members = [_member(data, kind, nrows, ncols) for kind in kinds]
+    bases = exact_nullspace(PairMatrix.stack(members))
+    assert len(bases) == len(members)
+    for member, basis in zip(members, bases):
+        # den, dtype and both integer arrays as the member's own elimination gives them
+        assert _identical(basis, exact_nullspace(member)) and _canonical(basis)
+        assert (member @ basis).is_zero()
+
+
+def test_stacked_nullspace_mixed_ranks_and_int64_switch():
+    rng = np.random.default_rng(3)
+    small = PairMatrix(rng.integers(-3, 4, (3, 4)), rng.integers(-3, 4, (3, 4)))
+    signs = rng.choice([-1, 1], (2, 3, 4))
+    big = PairMatrix(*(rng.integers(2 ** 19, 2 ** 20, (2, 3, 4)) * signs))
+    rank_one = PairMatrix.of(np.outer([1, 2, 0], [0, 1, -1, 3]))
+    members = [small, PairMatrix.zeros((3, 4)), big, rank_one, PairMatrix.identity(4)[:3]]
+    stack = PairMatrix.stack(members)
+    # one member pushes the whole stack onto Python ints; alone the others stay int64
+    assert stack.a.dtype == np.int64 and _echelon(stack, 4)[0].dtype == object
+    assert _echelon(small, 4)[0].dtype == np.int64
+    bases = exact_nullspace(stack)
+    assert [b.shape[1] for b in bases] == [1, 4, 1, 3, 1]
+    for member, basis in zip(members, bases):
+        assert _identical(basis, exact_nullspace(member))
+    assert bases[0].a.dtype == np.int64
+    # a 2-D matrix is a stack of one and gives one basis
+    assert _identical(exact_nullspace(small), exact_nullspace(small[None])[0])
+
+
+def test_unstack_reduces_each_member():
+    stack = PairMatrix.stack([PairMatrix.of([[Fraction(1, 2), 0]]),
+                              PairMatrix.of([[QSqrt2(0, Fraction(1, 3)), 1]]),
+                              PairMatrix.zeros((1, 2)), PairMatrix.of([[2 ** 70, 1]])])
+    assert stack.den == 6
+    for t, member in enumerate(stack.unstack()):
+        assert _canonical(member) and _identical(member, stack[t].reduced())
+    assert _identical(stack.reduced(), PairMatrix.of(_values(stack)))
