@@ -12,8 +12,8 @@ commuting pairs.  The groups used throughout:
 * gamma_co  -- the reflection group of the ideal right-angled
                cuboctahedron (8 triangles + 6 quads, 24 edges).
 
-The tables are QSqrt2 coordinate tuples; every exact matrix built from
-them is a linalg_exact.PairMatrix.  Word evaluation and representation
+Each table is one linalg_exact.PairMatrix, a row per generator, built
+from integer sign patterns.  Word evaluation and representation
 verification are generic over the image type: float matrices, exact
 PairMatrix, or any object with a ``projective_matrix()`` method
 (half-pipe isometries).
@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .geometry import QuadraticSpace
-from .linalg_exact import PairMatrix
-from .scalars import QSqrt2, is_exact
+from .linalg_exact import PairMatrix, is_exact
 
 
 class RelationError(Exception):
@@ -106,56 +104,48 @@ LETTER_NAMES = tuple("ABCDEF")
 GAMMA22_NAMES = POSITIVE_NAMES + NEGATIVE_NAMES + LETTER_NAMES
 
 
-_HALF = Fraction(1, 2)
-
-
-def _letter_vector(letter, dim):
-    slot, sign = _LETTER_SIGNS[letter]
-    v = [QSqrt2(0)] * dim
-    v[0] = QSqrt2(1)
-    v[slot] = QSqrt2(0, sign)
-    return tuple(v)
+# the same patterns as integer arrays: x1..x4 of each i+, and the (slot, sign) of each letter
+_SIGNS = np.array([(*s, e) for s, e in _PM_SIGNS.values()])
+_SLOT, _SLOT_SIGN = np.array(list(_LETTER_SIGNS.values())).T
 
 
 @lru_cache(maxsize=None)
 def gamma22_vectors():
-    """The 22 unit normals in R^{1,4}, exact over Q(sqrt 2).
+    """The 22 unit normals in R^{1,4}, exact over Q(sqrt 2): one (22, 5)
+    PairMatrix with rows in GAMMA22_NAMES order.
 
     The positive/negative vectors are the table's (sqrt2, +-1, ..., +-1)
     rows scaled by 1/sqrt2 so that q_1 = 1 exactly on all 22 vectors;
-    scaling does not change any hyperplane or orthogonality.
+    scaling does not change any hyperplane or orthogonality.  Over den 2,
+    i+- is (2, sqrt2 (x1, x2, x3, +-x4)) and a letter 2 (e_0 +- sqrt2 e_slot).
     """
-    vecs = {}
-    for i, (s, e) in _PM_SIGNS.items():
-        body = [QSqrt2(0, _HALF * c) for c in s]
-        vecs[f"{i}+"] = tuple([QSqrt2(1)] + body + [QSqrt2(0, _HALF * e)])
-        vecs[f"{i}-"] = tuple([QSqrt2(1)] + body + [QSqrt2(0, -_HALF * e)])
-    for x in LETTER_NAMES:
-        vecs[x] = _letter_vector(x, 5)
-    return vecs
+    a, b = np.zeros((22, 5), dtype=np.int64), np.zeros((22, 5), dtype=np.int64)
+    a[:, 0] = 2
+    b[:8, 1:], b[8:16, 1:] = _SIGNS, _SIGNS * [1, 1, 1, -1]
+    b[16 + np.arange(6), _SLOT] = 2 * _SLOT_SIGN
+    return PairMatrix(a, b, 2)
 
 
 @lru_cache(maxsize=None)
 def cuboctahedron_vectors():
-    """Unit normals in R^{1,3} of the ideal right-angled cuboctahedron.
+    """Unit normals in R^{1,3} of the ideal right-angled cuboctahedron: one
+    (14, 4) PairMatrix with rows in gamma_co() generator order.
 
     Triangles '0'..'7' are (sqrt2, +-1, +-1, +-1), quads 'A'..'F' are
     (1, +-sqrt2, 0, 0) up to coordinate position; all have q_1 = 1.
     """
-    vecs = {}
-    for i, (s, _) in _PM_SIGNS.items():
-        vecs[str(i)] = tuple([QSqrt2(0, 1)] + [QSqrt2(c) for c in s])
-    for x in LETTER_NAMES:
-        vecs[x] = _letter_vector(x, 4)
-    return vecs
+    a, b = np.zeros((14, 4), dtype=np.int64), np.zeros((14, 4), dtype=np.int64)
+    a[:8, 1:], b[:8, 0] = _SIGNS[:, :3], 1
+    a[8:, 0] = 1
+    b[8 + np.arange(6), _SLOT] = _SLOT_SIGN
+    return PairMatrix(a, b)
 
 
-def _orthogonality_pairs(names, vectors, space):
-    """Index pairs i < j with b(v_i, v_j) = 0, read off one exact Gram
-    matrix V J V^T, whose diagonal must be 1 (unit normals)."""
-    V = PairMatrix.of([vectors[n] for n in names])
+def _orthogonality_pairs(V, space):
+    """Index pairs i < j with b(v_i, v_j) = 0 of the rows of V, read off one
+    exact Gram matrix V J V^T, whose diagonal must be 1 (unit normals)."""
     gram = V @ (V * np.array(space.signature)).T
-    n = len(names)
+    n = V.shape[0]
     assert (gram * np.eye(n, dtype=int) - PairMatrix.identity(n)).is_zero(), "q = 1 expected"
     zero = (gram.a == 0) & (gram.b == 0)
     return frozenset((i, j) for i, j in combinations(range(n), 2) if zero[i, j])
@@ -164,7 +154,7 @@ def _orthogonality_pairs(names, vectors, space):
 @lru_cache(maxsize=None)
 def gamma22():
     """The 22-generator group; 80 commuting pairs derived exactly."""
-    pairs = _orthogonality_pairs(GAMMA22_NAMES, gamma22_vectors(), QuadraticSpace.hyperbolic(4))
+    pairs = _orthogonality_pairs(gamma22_vectors(), QuadraticSpace.hyperbolic(4))
     assert len(pairs) == 80, f"expected 80 commuting pairs, got {len(pairs)}"
     return RACG(GAMMA22_NAMES, pairs)
 
@@ -189,7 +179,7 @@ def gamma_cube():
 def gamma_co():
     """Cuboctahedron reflection group: 14 generators, 24 commuting pairs."""
     names = tuple(str(i) for i in range(8)) + LETTER_NAMES
-    pairs = _orthogonality_pairs(names, cuboctahedron_vectors(), QuadraticSpace.minkowski(4))
+    pairs = _orthogonality_pairs(cuboctahedron_vectors(), QuadraticSpace.minkowski(4))
     assert len(pairs) == 24, f"expected 24 commuting pairs, got {len(pairs)}"
     return RACG(names, pairs)
 

@@ -18,10 +18,8 @@ of the lone vector.  ``pair_positions`` holds every position threshold
 and check; the classifiers of one pair are that test on one pair.
 
 All operations run on either backend: numpy float arrays with a
-tolerance, or exact data with exact zero tests (tol=0).  Exact vectors
-are sequences or object arrays of QSqrt2 (or a PairMatrix, for
-reflection_matrix), and an exact reflection is a
-linalg_exact.PairMatrix.
+tolerance, or exact data with exact signs and zero tests (tol=0).
+Exact vectors and reflections are linalg_exact.PairMatrix.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg_exact import PairMatrix
-from .scalars import is_exact
+from .linalg_exact import PairMatrix, is_exact
 
 DEFAULT_TOL = 1e-9
 
@@ -144,14 +141,19 @@ def eval_form(space, x):
     return eval_bilinear(space, x, x)
 
 
+def _data(x):
+    """A PairMatrix as it is, anything else as a numpy array."""
+    return x if isinstance(x, PairMatrix) else np.asarray(x)
+
+
 def eval_bilinear(space, x, y):
     """b(x, y), the symmetric bilinear form polarising q, along the last axis.
 
-    Float or exact (object) arrays alike.  The terms s x_k y_k with s != 0
+    Float arrays or PairMatrix alike.  The float terms s x_k y_k with s != 0
     are added left to right from 0, as Python's sum adds them, so every
     entry of a stack has the bits of the sum over its lone vectors.
     """
-    x, y = np.asarray(x), np.asarray(y)
+    x, y = _data(x), _data(y)
     if x.shape[-1:] != (space.dim,) or y.shape[-1:] != (space.dim,):
         raise DimensionMismatch(f"vectors must run along a last axis of length {space.dim}")
     sig = np.array(space.signature)
@@ -159,6 +161,8 @@ def eval_bilinear(space, x, y):
         keep = np.flatnonzero(sig)
         sig, x, y = sig[keep], x[..., keep], y[..., keep]
     terms = sig * x * y
+    if isinstance(terms, PairMatrix):
+        return terms.sum(axis=-1)
     if not terms.shape[-1]:
         return terms.sum(axis=-1)  # no term: 0 per vector
     # accumulate adds left to right; the final + 0 turns -0.0 into 0.0, as
@@ -176,7 +180,6 @@ def reflection_matrix(space, X, tol=DEFAULT_TOL):
     """
     sig = np.array(space.signature)
     if is_exact(X):
-        X = PairMatrix.of(X)
         JX = X * sig
         q = X[..., None, :] @ JX[..., :, None]
         qs = [q.item(*k) for k in np.ndindex(q.shape)]
@@ -193,14 +196,26 @@ def reflection_matrix(space, X, tol=DEFAULT_TOL):
     return np.eye(space.dim) - (2.0 / q)[..., None, None] * outer
 
 
+def _against(x, c):
+    """(x, c) for float data; for exact data (the sign of x - c, 0), which
+    every comparison of x with c below then decides exactly."""
+    return ((x - c).sign(), 0) if isinstance(x, PairMatrix) else (x, c)
+
+
+def _dist(x, c):
+    """|x - c| of float data; its exact sign (0 or 1) for exact data."""
+    x, c = _against(x, c)
+    return abs(x - c)
+
+
 def coincident(X, Y, tol):
     """Is X = +-Y within tol (the same hyperplane, the same reflection)?
 
     The vectors run along the last axis, so stacks of vectors give one
     answer per vector.
     """
-    X, Y = np.asarray(X), np.asarray(Y)
-    return (np.max(np.abs(X - Y), axis=-1) <= tol) | (np.max(np.abs(X + Y), axis=-1) <= tol)
+    X, Y = _data(X), _data(Y)
+    return (np.max(_dist(X, Y), axis=-1) <= tol) | (np.max(_dist(X, -Y), axis=-1) <= tol)
 
 
 def _resolve_tol(X, tol):
@@ -227,26 +242,25 @@ def pair_positions(geometry, X, Y, tol):
     (mask, exception) in the order they are made (unit norms, mixed
     type, coincident), each mask true where the check fails.
     """
-    X, Y = np.asarray(X), np.asarray(Y)
+    X, Y = _data(X), _data(Y)
     if geometry == "hp":
-        val = eval_form(QuadraticSpace.minkowski(X.shape[-1]), X - Y)
-        return np.select([val > tol, val < -tol], [0, 2], 1), []
+        val, zero = _against(eval_form(QuadraticSpace.minkowski(X.shape[-1]), X - Y), 0)
+        return np.select([val > zero + tol, val < zero - tol], [0, 2], 1), []
     space = QuadraticSpace.for_geometry(geometry, X.shape[-1] - 1)
     qx, qy = eval_form(space, X), eval_form(space, Y)
-    ab = abs(eval_bilinear(space, X, Y))
+    ab, one = _against(abs(eval_bilinear(space, X, Y)), 1)
     if geometry == "hyp":
-        errors = [((abs(qx - 1) > tol) | (abs(qy - 1) > tol),
+        errors = [((_dist(qx, 1) > tol) | (_dist(qy, 1) > tol),
                    NotUnitSpacelike("normals must satisfy q_1 = 1"))]
-        codes = np.select([ab < 1 - tol, ab > 1 + tol], [0, 2], 1)
+        codes = np.select([ab < one - tol, ab > one + tol], [0, 2], 1)
     else:
-        # logical_not and where, not ~: exact data compares to Python bools
-        x_space, x_time = abs(qx + 1) <= tol, abs(qx - 1) <= tol
-        y_space, y_time = abs(qy + 1) <= tol, abs(qy - 1) <= tol
-        errors = [(np.logical_not((x_space | x_time) & (y_space | y_time)),
+        x_space, x_time = _dist(qx, -1) <= tol, _dist(qx, 1) <= tol
+        y_space, y_time = _dist(qy, -1) <= tol, _dist(qy, 1) <= tol
+        errors = [(~((x_space | x_time) & (y_space | y_time)),
                    NotUnitSpacelike("normals must satisfy q_{-1} = +-1")),
                   ((x_space & y_time) | (x_time & y_space),
                    MixedTypePair("no classification for a spacelike/timelike normal pair"))]
-        codes = np.select([ab > 1 + tol, ab < 1 - tol], [0, 2], 1) + np.where(x_space, 0, 3)
+        codes = np.select([ab > one + tol, ab < one - tol], [0, 2], 1) + np.where(x_space, 0, 3)
     errors.append((coincident(X, Y, tol),
                    CoincidentHyperplanes("X = +-Y defines a single hyperplane")))
     return codes, errors

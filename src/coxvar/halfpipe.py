@@ -30,8 +30,7 @@ import numpy as np
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, GeometryError, HPPointsClass, QuadraticSpace,
                        classify_pair, classify_pair_hyp, eval_form, reflection_matrix)
-from .linalg_exact import PairMatrix
-from .scalars import is_exact
+from .linalg_exact import PairMatrix, is_exact
 
 
 class HalfPipeError(Exception):
@@ -133,8 +132,7 @@ class NonDegenerateReflection:
 
     def isometry(self):
         if is_exact(self.p):
-            p = PairMatrix.of(self.p)
-            return MinkowskiIsometry(-PairMatrix.identity(p.size), p * 2)
+            return MinkowskiIsometry(-PairMatrix.identity(self.p.size), self.p * 2)
         p = np.asarray(self.p, dtype=float)
         return MinkowskiIsometry(-np.eye(len(p)), 2.0 * p)
 
@@ -268,9 +266,8 @@ def rho_lambda(lam):
     on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
     exact lam.
     """
-    cubo = cuboctahedron_vectors()
     # the 8 triangle normals, then the 6 quads: one stack of reflections
-    normals = [cubo[str(i)] for i in range(8)] + [cubo[x] for x in LETTER_NAMES]
+    normals = cuboctahedron_vectors()
     signs = np.array([(-1) ** i for i in range(8)])
     if is_exact(lam):
         minus_id, zero = -PairMatrix.identity(4), PairMatrix.zeros(4)
@@ -278,7 +275,7 @@ def rho_lambda(lam):
         taus = (PairMatrix.of(lam) * signs)[:, None] * normals[:8]
     else:
         minus_id, zero = -np.eye(4), np.zeros(4)
-        normals = np.array(normals, dtype=float)
+        normals = np.asarray(normals, dtype=float)
         refls = reflection_matrix(QuadraticSpace.minkowski(4), normals)
         taus = (signs * float(lam))[:, None] * normals[:8]
     linear, translation = {}, {}

@@ -1,15 +1,17 @@
 """Exact linear algebra over Q(sqrt 2).
 
-PairMatrix is the one exact matrix type: (a, b, den) stands for
+PairMatrix is the one exact array type, for vectors (the reflection
+tables, exact lifts) and matrices alike: (a, b, den) stands for
 (a + b*sqrt(2)) / den with a, b integer numpy arrays, so no Fraction or
-QSqrt2 object is built in matrix work.  The arrays are int64 as long as
+QSqrt2 object is built in array work.  The arrays are int64 as long as
 every product and sum provably stays below 2**62 and hold Python ints
-(dtype=object) beyond that, so results are exact either way.  Tables of
+(dtype=object) beyond that, so results are exact either way.  Nested
 QSqrt2 or rational scalars and integer numpy arrays enter through
-PairMatrix.of; single entries leave as QSqrt2 through item, and
-np.asarray(m, dtype=float) is the float view.  Every function here
-accepts whatever PairMatrix.of does and returns PairMatrix, ranks or
-pivot columns.
+PairMatrix.of; single entries leave as QSqrt2 through item, exact signs
+through sign, and np.asarray(m, dtype=float) is the float view.
+is_exact tells exact data from float data by type.  Every function
+here accepts whatever PairMatrix.of does and returns PairMatrix, ranks
+or pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
 over Z[sqrt 2] (Bareiss, Math. Comp. 22, 1968) directly on the a, b
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, sqrt
+from numbers import Rational
 
 import numpy as np
 
@@ -77,7 +80,9 @@ def _reduce_members(a, b, dens):
     g = np.gcd(np.gcd.reduce(flat_a, axis=1), np.gcd.reduce(flat_b, axis=1)).tolist()
     top = np.maximum(np.abs(flat_a).max(axis=1, initial=0),
                      np.abs(flat_b).max(axis=1, initial=0)).tolist()
-    return [PairMatrix(*_int_arrays(m // x, a[t, ...] // x, b[t, ...] // x), d // x)
+    # a zero member's gcd is its whole den, which int64 arrays may not divide by
+    return [PairMatrix(*_int_arrays(m // x, a[t, ...] // x, b[t, ...] // x), d // x) if m
+            else PairMatrix.zeros(a.shape[1:])
             for t, (m, d, x) in enumerate(zip(top, dens, map(gcd, dens, g)))]
 
 
@@ -108,16 +113,22 @@ class PairMatrix:
             return x
         if isinstance(x, np.ndarray) and x.dtype.kind == "i":
             return cls(x.astype(np.int64), np.zeros(x.shape, dtype=np.int64))
-        arr = np.asarray(x, dtype=object)
+        if isinstance(x, np.ndarray):
+            shape, flat = x.shape, x.reshape(-1).tolist()
+        else:  # nested sequences: the nesting levels give the shape
+            shape, flat = [], [x]
+            while flat and isinstance(flat[0], (list, tuple)):
+                shape.append(len(flat[0]))
+                flat = [q for row in flat for q in row]
         parts = [(q.a, q.b) if isinstance(q, QSqrt2) else (Fraction(q), Fraction(0))
-                 for q in arr.reshape(-1)]
+                 for q in flat]
         den = lcm(*(f.denominator for pair in parts for f in pair))
         a = [qa.numerator * (den // qa.denominator) for qa, _ in parts]
         b = [qb.numerator * (den // qb.denominator) for _, qb in parts]
         bound = max(map(abs, a + b), default=0)
         dtype = np.int64 if bound < _INT64_LIMIT else object
-        return cls(np.array(a, dtype=dtype).reshape(arr.shape),
-                   np.array(b, dtype=dtype).reshape(arr.shape), den)
+        return cls(np.array(a, dtype=dtype).reshape(shape),
+                   np.array(b, dtype=dtype).reshape(shape), den)
 
     @classmethod
     def zeros(cls, shape):
@@ -190,14 +201,38 @@ class PairMatrix:
     __rmul__ = __mul__
 
     def __add__(self, other):
-        ((a1, b1), (a2, b2)), den = _common([self, other])
+        """Sum with anything ``of`` converts, broadcast as in numpy."""
+        ((a1, b1), (a2, b2)), den = _common([self, PairMatrix.of(other)])
         return PairMatrix(a1 + a2, b1 + b2, den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-PairMatrix.of(other))
 
     def __neg__(self):
         return PairMatrix(-self.a, -self.b, self.den)
+
+    def __abs__(self):
+        return self * self.sign()
+
+    def sum(self, axis=-1):
+        """The sum along ``axis``, the last by default, as numpy's."""
+        bound = max(_max_abs(self.a), _max_abs(self.b)) * max(self.shape[axis], 1)
+        a, b = _int_arrays(bound, self.a, self.b)
+        return PairMatrix(_as_array(a.sum(axis=axis)), _as_array(b.sum(axis=axis)), self.den)
+
+    def sign(self):
+        """The exact sign (-1, 0 or +1) of every entry, as an integer array.
+
+        a + b*sqrt(2) has the sign of a and b where they agree (or one is
+        zero); otherwise the sign of a times that of a^2 - 2 b^2, which is
+        never zero then since sqrt 2 is irrational.
+        """
+        def signs(x):  # np.sign hands Python ints back for 0-d object arrays
+            return np.asarray(np.sign(x), dtype=int)
+
+        sa, sb = signs(self.a), signs(self.b)
+        a, b = _int_arrays(3 * max(_max_abs(self.a), _max_abs(self.b)) ** 2, self.a, self.b)
+        return np.where(sa * sb < 0, sa * signs(a * a - 2 * b * b), np.sign(sa + sb))
 
     def is_zero(self):
         return not (self.a.any() or self.b.any())
@@ -216,11 +251,16 @@ class PairMatrix:
                       Fraction(self.b.item(*idx), self.den))
 
     def __array__(self, dtype=None, copy=None):
-        """The float view: every entry as float() gives it on the QSqrt2
-        value, float(a/den) + float(b/den)*sqrt(2.0), bit for bit."""
+        """The float view: every entry as float(a/den) + float(b/den)*sqrt(2.0),
+        each quotient correctly rounded, bit for bit."""
         if dtype is not None and np.dtype(dtype) != np.float64:
             raise TypeError("a PairMatrix converts to float64 arrays only")
         return np.asarray(_quotient(self.a, self.den) + _quotient(self.b, self.den) * sqrt(2.0))
+
+
+def is_exact(x):
+    """Is x exact data, a PairMatrix or a QSqrt2 or rational scalar, rather than float data?"""
+    return isinstance(x, (PairMatrix, QSqrt2, Rational))
 
 
 # -- fraction-free elimination on the integer arrays ----------------------

@@ -38,7 +38,8 @@ from numpy.linalg import _umath_linalg
 
 from .coxeter import GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
-from .scalars import QSqrt2, format_scalar, is_exact, parse_scalar
+from .linalg_exact import PairMatrix, is_exact
+from .scalars import format_scalar, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
 MIN_GAP_RATIO = 1e3
@@ -76,7 +77,10 @@ class MixedBackends(RepVarError, ValueError):
 
 @dataclass(frozen=True)
 class Lift:
-    """Assignment of one normal vector per generator, with norm targets."""
+    """Assignment of one normal vector per generator, with norm targets.
+
+    The vectors are float arrays, or PairMatrix rows for an exact lift.
+    """
 
     space: QuadraticSpace
     names: tuple
@@ -91,8 +95,8 @@ class Lift:
         if any(t not in (-1, 1) for t in self.norm_targets.values()):
             raise ValueError("norm targets must be +1 or -1")
         for n, v in self.vectors.items():
-            if len(v) != self.space.dim:
-                raise DimensionMismatch(f"vector {n!r} has length {len(v)}, "
+            if np.shape(v) != (self.space.dim,):
+                raise DimensionMismatch(f"vector {n!r} has shape {np.shape(v)}, "
                                         f"space has dim {self.space.dim}")
         if len({is_exact(v) for v in self.vectors.values()}) > 1:
             raise MixedBackends("a lift mixes exact and decimal vectors")
@@ -107,7 +111,7 @@ class Lift:
 
     def flatten(self):
         if self.exact:
-            return np.concatenate([np.asarray(self.vectors[n], dtype=object) for n in self.names])
+            return PairMatrix.concat([self.vectors[n] for n in self.names])
         return np.concatenate([np.asarray(self.vectors[n], dtype=float) for n in self.names])
 
     def with_flat(self, flat):
@@ -118,12 +122,13 @@ class Lift:
     def as_float(self):
         if not self.exact:
             return self
-        vectors = {n: np.array([float(x) for x in v]) for n, v in self.vectors.items()}
+        vectors = {n: np.asarray(v, dtype=float) for n, v in self.vectors.items()}
         return replace(self, vectors=vectors)
 
     def to_json(self):
         def fmt(v):
-            return [format_scalar(x) for x in v]
+            return [format_scalar(v.item(k) if self.exact else v[k])
+                    for k in range(self.space.dim)]
 
         return json.dumps({
             "schema_version": 1,
@@ -137,11 +142,9 @@ class Lift:
         data = json.loads(text)
 
         def parse(entry):
-            vals = []
-            exact = not any(("." in s or "e" in s.lower()) for s in entry)
-            for s in entry:
-                vals.append(parse_scalar(s) if exact else float(s))
-            return tuple(vals) if exact else np.array(vals)
+            if any(("." in s or "e" in s.lower()) for s in entry):
+                return np.array([float(s) for s in entry])
+            return PairMatrix.of([parse_scalar(s) for s in entry])
 
         try:
             sig = tuple(data["signature"])
@@ -186,8 +189,7 @@ def standard_lift(t, geometry):
         vectors[f"{i}+"] = c * np.array([s2 * t, signs[0] * t, signs[1] * t, signs[2] * t, e],
                                         dtype=float)
         vectors[f"{i}-"] = c * np.array([s2, *signs, -s * e * t], dtype=float)
-    letters = gamma22_vectors()
-    vectors.update({x: np.array([float(v) for v in letters[x]]) for x in LETTER_NAMES})
+    vectors.update(zip(LETTER_NAMES, np.asarray(gamma22_vectors()[16:], dtype=float)))
     return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
 
 
@@ -201,22 +203,22 @@ def standard_lift_ads(t):
 
 def table_lift_exact():
     """Exact lift at t = 1 (hyperbolic): the 22 unit normals of the group."""
-    vecs = gamma22_vectors()
+    table = gamma22_vectors()
     return Lift(QuadraticSpace.hyperbolic(4), GAMMA22_NAMES,
-                {n: vecs[n] for n in GAMMA22_NAMES}, hyp_norm_targets())
+                {n: table[k] for k, n in enumerate(GAMMA22_NAMES)}, hyp_norm_targets())
 
 
 def collapsed_lift_exact(geometry):
     """Exact lift at t = 0, where the representation preserves H^3."""
-    from .coxeter import _PM_SIGNS
+    from .coxeter import _SIGNS
 
     space = QuadraticSpace.for_geometry(geometry, 4)
-    vectors = {}
-    for i, (signs, e) in _PM_SIGNS.items():
-        vectors[f"{i}+"] = tuple([QSqrt2(0)] * 4 + [QSqrt2(e)])
-        vectors[f"{i}-"] = tuple([QSqrt2(0, 1)] + [QSqrt2(c) for c in signs] + [QSqrt2(0)])
-    for x in LETTER_NAMES:
-        vectors[x] = gamma22_vectors()[x]
+    # i+ = x4 e_4 and i- = (sqrt2, x1, x2, x3, 0), the letters from the table
+    a, b = np.zeros((16, 5), dtype=np.int64), np.zeros((16, 5), dtype=np.int64)
+    a[:8, 4] = _SIGNS[:, 3]
+    a[8:, 1:4], b[8:, 0] = _SIGNS[:, :3], 1
+    table = PairMatrix.concat([PairMatrix(a, b), gamma22_vectors()[16:]])
+    vectors = {n: table[k] for k, n in enumerate(GAMMA22_NAMES)}
     return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
 
 
@@ -268,8 +270,9 @@ class ConstraintSystem:
         and the form is diagonal with that signature.  Both maps act on
         the last axis, so a stack x of shape (..., n) gives residuals
         (..., rows) and Jacobians (..., rows, n), each row as the lone
-        vector would.  The residual runs on float or exact (object)
-        arrays alike; the Jacobian is built by scatter: a pairing row
+        vector would.  The residual runs on float arrays or an exact
+        PairMatrix alike (the latter with no linear rows, which would
+        write into it); the Jacobian is built by scatter: a pairing row
         carries scale * Q x_b in block a and scale * Q x_a in block b
         (2 Q x_a for a norm), and -1 in the linear column.
         """
@@ -288,7 +291,8 @@ class ConstraintSystem:
 
         def residual_at(x):
             r = scale * (sig * x[..., cols_a] * x[..., cols_b]).sum(axis=-1) - target
-            r[..., lin_rows] -= x[..., lin]
+            if len(lin_rows):
+                r[..., lin_rows] -= x[..., lin]
             return r
 
         def jacobian_at(x):
@@ -370,10 +374,10 @@ def residual(system, lift):
 
 
 def residual_max(system, lift):
-    r = residual(system, lift)
-    if lift.exact:
-        return max(float(abs(x)) for x in r)
-    return float(np.max(np.abs(r))) if len(r) else 0.0
+    """Largest |residual| as a float: of an exact lift, the float view of
+    its exact absolute values."""
+    r = np.asarray(abs(residual(system, lift)), dtype=float)
+    return float(np.max(r)) if len(r) else 0.0
 
 
 def jacobian(system, lift):
@@ -642,11 +646,11 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
 def gram_matrix(lift):
     """Pairwise b-values in the order of lift.names (norms on the diagonal).
 
-    One stacked eval_bilinear over the lift's own scalars: an exact lift
+    One stacked eval_bilinear over the lift's own vectors: an exact lift
     pairs exactly and is converted to float once, at the end.
     """
-    vectors = np.array([lift.vectors[n] for n in lift.names],
-                       dtype=object if lift.exact else float)
+    rows = [lift.vectors[n] for n in lift.names]
+    vectors = PairMatrix.stack(rows) if lift.exact else np.array(rows, dtype=float)
     gram = eval_bilinear(lift.space, vectors[:, None], vectors[None, :])
     return np.asarray(gram, dtype=float)
 
@@ -660,11 +664,11 @@ def nearest_standard_t(lift, geometry):
     t = -0.0 at the AdS collapse g = -1.
     """
     s = QuadraticSpace.for_geometry(geometry, 4).signature[-1]
-    g = float(eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors["2+"]))
-    g2 = eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors["2-"])
+    g, g2 = (float(np.asarray(eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors[n]),
+                              dtype=float)) for n in ("2+", "2-"))
     t2 = max(s * (1.0 - s * g) / (3.0 + s * g), 0.0)
     t = sqrt(t2)
-    if float(g2) > 0:
+    if g2 > 0:
         t = -t
     return t
 

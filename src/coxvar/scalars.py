@@ -1,24 +1,20 @@
 """Exact scalars of the quadratic field Q(sqrt 2).
 
-Every vector in the reflection tables has coordinates of the form
-a + b*sqrt(2) with a, b rational, so all orthogonality and norm checks
-can be done with no rounding at all.  QSqrt2 is a small field
-implementation on top of fractions.Fraction that interoperates with int
-and Fraction operands.  It is the scalar of the package: table
-coordinates, parsed and formatted report values, parameters such as
-lambda and exact signs.  Exact matrices are linalg_exact.PairMatrix,
-which works on integer arrays and only hands single entries out as
-QSqrt2; is_exact tells exact data of either kind from float data.
+QSqrt2 is one number a + b*sqrt(2) with a, b rational, on top of
+fractions.Fraction, with the field operations and equality; it
+interoperates with int and Fraction operands.  It is what the package
+hands out and reads as a single exact value: parsed and formatted
+report values, parameters such as lambda, and the entries that
+linalg_exact.PairMatrix.item returns.  Exact vectors and matrices (the
+reflection tables, exact lifts, reflections) are PairMatrix, which
+works on integer arrays and also holds the exact order (its sign).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import sqrt
 from numbers import Rational
-
-import numpy as np
 
 
 def _coerce(x):
@@ -83,81 +79,18 @@ class QSqrt2:
             return NotImplemented
         return o / self
 
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def __pos__(self):
-        return self
-
-    # -- order structure -----------------------------------------------
-
-    def sign(self):
-        """Exact sign of a + b*sqrt(2), one of -1, 0, +1."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # a, b of opposite signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else (0 if a * a == 2 * b * b else -1)
-        return 1 if a * a < 2 * b * b else (0 if a * a == 2 * b * b else -1)
-
     def __eq__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __lt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    # -- conversions -----------------------------------------------------
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * sqrt(2.0)
-
-    def conjugate(self):
-        """The Galois conjugate a - b*sqrt(2)."""
-        return QSqrt2(self.a, -self.b)
+    # -- text ------------------------------------------------------------
 
     def __repr__(self):
         return f"QSqrt2({self.a!r}, {self.b!r})"
@@ -220,21 +153,3 @@ def format_scalar(x):
     if isinstance(x, Rational):
         return str(x)
     return format(float(x), ".17g")
-
-
-def is_exact(x):
-    """Is x exact data: a PairMatrix, a QSqrt2 or rational scalar, or an
-    array or sequence of QSqrt2 (judged by its first entry)?
-
-    Float and integer numpy arrays are float-backend data.
-    """
-    if isinstance(x, (QSqrt2, Rational)):
-        return True
-    if isinstance(x, np.ndarray) and x.dtype != object:
-        return False
-    from .linalg_exact import PairMatrix  # linalg_exact imports this module
-
-    if isinstance(x, PairMatrix):
-        return True
-    flat = np.asarray(x, dtype=object).reshape(-1)
-    return len(flat) > 0 and isinstance(flat[0], QSqrt2)

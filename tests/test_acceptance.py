@@ -29,11 +29,10 @@ def _announce(k, msg):
 def test_criterion_01_exact_tables():
     space = QuadraticSpace.hyperbolic(4)
     vecs = gamma22_vectors()
-    assert len(vecs) == 22
-    assert all(eval_form(space, v) == 1 for v in vecs.values())
-    names = list(vecs)
+    assert vecs.shape == (22, 5)
+    assert all(eval_form(space, vecs[k]).item() == 1 for k in range(22))
     ortho = sum(1 for i in range(22) for j in range(i + 1, 22)
-                if eval_bilinear(space, vecs[names[i]], vecs[names[j]]) == 0)
+                if eval_bilinear(space, vecs[i], vecs[j]).item() == 0)
     assert ortho == 80
     assert gamma_co().rank == 14
     _announce(1, "22 exact unit vectors, 80 orthogonal pairs, 14 cuboctahedron generators")

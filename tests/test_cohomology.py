@@ -7,14 +7,14 @@ import pytest
 from coxvar import cohomology as coh
 from coxvar import linalg_exact
 from coxvar.cli import main
-from coxvar.coxeter import cuboctahedron_vectors, gamma_rect, verify_representation
+from coxvar.coxeter import cuboctahedron_vectors, gamma_co, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
-CUBO = cuboctahedron_vectors()
+CUBO = {n: cuboctahedron_vectors()[k] for k, n in enumerate(gamma_co().generators)}
 
 
 def _flat(racg, dimV, tau):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coxvar.coxeter import cuboctahedron_vectors, gamma22_vectors
+from coxvar.coxeter import GAMMA22_NAMES, cuboctahedron_vectors, gamma22_vectors, gamma_co
 from coxvar.geometry import (POSITION_CLASSES, CoincidentHyperplanes, DegenerateNormal,
                              DimensionMismatch, GeometryError, MixedTypePair, NotUnitSpacelike,
                              PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair,
@@ -14,27 +14,22 @@ from coxvar.geometry import (POSITION_CLASSES, CoincidentHyperplanes, Degenerate
                              pair_positions, reflection_matrix)
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import standard_lift_ads
-from coxvar.scalars import QSqrt2
 
 H4 = QuadraticSpace.hyperbolic(4)
 ADS4 = QuadraticSpace.anti_de_sitter(4)
 MINK = QuadraticSpace.minkowski(4)
-TABLE = gamma22_vectors()
-CUBO = cuboctahedron_vectors()
+TABLE = {n: gamma22_vectors()[k] for k, n in enumerate(GAMMA22_NAMES)}
+CUBO = {n: cuboctahedron_vectors()[k] for k, n in enumerate(gamma_co().generators)}
 
 
 def _vec(*coords):
-    return tuple(QSqrt2(c) for c in coords)
-
-
-def _neg(v):
-    return tuple(-x for x in v)
+    return PairMatrix.of(np.array(coords))
 
 
 def test_eval_form_unit_vectors():
     # table vectors are unit after the sqrt2 normalisation
-    assert eval_form(H4, TABLE["0+"]) == 1
-    assert eval_form(H4, _vec(1, 0, 0, 0, 0)) == -1
+    assert eval_form(H4, TABLE["0+"]).item() == 1
+    assert eval_form(H4, _vec(1, 0, 0, 0, 0)).item() == -1
     ads = standard_lift_ads(0.5)
     assert abs(eval_form(ADS4, ads.vectors["0+"]) + 1) < 1e-14
 
@@ -45,13 +40,14 @@ def test_eval_form_dimension_mismatch():
 
 
 def test_eval_bilinear_examples():
-    assert eval_bilinear(H4, TABLE["A"], TABLE["0+"]) == 0
-    assert eval_bilinear(H4, TABLE["A"], TABLE["B"]) == -1
+    assert eval_bilinear(H4, TABLE["A"], TABLE["0+"]).item() == 0
+    assert eval_bilinear(H4, TABLE["A"], TABLE["B"]).item() == -1
     zero = _vec(0, 0, 0, 0, 0)
-    assert eval_bilinear(H4, TABLE["A"], zero) == 0
+    assert eval_bilinear(H4, TABLE["A"], zero).item() == 0
     # symmetry and polarisation
-    assert eval_bilinear(H4, TABLE["A"], TABLE["C"]) == eval_bilinear(H4, TABLE["C"], TABLE["A"])
-    assert eval_bilinear(H4, TABLE["A"], TABLE["A"]) == eval_form(H4, TABLE["A"])
+    assert (eval_bilinear(H4, TABLE["A"], TABLE["C"]).item()
+            == eval_bilinear(H4, TABLE["C"], TABLE["A"]).item())
+    assert eval_bilinear(H4, TABLE["A"], TABLE["A"]).item() == eval_form(H4, TABLE["A"]).item()
 
 
 def test_reflection_coordinate():
@@ -64,10 +60,10 @@ def test_reflection_involution_and_fixed_vectors():
     assert (m @ m - PairMatrix.identity(5)).is_zero()
     # orthogonality forces fixedness: v_0 is b-orthogonal to v_A in R^{1,3}
     r = reflection_matrix(MINK, CUBO["A"])
-    v0 = PairMatrix.of(CUBO["0"])
+    v0 = CUBO["0"]
     assert (r @ v0 - v0).is_zero()
     # X and -X give the same reflection
-    assert (reflection_matrix(H4, _neg(TABLE["A"])) - m).is_zero()
+    assert (reflection_matrix(H4, -TABLE["A"]) - m).is_zero()
 
 
 def test_reflection_degenerate_normal():
@@ -85,11 +81,11 @@ def _identical(x, y):
 
 def test_reflection_stack_matches_single_reflections():
     names = sorted(CUBO)
-    stack = reflection_matrix(MINK, [CUBO[n] for n in names])
+    stack = reflection_matrix(MINK, PairMatrix.stack([CUBO[n] for n in names]))
     assert stack.shape == (14, 4, 4)
     for n, member in zip(names, stack.unstack()):
         assert _identical(member, reflection_matrix(MINK, CUBO[n]))
-    table = reflection_matrix(H4, np.array([TABLE[n] for n in TABLE]).reshape(2, 11, 5))
+    table = reflection_matrix(H4, gamma22_vectors().reshape(2, 11, 5))
     assert table.shape == (2, 11, 5, 5)
     for k, n in enumerate(TABLE):
         member = table[k // 11, k % 11][None].unstack()[0]
@@ -103,7 +99,7 @@ def test_reflection_stack_matches_single_reflections():
 
 
 def test_reflection_stack_rejects_a_lightlike_normal():
-    normals = [TABLE["A"], _vec(1, 1, 0, 0, 0), TABLE["B"]]
+    normals = PairMatrix.stack([TABLE["A"], _vec(1, 1, 0, 0, 0), TABLE["B"]])
     with pytest.raises(DegenerateNormal):
         reflection_matrix(H4, normals)
     with pytest.raises(DegenerateNormal):
@@ -120,7 +116,7 @@ def test_classify_pair_hyp_errors():
     with pytest.raises(NotUnitSpacelike):
         classify_pair_hyp(_vec(1, 0, 0, 0, 0), TABLE["A"])
     with pytest.raises(CoincidentHyperplanes):
-        classify_pair_hyp(TABLE["A"], _neg(TABLE["A"]))
+        classify_pair_hyp(TABLE["A"], -TABLE["A"])
 
 
 def test_classify_pair_ads_examples():

@@ -21,8 +21,13 @@ from pathlib import Path
 import pytest
 
 from coxvar.cli import main
+from coxvar.coxeter import gamma22
+from coxvar.repvar import table_lift_exact
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# inputs of the user-lift cases: gamma22().to_json(), table_lift_exact().to_json()
+# and that lift with the first coordinate of 0+ changed from 1 to 1+sqrt2
+INPUTS = GOLDEN / "inputs"
 
 
 def _cases():
@@ -54,6 +59,12 @@ def _cases():
     yield ("cusp-hp-cube4-lam0",
            ["cusp", "--geometry", "hp", "--group", "cube4", "--lam", "0"], True)
     yield "cohomology-full-hyp", ["cohomology", "--target", "full-hyp"], False
+    # exact user lifts: the residual is computed exactly, 0 on the table lift
+    for stem, lift in (("verify-user-table-exact", "lift-table-exact.json"),
+                       ("verify-user-table-exact-broken", "lift-table-exact-broken.json")):
+        yield stem, ["verify", "--geometry", "hyp",
+                     "--group-file", str(INPUTS / "gamma22.group.json"),
+                     "--lift-file", str(INPUTS / lift)], False
 
 
 CASES = {stem: (argv, summary) for stem, argv, summary in _cases()}
@@ -91,6 +102,11 @@ def test_report_matches_golden(stem):
         assert (name in files) == (GOLDEN / name).exists(), f"{name}: written iff in tests/golden"
     for name, text in files.items():
         assert text == (GOLDEN / name).read_text(), f"{name} differs from tests/golden"
+
+
+def test_user_lift_inputs_are_current():
+    assert (INPUTS / "gamma22.group.json").read_text() == gamma22().to_json() + "\n"
+    assert (INPUTS / "lift-table-exact.json").read_text() == table_lift_exact().to_json() + "\n"
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coxvar.cohomology import is_coboundary, rho0_rep
-from coxvar.coxeter import cuboctahedron_vectors, gamma22, verify_representation
+from coxvar.coxeter import cuboctahedron_vectors, gamma22, gamma_co, verify_representation
 from coxvar.geometry import PairClassHyp, QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import (DegenerateReflection, HPPointsClass, MinkowskiIsometry,
                              NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
@@ -12,7 +12,7 @@ from coxvar.linalg_exact import PairMatrix
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
-CUBO = cuboctahedron_vectors()
+CUBO = {n: cuboctahedron_vectors()[k] for k, n in enumerate(gamma_co().generators)}
 
 
 def _exact_vec(name):

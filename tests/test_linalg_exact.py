@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ def _values(pm):
     for idx in np.ndindex(pm.shape):
         out[idx] = pm.item(*idx)
     return out
+
+
+def _floats(arr):
+    """float(a) + float(b)*sqrt(2.0) of every entry of a QSqrt2 object array."""
+    vals = [v if isinstance(v, QSqrt2) else QSqrt2(v) for v in arr.reshape(-1)]
+    return np.array([float(v.a) + float(v.b) * sqrt(2.0) for v in vals]).reshape(arr.shape)
 
 
 def _rref_rank(rows, ncols):
@@ -143,10 +150,10 @@ def test_pair_arithmetic_matches_object_arrays(n, k, m, data):
     assert _same(PairMatrix.assemble((2 * n, m + 2), [(0, 0, pz), (n, 2, px @ py)]),
                  np.block([[z, zeros], [zeros, x @ y]]))
     assert _same(pz * pz, z * z) and _same(2 * pz, 2 * z)
-    assert (px @ py - pz).is_zero() == (not any((x @ y - z).reshape(-1)))
+    assert (px @ py - pz).is_zero() == all(v == 0 for v in (x @ y - z).reshape(-1))
     assert (pz - pz).is_zero()
-    # the float view is float() of every entry, bit for bit
-    assert np.array_equal(np.asarray(pz, dtype=float), z.astype(float))
+    # the float view is float(a) + float(b)*sqrt(2.0) of every entry, bit for bit
+    assert np.array_equal(np.asarray(pz, dtype=float), _floats(z))
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +209,7 @@ def test_overflow_guard_stays_exact(n, k, data):
     prod = px @ py
     assert prod.a.dtype == object
     assert _same(prod, x @ y)
-    assert np.array_equal(np.asarray(prod, dtype=float), (x @ y).astype(float))
+    assert np.array_equal(np.asarray(prod, dtype=float), _floats(x @ y))
     assert _same(prod - prod, x @ y - x @ y) and (prod - prod).is_zero()
     assert exact_rank(x) == _rref_rank(x, k)
     assert (px @ exact_nullspace(x)).is_zero()
@@ -318,6 +325,15 @@ def test_stacked_nullspace_mixed_ranks_and_int64_switch():
     assert bases[0].a.dtype == np.int64
     # a 2-D matrix is a stack of one and gives one basis
     assert _identical(exact_nullspace(small), exact_nullspace(small[None])[0])
+
+
+def test_zero_matrix_reduces_to_den_one():
+    # the gcd of a zero matrix is its whole den, here past int64
+    m = PairMatrix.of([Fraction(1, 2 ** 70), 0])
+    zero = m - m
+    assert zero.den == 2 ** 70 and zero.a.dtype == np.int64
+    for member in [zero.reduced(), *PairMatrix.stack([zero, zero]).unstack()]:
+        assert _identical(member, PairMatrix.zeros(2))
 
 
 def test_unstack_reduces_each_member():

@@ -6,6 +6,7 @@ import pytest
 from coxvar.coxeter import gamma22, gamma_rect
 from coxvar.cusp import _problem, base_cube
 from coxvar.geometry import eval_bilinear, eval_form
+from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, NoConvergence,
                            NonFiniteResidual, OverlappingConstraint, ParameterOutOfRange,
                            SliceDegenerate, _lstsq, build_constraints, canonical_tangency_pairs,
@@ -52,7 +53,7 @@ def test_lift_json_roundtrip():
     exact = table_lift_exact()
     back = Lift.from_json(exact.to_json())
     assert back.exact
-    assert all(tuple(back.vectors[n]) == tuple(exact.vectors[n]) for n in exact.names)
+    assert all((back.vectors[n] - exact.vectors[n]).is_zero() for n in exact.names)
 
 
 def test_build_constraints_counts():
@@ -117,7 +118,7 @@ def test_residual_exact_lift_is_zero():
     g22 = gamma22()
     system = build_constraints(g22, hyp_norm_targets(), canonical_tangency_pairs("hyp"))
     vals = residual(system, table_lift_exact())
-    assert all(v == 0 for v in vals)
+    assert vals.shape == (len(system),) and vals.is_zero()
 
 
 def test_residual_locality():
@@ -185,13 +186,13 @@ def test_maps_on_stacks_match_rows():
         for k, x in enumerate(xs):
             assert r[k].tobytes() == F(x).tobytes()
             assert jac[k].tobytes() == J(x).tobytes()
-    # exact (object) rows: the table lift and the collapsed lift
+    # exact (PairMatrix) rows: the table lift and the collapsed lift
     F = hyp_maps[0]
     exact = [table_lift_exact(), collapsed_lift_exact("hyp")]
-    r = F(np.array([e.flatten() for e in exact]))
+    r = F(PairMatrix.stack([e.flatten() for e in exact]))
     for k, e in enumerate(exact):
-        assert list(r[k]) == list(residual(system, e))
-    assert all(v == 0 for v in r[0])
+        assert (r[k] - residual(system, e)).is_zero()
+    assert r[0].is_zero()
 
 
 @pytest.mark.parametrize("shape", [(18, 30), (138, 90)])

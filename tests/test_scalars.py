@@ -1,10 +1,11 @@
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxvar.linalg_exact import PairMatrix
 from coxvar.scalars import ONE, SQRT2, QSqrt2, format_scalar, parse_scalar
 
 
@@ -15,7 +16,6 @@ def test_basic_arithmetic():
     assert x * SQRT2 == QSqrt2(2, 1)
     assert SQRT2 * SQRT2 == 2
     assert (x - x) == 0
-    assert -x == QSqrt2(-1, -1)
 
 
 def test_division_and_inverse():
@@ -26,19 +26,29 @@ def test_division_and_inverse():
         _ = ONE / QSqrt2(0, 0)
 
 
+def _pell(n):
+    """(a, b) with a + b sqrt2 = (1 + sqrt2)^n, so a^2 - 2 b^2 = (-1)^n: a - b sqrt2
+    has that sign but lies within 1/(2b) of 0, far below the float resolution of a."""
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = a + 2 * b, a + b
+    return a, b
+
+
 def test_sign_and_comparisons():
-    assert SQRT2 > 1
-    assert SQRT2 < Fraction(3, 2)
-    assert QSqrt2(1, Fraction(-1, 2)).sign() == 1       # 1 - sqrt2/2 > 0
-    assert QSqrt2(-1, Fraction(3, 4)).sign() == 1        # 3 sqrt2/4 > 1
-    assert QSqrt2(3, -2).sign() == 1                     # 3 > 2 sqrt2 ~ 2.83
-    assert QSqrt2(2, -2).sign() == -1
-    assert abs(QSqrt2(2, -2)) == QSqrt2(-2, 2)
-
-
-def test_conjugate():
-    x = QSqrt2(3, -2)
-    assert x * x.conjugate() == 9 - 8
+    # the exact order of Q(sqrt 2) is PairMatrix.sign, entry by entry
+    a, b = _pell(81)  # a, b past 2**62: Python-int arrays
+    assert a > 2 ** 62 and a * a - 2 * b * b == -1
+    x = PairMatrix.of([SQRT2 - 1, SQRT2 - Fraction(3, 2),
+                       QSqrt2(1, Fraction(-1, 2)),   # 1 - sqrt2/2 > 0
+                       QSqrt2(-1, Fraction(3, 4)),   # 3 sqrt2/4 > 1
+                       QSqrt2(3, -2),                # 3 > 2 sqrt2 ~ 2.83
+                       QSqrt2(2, -2), 0, QSqrt2(a, -b), QSqrt2(-a, b)])
+    assert x.a.dtype == object
+    assert x.sign().tolist() == [1, -1, 1, 1, 1, -1, 0, -1, 1]
+    assert abs(x).item(5) == QSqrt2(-2, 2)
+    assert abs(x).item(7) == QSqrt2(-a, b)
+    assert PairMatrix.of(QSqrt2(a, -b)).sign() == -1  # one entry: a 0-d object array
 
 
 def test_parse_and_format_roundtrip():
@@ -72,9 +82,15 @@ def test_field_axioms(x, y, z):
 
 
 @settings(max_examples=60, deadline=None)
-@given(elements)
-def test_sign_matches_float(x):
-    f = float(x)
-    if abs(f) > 1e-12:
-        assert x.sign() == (1 if f > 0 else -1)
-    assert math.isclose(float(abs(x)), abs(f), abs_tol=1e-12)
+@given(st.lists(elements, min_size=1, max_size=6))
+def test_sign_matches_float(xs):
+    m = PairMatrix.of(xs)
+    f = np.asarray(m, dtype=float)
+    sign = m.sign()
+    for k, x in enumerate(xs):
+        if x == 0:
+            assert sign[k] == 0
+        elif abs(f[k]) > 1e-12:
+            assert sign[k] == (1 if f[k] > 0 else -1)
+    assert np.allclose(np.asarray(abs(m), dtype=float), np.abs(f), rtol=0, atol=1e-12)
+    assert sign.shape == (len(xs),) and m[0].sign().shape == ()
