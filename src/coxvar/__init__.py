@@ -16,8 +16,7 @@ from .repvar import (ConstraintSystem, Lift, RankReport, build_constraints,
                      canonical_tangency_pairs, constraint_system, find_cusp_subgroups,
                      find_tangency_pairs, gram_matrix, jacobian, kernel_report,
                      known_tangent, nearest_standard_t, orbit_tangent, project_to_variety,
-                     residual, residual_max, standard_lift, standard_lift_ads,
-                     standard_lift_hyp, trace_path)
+                     residual, residual_max, standard_lift, trace_path)
 from .scalars import QSqrt2, SQRT2, parse_scalar
 
 __version__ = "0.1.0"

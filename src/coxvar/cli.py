@@ -76,7 +76,9 @@ def _parse_grid(spec):
 
 # -- verify ------------------------------------------------------------------
 
-def _verify_user_lift(args, out):
+def _user_group_and_lift(args):
+    if not (args.group_file and args.lift_file):
+        raise ValueError("--group-file and --lift-file go together")
     with open(args.group_file) as fh:
         racg = RACG.from_json(fh.read())
     with open(args.lift_file) as fh:
@@ -84,54 +86,40 @@ def _verify_user_lift(args, out):
     if set(lift.names) != set(racg.generators):
         raise ValueError(f"lift names {sorted(lift.names)} do not match the group's "
                          f"generators {sorted(racg.generators)}")
-    system = build_constraints(racg, lift.norm_targets)
-    with np.errstate(all="ignore"):  # a non-finite value fails the checks below
-        res = residual_max(system, lift)
-        flift = lift.as_float()
-        images = {n: reflection_matrix(flift.space, flift.vectors[n]) for n in flift.names}
-        report = verify_representation(racg, images, tol=args.tol)
-    out.write(f"group: {len(racg.generators)} generators, "
-              f"{len(racg.commuting_pairs)} commuting pairs\n")
-    out.write(f"residual_max: {format_scalar(res)}\n")
-    out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
-    for f in report.failing_relations:
-        out.write(f"FAIL {f}\n")
-    return EXIT_OK if (res <= args.tol and report.ok) else EXIT_VERIFY_FAIL
+    return racg, lift
 
 
 def cmd_verify(args):
     out = io.StringIO()
     if args.group_file or args.lift_file:
-        if not (args.group_file and args.lift_file):
-            raise ValueError("--group-file and --lift-file go together")
-        code = _verify_user_lift(args, out)
-        _write(args, out.getvalue())
-        return code
-    racg = gamma22()
-    if args.geometry == "hp":
+        racg, lift = _user_group_and_lift(args)
+        system = build_constraints(racg, lift.norm_targets)
+        out.write(f"group: {len(racg.generators)} generators, "
+                  f"{len(racg.commuting_pairs)} commuting pairs\n")
+    elif args.geometry == "hp":
         lam = args.t
         rep = rho_lambda(int(lam) if float(lam).is_integer() else lam)
-        report = verify_representation(racg, rep.as_isometries(), tol=args.tol)
+        report = verify_representation(gamma22(), rep.as_isometries(), tol=args.tol)
         out.write(f"geometry: hp  lambda: {format_scalar(lam)}\n")
         out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
         for f in report.failing_relations:
             out.write(f"FAIL {f}\n")
         _write(args, out.getvalue())
         return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
-    lift = standard_lift(args.t, args.geometry)
-    system = constraint_system(args.geometry, with_tangencies=True)
-    res = residual_max(system, lift)
-    out.write(f"geometry: {args.geometry}  t: {format_scalar(args.t)}\n")
-    out.write(f"constraints: {len(system)}\n")
+    else:
+        racg, lift = gamma22(), standard_lift(args.t, args.geometry)
+        system = constraint_system(args.geometry, with_tangencies=True)
+        out.write(f"geometry: {args.geometry}  t: {format_scalar(args.t)}\n")
+        out.write(f"constraints: {len(system)}\n")
+    with np.errstate(all="ignore"):  # a non-finite value fails the checks below
+        res = residual_max(system, lift)
+        images = reflection_matrix(lift.space, lift.as_float().table)
+        report = verify_representation(racg, dict(zip(lift.names, images)), tol=args.tol)
     out.write(f"residual_max: {format_scalar(res)}\n")
-    images = {n: reflection_matrix(lift.space, lift.vectors[n]) for n in lift.names}
-    report = verify_representation(racg, images, tol=args.tol)
     out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
     ok = res <= args.tol and report.ok
-    if args.geometry == "hyp" and args.t == 1.0:
-        exact = table_lift_exact().as_float()
-        dev = max(float(np.max(np.abs(lift.vectors[n] - exact.vectors[n])))
-                  for n in lift.names)
+    if not args.lift_file and args.geometry == "hyp" and args.t == 1.0:
+        dev = float(np.max(np.abs(lift.table - table_lift_exact().as_float().table)))
         out.write(f"table_deviation: {format_scalar(dev)}\n")
         ok = ok and dev <= args.tol
     for f in report.failing_relations:
@@ -262,9 +250,8 @@ def cmd_gram(args):
     values = gram[rows, cols]
     labels = np.where(rows == cols, "norm", "orthogonal").astype(object)
     paired = (rows != cols) & ~(np.abs(values) <= GRAM_TOL)
-    vectors = np.array([lift.vectors[n] for n in names])
-    codes, errors = pair_positions(args.geometry, vectors[rows[paired]], vectors[cols[paired]],
-                                   GRAM_TOL)
+    codes, errors = pair_positions(args.geometry, lift.table[rows[paired]],
+                                   lift.table[cols[paired]], GRAM_TOL)
     classes = np.array([c.value for c in POSITION_CLASSES[args.geometry]], dtype=object)
     pair_labels = classes[codes]
     # mixed/degenerate pairs are reported, not fatal: the first failed check names them

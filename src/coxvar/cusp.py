@@ -421,5 +421,7 @@ def base_cube(geometry, t=0.4, lam=1):
     subsets = find_cusp_subgroups(lift)
     if not subsets:
         raise CuspError(f"the lift at t = {t} has no cusp subgroup")
-    data = rho_lambda(float(lam)).as_reflections() if geometry == "hp" else lift.vectors
-    return [data[n] for n in subsets[0]]
+    if geometry == "hp":
+        data = rho_lambda(float(lam)).as_reflections()
+        return [data[n] for n in subsets[0]]
+    return list(lift.table[[lift.names.index(n) for n in subsets[0]]])

@@ -182,6 +182,10 @@ class PairMatrix:
     def reshape(self, *shape):
         return PairMatrix(self.a.reshape(*shape), self.b.reshape(*shape), self.den)
 
+    def flatten(self):
+        """A flat copy, as ndarray.flatten."""
+        return PairMatrix(self.a.flatten(), self.b.flatten(), self.den)
+
     def _product(self, other, op, terms):
         # (a1 + b1 r)(a2 + b2 r) = (a1 a2 + 2 b1 b2) + (a1 b2 + b1 a2) r, r = sqrt 2,
         # and ``terms`` such products are summed into each entry

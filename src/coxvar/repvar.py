@@ -7,8 +7,11 @@ lift: one normal vector per generator, subject to quadratic constraints
     b(f(s1), f(s2)) = 0          (one per commuting pair),
     b(f(s1), f(s2)) = +-1        (optional pinned tangencies).
 
-For the 22-generator group this is the map g: R^110 -> R^102, extended
-to g0: R^110 -> R^138 by the 36 tangency conditions.  The module
+A Lift holds its normals as one table, a row per generator (a float
+array, or a PairMatrix for an exact lift), and the flat coordinates of
+the maps are that table read row by row.  For the 22-generator group
+this is the map g: R^110 -> R^102, extended to g0: R^110 -> R^138 by
+the 36 tangency conditions.  The module
 
 * produces the explicit one-parameter family of lifts and its
   closed-form tangent vector: one body for H^4 and AdS^4, which differ
@@ -36,7 +39,7 @@ from math import isfinite, sqrt
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .coxeter import GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
+from .coxeter import _SIGNS, GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
 from .linalg_exact import PairMatrix, is_exact
 from .scalars import format_scalar, parse_scalar
@@ -77,92 +80,95 @@ class MixedBackends(RepVarError, ValueError):
 
 @dataclass(frozen=True)
 class Lift:
-    """Assignment of one normal vector per generator, with norm targets.
+    """One normal vector per generator, with norm targets.
 
-    The vectors are float arrays, or PairMatrix rows for an exact lift.
+    ``table`` holds the normals as one (len(names), space.dim) array, row
+    k the normal of names[k]: a float array, or a PairMatrix for an exact
+    lift.  A float table is copied in and made read-only, so a lift never
+    shares its numbers with its caller.
     """
 
     space: QuadraticSpace
     names: tuple
-    vectors: dict
+    table: object
     norm_targets: dict
 
     def __post_init__(self):
-        names = set(self.names)
-        if not names or self.vectors.keys() != names or self.norm_targets.keys() != names:
+        if (not self.names or len(set(self.names)) != len(self.names)
+                or self.norm_targets.keys() != set(self.names)):
             raise ValueError("a lift needs one vector and one norm target for each of its "
-                             "(one or more) names")
+                             "(one or more, distinct) names")
         if any(t not in (-1, 1) for t in self.norm_targets.values()):
             raise ValueError("norm targets must be +1 or -1")
-        for n, v in self.vectors.items():
-            if np.shape(v) != (self.space.dim,):
-                raise DimensionMismatch(f"vector {n!r} has shape {np.shape(v)}, "
-                                        f"space has dim {self.space.dim}")
-        if len({is_exact(v) for v in self.vectors.values()}) > 1:
-            raise MixedBackends("a lift mixes exact and decimal vectors")
+        if not self.exact:
+            table = np.array(self.table, dtype=float)
+            table.flags.writeable = False
+            object.__setattr__(self, "table", table)
+        if self.table.shape != (len(self.names), self.space.dim):
+            raise DimensionMismatch(f"the table has shape {self.table.shape}, expected "
+                                    f"{len(self.names)} vectors of dim {self.space.dim}")
+
+    @property
+    def vectors(self):
+        """name -> normal, the rows of ``table`` (read-only)."""
+        return {n: self.table[k] for k, n in enumerate(self.names)}
 
     @property
     def exact(self):
-        return is_exact(self.vectors[self.names[0]])
+        return is_exact(self.table)
 
     @property
     def n_coords(self):
-        return self.space.dim * len(self.names)
+        return self.table.size
 
     def flatten(self):
-        if self.exact:
-            return PairMatrix.concat([self.vectors[n] for n in self.names])
-        return np.concatenate([np.asarray(self.vectors[n], dtype=float) for n in self.names])
+        """The normals one after the other, as a new flat array."""
+        return self.table.flatten()
 
     def with_flat(self, flat):
-        d = self.space.dim
-        vectors = {n: np.array(flat[i * d:(i + 1) * d]) for i, n in enumerate(self.names)}
-        return replace(self, vectors=vectors)
+        """The lift whose normals are read, in order, from a flat array."""
+        return replace(self, table=flat.reshape(self.table.shape))
 
     def as_float(self):
-        if not self.exact:
-            return self
-        vectors = {n: np.asarray(v, dtype=float) for n, v in self.vectors.items()}
-        return replace(self, vectors=vectors)
+        return replace(self, table=np.asarray(self.table, dtype=float)) if self.exact else self
 
     def to_json(self):
-        def fmt(v):
-            return [format_scalar(v.item(k) if self.exact else v[k])
-                    for k in range(self.space.dim)]
-
         return json.dumps({
             "schema_version": 1,
             "signature": list(self.space.signature),
             "norm_targets": {n: self.norm_targets[n] for n in self.names},
-            "vectors": {n: fmt(self.vectors[n]) for n in self.names},
+            "vectors": {n: [format_scalar(self.table.item(k, j)) for j in range(self.space.dim)]
+                        for k, n in enumerate(self.names)},
         })
 
     @classmethod
     def from_json(cls, text):
+        """Parse a lift; decimal rows make a float table, exact rows a PairMatrix."""
         data = json.loads(text)
-
-        def parse(entry):
-            if any(("." in s or "e" in s.lower()) for s in entry):
-                return np.array([float(s) for s in entry])
-            return PairMatrix.of([parse_scalar(s) for s in entry])
-
         try:
             sig = tuple(data["signature"])
-            vectors = {n: parse(v) for n, v in data["vectors"].items()}
+            rows = dict(data["vectors"])
             targets = dict(data["norm_targets"])
+            for n, row in rows.items():
+                if len(row) != len(sig):
+                    raise DimensionMismatch(f"vector {n!r} has {len(row)} entries, space has "
+                                            f"dim {len(sig)}")
+            decimal = {any("." in s or "e" in s.lower() for s in row) for row in rows.values()}
+            if len(decimal) > 1:
+                raise MixedBackends("a lift mixes exact and decimal vectors")
+            if decimal == {True}:
+                table = np.array([[float(s) for s in row] for row in rows.values()])
+            else:
+                table = PairMatrix.of([[parse_scalar(s) for s in row] for row in rows.values()])
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed lift JSON: {type(exc).__name__} {exc}") from None
-        return cls(QuadraticSpace(len(sig), sig), tuple(vectors), vectors, targets)
+        return cls(QuadraticSpace(len(sig), sig), tuple(rows), table, targets)
 
 
 def _norm_targets(space):
     """q(f(i+)) = s, the last signature entry; every other normal is unit spacelike."""
     s = space.signature[-1]
     return {n: (s if n.endswith("+") else 1) for n in GAMMA22_NAMES}
-
-
-def hyp_norm_targets():
-    return _norm_targets(QuadraticSpace.hyperbolic(4))
 
 
 def standard_lift(t, geometry):
@@ -173,8 +179,6 @@ def standard_lift(t, geometry):
     letters fixed.  At t = 0 both are the collapsed lift; at t = 1 the
     hyperbolic path gives the 22 unit normals.
     """
-    from .coxeter import _PM_SIGNS
-
     space = QuadraticSpace.for_geometry(geometry, 4)
     s = space.signature[-1]
     t = float(t)
@@ -183,43 +187,28 @@ def standard_lift(t, geometry):
         raise ParameterOutOfRange(f"the {geometry} lift requires 0 < 1 + s t^2 < inf "
                                   f"(s = {s}), got t = {t}")
     c = 1.0 / sqrt(q)
-    s2 = sqrt(2.0)
-    vectors = {}
-    for i, (signs, e) in _PM_SIGNS.items():
-        vectors[f"{i}+"] = c * np.array([s2 * t, signs[0] * t, signs[1] * t, signs[2] * t, e],
-                                        dtype=float)
-        vectors[f"{i}-"] = c * np.array([s2, *signs, -s * e * t], dtype=float)
-    vectors.update(zip(LETTER_NAMES, np.asarray(gamma22_vectors()[16:], dtype=float)))
-    return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
-
-
-def standard_lift_hyp(t):
-    return standard_lift(t, "hyp")
-
-
-def standard_lift_ads(t):
-    return standard_lift(t, "ads")
+    e_i, e = _SIGNS[:, :3], _SIGNS[:, 3:]
+    one = np.ones((8, 1))
+    pm = np.block([[sqrt(2.0) * t * one, e_i * t, e], [sqrt(2.0) * one, e_i, -s * e * t]])
+    table = np.concatenate([c * pm, np.asarray(gamma22_vectors()[16:], dtype=float)])
+    return Lift(space, GAMMA22_NAMES, table, _norm_targets(space))
 
 
 def table_lift_exact():
     """Exact lift at t = 1 (hyperbolic): the 22 unit normals of the group."""
-    table = gamma22_vectors()
-    return Lift(QuadraticSpace.hyperbolic(4), GAMMA22_NAMES,
-                {n: table[k] for k, n in enumerate(GAMMA22_NAMES)}, hyp_norm_targets())
+    space = QuadraticSpace.hyperbolic(4)
+    return Lift(space, GAMMA22_NAMES, gamma22_vectors(), _norm_targets(space))
 
 
 def collapsed_lift_exact(geometry):
     """Exact lift at t = 0, where the representation preserves H^3."""
-    from .coxeter import _SIGNS
-
     space = QuadraticSpace.for_geometry(geometry, 4)
     # i+ = x4 e_4 and i- = (sqrt2, x1, x2, x3, 0), the letters from the table
     a, b = np.zeros((16, 5), dtype=np.int64), np.zeros((16, 5), dtype=np.int64)
     a[:8, 4] = _SIGNS[:, 3]
     a[8:, 1:4], b[8:, 0] = _SIGNS[:, :3], 1
     table = PairMatrix.concat([PairMatrix(a, b), gamma22_vectors()[16:]])
-    vectors = {n: table[k] for k, n in enumerate(GAMMA22_NAMES)}
-    return Lift(space, GAMMA22_NAMES, vectors, _norm_targets(space))
+    return Lift(space, GAMMA22_NAMES, table, _norm_targets(space))
 
 
 # -- constraint systems ----------------------------------------------------
@@ -463,22 +452,18 @@ def form_algebra_basis(space):
 
 
 def orbit_tangent(lift):
-    """Independent orbit directions s -> a . f(s), a in so(q).
+    """The tangent space of the conjugation orbit: the directions s -> a . f(s), a in so(q).
 
-    Returns (directions, dim): the flattened directions that are
-    linearly independent, and their count.
+    Returns (rows, dim): a list of dim orthonormal flat vectors spanning
+    the orbit directions, read off one SVD of the (basis, n_coords) orbit
+    matrix with the gap-checked rank cut of kernel_report.
     """
-    lift = lift.as_float()
-    basis = form_algebra_basis(lift.space)
-    cands = []
-    for a in basis:
-        cands.append(np.concatenate([a @ lift.vectors[n] for n in lift.names]))
-    kept = []
-    for v in cands:
-        trial = np.array(kept + [v])
-        if np.linalg.matrix_rank(trial, tol=1e-9 * max(1.0, np.abs(trial).max())) == len(trial):
-            kept.append(v)
-    return kept, len(kept)
+    table = lift.as_float().table
+    basis = np.array(form_algebra_basis(lift.space))
+    orbit = (table @ basis.transpose(0, 2, 1)).reshape(len(basis), -1)
+    _, s, vt = np.linalg.svd(orbit, full_matrices=False)
+    dim = _rank_cut(s, DEFAULT_RANK_TOL, orbit.shape)[0]
+    return list(vt[:dim]), dim
 
 
 def known_tangent(t, geometry):
@@ -492,14 +477,10 @@ def known_tangent(t, geometry):
     t = float(t)
     s = lift.space.signature[-1]
     lam = (1.0 + s * t * t) ** -1.5
-    d = lift.space.dim
-    out = np.zeros(lift.n_coords)
-    for k, n in enumerate(lift.names):
-        if n.endswith("+"):
-            out[k * d:(k + 1) * d] = lam * lift.vectors[n[0] + "-"]
-        elif n.endswith("-"):
-            out[k * d:(k + 1) * d] = -s * lam * lift.vectors[n[0] + "+"]
-    return out
+    out = np.zeros(lift.table.shape)  # rows i+ (0-7), i- (8-15), the letters fixed
+    out[:8] = lam * lift.table[8:16]
+    out[8:16] = -s * lam * lift.table[:8]
+    return out.reshape(-1)
 
 
 # -- projection and tracing -------------------------------------------------
@@ -612,12 +593,9 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
     """
     lift = start.as_float()
     F, Jmap = _lift_maps(system, lift)
-    d = lift.space.dim
-    frozen = set()
-    for g in gauge:
-        i = lift.names.index(g)
-        frozen.update(range(i * d, (i + 1) * d))
-    free_idx = np.array([k for k in range(lift.n_coords) if k not in frozen])
+    frozen = np.zeros(lift.table.shape, dtype=bool)
+    frozen[[lift.names.index(g) for g in gauge]] = True
+    free_idx = np.flatnonzero(~frozen.reshape(-1))
     path = [lift]
     x = lift.flatten()
     prev = None if orient is None else np.asarray(orient, dtype=float)
@@ -646,13 +624,11 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
 def gram_matrix(lift):
     """Pairwise b-values in the order of lift.names (norms on the diagonal).
 
-    One stacked eval_bilinear over the lift's own vectors: an exact lift
-    pairs exactly and is converted to float once, at the end.
+    One stacked eval_bilinear over the lift's table: an exact lift pairs
+    exactly and is converted to float once, at the end.
     """
-    rows = [lift.vectors[n] for n in lift.names]
-    vectors = PairMatrix.stack(rows) if lift.exact else np.array(rows, dtype=float)
-    gram = eval_bilinear(lift.space, vectors[:, None], vectors[None, :])
-    return np.asarray(gram, dtype=float)
+    table = lift.table
+    return np.asarray(eval_bilinear(lift.space, table[:, None], table[None, :]), dtype=float)
 
 
 def nearest_standard_t(lift, geometry):
@@ -664,8 +640,9 @@ def nearest_standard_t(lift, geometry):
     t = -0.0 at the AdS collapse g = -1.
     """
     s = QuadraticSpace.for_geometry(geometry, 4).signature[-1]
-    g, g2 = (float(np.asarray(eval_bilinear(lift.space, lift.vectors["0+"], lift.vectors[n]),
-                              dtype=float)) for n in ("2+", "2-"))
+    row = [lift.names.index(n) for n in ("0+", "2+", "2-")]
+    g, g2 = np.asarray(eval_bilinear(lift.space, lift.table[row[0]], lift.table[row[1:]]),
+                       dtype=float).tolist()
     t2 = max(s * (1.0 - s * g) / (3.0 + s * g), 0.0)
     t = sqrt(t2)
     if g2 > 0:

@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -171,8 +172,7 @@ def test_gram_refuses_lift_off_the_variety(capsys, geometry, t, expected):
 def test_user_group_and_lift(capsys, tmp_path):
     racg = gamma_rect()
     base = base_rect_hyp()
-    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators,
-                {n: v for n, v in zip(racg.generators, base)},
+    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators, np.array(base),
                 {n: 1 for n in racg.generators})
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"
@@ -190,8 +190,8 @@ def test_user_group_and_lift(capsys, tmp_path):
 def test_verify_mixed_backend_lift(capsys, tmp_path):
     # one decimal vector among exact ones is bad input, not a failed verification
     racg = gamma_rect()
-    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators,
-                dict(zip(racg.generators, base_rect_hyp())), {n: 1 for n in racg.generators})
+    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators, np.array(base_rect_hyp()),
+                {n: 1 for n in racg.generators})
     data = json.loads(lift.to_json())
     data["vectors"]["s1"] = ["0.0", "0.0", "1.0", "0.0"]
     gf = tmp_path / "group.json"
@@ -209,8 +209,7 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     racg = gamma_rect()
     base = base_rect_hyp()
     broken = [2.0 * v for v in base]  # doubles every norm
-    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators,
-                {n: v for n, v in zip(racg.generators, broken)},
+    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators, np.array(broken),
                 {n: 1 for n in racg.generators})
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"
@@ -261,7 +260,8 @@ _LIFT = {"signature": [-1, 1, 1], "norm_targets": {"a": 1, "b": 1},
     ({**_GROUP, "commuting_pairs": [[0, 0]]}, _LIFT),              # IndexOutOfRange at the parent
     (_GROUP, {**_LIFT, "norm_targets": {"a": 1}}),                 # KeyError at the parent
     ({**_GROUP, "generators": ["x", "y"]}, _LIFT),                 # DimensionMismatch at the parent
-], ids=["pair-0-0", "missing-norm-target", "names-differ"])
+    (_GROUP, {**_LIFT, "vectors": {**_LIFT["vectors"], "b": ["0", "0"]}}),  # one entry short
+], ids=["pair-0-0", "missing-norm-target", "names-differ", "ragged-row"])
 def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"

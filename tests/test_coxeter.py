@@ -8,7 +8,7 @@ from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, 
 from coxvar.geometry import eval_bilinear, reflection_matrix
 from coxvar.halfpipe import rho_lambda
 from coxvar.linalg_exact import PairMatrix
-from coxvar.repvar import collapsed_lift_exact, standard_lift_ads, standard_lift_hyp
+from coxvar.repvar import collapsed_lift_exact, standard_lift
 
 
 def test_gamma22_shape():
@@ -33,11 +33,14 @@ def test_gamma22_type_structure():
         assert sum(g.commutes(x, n) for n in positives + negatives) == 8
 
 
-@pytest.mark.parametrize("t,make", [(0.3, standard_lift_hyp), (0.7, standard_lift_hyp),
-                                    (-0.5, standard_lift_ads)])
-def test_commutation_graph_stable_along_path(t, make):
+_PATH_POINTS = [(0.3, "hyp"), (0.7, "hyp"), (-0.5, "ads")]
+
+
+@pytest.mark.parametrize("t,geometry", _PATH_POINTS,
+                         ids=[f"{t}-standard_lift_{g}" for t, g in _PATH_POINTS])
+def test_commutation_graph_stable_along_path(t, geometry):
     g = gamma22()
-    lift = make(t)
+    lift = standard_lift(t, geometry)
     pairs = set()
     for (i, a), (j, b) in combinations(enumerate(lift.names), 2):
         if abs(float(eval_bilinear(lift.space, lift.vectors[a], lift.vectors[b]))) < 1e-9:
@@ -86,7 +89,7 @@ def _reflection_images(lift):
 
 
 def test_evaluate_word():
-    lift = standard_lift_hyp(0.5)
+    lift = standard_lift(0.5, "hyp")
     rep = _reflection_images(lift)
     ident = evaluate_word(rep, [])
     assert np.allclose(ident, np.eye(5))
@@ -101,7 +104,7 @@ def test_evaluate_word():
 
 
 def test_commuting_words_evaluate_to_identity():
-    lift = standard_lift_ads(-0.4)
+    lift = standard_lift(-0.4, "ads")
     rep = _reflection_images(lift)
     g = gamma22()
     for a, b in g.commuting_name_pairs():
@@ -110,7 +113,7 @@ def test_commuting_words_evaluate_to_identity():
 
 
 def test_verify_standard_representation():
-    lift = standard_lift_hyp(0.5)
+    lift = standard_lift(0.5, "hyp")
     report = verify_representation(gamma22(), _reflection_images(lift), tol=1e-12)
     assert report.ok
     assert report.max_defect < 1e-12
@@ -127,7 +130,7 @@ def test_verify_flags_coincidences():
 
 def test_verify_fails_non_finite_images():
     # max() skips a nan defect and nan > tol is False: both used to pass it
-    rep = _reflection_images(standard_lift_hyp(0.5))
+    rep = _reflection_images(standard_lift(0.5, "hyp"))
     rep["0+"] = np.full((5, 5), np.nan)
     report = verify_representation(gamma22(), rep, tol=1e-12)
     assert not report.ok and np.isnan(report.max_defect)
@@ -188,14 +191,14 @@ def test_verify_matches_relation_by_relation_reference_exact():
 
 def test_verify_matches_relation_by_relation_reference_nan():
     g = gamma22()
-    rep = _reflection_images(standard_lift_hyp(0.5))
+    rep = _reflection_images(standard_lift(0.5, "hyp"))
     rep["3-"] = np.full((5, 5), np.nan)
     report = verify_representation(g, rep, tol=1e-12)
     max_defect, failures = _verify_one_relation_at_a_time(g, rep, 1e-12)
     assert report.failing_relations == failures and np.isnan(report.max_defect)
     assert np.isnan(max_defect) and "square:3-" in failures
     # a finite float representation: the same defect bit for bit
-    rep = _reflection_images(standard_lift_hyp(0.3))
+    rep = _reflection_images(standard_lift(0.3, "hyp"))
     report = verify_representation(g, rep, tol=1e-12)
     assert (report.max_defect, report.failing_relations) == \
         _verify_one_relation_at_a_time(g, rep, 1e-12)

@@ -13,7 +13,7 @@ from coxvar.geometry import (POSITION_CLASSES, CoincidentHyperplanes, Degenerate
                              classify_pair_ads, classify_pair_hyp, eval_bilinear, eval_form,
                              pair_positions, reflection_matrix)
 from coxvar.linalg_exact import PairMatrix
-from coxvar.repvar import standard_lift_ads
+from coxvar.repvar import standard_lift
 
 H4 = QuadraticSpace.hyperbolic(4)
 ADS4 = QuadraticSpace.anti_de_sitter(4)
@@ -30,7 +30,7 @@ def test_eval_form_unit_vectors():
     # table vectors are unit after the sqrt2 normalisation
     assert eval_form(H4, TABLE["0+"]).item() == 1
     assert eval_form(H4, _vec(1, 0, 0, 0, 0)).item() == -1
-    ads = standard_lift_ads(0.5)
+    ads = standard_lift(0.5, "ads")
     assert abs(eval_form(ADS4, ads.vectors["0+"]) + 1) < 1e-14
 
 
@@ -132,7 +132,7 @@ def test_classify_pair_ads_examples():
     x2 = np.array([math.cosh(1), math.sinh(1), 0, 0, 0])
     assert classify_pair_ads(x1, x2) == PairClassAdS.INTERSECTING
     # spacelike pair from the AdS path: b(0+, 2+) = -7/3 at t = 1/2
-    lift = standard_lift_ads(0.5)
+    lift = standard_lift(0.5, "ads")
     got = classify_pair_ads(lift.vectors["0+"], lift.vectors["2+"])
     assert got == PairClassAdS.INTERSECTING
 

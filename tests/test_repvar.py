@@ -1,44 +1,122 @@
+import json
 import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
 
-from coxvar.coxeter import gamma22, gamma_rect
+from coxvar.coxeter import _PM_SIGNS, GAMMA22_NAMES, gamma22, gamma22_vectors, gamma_rect
 from coxvar.cusp import _problem, base_cube
-from coxvar.geometry import eval_bilinear, eval_form
+from coxvar.geometry import DimensionMismatch, eval_bilinear, eval_form
 from coxvar.linalg_exact import PairMatrix
-from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, NoConvergence,
+from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, MixedBackends,
+                           NoConvergence,
                            NonFiniteResidual, OverlappingConstraint, ParameterOutOfRange,
                            SliceDegenerate, _lstsq, build_constraints, canonical_tangency_pairs,
                            collapsed_lift_exact, constraint_system, find_cusp_subgroups,
                            find_tangency_pairs, gauss_newton, gram_matrix,
-                           hyp_norm_targets, jacobian, kernel_report, known_tangent,
-                           nearest_standard_t, orbit_tangent, project_to_variety, residual,
-                           residual_max, standard_lift, standard_lift_ads, standard_lift_hyp,
-                           table_lift_exact, trace_path)
+                           jacobian, kernel_report, known_tangent, nearest_standard_t,
+                           orbit_tangent, project_to_variety, residual, residual_max,
+                           standard_lift, table_lift_exact, trace_path)
 
 
 def test_standard_lift_hyp_matches_table_at_one():
-    lift = standard_lift_hyp(1.0)
+    lift = standard_lift(1.0, "hyp")
     exact = table_lift_exact().as_float()
     for n in lift.names:
         assert np.max(np.abs(lift.vectors[n] - exact.vectors[n])) < 1e-14
 
 
 def test_standard_lift_values():
-    l0 = standard_lift_hyp(0.0)
+    l0 = standard_lift(0.0, "hyp")
     assert np.allclose(l0.vectors["0+"], [0, 0, 0, 0, 1])
-    lh = standard_lift_hyp(0.5)
+    lh = standard_lift(0.5, "hyp")
     assert abs(float(eval_form(lh.space, lh.vectors["0-"])) - 1) < 1e-14
-    la0 = standard_lift_ads(0.0)
+    la0 = standard_lift(0.0, "ads")
     for n in l0.names:
         assert np.allclose(l0.vectors[n], la0.vectors[n])
 
 
+def _lift_per_generator(t, geometry):
+    """The family and its tangent written out one generator at a time:
+    (the (22, 5) table, the flat tangent) in GAMMA22_NAMES order."""
+    s = {"hyp": 1, "ads": -1}[geometry]
+    c = 1.0 / sqrt(1.0 + s * t * t)
+    lam = (1.0 + s * t * t) ** -1.5
+    rows, tangent = {}, {}
+    for i, (e_i, e) in _PM_SIGNS.items():
+        rows[f"{i}+"] = c * np.array([sqrt(2.0) * t, e_i[0] * t, e_i[1] * t, e_i[2] * t, e],
+                                     dtype=float)
+        rows[f"{i}-"] = c * np.array([sqrt(2.0), *e_i, -s * e * t], dtype=float)
+    for i in range(8):
+        tangent[f"{i}+"] = lam * rows[f"{i}-"]
+        tangent[f"{i}-"] = -s * lam * rows[f"{i}+"]
+    for n, v in zip("ABCDEF", np.asarray(gamma22_vectors()[16:], dtype=float)):
+        rows[n], tangent[n] = v, np.zeros(5)
+    return (np.array([rows[n] for n in GAMMA22_NAMES]),
+            np.concatenate([tangent[n] for n in GAMMA22_NAMES]))
+
+
+@pytest.mark.parametrize("geometry,end", [("hyp", 3.0), ("ads", 0.999)])
+def test_standard_lift_and_tangent_bits(geometry, end):
+    # the stacked builders give every entry the bits of the per-generator formulas
+    ts = [*np.linspace(-end, end, 47).tolist(), 0.0, -0.0, 1e-300, 0.1, 1 / 3]
+    if geometry == "hyp":
+        ts.append(1.0)
+    for t in ts:
+        table, tangent = _lift_per_generator(t, geometry)
+        lift = standard_lift(t, geometry)
+        assert lift.names == GAMMA22_NAMES
+        assert lift.table.tobytes() == table.tobytes(), t
+        assert known_tangent(t, geometry).tobytes() == tangent.tobytes(), t
+
+
+def test_lift_owns_its_table():
+    lift = standard_lift(0.3, "hyp")
+    before = lift.table.copy()
+    flat = lift.flatten()
+    flat[:] = 7.0
+    moved = lift.with_flat(before.reshape(-1).copy() + 1.0)
+    source = before.copy()
+    copied = Lift(lift.space, lift.names, source, lift.norm_targets)
+    source[:] = 0.0
+    assert lift.table.tobytes() == before.tobytes()
+    assert moved.table.tobytes() == (before + 1.0).tobytes()
+    assert copied.table.tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        lift.vectors["0+"][0] = 1.0
+    exact = table_lift_exact()
+    flat = exact.flatten()
+    flat.a[:] = 0
+    assert (exact.table - gamma22_vectors()).is_zero() and not gamma22_vectors().is_zero()
+
+
+def test_lift_table_shape():
+    lift = standard_lift(0.3, "hyp")
+    assert lift.n_coords == 110 and lift.table.shape == (22, 5)
+    with pytest.raises(DimensionMismatch):
+        Lift(lift.space, lift.names, lift.table[:, :4], lift.norm_targets)
+    with pytest.raises(DimensionMismatch):
+        Lift(lift.space, lift.names, lift.table[:21], lift.norm_targets)
+    with pytest.raises(ValueError, match="distinct"):
+        Lift(lift.space, ("0+", "0+"), lift.table[:2], {"0+": 1})
+
+
+def test_lift_from_json_checks_rows():
+    data = json.loads(table_lift_exact().to_json())
+    data["vectors"]["3-"] = data["vectors"]["3-"][:4]
+    with pytest.raises(DimensionMismatch, match="'3-'"):
+        Lift.from_json(json.dumps(data))
+    data = json.loads(table_lift_exact().to_json())
+    data["vectors"]["A"] = ["1.0", "1.4142135623730951", "0.0", "0.0", "0.0"]
+    with pytest.raises(MixedBackends):
+        Lift.from_json(json.dumps(data))
+
+
 def test_ads_parameter_domain():
-    standard_lift_ads(0.99)
+    standard_lift(0.99, "ads")
     with pytest.raises(ParameterOutOfRange):
-        standard_lift_ads(1.0)
+        standard_lift(1.0, "ads")
     with pytest.raises(ParameterOutOfRange):
         known_tangent(-1.0, "ads")
     with pytest.raises(ParameterOutOfRange):
@@ -46,7 +124,7 @@ def test_ads_parameter_domain():
 
 
 def test_lift_json_roundtrip():
-    lift = standard_lift_ads(0.25)
+    lift = standard_lift(0.25, "ads")
     again = Lift.from_json(lift.to_json())
     for n in lift.names:
         assert np.allclose(lift.vectors[n], again.vectors[n])
@@ -58,25 +136,26 @@ def test_lift_json_roundtrip():
 
 def test_build_constraints_counts():
     g22 = gamma22()
-    assert len(build_constraints(g22, hyp_norm_targets())) == 102
+    targets = table_lift_exact().norm_targets
+    assert len(build_constraints(g22, targets)) == 102
     tang = canonical_tangency_pairs("hyp")
-    assert len(build_constraints(g22, hyp_norm_targets(), tang)) == 138
+    assert len(build_constraints(g22, targets, tang)) == 138
     rect = gamma_rect()
     assert len(build_constraints(rect, {n: 1 for n in rect.generators})) == 8
     with pytest.raises(OverlappingConstraint):
-        build_constraints(g22, hyp_norm_targets(), [(("0+", "0-"), 1)])
+        build_constraints(g22, targets, [(("0+", "0-"), 1)])
 
 
 def test_find_tangency_pairs():
-    pairs = find_tangency_pairs(standard_lift_hyp(0.5))
+    pairs = find_tangency_pairs(standard_lift(0.5, "hyp"))
     assert len(pairs) == 36
     assert dict(pairs)[("A", "B")] == -1
     # signed values, not just the pair set, are constant along the path
     for t in (-0.9, 0.3, 0.7):
-        assert dict(find_tangency_pairs(standard_lift_hyp(t))) == dict(pairs)
-    ads = dict(find_tangency_pairs(standard_lift_ads(-0.6)))
+        assert dict(find_tangency_pairs(standard_lift(t, "hyp"))) == dict(pairs)
+    ads = dict(find_tangency_pairs(standard_lift(-0.6, "ads")))
     assert len(ads) == 36
-    assert dict(find_tangency_pairs(standard_lift_ads(0.6))) == ads
+    assert dict(find_tangency_pairs(standard_lift(0.6, "ads"))) == ads
 
 
 def test_find_tangency_pairs_exact_lifts():
@@ -91,15 +170,14 @@ def test_find_tangency_pairs_exact_lifts():
 
 
 def test_find_tangency_ambiguous():
-    lift = standard_lift_hyp(0.5)
-    vecs = dict(lift.vectors)
-    bumped = vecs["A"].copy()
-    bumped[0] += 5e-9  # pushes b(A, B) into the ambiguous band for tol = 1e-9
-    vecs["A"] = bumped
+    lift = standard_lift(0.5, "hyp")
+    table = lift.table.copy()
+    # pushes b(A, B) into the ambiguous band for tol = 1e-9
+    table[lift.names.index("A"), 0] += 5e-9
     from dataclasses import replace
 
     with pytest.raises(AmbiguousNearThreshold):
-        find_tangency_pairs(replace(lift, vectors=vecs), tol=1e-9)
+        find_tangency_pairs(replace(lift, table=table), tol=1e-9)
 
 
 @pytest.mark.parametrize("geometry,t", [("hyp", 0.3), ("ads", -0.6)])
@@ -116,14 +194,15 @@ def test_residual_on_path(geometry, t):
 
 def test_residual_exact_lift_is_zero():
     g22 = gamma22()
-    system = build_constraints(g22, hyp_norm_targets(), canonical_tangency_pairs("hyp"))
+    targets = table_lift_exact().norm_targets
+    system = build_constraints(g22, targets, canonical_tangency_pairs("hyp"))
     vals = residual(system, table_lift_exact())
     assert vals.shape == (len(system),) and vals.is_zero()
 
 
 def test_residual_locality():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.4)
+    lift = standard_lift(0.4, "hyp")
     flat = lift.flatten()
     k = lift.names.index("3-") * 5 + 2
     flat2 = flat.copy()
@@ -138,7 +217,7 @@ def test_residual_locality():
 
 def test_jacobian_shape_and_blocks():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.0)
+    lift = standard_lift(0.0, "hyp")
     J = jacobian(system, lift)
     assert J.shape == (138, 110)
     i = lift.names.index("0+")
@@ -152,7 +231,7 @@ def test_jacobian_shape_and_blocks():
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(12345)
     system = constraint_system("hyp", with_tangencies=True)
-    base = standard_lift_hyp(0.3)
+    base = standard_lift(0.3, "hyp")
     lift_maps = (lambda x: residual(system, base.with_flat(x)),
                  lambda x: jacobian(system, base.with_flat(x)))
     # the half-pipe cube system: scaled b(X, 2p) rows and the -c column
@@ -176,7 +255,7 @@ def test_jacobian_matches_finite_differences():
 def test_maps_on_stacks_match_rows():
     rng = np.random.default_rng(2)
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.3)
+    lift = standard_lift(0.3, "hyp")
     hyp_maps = system.maps(lift.space.signature, {n: 5 * k for k, n in enumerate(lift.names)})
     hp_params, *hp_maps, _ = _problem("hp", "cube", base_cube("hp"))
     for (F, J), x0 in ((hyp_maps, lift.flatten()), (hp_maps, hp_params)):
@@ -283,7 +362,7 @@ def test_kernel_dimensions(geometry):
 
 def test_kernel_report_warns_off_variety():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.4)
+    lift = standard_lift(0.4, "hyp")
     off = lift.with_flat(lift.flatten() + 1e-4)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -293,7 +372,7 @@ def test_kernel_report_warns_off_variety():
 
 def test_kernel_report_ill_conditioned():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.4)
+    lift = standard_lift(0.4, "hyp")
     s = np.linalg.svd(jacobian(system, lift), compute_uv=False)
     # place the rank cut in the middle of the continuous part of the spectrum
     bad_tol = float(np.sqrt(s[50] * s[51]) / s[0])
@@ -319,7 +398,7 @@ def test_kernel_report_cut_above_rounding_floor(tangencies):
 def test_orbit_tangent():
     system = constraint_system("hyp", with_tangencies=False)
     for t in (0.5, 0.0):
-        lift = standard_lift_hyp(t)
+        lift = standard_lift(t, "hyp")
         dirs, dim = orbit_tangent(lift)
         assert dim == 10
         J = jacobian(system, lift)
@@ -329,22 +408,22 @@ def test_orbit_tangent():
 
 def test_known_tangent():
     v = known_tangent(0.0, "ads")
-    lift = standard_lift_ads(0.0)
+    lift = standard_lift(0.0, "ads")
     i = lift.names.index("0+")
     assert np.allclose(v[5 * i:5 * i + 5], lift.vectors["0-"])
     system = constraint_system("ads", with_tangencies=True)
     t = 0.4
     vt = known_tangent(t, "ads")
-    J = jacobian(system, standard_lift_ads(t))
+    J = jacobian(system, standard_lift(t, "ads"))
     assert np.max(np.abs(J @ vt)) < 1e-10
-    dirs, dim = orbit_tangent(standard_lift_ads(t))
+    dirs, dim = orbit_tangent(standard_lift(t, "ads"))
     stacked = np.array(dirs + [vt])
     assert np.linalg.matrix_rank(stacked, tol=1e-9) == 11
 
 
 def test_known_tangent_hyp_sign():
     t = 0.3
-    lift = standard_lift_hyp(t)
+    lift = standard_lift(t, "hyp")
     v = known_tangent(t, "hyp")
     lam = (1 + t * t) ** -1.5
     i = lift.names.index("0-")
@@ -355,7 +434,7 @@ def test_known_tangent_hyp_sign():
 
 def test_project_to_variety():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.5)
+    lift = standard_lift(0.5, "hyp")
     rng = np.random.default_rng(7)
     noisy = lift.with_flat(lift.flatten() + rng.uniform(-1e-4, 1e-4, 110))
     projected, iters = project_to_variety(system, noisy)
@@ -374,31 +453,31 @@ def test_project_to_variety():
 
 def test_trace_path_zero_steps():
     system = constraint_system("ads", with_tangencies=True)
-    start = standard_lift_ads(0.2)
+    start = standard_lift(0.2, "ads")
     assert trace_path(system, start, 0, 0.1) == [start.as_float()]
 
 
 def test_trace_path_matches_closed_form():
     system = constraint_system("ads", with_tangencies=True)
-    start = standard_lift_ads(0.2)
+    start = standard_lift(0.2, "ads")
     path = trace_path(system, start, 4, 0.25, orient=known_tangent(0.2, "ads"))
     ts = [nearest_standard_t(p, "ads") for p in path]
     assert all(b > a for a, b in zip(ts, ts[1:]))
     for p, t in zip(path, ts):
-        ref = standard_lift_ads(t)
+        ref = standard_lift(t, "ads")
         assert np.max(np.abs(gram_matrix(p) - gram_matrix(ref))) < 1e-6
 
 
 def test_trace_path_degenerate_slice():
     system = constraint_system("hyp", with_tangencies=True)
-    start = standard_lift_hyp(0.3)
+    start = standard_lift(0.3, "hyp")
     with pytest.raises(SliceDegenerate):
         trace_path(system, start, 1, 0.1, gauge=("A",))
 
 
 def test_trace_path_ill_conditioned():
     system = constraint_system("hyp", with_tangencies=True)
-    lift = standard_lift_hyp(0.4)
+    lift = standard_lift(0.4, "hyp")
     free = [k for k in range(110) if lift.names[k // 5] not in ("A", "B", "C", "D")]
     s = np.linalg.svd(jacobian(system, lift)[:, free], compute_uv=False)
     # place the tracer's rank cut in the middle of the continuous part of the spectrum
@@ -414,15 +493,15 @@ def test_nearest_standard_t_recovers_parameter():
 
 
 def test_find_cusp_subgroups():
-    lift = standard_lift_hyp(0.5)
+    lift = standard_lift(0.5, "hyp")
     subsets = find_cusp_subgroups(lift)
     assert len(subsets) == 12
     for sub in subsets:
         letters = [n for n in sub if n in "ABCDEF"]
         assert len(letters) == 2
     # the census is the same at other interior parameters
-    assert find_cusp_subgroups(standard_lift_ads(-0.7)) == [
-        tuple(s) for s in find_cusp_subgroups(standard_lift_hyp(0.2))]
+    assert find_cusp_subgroups(standard_lift(-0.7, "ads")) == [
+        tuple(s) for s in find_cusp_subgroups(standard_lift(0.2, "hyp"))]
 
 
 def _cube_subsets_by_triples(lift, tol=1e-9):
@@ -468,7 +547,7 @@ def test_find_cusp_subgroups_exact_table():
 def test_cusp_subgroup_rect_restrictions_are_cusps():
     from coxvar.cusp import CuspKind, classify_rect
 
-    lift = standard_lift_hyp(0.5)
+    lift = standard_lift(0.5, "hyp")
     for sub in find_cusp_subgroups(lift):
         a1, b1, c1, a2, b2, c2 = sub
         for quad in [(a1, b1, a2, b2), (a1, c1, a2, c2), (b1, c1, b2, c2)]:
@@ -477,5 +556,5 @@ def test_cusp_subgroup_rect_restrictions_are_cusps():
 
 
 def test_gram_symmetric():
-    g = gram_matrix(standard_lift_hyp(0.3))
+    g = gram_matrix(standard_lift(0.3, "hyp"))
     assert np.max(np.abs(g - g.T)) == 0.0
