@@ -31,7 +31,7 @@ from . import cohomology as coh
 from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
-from .halfpipe import HalfPipeError, rho_lambda
+from .halfpipe import HalfPipeError, phi_to_projective, rho_lambda
 from .repvar import (IllConditioned, Lift, NoConvergence, build_constraints,
                      constraint_system, gram_matrix, kernel_report, residual_max,
                      standard_lift, table_lift_exact)
@@ -99,7 +99,7 @@ def cmd_verify(args):
     elif args.geometry == "hp":
         lam = args.t
         rep = rho_lambda(int(lam) if float(lam).is_integer() else lam)
-        report = verify_representation(gamma22(), rep.as_isometries(), tol=args.tol)
+        report = verify_representation(gamma22(), phi_to_projective(rep), tol=args.tol)
         out.write(f"geometry: hp  lambda: {format_scalar(lam)}\n")
         out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
         for f in report.failing_relations:
@@ -113,8 +113,10 @@ def cmd_verify(args):
         out.write(f"constraints: {len(system)}\n")
     with np.errstate(all="ignore"):  # a non-finite value fails the checks below
         res = residual_max(system, lift)
-        images = reflection_matrix(lift.space, lift.as_float().table)
-        report = verify_representation(racg, dict(zip(lift.names, images)), tol=args.tol)
+        # a user lift may list its vectors in any order: images go in generator order
+        rows = [lift.names.index(n) for n in racg.generators]
+        images = reflection_matrix(lift.space, lift.as_float().table[rows])
+        report = verify_representation(racg, images, tol=args.tol)
     out.write(f"residual_max: {format_scalar(res)}\n")
     out.write(f"relation_defect: {format_scalar(report.max_defect)}\n")
     ok = res <= args.tol and report.ok

@@ -17,6 +17,10 @@ rho_0 (positives to -id, the rest to cuboctahedron reflections), its
 restriction-of-adjoint on so(1,3), and the three 10-dimensional adjoint
 representations for the hyperbolic, AdS and half-pipe ambient groups,
 expressed in a basis adapted to the splitting g = so(1,3) + R^{1,3}.
+
+A representation is one (generators, dimV, dimV) PairMatrix stack of
+images in generator order, and a cocycle a (generators, dimV) table or
+its flat vector: every system below is cut from those arrays directly.
 """
 
 from __future__ import annotations
@@ -60,23 +64,22 @@ def _first_nonzero(stack):
 class LinearRep:
     """Exact representation of a RACG on V, validated on construction.
 
-    ``images`` may be given as anything PairMatrix.of converts; after
-    construction it maps each generator to its PairMatrix image.
+    ``images`` is the (generators, dimV, dimV) stack of the generator
+    images in ``racg.generators`` order, given as anything PairMatrix.of
+    converts and stored as one PairMatrix.
     """
 
     racg: object
-    dimV: int
-    images: dict
+    images: PairMatrix
 
     def __post_init__(self):
         names = self.racg.generators
-        mats = {n: PairMatrix.of(self.images[n]) for n in names}
-        for name, m in mats.items():
-            if m.shape != (self.dimV, self.dimV):
-                raise ValueError(f"image of {name!r} has wrong shape")
+        R = PairMatrix.of(self.images)
+        if len(R.shape) != 3 or R.shape[0] != len(names) or R.shape[1] != R.shape[2]:
+            raise ValueError(f"images must be a stack of {len(names)} square matrices, "
+                             f"got shape {R.shape}")
         # one stacked product for the squares, two for the commutators
-        R = PairMatrix.stack(mats.values())
-        bad = _first_nonzero(R @ R - PairMatrix.identity(self.dimV))
+        bad = _first_nonzero(R @ R - PairMatrix.identity(R.shape[-1]))
         if bad is not None:
             raise ValueError(f"image of {names[bad]!r} does not square to the identity")
         i, j = np.array(sorted(self.racg.commuting_pairs), dtype=int).reshape(-1, 2).T
@@ -84,10 +87,14 @@ class LinearRep:
         if bad is not None:
             a, b = names[i[bad]], names[j[bad]]
             raise ValueError(f"images of commuting pair ({a}, {b}) do not commute")
-        object.__setattr__(self, "images", mats)
+        object.__setattr__(self, "images", R)
+
+    @property
+    def dimV(self):
+        return self.images.shape[-1]
 
     def image(self, name):
-        return self.images[name]
+        return self.images[self.racg.index(name)]
 
 
 @dataclass
@@ -108,23 +115,20 @@ class CohomologyReport:
 def _flatten_cocycle(racg, dimV, tau):
     """One cocycle as a flat PairMatrix vector, generator blocks stacked.
 
-    ``tau`` is flat already (returned as is) or a dict of exact vectors
-    per generator, such as tau_lambda_cocycle returns.
+    ``tau`` is flat already or a (generators, dimV) table, such as
+    tau_lambda_cocycle returns.
     """
-    flat = tau if isinstance(tau, PairMatrix) else PairMatrix.concat(
-        [tau[n] for n in racg.generators])
-    if flat.shape != (len(racg.generators) * dimV,):
+    tau = PairMatrix.of(tau)
+    n = len(racg.generators)
+    if tau.shape not in ((n * dimV,), (n, dimV)):
         raise ValueError(f"a cocycle is a vector of {dimV} values per generator")
-    return flat
+    return tau.reshape(-1)
 
 
-def _coboundary_candidates(racg, images):
-    """Column k is the coboundary of the k-th basis vector: (rho(s) e_k - e_k)_s.
-
-    ``images`` maps generator names to PairMatrix images.
-    """
-    R = PairMatrix.stack(images[n] for n in racg.generators)
-    return (R - PairMatrix.identity(R.shape[-1])).reshape(-1, R.shape[-1])
+def _coboundary_candidates(images):
+    """Column k is the coboundary of the k-th basis vector: (rho(s) e_k - e_k)_s,
+    for the (generators, d, d) image stack."""
+    return (images - PairMatrix.identity(images.shape[-1])).reshape(-1, images.shape[-1])
 
 
 def cocycle_space(racg, rep):
@@ -138,7 +142,7 @@ def cocycle_space(racg, rep):
     dimV = rep.dimV
     ident = PairMatrix.identity(dimV)
     names = racg.generators
-    R = PairMatrix.stack(rep.images[n] for n in names)
+    R = rep.images
     # over the common denominator of R, equal integer rows are equal images
     slots = {}
     which = [slots.setdefault((tuple(ra), tuple(rb)), len(slots))
@@ -168,7 +172,7 @@ def coboundary_space(racg, rep):
     The coboundaries of the standard basis vectors are taken in order,
     keeping each one that is independent of those kept before it.
     """
-    cands = _coboundary_candidates(racg, rep.images)
+    cands = _coboundary_candidates(rep.images)
     return cands[:, exact_pivots(cands)].reduced()
 
 
@@ -193,25 +197,25 @@ def cohomology_report(racg, rep):
 
 def is_coboundary(racg, rep, tau):
     """Exact test: does rho(s) v - v = tau(s) for all s have a solution?"""
-    return exact_solve(_coboundary_candidates(racg, rep.images),
+    return exact_solve(_coboundary_candidates(rep.images),
                        _flatten_cocycle(racg, rep.dimV, tau)) is not None
 
 
 # -- the collapsed representation and its adjoints ---------------------------
 
 def rho0_linear():
-    """rho_0 as exact 4x4 matrices in O(1,3): positives to -id, the rest
-    to cuboctahedron reflections; the linear part of every rho_lambda."""
+    """rho_0 as the exact (22, 4, 4) stack in O(1,3): positives to -id, the
+    rest to cuboctahedron reflections; the linear part of every rho_lambda."""
     return rho_lambda(0).linear
 
 
 def rho0_rep():
     """rho_0 on R^{1,3} as a validated LinearRep of the 22-generator group."""
-    return LinearRep(gamma22(), 4, rho0_linear())
+    return LinearRep(gamma22(), rho0_linear())
 
 
 def rho0_projective(geometry):
-    """rho_0 as exact 5x5 matrices in the ambient group of H^4/AdS^4/HP^4.
+    """rho_0 as the exact (22, 5, 5) stack in the ambient group of H^4/AdS^4/HP^4.
 
     For hyp/ads these are block matrices diag(A, +-1) stabilising
     {x_4 = 0}; the positives map to the reflection diag(1,1,1,1,-1).
@@ -219,14 +223,11 @@ def rho0_projective(geometry):
     """
     if geometry not in ("hyp", "ads", "hp"):
         raise ValueError(f"unknown geometry {geometry!r}")
-    lin = rho0_linear()
-    r = PairMatrix.of(np.diag([1, 1, 1, 1, -1]))
-
-    def block(a):
-        return PairMatrix.assemble((5, 5), [(0, 0, a), (4, 4, np.ones((1, 1), dtype=int))])
-
-    return {n: r if geometry != "hp" and n.endswith("+") else block(lin[n])
-            for n in GAMMA22_NAMES}
+    # diag(A, 1), except diag(id, -1) = -diag(-id, 1) on the hyp/ads positives
+    flip = np.array([-1 if geometry != "hp" and n.endswith("+") else 1
+                     for n in GAMMA22_NAMES])[:, None, None]
+    return PairMatrix.assemble((len(GAMMA22_NAMES), 5, 5),
+                               [(0, 0, rho0_linear() * flip), (4, 4, flip)])
 
 
 def _so13_matrices(size):
@@ -272,8 +273,9 @@ def adapted_basis(geometry):
 def adjoint_rep(racg, images, basis):
     """Matrices of X -> g X g^{-1} on span(basis), one per generator.
 
-    Every image is an involution, so g^{-1} = g: all conjugates come
-    from one stacked product and all coordinates from one solve.
+    ``images`` is the (generators, d, d) stack of the g.  Every image is
+    an involution, so g^{-1} = g: all conjugates come from one stacked
+    product and all coordinates from one solve.
     Raises ValueError for an image that is not an involution, and
     BasisNotClosed when conjugation leaves the span of the given basis
     elements.
@@ -282,7 +284,7 @@ def adjoint_rep(racg, images, basis):
     stack = PairMatrix.stack(basis)
     k = len(basis)
     flat_basis = stack.reshape(k, -1).T
-    G = PairMatrix.stack(images[n] for n in names)
+    G = PairMatrix.of(images)
     bad = _first_nonzero(G @ G - PairMatrix.identity(G.shape[1]))
     if bad is not None:
         raise ValueError(f"image of {names[bad]!r} is not an involution")
@@ -296,8 +298,8 @@ def adjoint_rep(racg, images, basis):
             if c is None or not (flat_basis @ c - block).is_zero():
                 break
         raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
-    ad_images = {n: coeff[:, i * k:(i + 1) * k].reduced() for i, n in enumerate(names)}
-    return LinearRep(racg, k, ad_images)
+    # coeff[j', i * k + j] is entry (j', j) of the image of generator i
+    return LinearRep(racg, coeff.reshape(k, len(names), k).swapaxes(0, 1))
 
 
 def adjoint_collapsed_rep(geometry):
@@ -322,7 +324,7 @@ def split_h1(racg, rep, report=None):
     the projected representatives modulo that block's coboundaries.
     """
     dimV = rep.dimV
-    R = PairMatrix.stack(rep.images[n] for n in racg.generators)
+    R = rep.images
     if not (R[:, :H_BLOCK, H_BLOCK:].is_zero() and R[:, H_BLOCK:, :H_BLOCK].is_zero()):
         raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
@@ -330,8 +332,7 @@ def split_h1(racg, rep, report=None):
     reps = report.h1_representatives
 
     def projected_dim(lo, hi):
-        coboundaries = _coboundary_candidates(
-            racg, {n: rep.images[n][lo:hi, lo:hi] for n in racg.generators})
+        coboundaries = _coboundary_candidates(R[:, lo:hi, lo:hi])
         rows = [i * dimV + r for i in range(len(racg.generators)) for r in range(lo, hi)]
         # rank(both) - rank(coboundaries): the pivots past the coboundary columns
         pivots = exact_pivots(PairMatrix.concat([coboundaries, reps[rows]], axis=1))
@@ -343,15 +344,16 @@ def split_h1(racg, rep, report=None):
 # -- the geometric cocycles and normalisation --------------------------------
 
 def tau_lambda_cocycle(lam):
-    """tau_lambda as a map from generators to exact R^{1,3} vectors (PairMatrix)."""
+    """tau_lambda as the exact (22, 4) table of its R^{1,3} values (PairMatrix),
+    a row per generator."""
     return rho_lambda(PairMatrix.of(lam)).translation
 
 
 def reduce_mod_coboundary(tau):
     """Subtract the unique coboundary making tau vanish on A, B, C, D.
 
-    ``tau`` is a cocycle of rho_0, flat or as a dict of vectors; the
-    result is a dict of PairMatrix vectors per generator.  The 4x4 system is
+    ``tau`` is a cocycle of rho_0, flat or as a (22, 4) table; the
+    result is a (22, 4) PairMatrix table.  The 4x4 system is
     -2 times the Gram matrix of the four letter normals, which is
     invertible; a failure here would contradict the non-degeneracy of
     the Minkowski form.
@@ -359,7 +361,7 @@ def reduce_mod_coboundary(tau):
     rep = rho0_rep()
     racg = rep.racg
     flat = _flatten_cocycle(racg, 4, tau)
-    cands = _coboundary_candidates(racg, rep.images)
+    cands = _coboundary_candidates(rep.images)
     letters = [4 * racg.generators.index(x) + r for x in ("A", "B", "C", "D") for r in range(4)]
     if exact_rank(cands[letters]) != 4:
         raise SingularNormalization("letter normalisation system is singular")
@@ -368,13 +370,13 @@ def reduce_mod_coboundary(tau):
         raise ValueError("tau is not a cocycle: no coboundary matches its letter values")
     reduced = flat - cands @ w
     assert reduced[letters].is_zero()
-    return {n: reduced[4 * i:4 * (i + 1)] for i, n in enumerate(racg.generators)}
+    return reduced.reshape(-1, 4)
 
 
 def vertical_coefficient(tau):
     """The lam (a QSqrt2) with tau = tau_lambda, or None if tau is not in that family.
 
-    ``tau`` is a cocycle of rho_0, flat or as a dict of vectors.
+    ``tau`` is a cocycle of rho_0, flat or as a (22, 4) table.
     """
     racg = gamma22()
     tau1 = _flatten_cocycle(racg, 4, tau_lambda_cocycle(1))

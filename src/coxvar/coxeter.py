@@ -13,10 +13,9 @@ commuting pairs.  The groups used throughout:
                cuboctahedron (8 triangles + 6 quads, 24 edges).
 
 Each table is one linalg_exact.PairMatrix, a row per generator, built
-from integer sign patterns.  Word evaluation and representation
-verification are generic over the image type: float matrices, exact
-PairMatrix, or any object with a ``projective_matrix()`` method
-(half-pipe isometries).
+from integer sign patterns.  A representation is one (generators, d, d)
+stack of images in generator order, a float array or a PairMatrix; word
+evaluation and representation verification read that stack directly.
 """
 
 from __future__ import annotations
@@ -186,35 +185,28 @@ def gamma_co():
 
 # -- word evaluation and representation checks --------------------------
 
-def _as_matrix(image):
-    return image.projective_matrix() if hasattr(image, "projective_matrix") else image
+def _identity_like(images):
+    return (PairMatrix.identity if is_exact(images) else np.eye)(images.shape[-1])
 
 
-def _identity_like(mat):
-    return (PairMatrix.identity if is_exact(mat) else np.eye)(mat.shape[0])
-
-
-def evaluate_word(rep, word, racg=None):
+def evaluate_word(racg, images, word):
     """Ordered product of generator images; the empty word is the identity.
 
-    ``rep`` maps generator names to images; ``word`` is a sequence of
-    names (or indices into ``racg.generators`` when ``racg`` is given).
+    ``images`` is the (generators, d, d) stack of the representation;
+    ``word`` is a sequence of generator names or indices into
+    ``racg.generators``.
     """
-    images = {key: _as_matrix(img) for key, img in rep.items()}
     letters = []
     for w in word:
-        if isinstance(w, int):
-            if racg is None or not (0 <= w < racg.rank):
-                raise IndexOutOfRange(f"letter index {w} out of range")
-            w = racg.generators[w]
-        if w not in images:
+        k = racg.index(w) if w in racg.generators else w
+        if not (isinstance(k, int) and 0 <= k < racg.rank):
             raise IndexOutOfRange(f"no image for generator {w!r}")
-        letters.append(w)
+        letters.append(k)
     if not letters:
-        return _identity_like(next(iter(images.values())))
+        return _identity_like(images)
     out = images[letters[0]]
-    for w in letters[1:]:
-        out = out @ images[w]
+    for k in letters[1:]:
+        out = out @ images[k]
     return out
 
 
@@ -233,18 +225,22 @@ def _defects(stack):
     return np.max(np.abs(np.asarray(stack, dtype=float)), axis=(-2, -1)).tolist()
 
 
-def verify_representation(racg, rep, tol=1e-10):
+def verify_representation(racg, images, tol=1e-10):
     """Check squares, commutators, and distinctness of commuting images.
 
+    ``images`` is the (generators, d, d) stack of the representation, a
+    float array or a PairMatrix, with rows in ``racg.generators`` order.
     Failures are reported rather than raised; max_defect is the largest
     deviation from the identity over all relation checks.  A non-finite
     defect fails its check and makes max_defect non-finite too.  Each kind
     of check is one stacked product (or difference) of the images.
     """
-    mats = [_as_matrix(rep[name]) for name in racg.generators]
-    M = PairMatrix.stack(mats) if is_exact(mats[0]) else np.stack(mats)
+    M = images
+    if len(M.shape) != 3 or M.shape[0] != racg.rank:
+        raise ValueError(f"expected one image per generator, a ({racg.rank}, d, d) stack, "
+                         f"got shape {M.shape}")
     i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
-    squares = _defects(M @ M - _identity_like(mats[0]))
+    squares = _defects(M @ M - _identity_like(M))
     commutators = _defects(M[i] @ M[j] - M[j] @ M[i])
     coincidences = _defects(M[i] - M[j])
     failures = [f"square:{n}" for n, d in zip(racg.generators, squares) if not d <= tol]

@@ -421,7 +421,8 @@ def base_cube(geometry, t=0.4, lam=1):
     subsets = find_cusp_subgroups(lift)
     if not subsets:
         raise CuspError(f"the lift at t = {t} has no cusp subgroup")
+    rows = [lift.names.index(n) for n in subsets[0]]
     if geometry == "hp":
-        data = rho_lambda(float(lam)).as_reflections()
-        return [data[n] for n in subsets[0]]
-    return list(lift.table[[lift.names.index(n) for n in subsets[0]]])
+        refls = rho_lambda(float(lam)).as_reflections()
+        return [refls[r] for r in rows]
+    return list(lift.table[rows])

@@ -16,9 +16,12 @@ the 22-generator group deform only the translation part; at lambda = 0
 they reduce to the collapsed representation shared with the hyperbolic
 and AdS paths.
 
-Exact transformations (rho_lambda for exact lambda) hold PairMatrix
-parts and map to PairMatrix projective matrices; everything that
-classifies reflections runs on floats with a tolerance.
+A representation is one MinkowskiIsometry stack: a (22, 4, 4) linear
+part and a (22, 4) translation, a row per generator, which phi maps to
+the (22, 5, 5) stack of projective matrices in one step.  Exact
+transformations (rho_lambda for exact lambda) hold PairMatrix parts and
+map to PairMatrix projective matrices; everything that classifies
+reflections runs on floats with a tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
+from .coxeter import cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, GeometryError, HPPointsClass, QuadraticSpace,
                        classify_pair, classify_pair_hyp, eval_form, reflection_matrix)
 from .linalg_exact import PairMatrix, is_exact
@@ -45,7 +48,8 @@ class NotFormPreserving(HalfPipeError):
 class MinkowskiIsometry:
     """Pair (A, v): x -> A x + v with A preserving the Minkowski form.
 
-    A and v are float arrays, or PairMatrix for an exact isometry.
+    A and v are float arrays, or PairMatrix for an exact isometry.  With a
+    (N, n, n) A and a (N, n) v it is a stack of N isometries, one per row.
     """
 
     linear: np.ndarray
@@ -53,7 +57,7 @@ class MinkowskiIsometry:
 
     @property
     def dim(self):
-        return self.linear.shape[0]
+        return self.linear.shape[-1]
 
     @property
     def exact(self):
@@ -69,22 +73,34 @@ class MinkowskiIsometry:
                                  self.linear @ other.translation + self.translation)
 
     def is_form_preserving(self, tol=DEFAULT_TOL):
+        """Does every linear part satisfy A^T J A = J?  One stacked product."""
         J = QuadraticSpace.minkowski(self.dim).form_matrix()
         if self.exact:
             J = PairMatrix.of(J)
-            return (self.linear.T @ J @ self.linear - J).is_zero()
-        diff = self.linear.T @ J @ self.linear - J
-        # A^T J A accumulates error like |A|^2 eps: compare at that scale
-        scale = max(1.0, float(np.max(np.abs(self.linear))) ** 2)
-        return float(np.max(np.abs(diff))) <= tol * scale
+            return (self.linear.swapaxes(-1, -2) @ J @ self.linear - J).is_zero()
+        diff = np.max(np.abs(self.linear.swapaxes(-1, -2) @ J @ self.linear - J), axis=(-2, -1))
+        # A^T J A accumulates error like |A|^2 eps: compare each member at that scale
+        scale = np.maximum(1.0, np.max(np.abs(self.linear), axis=(-2, -1)) ** 2)
+        return bool(np.all(diff <= tol * scale))
 
     def max_difference(self, other):
         """Largest |entry| of the difference of two float isometries."""
         return float(max(np.max(np.abs(self.linear - other.linear)),
                          np.max(np.abs(self.translation - other.translation))))
 
-    def projective_matrix(self):
-        return phi_to_projective(self)
+    def as_reflections(self):
+        """The members as float HP reflections in row order, for cusp classification.
+
+        Exact parts are read through their float view; the axis of a
+        degenerate reflection needs a square root, which Q(sqrt 2) does
+        not always have.
+        """
+        lin = np.asarray(self.linear, dtype=float)
+        v = np.asarray(self.translation, dtype=float)
+        minus_id = np.max(np.abs(lin + np.eye(self.dim)), axis=(-2, -1)) < 1e-9
+        return [NonDegenerateReflection(t * 0.5) if m
+                else DegenerateReflection(_reflection_axis(a), t)
+                for a, t, m in zip(lin, v, minus_id)]
 
 
 def phi_to_projective(iso, tol=DEFAULT_TOL):
@@ -92,18 +108,19 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
 
     phi is a group homomorphism: the dual action on the hyperplane
     coordinates (x_hat, x_n) is x_hat -> A x_hat, x_n -> x_n - v^T J A x_hat.
+    A stack of isometries maps to the stack of their matrices.
     """
     if not iso.is_form_preserving(tol):
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
+    shape = (*iso.linear.shape[:-2], n + 1, n + 1)
     J = QuadraticSpace.minkowski(n).form_matrix()
+    row = -(iso.translation[..., None, :] @ (PairMatrix.of(J) if iso.exact else J) @ iso.linear)
     if iso.exact:
-        row = -(iso.translation.reshape(1, n) @ PairMatrix.of(J) @ iso.linear)
-        return PairMatrix.assemble((n + 1, n + 1), [(0, 0, iso.linear), (n, 0, row),
-                                                    (n, n, np.ones((1, 1), dtype=int))])
-    out = np.eye(n + 1)
-    out[:n, :n] = iso.linear
-    out[n, :n] = -(iso.translation @ J @ iso.linear)
+        return PairMatrix.assemble(shape, [(0, 0, iso.linear), (n, 0, row),
+                                           (n, n, np.ones((1, 1), dtype=int))])
+    out = np.zeros(shape)
+    out[..., :n, :n], out[..., n:, :n], out[..., n, n] = iso.linear, row, 1.0
     return out
 
 
@@ -210,37 +227,6 @@ def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
 
 # -- the explicit half-pipe representations ----------------------------------
 
-@dataclass(frozen=True)
-class HPRepresentation:
-    """Linear and translation parts of a representation into Isom(R^{1,3})."""
-
-    linear: dict
-    translation: dict
-
-    def isometry(self, name):
-        return MinkowskiIsometry(self.linear[name], self.translation[name])
-
-    def as_isometries(self):
-        return {n: self.isometry(n) for n in self.linear}
-
-    def as_reflections(self):
-        """The generators as float HP reflections (for cusp classification).
-
-        Exact parts are read through their float view; the axis of a
-        degenerate reflection needs a square root, which Q(sqrt 2) does
-        not always have.
-        """
-        out = {}
-        for n in self.linear:
-            lin = np.asarray(self.linear[n], dtype=float)
-            v = np.asarray(self.translation[n], dtype=float)
-            if np.max(np.abs(lin + np.eye(len(lin)))) < 1e-9:
-                out[n] = NonDegenerateReflection(v * 0.5)
-            else:
-                out[n] = DegenerateReflection(_reflection_axis(lin), v)
-        return out
-
-
 def _reflection_axis(lin):
     """Unit spacelike X with lin = r_X (float).
 
@@ -260,29 +246,23 @@ def _reflection_axis(lin):
 def rho_lambda(lam):
     """The half-pipe representations rho_lambda = (rho_0, tau_lambda).
 
-    The linear part sends each positive generator to -id and each other
-    generator to the Minkowski reflection in its cuboctahedron normal;
-    the translation part is tau(i+) = tau(i-) = (-1)^i lam v_i and zero
-    on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
+    One MinkowskiIsometry stack with a row per generator, in GAMMA22_NAMES
+    order.  The linear part sends each positive generator to -id and each
+    other generator to the Minkowski reflection in its cuboctahedron
+    normal; the translation part is tau(i+) = tau(i-) = (-1)^i lam v_i and
+    zero on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
     exact lam.
     """
     # the 8 triangle normals, then the 6 quads: one stack of reflections
     normals = cuboctahedron_vectors()
     signs = np.array([(-1) ** i for i in range(8)])
-    if is_exact(lam):
-        minus_id, zero = -PairMatrix.identity(4), PairMatrix.zeros(4)
-        refls = reflection_matrix(QuadraticSpace.minkowski(4), normals).unstack()
-        taus = (PairMatrix.of(lam) * signs)[:, None] * normals[:8]
-    else:
-        minus_id, zero = -np.eye(4), np.zeros(4)
+    exact = is_exact(lam)
+    if not exact:
         normals = np.asarray(normals, dtype=float)
-        refls = reflection_matrix(QuadraticSpace.minkowski(4), normals)
-        taus = (signs * float(lam))[:, None] * normals[:8]
-    linear, translation = {}, {}
-    for i in range(8):
-        linear[f"{i}+"], linear[f"{i}-"] = minus_id, refls[i]
-        translation[f"{i}+"] = translation[f"{i}-"] = taus[i]
-    for x, refl in zip(LETTER_NAMES, refls[8:]):
-        linear[x], translation[x] = refl, zero
-    assert set(linear) == set(GAMMA22_NAMES)
-    return HPRepresentation(linear, translation)
+    refls = reflection_matrix(QuadraticSpace.minkowski(4), normals)
+    taus = ((PairMatrix.of(lam) if exact else float(lam)) * signs)[:, None] * normals[:8]
+    minus_id = np.broadcast_to(-np.eye(4, dtype=int), (8, 4, 4))
+    cat = PairMatrix.concat if exact else np.concatenate
+    # rows 0+..7+, then 0-..7- and A..F: the order of GAMMA22_NAMES
+    return MinkowskiIsometry(cat([minus_id, refls]),
+                             cat([taus, taus, np.zeros((6, 4), dtype=int)]))

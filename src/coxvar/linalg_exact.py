@@ -152,16 +152,18 @@ class PairMatrix:
 
     @classmethod
     def assemble(cls, shape, blocks):
-        """The matrix of ``shape`` that is zero outside the given blocks: each
-        (row, col, m) writes m with its top-left entry at (row, col)."""
+        """The array of ``shape`` that is zero outside the given blocks: each
+        (row, col, m) writes m on the last two axes with its top-left entry at
+        (row, col), broadcast over the leading axes."""
         if not blocks:
             return cls.zeros(shape)
         parts, den = _common([cls.of(m) for _, _, m in blocks])
         a = np.zeros(shape, dtype=parts[0][0].dtype)
         b = np.zeros(shape, dtype=parts[0][0].dtype)
         for (r, c, _), (pa, pb) in zip(blocks, parts):
-            a[r:r + pa.shape[0], c:c + pa.shape[1]] = pa
-            b[r:r + pb.shape[0], c:c + pb.shape[1]] = pb
+            h, w = pa.shape[-2:]
+            a[..., r:r + h, c:c + w] = pa
+            b[..., r:r + h, c:c + w] = pb
         return cls(a, b, den)
 
     @property
@@ -178,6 +180,9 @@ class PairMatrix:
 
     def __getitem__(self, idx):
         return PairMatrix(self.a[idx], self.b[idx], self.den)
+
+    def swapaxes(self, axis1, axis2):
+        return PairMatrix(self.a.swapaxes(axis1, axis2), self.b.swapaxes(axis1, axis2), self.den)
 
     def reshape(self, *shape):
         return PairMatrix(self.a.reshape(*shape), self.b.reshape(*shape), self.den)

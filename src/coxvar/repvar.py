@@ -133,11 +133,16 @@ class Lift:
         return replace(self, table=np.asarray(self.table, dtype=float)) if self.exact else self
 
     def to_json(self):
+        """The lift as JSON; a float entry 1 is written 1.0, so it reads back as a float."""
+        def entry(x):
+            s = format_scalar(x)
+            return s + ".0" if not self.exact and s.lstrip("-").isdigit() else s
+
         return json.dumps({
             "schema_version": 1,
             "signature": list(self.space.signature),
             "norm_targets": {n: self.norm_targets[n] for n in self.names},
-            "vectors": {n: [format_scalar(self.table.item(k, j)) for j in range(self.space.dim)]
+            "vectors": {n: [entry(self.table.item(k, j)) for j in range(self.space.dim)]
                         for k, n in enumerate(self.names)},
         })
 

@@ -8,10 +8,10 @@ with -s or on failure).  Tolerances are pinned here and nowhere else.
 import numpy as np
 
 from coxvar import cohomology as coh
-from coxvar.coxeter import gamma22_vectors, gamma_co, verify_representation
+from coxvar.coxeter import GAMMA22_NAMES, gamma22_vectors, gamma_co, verify_representation
 from coxvar.cusp import CuspKind, base_cube, base_rect_hyp, classify_cube, rigidity_experiment
 from coxvar.geometry import QuadraticSpace, eval_bilinear, eval_form
-from coxvar.halfpipe import rho_lambda
+from coxvar.halfpipe import phi_to_projective, rho_lambda
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import (collapsed_lift_exact, constraint_system, find_cusp_subgroups,
                            gram_matrix, jacobian, kernel_report, known_tangent,
@@ -88,12 +88,12 @@ def test_criterion_05_exact_cohomology_dimensions(racg22, rho0_report, so13_repo
 
 
 def test_criterion_06_geometric_generator(racg22, rho0_report):
-    report = verify_representation(racg22, rho_lambda(1).as_isometries(), tol=0)
+    report = verify_representation(racg22, phi_to_projective(rho_lambda(1)), tol=0)
     assert report.ok and report.max_defect == 0.0
     rep0, coh_report = rho0_report
     tau1 = coh.tau_lambda_cocycle(1)
     ident = PairMatrix.identity(4)
-    tau = {n: PairMatrix.of(tau1[n]) for n in racg22.generators}
+    tau = {n: tau1[k] for k, n in enumerate(racg22.generators)}
     for n in racg22.generators:  # cocycle conditions, exactly
         assert ((ident + rep0.image(n)) @ tau[n]).is_zero()
     for a, b in racg22.commuting_name_pairs():
@@ -151,7 +151,8 @@ def test_criterion_08_cusp_census():
                           (-2.0, CuspKind.CUSP), (0.0, CuspKind.COLLAPSED)):
         refl = rho_lambda(lam).as_reflections()
         for sub in reference:
-            assert classify_cube("hp", [refl[n] for n in sub]).kind == expected, lam
+            data = [refl[GAMMA22_NAMES.index(n)] for n in sub]
+            assert classify_cube("hp", data).kind == expected, lam
     _announce(8, "12 cusp subsets; Cusp off the collapse, Collapsed at it, in all geometries")
 
 

@@ -41,17 +41,31 @@ def test_counted_qsqrt2_operators_exist():
 
 def test_benchmark_call_surface():
     # one pass of every workload on a fresh set-up, in its own interpreter:
-    # fresh_setup() re-imports coxvar, which must not happen under the other tests
+    # fresh_setup() re-imports coxvar, which must not happen under the other tests.
+    # Then one traced pass each, with the hooks installed as ``run.py --trace 1``
+    # installs them (WRAPPED, the LinearRep check and QSqrt2 arithmetic).
     script = textwrap.dedent("""
         import sys
         sys.path[:0] = sys.argv[1:3]
         import run
+        from tracing import Tracer
         from workloads import WORKLOADS
         api, _ = run.fresh_setup()
         for w in WORKLOADS.values():
             for job in w.run_pass(api, w.inputs(1)):
                 if job.error is not None:
                     print(w.name, job.name, job.error)
+        tracer = Tracer()
+        tracer.install({m: api[m] for m in run.MODULES})
+        for w in WORKLOADS.values():
+            for job in w.run_pass(api, w.inputs(1), tracer):
+                if job.error is not None:
+                    print("traced", w.name, job.name, job.error)
+        spans = tracer.by_name()
+        for name in ("cohomology.linear_rep_check", "cohomology.adjoint_rep",
+                     "halfpipe.rho_lambda", "coxeter.verify_representation"):
+            if name not in spans:
+                print("no span", name)
     """)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-B", "-c", script, str(ROOT / "perfbench"),

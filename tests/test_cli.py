@@ -13,6 +13,7 @@ from coxvar.cli import main
 from coxvar.coxeter import gamma_rect
 from coxvar.cusp import base_rect_hyp
 from coxvar.geometry import QuadraticSpace
+from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import Lift
 
 # the exact-path reports, byte for byte as the benchmark pins them
@@ -190,7 +191,8 @@ def test_user_group_and_lift(capsys, tmp_path):
 def test_verify_mixed_backend_lift(capsys, tmp_path):
     # one decimal vector among exact ones is bad input, not a failed verification
     racg = gamma_rect()
-    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators, np.array(base_rect_hyp()),
+    exact = PairMatrix.of(np.array(base_rect_hyp(), dtype=int))
+    lift = Lift(QuadraticSpace.hyperbolic(3), racg.generators, exact,
                 {n: 1 for n in racg.generators})
     data = json.loads(lift.to_json())
     data["vectors"]["s1"] = ["0.0", "0.0", "1.0", "0.0"]

@@ -9,7 +9,7 @@ from coxvar import linalg_exact
 from coxvar.cli import main
 from coxvar.coxeter import cuboctahedron_vectors, gamma_co, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
-from coxvar.halfpipe import MinkowskiIsometry
+from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse
 from coxvar.scalars import QSqrt2
 
@@ -32,13 +32,13 @@ def _combination(basis, coefficients):
 
 def test_linear_rep_validation():
     racg = gamma_rect()
-    bad = {n: 2 * PairMatrix.identity(2) for n in racg.generators}
+    bad = PairMatrix.stack([2 * PairMatrix.identity(2)] * 4)
     with pytest.raises(ValueError):
-        coh.LinearRep(racg, 2, bad)
+        coh.LinearRep(racg, bad)
 
 
 def test_trivial_representation(racg22):
-    rep = coh.LinearRep(racg22, 3, {n: PairMatrix.identity(3) for n in racg22.generators})
+    rep = coh.LinearRep(racg22, PairMatrix.stack([PairMatrix.identity(3)] * 22))
     assert coh.cocycle_space(racg22, rep).shape == (22 * 3, 0)
     assert coh.coboundary_space(racg22, rep).shape == (22 * 3, 0)
     assert coh.cohomology_report(racg22, rep).dimH1 == 0
@@ -71,9 +71,8 @@ def test_cocycles_integrate_to_representations(racg22, rho0_report):
     rep, report = rho0_report
     images = coh.rho0_linear()
     for j in range(report.dimZ1):
-        isos = {n: MinkowskiIsometry(images[n], report.z1_basis[4 * i:4 * (i + 1), j])
-                for i, n in enumerate(racg22.generators)}
-        vr = verify_representation(racg22, isos, tol=0)
+        isos = MinkowskiIsometry(images, report.z1_basis[:, j].reshape(22, 4))
+        vr = verify_representation(racg22, phi_to_projective(isos), tol=0)
         assert vr.ok and vr.max_defect == 0.0
 
 
@@ -131,7 +130,7 @@ def test_adjoint_rep_basics(racg22):
     assert len(coh.adapted_basis("hyp")) == 10
     assert len(coh.so13_basis()) == 6
     racg = gamma_rect()
-    ident = {n: PairMatrix.identity(4) for n in racg.generators}
+    ident = PairMatrix.stack([PairMatrix.identity(4)] * 4)
     ad = coh.adjoint_rep(racg, ident, coh.so13_basis())
     for n in racg.generators:
         assert (ad.image(n) - PairMatrix.identity(6)).is_zero()
@@ -146,7 +145,7 @@ def test_adjoint_fixes_orthogonal_rotation(racg22):
     E = x @ (J @ y).T - y @ (J @ x).T
     # E is in so(1,3) and commutes with the reflection in v_0
     assert (E.T @ J + J @ E).is_zero()
-    g = images["0-"]
+    g = images[racg22.index("0-")]
     assert (g @ E @ g - E).is_zero()
 
 
@@ -154,7 +153,7 @@ def test_adjoint_rep_basis_not_closed():
     racg = gamma_rect()
     space = QuadraticSpace.minkowski(4)
     r = reflection_matrix(space, CUBO["A"])
-    images = {n: r for n in racg.generators}
+    images = PairMatrix.stack([r] * 4)
     boost = coh.so13_basis()[1]  # a single algebra element, not Ad-invariant
     with pytest.raises(coh.BasisNotClosed):
         coh.adjoint_rep(racg, images, [boost])
@@ -164,14 +163,11 @@ def test_reduce_mod_coboundary(racg22, rho0_report):
     rep, report = rho0_report
     tau1 = coh.tau_lambda_cocycle(1)
     reduced = coh.reduce_mod_coboundary(tau1)
-    for n in racg22.generators:
-        assert (reduced[n] - tau1[n]).is_zero()
+    assert (reduced - tau1).is_zero()
     assert coh.vertical_coefficient(reduced) == QSqrt2(1)
     # any coboundary reduces to zero
     delta = coh.coboundary_space(racg22, rep)[:, 0]
-    zeroed = coh.reduce_mod_coboundary(delta)
-    for n in racg22.generators:
-        assert zeroed[n].is_zero()
+    assert coh.reduce_mod_coboundary(delta).is_zero()
     # a random exact Z^1 element lands in the tau_lambda family
     rng = np.random.default_rng(17)
     combo = _combination(report.z1_basis,
@@ -182,8 +178,7 @@ def test_reduce_mod_coboundary(racg22, rho0_report):
     # idempotent
     twice = coh.reduce_mod_coboundary(coh.reduce_mod_coboundary(combo))
     once = coh.reduce_mod_coboundary(combo)
-    for n in racg22.generators:
-        assert (twice[n] - once[n]).is_zero()
+    assert (twice - once).is_zero()
 
 
 def test_reduce_mod_coboundary_image_is_line(racg22, rho0_report):
@@ -223,8 +218,7 @@ def test_exact_dimensions_match_float_svd_route(racg22, rho0_report):
 def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
     rep, _ = rho0_report
     h = reflection_matrix(MINK, CUBO["A"]) @ reflection_matrix(MINK, CUBO["B"])
-    conj = {n: h @ rep.image(n) @ exact_inverse(h) for n in racg22.generators}
-    rep2 = coh.LinearRep(racg22, 4, conj)
+    rep2 = coh.LinearRep(racg22, h @ rep.images @ exact_inverse(h))
     assert coh.cohomology_report(racg22, rep2).dimH1 == 1
 
 
@@ -232,26 +226,26 @@ def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
 
 def test_linear_rep_names_first_non_involution():
     racg = gamma_rect()  # s1, t1, s2, t2
-    images = dict(zip(racg.generators, [PairMatrix.identity(2), 2 * PairMatrix.identity(2),
-                                        2 * PairMatrix.identity(2), PairMatrix.identity(2)]))
+    images = PairMatrix.stack([PairMatrix.identity(2), 2 * PairMatrix.identity(2),
+                               2 * PairMatrix.identity(2), PairMatrix.identity(2)])
     with pytest.raises(ValueError) as err:
-        coh.LinearRep(racg, 2, images)
+        coh.LinearRep(racg, images)
     assert str(err.value) == "image of 't1' does not square to the identity"
 
 
 def test_linear_rep_names_first_non_commuting_pair():
     racg = gamma_rect()  # pairs in order: (s1, t1), (s1, t2), (t1, s2), (s2, t2)
     flip, swap = PairMatrix.of(np.diag([1, -1])), PairMatrix.of(np.array([[0, 1], [1, 0]]))
-    images = dict(zip(racg.generators, [PairMatrix.identity(2), flip, swap, flip]))
+    images = PairMatrix.stack([PairMatrix.identity(2), flip, swap, flip])
     with pytest.raises(ValueError) as err:
-        coh.LinearRep(racg, 2, images)
+        coh.LinearRep(racg, images)
     assert str(err.value) == "images of commuting pair (t1, s2) do not commute"
 
 
 def test_adjoint_rep_rejects_non_involution():
     racg = gamma_rect()
-    images = {n: PairMatrix.identity(4) for n in racg.generators}
-    images["t1"] = images["s2"] = PairMatrix.of(np.diag([2, 1, 1, 1]))
+    stretch = PairMatrix.of(np.diag([2, 1, 1, 1]))
+    images = PairMatrix.stack([PairMatrix.identity(4), stretch, stretch, PairMatrix.identity(4)])
     with pytest.raises(ValueError) as err:
         coh.adjoint_rep(racg, images, coh.so13_basis())
     assert str(err.value) == "image of 't1' is not an involution"
@@ -260,7 +254,7 @@ def test_adjoint_rep_rejects_non_involution():
 def test_basis_not_closed_names_first_failing_generator():
     racg = gamma_rect()
     r = reflection_matrix(MINK, CUBO["A"])
-    images = {"s1": PairMatrix.identity(4), "t1": PairMatrix.identity(4), "s2": r, "t2": r}
+    images = PairMatrix.stack([PairMatrix.identity(4), PairMatrix.identity(4), r, r])
     boost = coh.so13_basis()[1]  # fixed by the identity, moved off its line by r
     with pytest.raises(coh.BasisNotClosed) as err:
         coh.adjoint_rep(racg, images, [boost])

@@ -6,7 +6,7 @@ import pytest
 from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, evaluate_word,
                             gamma22, gamma_co, gamma_cube, gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
-from coxvar.halfpipe import rho_lambda
+from coxvar.halfpipe import phi_to_projective, rho_lambda
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import collapsed_lift_exact, standard_lift
 
@@ -85,22 +85,23 @@ def test_racg_json_roundtrip():
 
 
 def _reflection_images(lift):
-    return {n: reflection_matrix(lift.space, lift.vectors[n]) for n in lift.names}
+    return reflection_matrix(lift.space, lift.table)
 
 
 def test_evaluate_word():
     lift = standard_lift(0.5, "hyp")
     rep = _reflection_images(lift)
-    ident = evaluate_word(rep, [])
+    g = gamma22()
+    ident = evaluate_word(g, rep, [])
     assert np.allclose(ident, np.eye(5))
-    assert np.max(np.abs(evaluate_word(rep, ["A", "A"]) - np.eye(5))) < 1e-12
+    assert np.max(np.abs(evaluate_word(g, rep, ["A", "A"]) - np.eye(5))) < 1e-12
     w = ["0+", "0-", "0+", "0-"]
-    assert np.max(np.abs(evaluate_word(rep, w) - np.eye(5))) < 1e-12
-    assert np.allclose(evaluate_word(rep, [21], racg=gamma22()), rep["F"])
+    assert np.max(np.abs(evaluate_word(g, rep, w) - np.eye(5))) < 1e-12
+    assert np.allclose(evaluate_word(g, rep, [21]), rep[g.index("F")])
     with pytest.raises(IndexOutOfRange):
-        evaluate_word(rep, ["nope"])
+        evaluate_word(g, rep, ["nope"])
     with pytest.raises(IndexOutOfRange):
-        evaluate_word(rep, [99], racg=gamma22())
+        evaluate_word(g, rep, [99])
 
 
 def test_commuting_words_evaluate_to_identity():
@@ -109,7 +110,7 @@ def test_commuting_words_evaluate_to_identity():
     g = gamma22()
     for a, b in g.commuting_name_pairs():
         word = [a, b, a, b]
-        assert np.max(np.abs(evaluate_word(rep, word) - np.eye(5))) < 1e-12
+        assert np.max(np.abs(evaluate_word(g, rep, word) - np.eye(5))) < 1e-12
 
 
 def test_verify_standard_representation():
@@ -120,8 +121,7 @@ def test_verify_standard_representation():
 
 
 def test_verify_flags_coincidences():
-    ident = np.eye(5)
-    rep = {n: ident for n in GAMMA22_NAMES}
+    rep = np.tile(np.eye(5), (len(GAMMA22_NAMES), 1, 1))
     report = verify_representation(gamma22(), rep)
     assert not report.ok
     assert all(f.startswith("coincide:") for f in report.failing_relations)
@@ -131,14 +131,14 @@ def test_verify_flags_coincidences():
 def test_verify_fails_non_finite_images():
     # max() skips a nan defect and nan > tol is False: both used to pass it
     rep = _reflection_images(standard_lift(0.5, "hyp"))
-    rep["0+"] = np.full((5, 5), np.nan)
+    rep[GAMMA22_NAMES.index("0+")] = np.nan
     report = verify_representation(gamma22(), rep, tol=1e-12)
     assert not report.ok and np.isnan(report.max_defect)
     touching = [f"commutator:{a},{b}" for a, b in gamma22().commuting_name_pairs()
                 if "0+" in (a, b)]
     assert report.failing_relations == ["square:0+"] + touching
     # an infinite defect is reported as it is
-    rep["0+"] = np.full((5, 5), np.inf)
+    rep[GAMMA22_NAMES.index("0+")] = np.inf
     with np.errstate(invalid="ignore"):  # inf - inf in the defects
         report = verify_representation(gamma22(), rep, tol=1e-12)
     assert not report.ok and not np.isfinite(report.max_defect)
@@ -146,17 +146,17 @@ def test_verify_fails_non_finite_images():
 
 def test_verify_collapsed_representation_exact():
     lift = collapsed_lift_exact("hyp")
-    rep = {n: reflection_matrix(lift.space, lift.vectors[n]) for n in lift.names}
+    rep = reflection_matrix(lift.space, lift.table)
     report = verify_representation(gamma22(), rep, tol=0)
     assert report.ok and report.max_defect == 0.0
-    # all positive generators share the image r
-    assert all((rep["0+"] - rep[f"{i}+"]).is_zero() for i in range(8))
+    # all positive generators (rows 0 to 7) share the image r
+    assert all((rep[0] - rep[i]).is_zero() for i in range(8))
 
 
 def _verify_one_relation_at_a_time(racg, rep, tol):
     """Reference for verify_representation: every relation checked on its own,
     squares first, then per commuting pair its commutator and coincidence."""
-    mats = {n: rep[n] for n in racg.generators}
+    mats = {n: rep[k] for k, n in enumerate(racg.generators)}
     exact = isinstance(mats["A"], PairMatrix)
     ident = PairMatrix.identity(5) if exact else np.eye(5)
 
@@ -179,10 +179,11 @@ def _verify_one_relation_at_a_time(racg, rep, tol):
 
 def test_verify_matches_relation_by_relation_reference_exact():
     g = gamma22()
-    rep = {n: iso.projective_matrix() for n, iso in rho_lambda(1).as_isometries().items()}
-    rep["A"] = rep["A"] * 2  # not an involution
-    rep["B"] = rep["0-"]  # B commutes with 0-: a coincident pair
-    rep["C"] = rep["1+"]  # C commutes with 0+, 1+ does not
+    mats = phi_to_projective(rho_lambda(1)).unstack()
+    mats[g.index("A")] = mats[g.index("A")] * 2  # not an involution
+    mats[g.index("B")] = mats[g.index("0-")]  # B commutes with 0-: a coincident pair
+    mats[g.index("C")] = mats[g.index("1+")]  # C commutes with 0+, 1+ does not
+    rep = PairMatrix.stack(mats)
     report = verify_representation(g, rep, tol=0)
     max_defect, failures = _verify_one_relation_at_a_time(g, rep, 0)
     assert report.failing_relations == failures and report.max_defect == max_defect
@@ -192,7 +193,7 @@ def test_verify_matches_relation_by_relation_reference_exact():
 def test_verify_matches_relation_by_relation_reference_nan():
     g = gamma22()
     rep = _reflection_images(standard_lift(0.5, "hyp"))
-    rep["3-"] = np.full((5, 5), np.nan)
+    rep[g.index("3-")] = np.nan
     report = verify_representation(g, rep, tol=1e-12)
     max_defect, failures = _verify_one_relation_at_a_time(g, rep, 1e-12)
     assert report.failing_relations == failures and np.isnan(report.max_defect)

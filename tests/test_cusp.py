@@ -9,6 +9,7 @@ from coxvar.cusp import (TRIAL_CHUNK, CuspClass, CuspKind, PatternViolation, _pr
                          classify_cube, classify_rect, rigidity_experiment)
 from coxvar.geometry import (MixedTypePair, NotUnitSpacelike, PairClassHyp, QuadraticSpace,
                              classify_pair_ads, classify_pair_hyp, coincident, reflection_matrix)
+from coxvar.coxeter import GAMMA22_NAMES
 from coxvar.halfpipe import HPPointsClass, classify_hp_dual_points, rho_lambda
 from coxvar.repvar import (NonFiniteResidual, collapsed_lift_exact, find_cusp_subgroups,
                            gauss_newton, standard_lift)
@@ -158,9 +159,10 @@ def test_classify_cube_hp():
     subs = find_cusp_subgroups(lift)
     refl = rho_lambda(1.0).as_reflections()
     for sub in subs:
-        assert classify_cube("hp", [refl[n] for n in sub]).kind == CuspKind.CUSP
+        data = [refl[GAMMA22_NAMES.index(n)] for n in sub]
+        assert classify_cube("hp", data).kind == CuspKind.CUSP
     refl0 = rho_lambda(0.0).as_reflections()
-    got = classify_cube("hp", [refl0[n] for n in subs[0]])
+    got = classify_cube("hp", [refl0[GAMMA22_NAMES.index(n)] for n in subs[0]])
     assert got.kind == CuspKind.COLLAPSED
 
 

@@ -14,6 +14,7 @@ and review the diff of tests/golden/ like any other change.
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -102,6 +103,21 @@ def test_report_matches_golden(stem):
         assert (name in files) == (GOLDEN / name).exists(), f"{name}: written iff in tests/golden"
     for name, text in files.items():
         assert text == (GOLDEN / name).read_text(), f"{name} differs from tests/golden"
+
+
+def test_user_lift_in_any_row_order(tmp_path):
+    # the same lift with its vectors listed in reverse: the images still go to
+    # the generators they belong to, so the report is unchanged
+    data = json.loads((INPUTS / "lift-table-exact.json").read_text())
+    data["vectors"] = dict(reversed(list(data["vectors"].items())))
+    lift = tmp_path / "lift.json"
+    lift.write_text(json.dumps(data))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--geometry", "hyp", "--group-file",
+                     str(INPUTS / "gamma22.group.json"), "--lift-file", str(lift)])
+    assert f"exit {code}\n" == (GOLDEN / "verify-user-table-exact.status").read_text()
+    assert out.getvalue() == (GOLDEN / "verify-user-table-exact.txt").read_text()
 
 
 def test_user_lift_inputs_are_current():

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from coxvar.cohomology import is_coboundary, rho0_rep
-from coxvar.coxeter import cuboctahedron_vectors, gamma22, gamma_co, verify_representation
+from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma22, gamma_co,
+                            verify_representation)
 from coxvar.geometry import PairClassHyp, QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import (DegenerateReflection, HPPointsClass, MinkowskiIsometry,
                              NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
@@ -117,24 +120,22 @@ def test_classify_hp_dual_points():
 
 def test_rho_lambda_zero():
     rep = rho_lambda(0)
-    assert all(v.is_zero() for v in rep.translation.values())
+    assert rep.translation.is_zero()
     # the linear part is the collapsed holonomy on R^{1,3}
-    rho0 = rho0_rep()
-    for n in rep.linear:
-        assert (rep.linear[n] - rho0.image(n)).is_zero()
+    assert (rep.linear - rho0_rep().images).is_zero()
 
 
 def test_rho_lambda_cocycle_values():
-    rep = rho_lambda(1)
+    tau = dict(zip(GAMMA22_NAMES, rho_lambda(1).translation.unstack()))
     v1 = _exact_vec("1")
-    assert (rep.translation["1+"] + v1).is_zero()
-    assert (rep.translation["1-"] + v1).is_zero()
-    assert (rep.translation["0+"] - _exact_vec("0")).is_zero()
-    assert rep.translation["A"].is_zero()
+    assert (tau["1+"] + v1).is_zero()
+    assert (tau["1-"] + v1).is_zero()
+    assert (tau["0+"] - _exact_vec("0")).is_zero()
+    assert tau["A"].is_zero()
 
 
 def test_rho_lambda_is_exact_representation():
-    report = verify_representation(gamma22(), rho_lambda(1).as_isometries(), tol=0)
+    report = verify_representation(gamma22(), phi_to_projective(rho_lambda(1)), tol=0)
     assert report.ok
     assert report.max_defect == 0.0
 
@@ -142,26 +143,25 @@ def test_rho_lambda_is_exact_representation():
 def test_rho_lambda_linear_part_constant():
     r1 = rho_lambda(1)
     r2 = rho_lambda(QSqrt2(0, 1))  # lambda = sqrt2
-    for n in r1.linear:
-        assert (r1.linear[n] - r2.linear[n]).is_zero()
+    assert (r1.linear - r2.linear).is_zero()
 
 
 def test_tau_lambda_is_not_coboundary():
     rep = rho0_rep()
     tau = rho_lambda(1).translation
     assert not is_coboundary(gamma22(), rep, tau)
-    zero = {n: PairMatrix.zeros(4) for n in gamma22().generators}
+    zero = PairMatrix.zeros((len(GAMMA22_NAMES), 4))
     assert is_coboundary(gamma22(), rep, zero)
 
 
 def test_reflections_square_to_identity():
-    for r in rho_lambda(1).as_reflections().values():
+    for r in rho_lambda(1).as_reflections():
         iso = r.isometry()
         assert (iso @ iso).max_difference(MinkowskiIsometry.identity(4)) <= 1e-12
 
 
 def test_classify_hp_reflection_pairs():
-    refl = rho_lambda(1).as_reflections()
+    refl = dict(zip(GAMMA22_NAMES, rho_lambda(1).as_reflections()))
     # two degenerate reflections over orthogonal walls: intersecting, commuting
     rep = classify_hp_reflection_pair(refl["0-"], refl["A"])
     assert rep.kind == "degenerate"
@@ -189,3 +189,36 @@ def test_degenerate_reflection_validation():
     with pytest.raises(ValueError):
         DegenerateReflection(X, np.array([0.0, 0, 1, 0]))  # v not parallel
 
+
+
+# -- the stacked half-pipe path: one call on the (22, 4, 4) stack ---------------
+
+def _members(iso):
+    return [MinkowskiIsometry(iso.linear[k], iso.translation[k]) for k in range(22)]
+
+
+@pytest.mark.parametrize("lam", [1, 1.0, Fraction(1, 2), 0.5], ids=["1", "1.0", "1/2", "0.5"])
+def test_stacked_phi_matches_member_loop(lam):
+    rep = rho_lambda(lam)
+    members = _members(rep)
+    assert rep.is_form_preserving() == all(m.is_form_preserving() for m in members)
+    stack = phi_to_projective(rep)
+    for k, m in enumerate(members):
+        one = phi_to_projective(m)
+        if rep.exact:
+            got, want = stack[k].reduced(), one.reduced()
+            assert got.den == want.den
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+        else:
+            assert np.array_equal(stack[k], one)
+
+
+def test_stacked_form_check_rejects_one_bad_member():
+    rep = rho_lambda(0.5)
+    linear = rep.linear.copy()
+    linear[5] = linear[5] * 1.001  # scaled: no longer preserves the form
+    bad = MinkowskiIsometry(linear, rep.translation)
+    assert not bad.is_form_preserving()
+    assert [m.is_form_preserving() for m in _members(bad)].count(False) == 1
+    with pytest.raises(NotFormPreserving):
+        phi_to_projective(bad)

@@ -7,7 +7,7 @@ import pytest
 
 from coxvar.coxeter import _PM_SIGNS, GAMMA22_NAMES, gamma22, gamma22_vectors, gamma_rect
 from coxvar.cusp import _problem, base_cube
-from coxvar.geometry import DimensionMismatch, eval_bilinear, eval_form
+from coxvar.geometry import DimensionMismatch, QuadraticSpace, eval_bilinear, eval_form
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import (AmbiguousNearThreshold, IllConditioned, Lift, MixedBackends,
                            NoConvergence,
@@ -132,6 +132,15 @@ def test_lift_json_roundtrip():
     back = Lift.from_json(exact.to_json())
     assert back.exact
     assert all((back.vectors[n] - exact.vectors[n]).is_zero() for n in exact.names)
+
+
+def test_lift_json_roundtrip_integral_float():
+    # integral float entries are written as 1.0, not 1, so the lift stays a float lift
+    lift = Lift(QuadraticSpace(2, (-1, 1)), ("a",), np.array([[0.0, 1.0]]), {"a": 1})
+    text = lift.to_json()
+    assert json.loads(text)["vectors"] == {"a": ["0.0", "1.0"]}
+    back = Lift.from_json(text)
+    assert not back.exact and np.array_equal(back.table, lift.table)
 
 
 def test_build_constraints_counts():
