@@ -17,6 +17,9 @@ rho_0 (positives to -id, the rest to cuboctahedron reflections), its
 restriction-of-adjoint on so(1,3), and the three 10-dimensional adjoint
 representations for the hyperbolic, AdS and half-pipe ambient groups,
 expressed in a basis adapted to the splitting g = so(1,3) + R^{1,3}.
+rho_0 enters them as the paths' holonomies do; each adjoint is the block
+sum of the so(1,3) adjoint and rho_0, and the 12 + 1 split is read off
+the blocks that the H^1 representatives occupy.
 
 A representation is one (generators, dimV, dimV) PairMatrix stack of
 images in generator order, and a cocycle a (generators, dimV) table or
@@ -29,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import GAMMA22_NAMES, gamma22
-from .geometry import QuadraticSpace
-from .halfpipe import rho_lambda
+from .coxeter import gamma22
+from .geometry import QuadraticSpace, reflection_matrix
+from .halfpipe import phi_to_projective, rho_lambda
 from .linalg_exact import PairMatrix, exact_nullspace, exact_pivots, exact_rank, exact_solve
+from .repvar import collapsed_lift_exact
 
 
 H_BLOCK = 6  # dim so(1,3): the horizontal block of the adapted basis
@@ -214,22 +218,6 @@ def rho0_rep():
     return LinearRep(gamma22(), rho0_linear())
 
 
-def rho0_projective(geometry):
-    """rho_0 as the exact (22, 5, 5) stack in the ambient group of H^4/AdS^4/HP^4.
-
-    For hyp/ads these are block matrices diag(A, +-1) stabilising
-    {x_4 = 0}; the positives map to the reflection diag(1,1,1,1,-1).
-    For hp they are affine matrices [[A, tau],[0, 1]] with tau = 0.
-    """
-    if geometry not in ("hyp", "ads", "hp"):
-        raise ValueError(f"unknown geometry {geometry!r}")
-    # diag(A, 1), except diag(id, -1) = -diag(-id, 1) on the hyp/ads positives
-    flip = np.array([-1 if geometry != "hp" and n.endswith("+") else 1
-                     for n in GAMMA22_NAMES])[:, None, None]
-    return PairMatrix.assemble((len(GAMMA22_NAMES), 5, 5),
-                               [(0, 0, rho0_linear() * flip), (4, 4, flip)])
-
-
 def _so13_matrices(size):
     """Integer so(1,3) basis in the top-left 4x4 block of size x size zeros:
     three boosts then three rotations."""
@@ -303,9 +291,18 @@ def adjoint_rep(racg, images, basis):
 
 
 def adjoint_collapsed_rep(geometry):
-    """Ad rho_0 on the ambient Lie algebra, in the adapted basis."""
-    racg = gamma22()
-    return adjoint_rep(racg, rho0_projective(geometry), adapted_basis(geometry))
+    """Ad rho_0 on the ambient Lie algebra, in the adapted basis.
+
+    rho_0 is built as the paths build their holonomies: the reflections
+    in the collapsed lift for hyp/ads, phi of rho_lambda(0) for hp.
+    """
+    basis = adapted_basis(geometry)  # first: it names an unknown geometry
+    if geometry == "hp":
+        images = phi_to_projective(rho_lambda(0))
+    else:
+        lift = collapsed_lift_exact(geometry)
+        images = reflection_matrix(lift.space, lift.table)
+    return adjoint_rep(gamma22(), images, basis)
 
 
 def so13_adjoint_rep():
@@ -320,25 +317,24 @@ def split_h1(racg, rep, report=None):
     Requires every Ad-image to be block diagonal for the (so(1,3),
     rest) splitting of the adapted basis, whose first H_BLOCK = 6
     elements span so(1,3); returns (horizontal_dim, vertical_dim).
-    The projection of H^1 to a block has the dimension of the span of
-    the projected representatives modulo that block's coboundaries.
+    ``report`` must be this rep's cohomology_report, whose
+    representatives are independent modulo B^1.  Elimination keeps each
+    of them in one block, and B^1 splits too, so the dimensions are the
+    counts of representatives per block; one that meets both blocks
+    raises BasisNotAdapted.
     """
-    dimV = rep.dimV
     R = rep.images
     if not (R[:, :H_BLOCK, H_BLOCK:].is_zero() and R[:, H_BLOCK:, :H_BLOCK].is_zero()):
         raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
         report = cohomology_report(racg, rep)
-    reps = report.h1_representatives
-
-    def projected_dim(lo, hi):
-        coboundaries = _coboundary_candidates(R[:, lo:hi, lo:hi])
-        rows = [i * dimV + r for i in range(len(racg.generators)) for r in range(lo, hi)]
-        # rank(both) - rank(coboundaries): the pivots past the coboundary columns
-        pivots = exact_pivots(PairMatrix.concat([coboundaries, reps[rows]], axis=1))
-        return sum(c >= coboundaries.shape[1] for c in pivots)
-
-    return (projected_dim(0, H_BLOCK), projected_dim(H_BLOCK, dimV))
+    reps = report.h1_representatives.reshape(len(racg.generators), rep.dimV, -1)
+    nonzero = (reps.a != 0) | (reps.b != 0)
+    horizontal = nonzero[:, :H_BLOCK].any(axis=(0, 1))
+    vertical = nonzero[:, H_BLOCK:].any(axis=(0, 1))
+    if (horizontal & vertical).any():
+        raise BasisNotAdapted("an H^1 representative meets both adapted blocks")
+    return int(horizontal.sum()), int(vertical.sum())
 
 
 # -- the geometric cocycles and normalisation --------------------------------

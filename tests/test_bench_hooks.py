@@ -63,7 +63,8 @@ def test_benchmark_call_surface():
                     print("traced", w.name, job.name, job.error)
         spans = tracer.by_name()
         for name in ("cohomology.linear_rep_check", "cohomology.adjoint_rep",
-                     "halfpipe.rho_lambda", "coxeter.verify_representation"):
+                     "cohomology.split_h1", "halfpipe.rho_lambda",
+                     "coxeter.verify_representation"):
             if name not in spans:
                 print("no span", name)
     """)

@@ -11,6 +11,7 @@ from coxvar.coxeter import cuboctahedron_vectors, gamma_co, gamma_rect, verify_r
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse
+from coxvar.repvar import collapsed_lift_exact
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -117,13 +118,54 @@ def test_split_h1_vertical_is_tau_lambda(racg22, rho0_report, full_adjoint_repor
     assert exact_in_span(b1 + projections, tau1)
 
 
+def _block_support(cocycles):
+    """Per column: (meets so(1,3), meets R^{1,3}) over all ten-entry generator blocks."""
+    blocks = cocycles.reshape(22, 10, cocycles.shape[1])
+    nonzero = (blocks.a != 0) | (blocks.b != 0)
+    return nonzero[:, :coh.H_BLOCK].any(axis=(0, 1)), nonzero[:, coh.H_BLOCK:].any(axis=(0, 1))
+
+
+def test_full_report_columns_lie_in_one_block(full_adjoint_reports):
+    """split_h1 counts on this: elimination keeps each basis vector in one block."""
+    for geometry, (_, report) in full_adjoint_reports.items():
+        for cocycles, split in ((report.z1_basis, (18, 5)), (report.h1_representatives, (12, 1))):
+            horizontal, vertical = _block_support(cocycles)
+            assert (horizontal ^ vertical).all(), geometry
+            assert (int(horizontal.sum()), int(vertical.sum())) == split, geometry
+
+
+def test_split_h1_rejects_mixed_representative(racg22, so13_report, full_adjoint_reports):
+    _, report13 = so13_report
+    rep, _ = full_adjoint_reports["hp"]
+    tau_h = report13.h1_representatives[:, 0].reshape(22, 6)
+    mixed = PairMatrix.concat([tau_h, coh.tau_lambda_cocycle(1)], axis=1).reshape(220, 1)
+    with pytest.raises(coh.BasisNotAdapted):
+        coh.split_h1(racg22, rep, coh.CohomologyReport(1, 0, 1, mixed, mixed))
+
+
 def test_split_h1_rejects_unadapted_basis(racg22):
-    images = coh.rho0_projective("hyp")
+    lift = collapsed_lift_exact("hyp")
+    images = reflection_matrix(lift.space, lift.table)
     basis = coh.adapted_basis("hyp")
     basis[0], basis[9] = basis[9], basis[0]  # mix the blocks
     rep = coh.adjoint_rep(racg22, images, basis)
     with pytest.raises(coh.BasisNotAdapted):
         coh.split_h1(racg22, rep)
+
+
+def test_collapsed_adjoint_is_block_sum():
+    """Ad rho_0 = Ad_so(1,3) rho_0 + rho_0: one integer stack in all three geometries."""
+    block_sum = PairMatrix.assemble((22, 10, 10), [(0, 0, coh.so13_adjoint_rep().images),
+                                                   (6, 6, coh.rho0_rep().images)])
+    for geometry in ("hyp", "ads", "hp"):
+        images = coh.adjoint_collapsed_rep(geometry).images
+        assert images.den == 1, geometry
+        assert np.array_equal(images.a, block_sum.a) and np.array_equal(images.b, block_sum.b)
+
+
+def test_adjoint_collapsed_rep_unknown_geometry():
+    with pytest.raises(ValueError, match="unknown geometry 'foo'"):
+        coh.adjoint_collapsed_rep("foo")
 
 
 def test_adjoint_rep_basics(racg22):
@@ -299,6 +341,6 @@ def test_cocycle_space_one_kernel_per_distinct_image(racg22, eliminations, targe
 def test_full_report_eliminations(eliminations):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["cohomology", "--target", "full-ads"]) == 0
-    # adjoint 1, cocycles 2, B^1 1, representatives 1, split 2 (23 with one
-    # kernel per distinct image and two ranks per split block)
-    assert len(eliminations) <= 7
+    # adjoint 1, cocycles 2, B^1 1, representatives 1; the split reads the
+    # representatives' blocks and eliminates nothing
+    assert len(eliminations) == 5
