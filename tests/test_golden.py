@@ -15,6 +15,8 @@ and review the diff of tests/golden/ like any other change.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -103,6 +105,24 @@ def test_report_matches_golden(stem):
         assert (name in files) == (GOLDEN / name).exists(), f"{name}: written iff in tests/golden"
     for name, text in files.items():
         assert text == (GOLDEN / name).read_text(), f"{name} differs from tests/golden"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trace_reports_independent_of_blas_threads(threads):
+    # the trace cases in a fresh interpreter whose OpenBLAS starts with the given count
+    stems = [stem for stem in sorted(CASES) if stem.startswith("trace-")]
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:3]; from test_golden import reports; "
+              "print(json.dumps({s: reports(s) for s in sys.argv[3:]}))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(GOLDEN.parent),
+                           str(GOLDEN.parent.parent / "src"), *stems],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert len(out) == 4
+    for stem, files in out.items():
+        assert files == {name: (GOLDEN / name).read_text() for name in _names(stem)
+                         if (GOLDEN / name).exists()}, stem
 
 
 def test_user_lift_in_any_row_order(tmp_path):

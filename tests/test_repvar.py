@@ -1,10 +1,14 @@
 import json
+import os
+import sys
+import threading
 import warnings
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from coxvar import repvar
 from coxvar.coxeter import _PM_SIGNS, GAMMA22_NAMES, gamma22, gamma22_vectors, gamma_rect
 from coxvar.cusp import _problem, base_cube
 from coxvar.geometry import DimensionMismatch, QuadraticSpace, eval_bilinear, eval_form
@@ -493,6 +497,88 @@ def test_trace_path_ill_conditioned():
     bad_tol = float(np.sqrt(s[40] * s[41]) / s[0])
     with pytest.raises(IllConditioned):
         trace_path(system, lift, 1, 0.1, rank_tol=bad_tol)
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads"])
+@pytest.mark.parametrize("tangencies", [False, True])
+def test_one_blas_thread_keeps_kernel_bits(monkeypatch, geometry, tangencies):
+    # the same bytes on one BLAS thread and on the default count
+    system = constraint_system(geometry, with_tangencies=tangencies)
+    lifts = [standard_lift(t, geometry) for t in (-0.5, 0.0, 0.37)]
+    scoped = [kernel_report(system, lift) for lift in lifts]
+    monkeypatch.setattr(repvar, "_blas_thread_setter", lambda: None)
+    for one, default in zip(scoped, (kernel_report(system, lift) for lift in lifts)):
+        assert one.singular_values.tobytes() == default.singular_values.tobytes()
+        assert one.kernel_basis.tobytes() == default.kernel_basis.tobytes()
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads"])
+def test_one_blas_thread_keeps_trace_bits(monkeypatch, geometry):
+    system = constraint_system(geometry, with_tangencies=True)
+    start = standard_lift(0.3, geometry)
+    scoped = trace_path(system, start, 3, 0.1)
+    monkeypatch.setattr(repvar, "_blas_thread_setter", lambda: None)
+    default = trace_path(system, start, 3, 0.1)
+    assert [p.table.tobytes() for p in scoped] == [p.table.tobytes() for p in default]
+
+
+@pytest.fixture
+def blas_count():
+    """Read the BLAS thread count, set to 2 first so that a count left at 1 shows."""
+    setter = repvar._blas_thread_setter()
+    if setter is None:
+        pytest.skip("no openblas_set_num_threads_local found: the BLAS scope does nothing")
+    original = setter(2)
+
+    def read():
+        count = setter(1)
+        setter(count)
+        return count
+
+    yield read
+    setter(original)
+
+
+def test_one_blas_thread_restores_count(blas_count):
+    system = constraint_system("hyp", with_tangencies=True)
+    lift = standard_lift(0.4, "hyp")
+    kernel_report(system, lift)
+    assert blas_count() == 2
+    s = np.linalg.svd(jacobian(system, lift), compute_uv=False)
+    with pytest.raises(IllConditioned):
+        kernel_report(system, lift, tol=float(np.sqrt(s[50] * s[51]) / s[0]))
+    assert blas_count() == 2
+    # no gauge leaves the whole 11-dimensional kernel
+    with pytest.raises(SliceDegenerate, match="dimension 11"):
+        trace_path(system, lift, 1, 0.1, gauge=())
+    assert blas_count() == 2
+
+
+def test_one_blas_thread_restores_count_across_threads(blas_count):
+    # concurrent scopes on more threads than cores must not restore each
+    # other's counts out of order
+    system = constraint_system("ads", with_tangencies=False)
+    lift = standard_lift(0.2, "ads")
+    finished = []
+
+    def reports():
+        for _ in range(5):
+            kernel_report(system, lift)
+        finished.append(True)
+
+    workers = [threading.Thread(target=reports) for _ in range((os.cpu_count() or 1) + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(finished) == len(workers)
+    assert blas_count() == 2
 
 
 def test_nearest_standard_t_recovers_parameter():
