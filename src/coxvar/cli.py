@@ -32,9 +32,9 @@ from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
 from .halfpipe import HalfPipeError, phi_to_projective, rho_lambda
-from .repvar import (IllConditioned, Lift, NoConvergence, build_constraints,
-                     constraint_system, gram_matrix, kernel_report, residual_max,
-                     standard_lift, table_lift_exact)
+from .repvar import (IllConditioned, Lift, NoConvergence, RepVarError, SliceDegenerate,
+                     build_constraints, constraint_system, gram_matrix, kernel_report,
+                     residual_max, standard_lift, table_lift_exact)
 from .scalars import format_scalar
 
 SCHEMA_VERSION = 1
@@ -163,15 +163,14 @@ _COH_TARGETS = {
 
 
 def cmd_cohomology(args):
-    racg = gamma22()
     if args.target == "r13":
         rep = coh.rho0_rep()
     elif args.target == "so13":
         rep = coh.so13_adjoint_rep()
     else:
         rep = coh.adjoint_collapsed_rep(args.target.split("-", 1)[1])
-    report = coh.cohomology_report(racg, rep)
-    split = list(coh.split_h1(racg, rep, report)) if args.target.startswith("full-") else None
+    report = coh.cohomology_report(rep)
+    split = list(coh.split_h1(rep, report)) if args.target.startswith("full-") else None
     payload = {
         "schema_version": SCHEMA_VERSION,
         "group": "gamma22",
@@ -355,12 +354,13 @@ def main(argv=None):
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (NoConvergence, IllConditioned, np.linalg.LinAlgError, OverflowError) as exc:
-        # LinAlgError is a ValueError, so it is caught before bad input; an
-        # OverflowError is an exact value too large for a float
+    except (NoConvergence, IllConditioned, SliceDegenerate, np.linalg.LinAlgError,
+            OverflowError) as exc:
+        # LinAlgError is a ValueError, caught before bad input; OverflowError is
+        # an exact value too large for a float.  Any other RepVarError is bad input
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, GeometryError, RelationError,
+    except (ValueError, OSError, GeometryError, RelationError, RepVarError,
             cuspmod.CuspError, HalfPipeError, coh.CohomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

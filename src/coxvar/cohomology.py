@@ -135,7 +135,7 @@ def _coboundary_candidates(images):
     return (images - PairMatrix.identity(images.shape[-1])).reshape(-1, images.shape[-1])
 
 
-def cocycle_space(racg, rep):
+def cocycle_space(rep):
     """Exact basis of Z^1, one cocycle per column.
 
     The square conditions are solved first, one stacked elimination for
@@ -145,7 +145,7 @@ def cocycle_space(racg, rep):
     """
     dimV = rep.dimV
     ident = PairMatrix.identity(dimV)
-    names = racg.generators
+    names = rep.racg.generators
     R = rep.images
     # over the common denominator of R, equal integer rows are equal images
     slots = {}
@@ -158,7 +158,7 @@ def cocycle_space(racg, rep):
     owner = np.repeat(np.arange(len(names)), [bases[s].shape[1] for s in which])
     # moved[i] is (id - rho(i)) applied to every kernel column
     moved = (ident - R) @ kernels
-    i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
+    i, j = np.array(sorted(rep.racg.commuting_pairs), dtype=int).reshape(-1, 2).T
     # pair k: (id - rho(i)) tau(j) - (id - rho(j)) tau(i) = 0, on the columns j, then i, owns
     a, b = (np.zeros((len(i), dimV, len(owner)), dtype=moved.a.dtype) for _ in "ab")
     for cols, src, sign in ((j, i, 1), (i, j, -1)):
@@ -170,7 +170,7 @@ def cocycle_space(racg, rep):
     return (diagonal.reshape(len(names) * dimV, len(owner)) @ coeffs).reduced()
 
 
-def coboundary_space(racg, rep):
+def coboundary_space(rep):
     """Exact basis of B^1, one cocycle v -> (rho(s) v - v)_s per column.
 
     The coboundaries of the standard basis vectors are taken in order,
@@ -180,29 +180,27 @@ def coboundary_space(racg, rep):
     return cands[:, exact_pivots(cands)].reduced()
 
 
-def cohomology_report(racg, rep):
-    """Z^1, B^1, H^1 dimensions plus representatives, all exact.
-
-    The representatives are the Z^1 basis elements that are independent
-    of B^1 and of the representatives before them.
-    """
-    z1 = cocycle_space(racg, rep)
-    b1 = coboundary_space(racg, rep)
-    k = b1.shape[1]
-    pivots = exact_pivots(PairMatrix.concat([b1, z1], axis=1))
-    assert pivots[:k] == list(range(k))
-    reps = z1[:, [j - k for j in pivots[k:]]].reduced()
+def cohomology_report(rep):
+    """Z^1, B^1, H^1 dimensions plus representatives, all exact, from one
+    elimination of [coboundary candidates | Z^1 basis]: the pivots among the
+    candidates (which span B^1) count B^1, and the Z^1 columns at the others
+    are the representatives, independent of B^1 and of those before them."""
+    z1 = cocycle_space(rep)
+    cands = _coboundary_candidates(rep.images)
+    pivots = exact_pivots(PairMatrix.concat([cands, z1], axis=1))
+    k = sum(p < cands.shape[1] for p in pivots)
+    reps = z1[:, [p - cands.shape[1] for p in pivots[k:]]].reduced()
     report = CohomologyReport(
         dimZ1=z1.shape[1], dimB1=k, dimH1=z1.shape[1] - k,
         z1_basis=z1, h1_representatives=reps)
-    assert report.dimH1 == reps.shape[1]
+    assert report.dimH1 == reps.shape[1]  # B^1 lies in Z^1
     return report
 
 
-def is_coboundary(racg, rep, tau):
+def is_coboundary(rep, tau):
     """Exact test: does rho(s) v - v = tau(s) for all s have a solution?"""
     return exact_solve(_coboundary_candidates(rep.images),
-                       _flatten_cocycle(racg, rep.dimV, tau)) is not None
+                       _flatten_cocycle(rep.racg, rep.dimV, tau)) is not None
 
 
 # -- the collapsed representation and its adjoints ---------------------------
@@ -307,11 +305,10 @@ def adjoint_collapsed_rep(geometry):
 
 def so13_adjoint_rep():
     """Ad rho_0 on so(1,3) alone (the horizontal block)."""
-    racg = gamma22()
-    return adjoint_rep(racg, rho0_linear(), so13_basis())
+    return adjoint_rep(gamma22(), rho0_linear(), so13_basis())
 
 
-def split_h1(racg, rep, report=None):
+def split_h1(rep, report=None):
     """Dimensions of the projections of H^1 to the two adapted blocks.
 
     Requires every Ad-image to be block diagonal for the (so(1,3),
@@ -327,8 +324,8 @@ def split_h1(racg, rep, report=None):
     if not (R[:, :H_BLOCK, H_BLOCK:].is_zero() and R[:, H_BLOCK:, :H_BLOCK].is_zero()):
         raise BasisNotAdapted("Ad images are not block diagonal in this basis")
     if report is None:
-        report = cohomology_report(racg, rep)
-    reps = report.h1_representatives.reshape(len(racg.generators), rep.dimV, -1)
+        report = cohomology_report(rep)
+    reps = report.h1_representatives.reshape(R.shape[0], rep.dimV, -1)
     nonzero = (reps.a != 0) | (reps.b != 0)
     horizontal = nonzero[:, :H_BLOCK].any(axis=(0, 1))
     vertical = nonzero[:, H_BLOCK:].any(axis=(0, 1))
@@ -355,10 +352,9 @@ def reduce_mod_coboundary(tau):
     the Minkowski form.
     """
     rep = rho0_rep()
-    racg = rep.racg
-    flat = _flatten_cocycle(racg, 4, tau)
+    flat = _flatten_cocycle(rep.racg, 4, tau)
     cands = _coboundary_candidates(rep.images)
-    letters = [4 * racg.generators.index(x) + r for x in ("A", "B", "C", "D") for r in range(4)]
+    letters = [4 * rep.racg.index(x) + r for x in ("A", "B", "C", "D") for r in range(4)]
     if exact_rank(cands[letters]) != 4:
         raise SingularNormalization("letter normalisation system is singular")
     w = exact_solve(cands[letters], flat[letters])
@@ -374,7 +370,5 @@ def vertical_coefficient(tau):
 
     ``tau`` is a cocycle of rho_0, flat or as a (22, 4) table.
     """
-    racg = gamma22()
-    tau1 = _flatten_cocycle(racg, 4, tau_lambda_cocycle(1))
-    lam = exact_solve(tau1.reshape(-1, 1), _flatten_cocycle(racg, 4, tau))
+    lam = exact_solve(tau_lambda_cocycle(1).reshape(-1, 1), _flatten_cocycle(gamma22(), 4, tau))
     return None if lam is None else lam.item(0)

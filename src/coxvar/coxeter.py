@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -220,9 +221,14 @@ class VerificationReport:
         return not self.failing_relations
 
 
-def _defects(stack):
-    """Largest |entry| of each matrix of a stack, read through the float view."""
-    return np.max(np.abs(np.asarray(stack, dtype=float)), axis=(-2, -1)).tolist()
+def _defects(stack, tol):
+    """Per matrix: the largest |entry| in the float view, and is every |entry| <= tol?
+    An exact stack decides that exactly, so a defect the float view rounds to 0 counts."""
+    size = np.max(np.abs(np.asarray(stack, dtype=float)), axis=(-2, -1))
+    within = size <= tol  # nan is never within tol
+    if is_exact(stack):
+        within = ((abs(stack) - Fraction(tol)).sign() <= 0).all(axis=(-2, -1))
+    return size.tolist(), within.tolist()
 
 
 def verify_representation(racg, images, tol=1e-10):
@@ -240,13 +246,13 @@ def verify_representation(racg, images, tol=1e-10):
         raise ValueError(f"expected one image per generator, a ({racg.rank}, d, d) stack, "
                          f"got shape {M.shape}")
     i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
-    squares = _defects(M @ M - _identity_like(M))
-    commutators = _defects(M[i] @ M[j] - M[j] @ M[i])
-    coincidences = _defects(M[i] - M[j])
-    failures = [f"square:{n}" for n, d in zip(racg.generators, squares) if not d <= tol]
-    for (a, b), d, c in zip(racg.commuting_name_pairs(), commutators, coincidences):
-        if not d <= tol:  # nan compares False
+    squares, square_ok = _defects(M @ M - _identity_like(M), tol)
+    commutators, commute_ok = _defects(M[i] @ M[j] - M[j] @ M[i], tol)
+    coincide = _defects(M[i] - M[j], tol)[1]
+    failures = [f"square:{n}" for n, ok in zip(racg.generators, square_ok) if not ok]
+    for (a, b), ok, same in zip(racg.commuting_name_pairs(), commute_ok, coincide):
+        if not ok:
             failures.append(f"commutator:{a},{b}")
-        if c <= tol:
+        if same:
             failures.append(f"coincide:{a},{b}")
     return VerificationReport(float(np.max([0.0] + squares + commutators)), failures)

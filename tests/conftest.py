@@ -10,19 +10,19 @@ def racg22():
 
 
 @pytest.fixture(scope="session")
-def rho0_report(racg22):
+def rho0_report():
     rep = coh.rho0_rep()
-    return rep, coh.cohomology_report(racg22, rep)
+    return rep, coh.cohomology_report(rep)
 
 
 @pytest.fixture(scope="session")
-def so13_report(racg22):
+def so13_report():
     rep = coh.so13_adjoint_rep()
-    return rep, coh.cohomology_report(racg22, rep)
+    return rep, coh.cohomology_report(rep)
 
 
 @pytest.fixture(scope="session")
-def full_adjoint_reports(racg22):
+def full_adjoint_reports():
     """The three 10-dimensional adjoint representations with reports.
 
     Each takes a few tenths of a second on the integer-pair core; they
@@ -31,5 +31,5 @@ def full_adjoint_reports(racg22):
     out = {}
     for geometry in ("hyp", "ads", "hp"):
         rep = coh.adjoint_collapsed_rep(geometry)
-        out[geometry] = (rep, coh.cohomology_report(racg22, rep))
+        out[geometry] = (rep, coh.cohomology_report(rep))
     return out

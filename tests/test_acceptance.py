@@ -77,13 +77,13 @@ def test_criterion_04_collapse_tangent(racg22, full_adjoint_reports):
     _announce(4, "numeric kernel at the collapse = 23 = exact dim Z^1(Ad rho_0, g)")
 
 
-def test_criterion_05_exact_cohomology_dimensions(racg22, rho0_report, so13_report,
-                                          full_adjoint_reports):
+def test_criterion_05_exact_cohomology_dimensions(rho0_report, so13_report,
+                                                  full_adjoint_reports):
     assert rho0_report[1].dimH1 == 1
     assert so13_report[1].dimH1 == 12
     for geometry, (rep, report) in full_adjoint_reports.items():
         assert report.dimH1 == 13, geometry
-        assert coh.split_h1(racg22, rep, report) == (12, 1), geometry
+        assert coh.split_h1(rep, report) == (12, 1), geometry
     _announce(5, "exact dim H^1 = 1, 12, and 13 (x3) with splitting 12 + 1")
 
 
@@ -100,7 +100,7 @@ def test_criterion_06_geometric_generator(racg22, rho0_report):
         lhs = (ident - rep0.image(a)) @ tau[b]
         rhs = (ident - rep0.image(b)) @ tau[a]
         assert (lhs - rhs).is_zero()
-    assert not coh.is_coboundary(racg22, rep0, tau1)
+    assert not coh.is_coboundary(rep0, tau1)
     rng = np.random.default_rng(2026)
     for _ in range(3):
         coeffs = [QSqrt2(int(rng.integers(-4, 5)), int(rng.integers(-3, 4)))

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coxvar import cli
 from coxvar.cli import main
 from coxvar.coxeter import gamma_rect
 from coxvar.cusp import base_rect_hyp
 from coxvar.geometry import QuadraticSpace
 from coxvar.linalg_exact import PairMatrix
-from coxvar.repvar import Lift
+from coxvar.repvar import (AmbiguousNearThreshold, Lift, MixedBackends, OverlappingConstraint,
+                           SliceDegenerate)
 
 # the exact-path reports, byte for byte as the benchmark pins them
 PINNED = Path(__file__).resolve().parent.parent / "perfbench" / "pinned"
@@ -386,6 +388,18 @@ def test_linalg_error_is_numerical_failure(capfd, geometry, group):
     assert err.splitlines() == [
         "numerical failure: non-finite residual nan after 0 Gauss-Newton steps"]
     assert "DLASCL" not in out
+
+
+@pytest.mark.parametrize("exc, code", [(OverlappingConstraint, 2), (AmbiguousNearThreshold, 2),
+                                       (MixedBackends, 2), (SliceDegenerate, 3)])
+def test_repvar_errors_exit_with_documented_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_gram", fail)
+    assert main(["gram", "--geometry", "hyp"]) == code
+    prefix = "numerical failure" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: raised by the command\n"
 
 
 _NUMBERS = st.sampled_from(["0", "0.5", "-0.5", "1", "-1", "0.99", "2", "1e-300", "1e200",

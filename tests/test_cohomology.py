@@ -10,7 +10,7 @@ from coxvar.cli import main
 from coxvar.coxeter import cuboctahedron_vectors, gamma_co, gamma_rect, verify_representation
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
-from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse
+from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse, exact_pivots
 from coxvar.repvar import collapsed_lift_exact
 from coxvar.scalars import QSqrt2
 
@@ -40,9 +40,9 @@ def test_linear_rep_validation():
 
 def test_trivial_representation(racg22):
     rep = coh.LinearRep(racg22, PairMatrix.stack([PairMatrix.identity(3)] * 22))
-    assert coh.cocycle_space(racg22, rep).shape == (22 * 3, 0)
-    assert coh.coboundary_space(racg22, rep).shape == (22 * 3, 0)
-    assert coh.cohomology_report(racg22, rep).dimH1 == 0
+    assert coh.cocycle_space(rep).shape == (22 * 3, 0)
+    assert coh.coboundary_space(rep).shape == (22 * 3, 0)
+    assert coh.cohomology_report(rep).dimH1 == 0
 
 
 def test_rho0_dimensions(racg22, rho0_report):
@@ -89,26 +89,26 @@ def test_full_adjoint_dimensions(racg22, full_adjoint_reports):
         assert (report.dimZ1, report.dimB1, report.dimH1) == (23, 10, 13), geometry
 
 
-def test_split_h1(racg22, full_adjoint_reports):
+def test_split_h1(full_adjoint_reports):
     for geometry, (rep, report) in full_adjoint_reports.items():
-        assert coh.split_h1(racg22, rep, report) == (12, 1), geometry
+        assert coh.split_h1(rep, report) == (12, 1), geometry
 
 
-def test_split_h1_purely_horizontal(racg22, so13_report, full_adjoint_reports):
+def test_split_h1_purely_horizontal(so13_report, full_adjoint_reports):
     rep13, report13 = so13_report
     rep, _ = full_adjoint_reports["hp"]
     tau_h = report13.h1_representatives[:, 0].reshape(22, 6)
     # each 6-entry so(1,3) block padded by four zeros into the 10-dimensional algebra
     emb = PairMatrix.concat([tau_h, PairMatrix.zeros((22, 4))], axis=1).reshape(220, 1)
     fake = coh.CohomologyReport(1, 0, 1, emb, emb)
-    assert coh.split_h1(racg22, rep, fake) == (1, 0)
+    assert coh.split_h1(rep, fake) == (1, 0)
 
 
 def test_split_h1_vertical_is_tau_lambda(racg22, rho0_report, full_adjoint_reports):
     """The vertical part of H^1 is the class of tau_1 under the block inclusion."""
     rep0, _ = rho0_report
     _, report = full_adjoint_reports["ads"]
-    b1 = _columns(coh.coboundary_space(racg22, rep0))
+    b1 = _columns(coh.coboundary_space(rep0))
     # the last four entries of each generator's 10-entry block
     reps = report.h1_representatives
     projections = _columns(reps.reshape(22, 10, reps.shape[1])[:, 6:].reshape(88, -1))
@@ -134,13 +134,13 @@ def test_full_report_columns_lie_in_one_block(full_adjoint_reports):
             assert (int(horizontal.sum()), int(vertical.sum())) == split, geometry
 
 
-def test_split_h1_rejects_mixed_representative(racg22, so13_report, full_adjoint_reports):
+def test_split_h1_rejects_mixed_representative(so13_report, full_adjoint_reports):
     _, report13 = so13_report
     rep, _ = full_adjoint_reports["hp"]
     tau_h = report13.h1_representatives[:, 0].reshape(22, 6)
     mixed = PairMatrix.concat([tau_h, coh.tau_lambda_cocycle(1)], axis=1).reshape(220, 1)
     with pytest.raises(coh.BasisNotAdapted):
-        coh.split_h1(racg22, rep, coh.CohomologyReport(1, 0, 1, mixed, mixed))
+        coh.split_h1(rep, coh.CohomologyReport(1, 0, 1, mixed, mixed))
 
 
 def test_split_h1_rejects_unadapted_basis(racg22):
@@ -150,7 +150,7 @@ def test_split_h1_rejects_unadapted_basis(racg22):
     basis[0], basis[9] = basis[9], basis[0]  # mix the blocks
     rep = coh.adjoint_rep(racg22, images, basis)
     with pytest.raises(coh.BasisNotAdapted):
-        coh.split_h1(racg22, rep)
+        coh.split_h1(rep)
 
 
 def test_collapsed_adjoint_is_block_sum():
@@ -201,14 +201,14 @@ def test_adjoint_rep_basis_not_closed():
         coh.adjoint_rep(racg, images, [boost])
 
 
-def test_reduce_mod_coboundary(racg22, rho0_report):
+def test_reduce_mod_coboundary(rho0_report):
     rep, report = rho0_report
     tau1 = coh.tau_lambda_cocycle(1)
     reduced = coh.reduce_mod_coboundary(tau1)
     assert (reduced - tau1).is_zero()
     assert coh.vertical_coefficient(reduced) == QSqrt2(1)
     # any coboundary reduces to zero
-    delta = coh.coboundary_space(racg22, rep)[:, 0]
+    delta = coh.coboundary_space(rep)[:, 0]
     assert coh.reduce_mod_coboundary(delta).is_zero()
     # a random exact Z^1 element lands in the tau_lambda family
     rng = np.random.default_rng(17)
@@ -261,7 +261,7 @@ def test_h1_invariant_under_exact_conjugation(racg22, rho0_report):
     rep, _ = rho0_report
     h = reflection_matrix(MINK, CUBO["A"]) @ reflection_matrix(MINK, CUBO["B"])
     rep2 = coh.LinearRep(racg22, h @ rep.images @ exact_inverse(h))
-    assert coh.cohomology_report(racg22, rep2).dimH1 == 1
+    assert coh.cohomology_report(rep2).dimH1 == 1
 
 
 # -- stacked checks: each names the first failing generator or pair -------------
@@ -333,14 +333,38 @@ def test_cocycle_space_one_kernel_per_distinct_image(racg22, eliminations, targe
                 for m in (rep.image(n).reduced() for n in racg22.generators)}
     assert len(distinct) == 15  # of 22 generators
     eliminations.clear()
-    coh.cocycle_space(racg22, rep)
+    coh.cocycle_space(rep)
     # the 15 kernels in one stacked elimination, then the pair system
     assert len(eliminations) == 2
 
 
 def test_full_report_eliminations(eliminations):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["cohomology", "--target", "full-ads"]) == 0
-    # adjoint 1, cocycles 2, B^1 1, representatives 1; the split reads the
-    # representatives' blocks and eliminates nothing
-    assert len(eliminations) == 5
+    # cocycles 2, then B^1 and the representatives from 1; so13 and the full
+    # targets add the adjoint's 1; the split reads the representatives'
+    # blocks and eliminates nothing
+    for target, count in (("r13", 3), ("so13", 4), ("full-ads", 4), ("full-hp", 4)):
+        eliminations.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cohomology", "--target", target]) == 0
+        assert len(eliminations) == count, target
+
+
+def _two_pass_report(rep):
+    """Reference: B^1 from its own elimination, then the pivots of [B^1 | Z^1]."""
+    z1, b1 = coh.cocycle_space(rep), coh.coboundary_space(rep)
+    k = b1.shape[1]
+    pivots = exact_pivots(PairMatrix.concat([b1, z1], axis=1))
+    assert pivots[:k] == list(range(k))
+    reps = z1[:, [j - k for j in pivots[k:]]].reduced()
+    return (z1.shape[1], k, z1.shape[1] - k), z1, reps
+
+
+def test_one_pass_report_matches_two_pass_reference(rho0_report, so13_report,
+                                                    full_adjoint_reports):
+    targets = {"r13": rho0_report, "so13": so13_report, **full_adjoint_reports}
+    for name, (rep, report) in targets.items():
+        dims, z1, reps = _two_pass_report(rep)
+        assert (report.dimZ1, report.dimB1, report.dimH1) == dims, name
+        for got, want in ((report.z1_basis, z1), (report.h1_representatives, reps)):
+            assert got.den == want.den, name
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b), name

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from coxvar.cohomology import LinearRep
 from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, evaluate_word,
                             gamma22, gamma_co, gamma_cube, gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
@@ -151,6 +152,20 @@ def test_verify_collapsed_representation_exact():
     assert report.ok and report.max_defect == 0.0
     # all positive generators (rows 0 to 7) share the image r
     assert all((rep[0] - rep[i]).is_zero() for i in range(8))
+
+
+def test_verify_decides_exact_stacks_exactly():
+    """a - b sqrt2 is 3.79e-9, but the float view of the square's defect
+    2a - 2b sqrt(2.0) rounds to 0.0: only the exact comparison sees it."""
+    racg = RACG(("s",), frozenset())
+    a, b = 131836323, 93222358
+    images = PairMatrix(np.array([[[1, a], [0, 1]]]), np.array([[[0, -b], [0, 0]]]))
+    with pytest.raises(ValueError, match="does not square to the identity"):
+        LinearRep(racg, images)
+    for tol, failures in ((0, ["square:s"]), (7e-9, ["square:s"]), (1e-8, [])):
+        report = verify_representation(racg, images, tol=tol)
+        assert report.failing_relations == failures, tol
+        assert report.max_defect == 0.0  # the float view
 
 
 def _verify_one_relation_at_a_time(racg, rep, tol):

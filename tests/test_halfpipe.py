@@ -149,9 +149,9 @@ def test_rho_lambda_linear_part_constant():
 def test_tau_lambda_is_not_coboundary():
     rep = rho0_rep()
     tau = rho_lambda(1).translation
-    assert not is_coboundary(gamma22(), rep, tau)
+    assert not is_coboundary(rep, tau)
     zero = PairMatrix.zeros((len(GAMMA22_NAMES), 4))
-    assert is_coboundary(gamma22(), rep, zero)
+    assert is_coboundary(rep, zero)
 
 
 def test_reflections_square_to_identity():
