@@ -309,7 +309,6 @@ def build_parser():
     v.add_argument("--group-file", help="user RACG JSON")
     v.add_argument("--lift-file", help="user lift JSON")
     v.add_argument("--output")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("trace", help="kernel dimensions along a parameter grid")
     t.add_argument("--geometry", choices=("hyp", "ads"), required=True)
@@ -317,12 +316,10 @@ def build_parser():
     t.add_argument("--grid", required=True, help="start:stop:count or comma list")
     t.add_argument("--rank-tol", type=_relative_tol, default=1e-9)
     t.add_argument("--output")
-    t.set_defaults(func=cmd_trace)
 
     c = sub.add_parser("cohomology", help="exact H^1 report")
     c.add_argument("--target", choices=tuple(_COH_TARGETS), required=True)
     c.add_argument("--output")
-    c.set_defaults(func=cmd_cohomology)
 
     k = sub.add_parser("cusp", help="cusp classification / rigidity experiment")
     k.add_argument("--geometry", choices=("hyp", "ads", "hp"), required=True)
@@ -336,24 +333,27 @@ def build_parser():
     k.add_argument("--class-tol", type=_nonnegative_float, default=1e-7)
     k.add_argument("--output")
     k.add_argument("--summary", help="write a JSON histogram here")
-    k.set_defaults(func=cmd_cusp)
 
     g = sub.add_parser("gram", help="22x22 Gram matrix with pair classification")
     g.add_argument("--geometry", choices=("hyp", "ads"), required=True)
     g.add_argument("--t", type=_finite_float, default=0.5)
     g.add_argument("--output")
-    g.set_defaults(func=cmd_gram)
     return p
 
 
+_PARSER = None  # built by the first main call
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (NoConvergence, IllConditioned, SliceDegenerate, np.linalg.LinAlgError,
             OverflowError) as exc:
         # LinAlgError is a ValueError, caught before bad input; OverflowError is

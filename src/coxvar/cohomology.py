@@ -155,7 +155,8 @@ def cocycle_space(rep):
     bases = exact_nullspace(ident + R[[which.index(s) for s in range(len(slots))]])
     # tau(s) on the kernel coordinates of s: the columns that s owns
     kernels = PairMatrix.concat([bases[s] for s in which], axis=1)
-    owner = np.repeat(np.arange(len(names)), [bases[s].shape[1] for s in which])
+    sizes = [bases[s].shape[1] for s in which]
+    owner = np.repeat(np.arange(len(names)), sizes)
     # moved[i] is (id - rho(i)) applied to every kernel column
     moved = (ident - R) @ kernels
     i, j = np.array(sorted(rep.racg.commuting_pairs), dtype=int).reshape(-1, 2).T
@@ -165,9 +166,16 @@ def cocycle_space(rep):
         k, c = np.nonzero(owner == cols[:, None])
         a[k, :, c], b[k, :, c] = sign * moved.a[src[k], :, c], sign * moved.b[src[k], :, c]
     coeffs = exact_nullspace(PairMatrix(a, b, moved.den).reshape(len(i) * dimV, len(owner)))
-    own = owner == np.arange(len(names))[:, None, None]
-    diagonal = PairMatrix(np.where(own, kernels.a, 0), np.where(own, kernels.b, 0), kernels.den)
-    return (diagonal.reshape(len(names) * dimV, len(owner)) @ coeffs).reduced()
+    # tau(s) = (kernel of s) @ (its rows of coeffs): one batched product with
+    # every kernel padded by zero columns to the largest
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = max(sizes, default=0)
+    basis = [np.zeros((len(names), dimV, width), dtype=kernels.a.dtype) for _ in "ab"]
+    basis[0][owner, :, slot], basis[1][owner, :, slot] = kernels.a.T, kernels.b.T
+    rows = [np.zeros((len(names), width, coeffs.shape[1]), dtype=coeffs.a.dtype) for _ in "ab"]
+    rows[0][owner, slot], rows[1][owner, slot] = coeffs.a, coeffs.b
+    z1 = PairMatrix(*basis, kernels.den) @ PairMatrix(*rows, coeffs.den)
+    return z1.reshape(len(names) * dimV, -1).reduced()
 
 
 def coboundary_space(rep):

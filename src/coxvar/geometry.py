@@ -182,12 +182,10 @@ def reflection_matrix(space, X, tol=DEFAULT_TOL):
     if is_exact(X):
         JX = X * sig
         q = X[..., None, :] @ JX[..., :, None]
-        qs = [q.item(*k) for k in np.ndindex(q.shape)]
-        if 0 in qs:
+        if ((q.a == 0) & (q.b == 0)).any():
             raise DegenerateNormal("q(X) = 0: no reflection")
-        factor = PairMatrix.of([2 / x for x in qs]).reshape(q.shape)
         outer = X[..., :, None] @ JX[..., None, :]
-        return (PairMatrix.identity(space.dim) - outer * factor).reduced()
+        return (PairMatrix.identity(space.dim) - outer * (2 / q)).reduced()
     q = eval_form(space, X)
     if (np.abs(q) <= tol).any():
         raise DegenerateNormal("q(X) = 0 within tolerance: no reflection")

@@ -8,7 +8,9 @@ every product and sum provably stays below 2**62 and hold Python ints
 (dtype=object) beyond that, so results are exact either way.  Nested
 QSqrt2 or rational scalars and integer numpy arrays enter through
 PairMatrix.of; single entries leave as QSqrt2 through item, exact signs
-through sign, and np.asarray(m, dtype=float) is the float view.
+through sign, and np.asarray(m, dtype=float) is the float view.  An
+entrywise quotient (/) multiplies by the conjugates over the lcm of the
+norms a^2 - 2 b^2, so no scalar is built there either.
 is_exact tells exact data from float data by type.  Every function
 here accepts whatever PairMatrix.of does and returns PairMatrix, ranks
 or pivot columns.
@@ -19,9 +21,13 @@ arrays: each pivot is one array step on every row that meets its
 column, each such row then divided by its gcd.  A (T, m, n) stack is
 eliminated in lockstep, every member with its own pivots, so T small
 systems (the kernels of id + rho(s) of a cocycle space) cost one pass
-of numpy calls.  One int64/Python-int switch guards every step, on a
-running bound of max|entry| raised after each pivot by the rewritten
-rows only.  Every member's result has the bits it has alone.
+of numpy calls.  No step leaves a connected block of rows and pivot
+columns, so the blocks of every member (so(1,3) and R^{1,3} in an
+adjoint) run in lockstep too, as members of one stack: a pass costs
+as many steps as the widest block has columns.  One int64/Python-int
+switch guards every step, on a running bound of max|entry| raised after
+each pivot by the rewritten rows only.  Every member's result has the
+bits it has alone.
 """
 
 from __future__ import annotations
@@ -217,6 +223,25 @@ class PairMatrix:
     def __sub__(self, other):
         return self + (-PairMatrix.of(other))
 
+    def __truediv__(self, other):
+        """Entrywise quotient by anything ``of`` converts, broadcast as in numpy."""
+        return self * PairMatrix.of(other)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return PairMatrix.of(other) * self._reciprocal()
+
+    def _reciprocal(self):
+        # den / (a + b r) = den (a - b r) / norm with norm = a^2 - 2 b^2, zero
+        # only where a = b = 0 (r = sqrt 2 is irrational), over L = lcm of the norms
+        a, b = _int_arrays(3 * max(_max_abs(self.a), _max_abs(self.b)) ** 2, self.a, self.b)
+        norm = a * a - 2 * b * b
+        if not norm.all():
+            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
+        L = lcm(*norm.reshape(-1).tolist())
+        a, b, norm = _int_arrays(self.den * max(_max_abs(a), _max_abs(b)) * L, a, b, norm)
+        scale = self.den * (L // norm)
+        return PairMatrix(a * scale, -b * scale, L)
+
     def __neg__(self):
         return PairMatrix(-self.a, -self.b, self.den)
 
@@ -234,14 +259,20 @@ class PairMatrix:
 
         a + b*sqrt(2) has the sign of a and b where they agree (or one is
         zero); otherwise the sign of a times that of a^2 - 2 b^2, which is
-        never zero then since sqrt 2 is irrational.
+        never zero then since sqrt 2 is irrational.  Only those entries
+        are squared.
         """
         def signs(x):  # np.sign hands Python ints back for 0-d object arrays
             return np.asarray(np.sign(x), dtype=int)
 
         sa, sb = signs(self.a), signs(self.b)
-        a, b = _int_arrays(3 * max(_max_abs(self.a), _max_abs(self.b)) ** 2, self.a, self.b)
-        return np.where(sa * sb < 0, sa * signs(a * a - 2 * b * b), np.sign(sa + sb))
+        out = signs(sa + sb)
+        mixed = sa * sb < 0
+        if mixed.any():
+            a, b = self.a[mixed], self.b[mixed]
+            a, b = _int_arrays(3 * max(_max_abs(a), _max_abs(b)) ** 2, a, b)
+            out[mixed] = sa[mixed] * signs(a * a - 2 * b * b)
+        return out
 
     def is_zero(self):
         return not (self.a.any() or self.b.any())
@@ -274,29 +305,13 @@ def is_exact(x):
 
 # -- fraction-free elimination on the integer arrays ----------------------
 
-def _echelon(pm, ncols):
-    """Fraction-free reduced row echelon forms of a (T, m, n) stack over Z[sqrt 2].
-
-    An (m, n) matrix is a stack of one.  Pivots are taken in the first
-    ``ncols`` columns only; the columns past them are carried along
-    (right-hand sides).  Zero rows and the common denominator are
-    dropped.  At each column every member takes its own pivot, the
-    smallest |a| + |b| of its non-pivot rows meeting it (the first on
-    ties), and one array step rewrites every row that meets it, row :=
-    p*row - row[col]*pivot, then divides each by its gcd.  Returns (a, b,
-    pivot_col, rest): row k of a[t], b[t] has its pivot in column
-    pivot_col[t, k] (increasing; ncols past the pivot rows) and zeros in
-    the other pivot columns; rest[t] says whether member t has a nonzero
-    row left (zero in the first ``ncols`` columns).
-    """
-    pm = pm[None] if len(pm.shape) == 2 else pm
-    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=(0, 2))
-    T, m, n = len(pm.a), int(keep.sum()), pm.shape[-1]
+def _eliminate(a, b, ncols, bound):
+    """The column steps of _echelon on a (T, m, n) stack from the running
+    bound ``bound``: (a, b) as (T * m, n) arrays and each row's pivot column."""
+    T, m, n = a.shape
     # the members' rows one after the other: row r belongs to member r // m
-    a, b = pm.a[:, keep].reshape(T * m, n), pm.b[:, keep].reshape(T * m, n)
+    a, b = a.reshape(T * m, n), b.reshape(T * m, n)
     first_row = np.arange(T) * m
-    # running bound on max|entry|: only the rewritten rows can grow
-    bound = max(_max_abs(a), _max_abs(b))
     pivot_col = np.full(T * m, ncols)  # ncols: not a pivot row
     for col in range(ncols):
         meets = (a[:, col] != 0) | (b[:, col] != 0)
@@ -324,6 +339,104 @@ def _echelon(pm, ncols):
         a[rows], b[rows] = new_a, new_b
         bound = max(bound, _max_abs(new_a), _max_abs(new_b))
         pivot_col[p[has]] = col
+    return a, b, pivot_col
+
+
+def _blocks(nz):
+    """Connected components of every member of a (T, m, n) nonzero pattern,
+    a row and a column joined where their entry is nonzero.  Returns one
+    label per node, the T * m rows (flat) and then the T * n columns: the
+    least row of its component (its own number if it meets nothing).
+
+    Each pass lowers every label to the least one across its entries and
+    then to the label of the node it names, until no label moves.
+    """
+    T, m, n = nz.shape
+    row, col = np.divmod(np.flatnonzero(nz), n)
+    col += T * m + row // m * n
+    labels = np.arange(T * (m + n))
+    while True:
+        moved = labels.copy()
+        np.minimum.at(moved, row, labels[col])
+        np.minimum.at(moved, col, moved[row])
+        moved = moved[moved]
+        if np.array_equal(moved, labels):
+            return labels
+        labels = moved
+
+
+def _slots(block, src, count, pad):
+    """A (count, width) table: row k holds, in order, the ``src`` entries
+    whose ``block`` is k, padded with ``pad``."""
+    sizes = np.bincount(block, minlength=count)
+    order = np.argsort(block, kind="stable")
+    place = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = np.full((count, sizes.max(initial=0)), pad)
+    table[block[order], place] = src[order]
+    return table
+
+
+def _blocked(a, b, ncols, bound):
+    """_eliminate on the connected blocks of rows and pivot columns of every
+    member of the (T, m, n) stack, returning what _eliminate returns.
+
+    No step leaves a block, so the blocks of all members are eliminated as
+    the members of one zero-padded stack, each with its rows and pivot
+    columns in order and every carried column, and scattered back.  With
+    one block per member the stack goes through as it is.
+    """
+    T, m, n = a.shape
+    nz = (a[..., :ncols] != 0) | (b[..., :ncols] != 0)
+    labels = _blocks(nz)
+    rows = np.flatnonzero(nz.any(axis=2))
+    leaders = rows[labels[rows] == rows]  # the first row of every block
+    members = leaders // m
+    if not (members[1:] == members[:-1]).any():
+        return _eliminate(a, b, ncols, bound)
+    cols = np.flatnonzero(nz.any(axis=1))
+    # row T * m and column n of the padded arrays are the zero padding
+    src_row = _slots(np.searchsorted(leaders, labels[rows]), rows, len(leaders), T * m)
+    src_col = _slots(np.searchsorted(leaders, labels[T * m + cols]), cols % ncols,
+                     len(leaders), n)
+    width = src_col.shape[1]
+    src_col = np.hstack([src_col, np.broadcast_to(np.arange(ncols, n), (len(leaders), n - ncols))])
+    index = src_row[:, :, None], src_col[:, None, :]
+    padded = [np.zeros((T * m + 1, n + 1), dtype=x.dtype) for x in (a, b)]
+    padded[0][:-1, :-1], padded[1][:-1, :-1] = a.reshape(T * m, n), b.reshape(T * m, n)
+    ka, kb, kpiv = _eliminate(padded[0][index], padded[1][index], width, bound)
+    # the entries written to the padding are all zero
+    padded = [x.astype(ka.dtype, copy=False) for x in padded]
+    padded[0][index] = ka.reshape(src_row.shape + (-1,))
+    padded[1][index] = kb.reshape(src_row.shape + (-1,))
+    kpiv = kpiv.reshape(src_row.shape)
+    k, i = np.nonzero(kpiv < width)
+    pivot_col = np.full(T * m + 1, ncols)
+    pivot_col[src_row[k, i]] = src_col[k, kpiv[k, i]]
+    return padded[0][:-1, :-1], padded[1][:-1, :-1], pivot_col[:-1]
+
+
+def _echelon(pm, ncols):
+    """Fraction-free reduced row echelon forms of a (T, m, n) stack over Z[sqrt 2].
+
+    An (m, n) matrix is a stack of one.  Pivots are taken in the first
+    ``ncols`` columns only; the columns past them are carried along
+    (right-hand sides).  Zero rows and the common denominator are
+    dropped.  At each column every member takes its own pivot, the
+    smallest |a| + |b| of its non-pivot rows meeting it (the first on
+    ties), and one array step rewrites every row that meets it, row :=
+    p*row - row[col]*pivot, then divides each by its gcd.  Returns (a, b,
+    pivot_col, rest): row k of a[t], b[t] has its pivot in column
+    pivot_col[t, k] (increasing; ncols past the pivot rows) and zeros in
+    the other pivot columns; rest[t] says whether member t has a nonzero
+    row left (zero in the first ``ncols`` columns).
+    """
+    pm = pm[None] if len(pm.shape) == 2 else pm
+    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=(0, 2))
+    T, m = len(pm.a), int(keep.sum())
+    a, b = pm.a[:, keep], pm.b[:, keep]
+    # running bound on max|entry|: only the rewritten rows can grow
+    a, b, pivot_col = _blocked(a, b, ncols, max(_max_abs(a), _max_abs(b)))
+    first_row = np.arange(T) * m
     pivot_col = pivot_col.reshape(T, m)
     rest = (((a != 0) | (b != 0)).any(axis=1).reshape(T, m) & (pivot_col == ncols)).any(axis=1)
     order = np.argsort(pivot_col, axis=1, kind="stable")  # pivot rows first
@@ -361,8 +474,9 @@ def _back_substitute(a, b, pivot_col, rhs, nrows, basis=False):
     # add I: pivot column j of x_t is -e_j and vanishes, a free column j gets its 1 at j
     diag = np.arange(nrows)
     xa[:, diag, diag] += np.array(dens, dtype=xa.dtype)[:, None]
-    return [x[:, np.setdiff1d(diag, cols)]
-            for x, cols in zip(_reduce_members(xa, xb, dens), pivot_col)]
+    free = np.ones(xa.shape[:2], dtype=bool)
+    free[t, j] = False
+    return [x[:, keep] for x, keep in zip(_reduce_members(xa, xb, dens), free)]
 
 
 def exact_pivots(matrix):

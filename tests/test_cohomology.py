@@ -349,6 +349,35 @@ def test_full_report_eliminations(eliminations):
         assert len(eliminations) == count, target
 
 
+def test_full_report_column_steps(monkeypatch):
+    # every elimination steps through the columns of its widest block: the
+    # adjoint solve 1, the kernel stack 6 (4 for r13), the pair system 46
+    # (42 for so13) and the H^1 pivot pass 24 (9 for r13)
+    steps = []
+    eliminate = linalg_exact._eliminate
+
+    def counted(a, b, ncols, bound):
+        steps.append(ncols)
+        return eliminate(a, b, ncols, bound)
+
+    monkeypatch.setattr(linalg_exact, "_eliminate", counted)
+    for target, count in (("r13", 59), ("so13", 73), ("full-hyp", 77), ("full-ads", 77),
+                          ("full-hp", 77)):
+        steps.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cohomology", "--target", target]) == 0
+        assert sum(steps) == count, target
+
+
+def test_trivial_rep_has_no_cocycles(racg22):
+    # every kernel of id + rho(s) is zero: the per-generator product has no columns
+    rep = coh.LinearRep(racg22, PairMatrix.stack([PairMatrix.identity(4)] * 22))
+    z1 = coh.cocycle_space(rep)
+    assert z1.shape == (88, 0) and z1.den == 1
+    report = coh.cohomology_report(rep)
+    assert (report.dimZ1, report.dimB1, report.dimH1) == (0, 0, 0)
+
+
 def _two_pass_report(rep):
     """Reference: B^1 from its own elimination, then the pivots of [B^1 | Z^1]."""
     z1, b1 = coh.cocycle_space(rep), coh.coboundary_space(rep)

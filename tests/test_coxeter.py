@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -168,28 +169,58 @@ def test_verify_decides_exact_stacks_exactly():
         assert report.max_defect == 0.0  # the float view
 
 
+def _sign(x, y):
+    """The sign of x + y sqrt2 for rationals x, y: that of x + y where they do
+    not differ in sign, else that of x times that of x^2 - 2 y^2."""
+    if x * y >= 0:
+        return (x + y > 0) - (x + y < 0)
+    return (1 if x > 0 else -1) * (1 if x * x > 2 * y * y else -1)
+
+
 def _verify_one_relation_at_a_time(racg, rep, tol):
     """Reference for verify_representation: every relation checked on its own,
-    squares first, then per commuting pair its commutator and coincidence."""
+    squares first, then per commuting pair its commutator and coincidence.
+    The defect is read off the float view; an exact matrix is within tol
+    when every entry v has -tol <= v <= tol, decided in exact arithmetic."""
     mats = {n: rep[k] for k, n in enumerate(racg.generators)}
-    exact = isinstance(mats["A"], PairMatrix)
-    ident = PairMatrix.identity(5) if exact else np.eye(5)
+    exact = isinstance(rep, PairMatrix)
+    ident = (PairMatrix.identity if exact else np.eye)(rep.shape[-1])
+    bound = Fraction(tol)
 
     def defect(m):
         return float(np.max(np.abs(np.asarray(m, dtype=float))))
 
+    def within(m):
+        if not exact:
+            return defect(m) <= tol
+        values = [m.item(*idx) for idx in np.ndindex(m.shape)]
+        return all(_sign(v.a - bound, v.b) <= 0 and _sign(-v.a - bound, -v.b) <= 0
+                   for v in values)
+
     defects, failures = [0.0], []
     for n, m in mats.items():
         defects.append(defect(m @ m - ident))
-        if not defects[-1] <= tol:
+        if not within(m @ m - ident):
             failures.append(f"square:{n}")
     for a, b in racg.commuting_name_pairs():
-        defects.append(defect(mats[a] @ mats[b] - mats[b] @ mats[a]))
-        if not defects[-1] <= tol:
+        commutator = mats[a] @ mats[b] - mats[b] @ mats[a]
+        defects.append(defect(commutator))
+        if not within(commutator):
             failures.append(f"commutator:{a},{b}")
-        if defect(mats[a] - mats[b]) <= tol:
+        if within(mats[a] - mats[b]):
             failures.append(f"coincide:{a},{b}")
     return float(np.max(defects)), failures
+
+
+def test_verify_matches_reference_where_the_float_view_rounds_to_zero():
+    # the square's defect 2a - 2b sqrt2 is 7.6e-9 exactly and 0.0 in the float view
+    racg = RACG(("s",), frozenset())
+    a, b = 131836323, 93222358
+    images = PairMatrix(np.array([[[1, a], [0, 1]]]), np.array([[[0, -b], [0, 0]]]))
+    for tol, failures in ((0, ["square:s"]), (1e-8, [])):
+        report = verify_representation(racg, images, tol=tol)
+        assert (report.max_defect, report.failing_relations) == (0.0, failures), tol
+        assert _verify_one_relation_at_a_time(racg, images, tol) == (0.0, failures), tol
 
 
 def test_verify_matches_relation_by_relation_reference_exact():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from coxvar.geometry import (POSITION_CLASSES, CoincidentHyperplanes, Degenerate
                              pair_positions, reflection_matrix)
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import standard_lift
+from coxvar.scalars import QSqrt2
 
 H4 = QuadraticSpace.hyperbolic(4)
 ADS4 = QuadraticSpace.anti_de_sitter(4)
@@ -104,6 +105,39 @@ def test_reflection_stack_rejects_a_lightlike_normal():
         reflection_matrix(H4, normals)
     with pytest.raises(DegenerateNormal):
         reflection_matrix(H4, np.array(normals, dtype=float))
+
+
+def _reference_reflection(space, X):
+    """r_X = I - (2/q(X)) X (JX)^T with 2/q(X) taken in QSqrt2 scalars, entry
+    by entry, as reflection_matrix built it before it divided integer arrays."""
+    sig = np.array(space.signature)
+    JX = X * sig
+    q = X[..., None, :] @ JX[..., :, None]
+    qs = [q.item(*k) for k in np.ndindex(q.shape)]
+    factor = PairMatrix.of([2 / x for x in qs]).reshape(q.shape)
+    outer = X[..., :, None] @ JX[..., None, :]
+    return (PairMatrix.identity(space.dim) - outer * factor).reduced()
+
+
+_COORD = st.builds(QSqrt2, st.fractions(max_denominator=6) | st.integers(-2 ** 40, 2 ** 40),
+                   st.integers(-3, 3) | st.integers(2 ** 31, 2 ** 33))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([H4, ADS4, MINK]), st.integers(1, 4), st.data())
+def test_exact_reflections_match_scalar_reference(space, count, data):
+    X = PairMatrix.of([[data.draw(_COORD) for _ in range(space.dim)] for _ in range(count)])
+    q = eval_form(space, X)
+    assume(((q.a != 0) | (q.b != 0)).all())
+    got = reflection_matrix(space, X)
+    assert _identical(got, _reference_reflection(space, X))
+    assert _identical(reflection_matrix(space, X[0]), _reference_reflection(space, X[0]))
+
+
+def test_exact_reflection_stack_rejects_a_null_normal():
+    normals = PairMatrix.stack([CUBO["A"], _vec(1, 1, 0, 0), CUBO["0"]])
+    with pytest.raises(DegenerateNormal):
+        reflection_matrix(MINK, normals)
 
 
 def test_classify_pair_hyp_table_examples():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coxvar import linalg_exact
 from coxvar.linalg_exact import (PairMatrix, _echelon, exact_in_span, exact_inverse,
                                  exact_nullspace, exact_pivots, exact_rank, exact_solve)
 from coxvar.scalars import QSqrt2
@@ -344,3 +346,148 @@ def test_unstack_reduces_each_member():
     for t, member in enumerate(stack.unstack()):
         assert _canonical(member) and _identical(member, stack[t].reduced())
     assert _identical(stack.reduced(), PairMatrix.of(_values(stack)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_entrywise_division_matches_object_arrays(n, k, data):
+    x = _matrix(data, n, k)
+    assume(all(v != 0 for v in x.reshape(-1)))
+    y = _matrix(data, n, k)
+    px, py = PairMatrix.of(x), PairMatrix.of(y)
+    assert _same(2 / px, 2 / x) and _same(py / px, y / x)
+    assert _canonical((py / px).reduced())
+    # norms and their lcm past 2**62 run on Python ints
+    huge = PairMatrix.of(x * (2 ** 40 + 1))
+    assert huge.a.dtype == np.int64 and _same(1 / huge, 1 / (x * (2 ** 40 + 1)))
+    with pytest.raises(ZeroDivisionError):
+        py / PairMatrix.zeros((n, k))
+
+
+# -- blocks in lockstep against the elimination of whole members ----------------
+
+def _reference_echelon(pm, ncols):
+    """_echelon with one column step per pivot column of the whole stack, as it
+    ran before blocks were split off: the reference for the lockstep blocks."""
+    pm = pm[None] if len(pm.shape) == 2 else pm
+    keep = ((pm.a != 0) | (pm.b != 0)).any(axis=(0, 2))
+    T, m, n = len(pm.a), int(keep.sum()), pm.shape[-1]
+    # the members' rows one after the other: row r belongs to member r // m
+    a, b = pm.a[:, keep].reshape(T * m, n), pm.b[:, keep].reshape(T * m, n)
+    first_row = np.arange(T) * m
+    # running bound on max|entry|: only the rewritten rows can grow
+    bound = max(linalg_exact._max_abs(a), linalg_exact._max_abs(b))
+    pivot_col = np.full(T * m, ncols)  # ncols: not a pivot row
+    for col in range(ncols):
+        meets = (a[:, col] != 0) | (b[:, col] != 0)
+        candidates = (meets & (pivot_col == ncols)).reshape(T, m)
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        a, b = linalg_exact._int_arrays(6 * bound * bound, a, b)
+        weight = (np.abs(a[:, col]) + np.abs(b[:, col])).reshape(T, m)
+        p = np.argmin(np.where(candidates, weight, 2 * bound + 1), axis=1) + first_row
+        meets[p] = False
+        if not has.all():
+            meets &= np.repeat(has, m)
+        rows = np.flatnonzero(meets)
+        piv = p[rows // m] if T > 1 else p  # each row's pivot row
+        pa, pb = a[piv, col, None], b[piv, col, None]
+        ra, rb = a[rows, col, None], b[rows, col, None]
+        xa, xb, ya, yb = a[rows], b[rows], a[piv], b[piv]
+        new_a = pa * xa + 2 * pb * xb - (ra * ya + 2 * rb * yb)
+        new_b = pa * xb + pb * xa - (ra * yb + rb * ya)
+        g = np.gcd(np.gcd.reduce(new_a, axis=1), np.gcd.reduce(new_b, axis=1))
+        g[g == 0] = 1
+        new_a //= g[:, None]
+        new_b //= g[:, None]
+        a[rows], b[rows] = new_a, new_b
+        bound = max(bound, linalg_exact._max_abs(new_a), linalg_exact._max_abs(new_b))
+        pivot_col[p[has]] = col
+    pivot_col = pivot_col.reshape(T, m)
+    rest = (((a != 0) | (b != 0)).any(axis=1).reshape(T, m) & (pivot_col == ncols)).any(axis=1)
+    order = np.argsort(pivot_col, axis=1, kind="stable")  # pivot rows first
+    return (a[order + first_row[:, None]], b[order + first_row[:, None]],
+            np.take_along_axis(pivot_col, order, axis=1), rest.tolist())
+
+
+def _block_member(data, kind, nrows, ncols, carried):
+    """(a, b) Python-int lists of one member: blocks on disjoint rows and
+    columns, both shuffled, then ``carried`` dense right-hand-side columns."""
+    a = [[0] * (ncols + carried) for _ in range(nrows)]
+    b = [[0] * (ncols + carried) for _ in range(nrows)]
+    if kind == "zero":
+        return a, b
+    values = {"small": small, "big": near_2_20, "huge": st.integers(2 ** 62, 2 ** 64)}[kind]
+    rows = data.draw(st.permutations(range(nrows)))
+    cols = data.draw(st.permutations(range(ncols)))
+    r = c = 0
+    while r < nrows and c < ncols:  # rows or columns left over stay zero
+        h, w = data.draw(st.integers(1, nrows - r)), data.draw(st.integers(1, ncols - c))
+        for i in rows[r:r + h]:
+            for j in cols[c:c + w]:
+                a[i][j], b[i][j] = data.draw(values), data.draw(small)
+        r, c = r + h + data.draw(st.integers(0, 1)), c + w
+    for row_a, row_b in zip(a, b):
+        row_a[ncols:] = [data.draw(small) for _ in range(carried)]
+        row_b[ncols:] = [data.draw(small) for _ in range(carried)]
+    return a, b
+
+
+def _int_stack(members):
+    a = [x for x, _ in members]
+    b = [y for _, y in members]
+    top = max((abs(v) for m in a + b for row in m for v in row), default=0)
+    dtype = np.int64 if top < 2 ** 62 else object
+    return PairMatrix(np.array(a, dtype=dtype), np.array(b, dtype=dtype))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 6), st.integers(0, 2), st.data())
+def test_lockstep_blocks_match_whole_members(nrows, ncols, carried, data):
+    kinds = data.draw(st.lists(st.sampled_from(["small", "small", "zero", "big"]),
+                               min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        kinds[data.draw(st.integers(0, len(kinds) - 1))] = "huge"
+    stack = _int_stack([_block_member(data, kind, nrows, ncols, carried) for kind in kinds])
+    for pm in (stack, stack[0]):
+        got, want = _echelon(pm, ncols), _reference_echelon(pm, ncols)
+        for x, y in zip(got[:3], want[:3]):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        assert got[3] == want[3]
+    members = [stack[t] for t in range(len(kinds))]
+    square = stack[:, :, :ncols]
+    got = (exact_nullspace(square), [exact_pivots(m) for m in members],
+           [exact_solve(m[:, :ncols], m[:, ncols:]) for m in members])
+    with mock.patch.object(linalg_exact, "_echelon", _reference_echelon):
+        want = (exact_nullspace(square), [exact_pivots(m) for m in members],
+                [exact_solve(m[:, :ncols], m[:, ncols:]) for m in members])
+    assert all(_identical(x, y) for x, y in zip(got[0], want[0]))
+    assert got[1] == want[1]
+    assert all(_identical(x, y) for x, y in zip(got[2], want[2]))
+
+
+def test_lockstep_runs_one_step_per_column_of_the_widest_block():
+    # blocks of 2 and 3 columns, rows and columns interleaved, and a zero row
+    m = np.zeros((6, 5), dtype=int)
+    m[np.ix_([4, 0], [3, 1])] = [[1, 2], [3, 5]]
+    m[np.ix_([1, 5, 3], [0, 4, 2])] = [[2, 0, 1], [1, 1, 1], [0, 3, 1]]
+    steps = []
+    eliminate = linalg_exact._eliminate
+
+    def counted(a, b, ncols, bound):
+        steps.append((a.shape, ncols))
+        return eliminate(a, b, ncols, bound)
+
+    with mock.patch.object(linalg_exact, "_eliminate", counted):
+        got = _echelon(PairMatrix.of(m), 5)
+    assert steps == [((2, 3, 3), 3)]  # two blocks of at most 3 rows and 3 columns
+    want = _reference_echelon(PairMatrix.of(m), 5)
+    assert all(np.array_equal(x, y) for x, y in zip(got[:3], want[:3]))
+    assert got[2].tolist() == [[0, 1, 2, 3, 4]]
+    # one block per member: the stack goes through as it is
+    steps.clear()
+    with mock.patch.object(linalg_exact, "_eliminate", counted):
+        _echelon(PairMatrix.stack([PairMatrix.of(m[:, [0, 2, 4]]),
+                                   PairMatrix.of(m[:, [3, 1, 1]])]), 3)
+    assert steps == [((2, 5, 3), 3)]

@@ -1,4 +1,6 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -49,6 +51,43 @@ def test_sign_and_comparisons():
     assert abs(x).item(5) == QSqrt2(-2, 2)
     assert abs(x).item(7) == QSqrt2(-a, b)
     assert PairMatrix.of(QSqrt2(a, -b)).sign() == -1  # one entry: a 0-d object array
+
+
+def _decimal_sign(a, b):
+    """The sign of a + b sqrt2 from 200 significant digits: far more than
+    integers below 2**90 need, since |a + b sqrt2| >= 1 / |a - b sqrt2| then."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        value = Decimal(a) + Decimal(b) * Decimal(2).sqrt()
+    return (value > 0) - (value < 0)
+
+
+_INT64 = st.integers(-2 ** 62 + 1, 2 ** 62 - 1) | st.integers(-3, 3)
+_BIG = st.integers(-2 ** 90, 2 ** 90) | st.integers(-3, 3)
+
+
+@st.composite
+def _pairs(draw, ints):
+    """(a, b) pairs: random, exactly zero, or a within 1 of -b sqrt2."""
+    b = draw(ints)
+    kind = draw(st.sampled_from(["random", "zero", "near"]))
+    if kind == "zero":
+        return 0, 0
+    if kind == "near":
+        return -isqrt(2 * b * b) * (1 if b >= 0 else -1) + draw(st.integers(-1, 1)), b
+    return draw(ints), b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([_INT64, _BIG]).flatmap(lambda ints: st.lists(_pairs(ints), min_size=1,
+                                                                       max_size=12)))
+def test_sign_matches_decimal_reference(pairs):
+    a, b = (np.array(v, dtype=np.int64 if max(map(abs, v)) < 2 ** 62 else object)
+            for v in zip(*pairs))
+    m = PairMatrix(a, b)
+    assert m.sign().tolist() == [_decimal_sign(x, y) for x, y in pairs]
+    assert m.sign().dtype == np.int64
+    assert PairMatrix(a[0], b[0]).sign() == _decimal_sign(*pairs[0])
 
 
 def test_parse_and_format_roundtrip():
