@@ -188,21 +188,46 @@ def coboundary_space(rep):
     return cands[:, exact_pivots(cands)].reduced()
 
 
+def _h1_reading(z1, cands):
+    """dim B^1 and the columns of z1 that represent H^1: the pivots of
+    [cands | z1] past cands, read on the rows where z1 is diagonal.
+
+    Raises CohomologyError when z1 has no such row for some column, or
+    when a candidate leaves the span of z1.
+    """
+    nz = (z1.a != 0) | (z1.b != 0)
+    alone = nz & (nz.sum(axis=1) == 1)[:, None]
+    if not alone.any(axis=0).all():
+        raise CohomologyError("a Z^1 basis column has no row where it alone is nonzero")
+    k = z1.shape[1]
+    rows = np.argmax(alone, axis=0)
+    X = cands[rows]
+    if not (z1 @ (X / z1[rows, np.arange(k)][:, None]) - cands).is_zero():
+        raise CohomologyError("a coboundary lies outside the span of the Z^1 basis")
+    pivots = exact_pivots(X[::-1].T)
+    return len(pivots), [j for j in range(k) if k - 1 - j not in pivots]
+
+
 def cohomology_report(rep):
-    """Z^1, B^1, H^1 dimensions plus representatives, all exact, from one
-    elimination of [coboundary candidates | Z^1 basis]: the pivots among the
-    candidates (which span B^1) count B^1, and the Z^1 columns at the others
-    are the representatives, independent of B^1 and of those before them."""
+    """Z^1, B^1, H^1 dimensions plus representatives, all exact.
+
+    The representatives are the Z^1 basis columns at the pivots of
+    [coboundary candidates | Z^1 basis] past the candidates, which span
+    B^1: each is independent of B^1 and of those before it.  They are
+    read on one row of z1 per column j where column j alone is nonzero
+    (the unit rows of the kernel and pair-system nullspace bases).  On
+    those rows z1 is diagonal, so restricting to them is injective on
+    Z^1, which contains B^1, and keeps the pivots: with X the candidates
+    on those rows, column j is a representative iff row j of X lies in
+    the span of the rows after it.  One elimination of the reversed rows
+    of X gives both dim B^1 (its rank) and the representatives (its
+    non-pivots); one exact product checks that B^1 lies in Z^1.
+    """
     z1 = cocycle_space(rep)
-    cands = _coboundary_candidates(rep.images)
-    pivots = exact_pivots(PairMatrix.concat([cands, z1], axis=1))
-    k = sum(p < cands.shape[1] for p in pivots)
-    reps = z1[:, [p - cands.shape[1] for p in pivots[k:]]].reduced()
-    report = CohomologyReport(
-        dimZ1=z1.shape[1], dimB1=k, dimH1=z1.shape[1] - k,
-        z1_basis=z1, h1_representatives=reps)
-    assert report.dimH1 == reps.shape[1]  # B^1 lies in Z^1
-    return report
+    dimB1, cols = _h1_reading(z1, _coboundary_candidates(rep.images))
+    return CohomologyReport(
+        dimZ1=z1.shape[1], dimB1=dimB1, dimH1=z1.shape[1] - dimB1,
+        z1_basis=z1, h1_representatives=z1[:, cols].reduced())
 
 
 def is_coboundary(rep, tau):

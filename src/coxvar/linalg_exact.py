@@ -5,7 +5,10 @@ tables, exact lifts) and matrices alike: (a, b, den) stands for
 (a + b*sqrt(2)) / den with a, b integer numpy arrays, so no Fraction or
 QSqrt2 object is built in array work.  The arrays are int64 as long as
 every product and sum provably stays below 2**62 and hold Python ints
-(dtype=object) beyond that, so results are exact either way.  Nested
+(dtype=object) beyond that, so results are exact either way.  A matrix
+product whose bound stays below 2**53 runs in float64 through BLAS:
+every product and partial sum is then an integer that float64 holds
+exactly, whatever the order of summation or the thread count.  Nested
 QSqrt2 or rational scalars and integer numpy arrays enter through
 PairMatrix.of; single entries leave as QSqrt2 through item, exact signs
 through sign, and np.asarray(m, dtype=float) is the float view.  An
@@ -202,7 +205,14 @@ class PairMatrix:
         # and ``terms`` such products are summed into each entry
         m1 = max(_max_abs(self.a), _max_abs(self.b))
         m2 = max(_max_abs(other.a), _max_abs(other.b))
-        a1, b1, a2, b2 = _int_arrays(3 * m1 * m2 * terms, self.a, self.b, other.a, other.b)
+        bound = 3 * m1 * m2 * terms
+        if op is np.matmul and max(bound, m1, m2) < _FLOAT_EXACT:
+            # every product and partial sum is an integer float64 holds exactly,
+            # in any order of summation: BLAS gives the int64 result
+            a1, b1, a2, b2 = (x.astype(np.float64) for x in (self.a, self.b, other.a, other.b))
+            return PairMatrix((op(a1, a2) + 2 * op(b1, b2)).astype(np.int64),
+                              (op(a1, b2) + op(b1, a2)).astype(np.int64), self.den * other.den)
+        a1, b1, a2, b2 = _int_arrays(bound, self.a, self.b, other.a, other.b)
         return PairMatrix(op(a1, a2) + 2 * op(b1, b2), op(a1, b2) + op(b1, a2),
                           self.den * other.den)
 

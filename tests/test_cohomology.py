@@ -1,8 +1,11 @@
 import contextlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coxvar import cohomology as coh
 from coxvar import linalg_exact
@@ -352,7 +355,7 @@ def test_full_report_eliminations(eliminations):
 def test_full_report_column_steps(monkeypatch):
     # every elimination steps through the columns of its widest block: the
     # adjoint solve 1, the kernel stack 6 (4 for r13), the pair system 46
-    # (42 for so13) and the H^1 pivot pass 24 (9 for r13)
+    # (42 for so13) and the H^1 pivot reading 18 (5 for r13)
     steps = []
     eliminate = linalg_exact._eliminate
 
@@ -361,8 +364,8 @@ def test_full_report_column_steps(monkeypatch):
         return eliminate(a, b, ncols, bound)
 
     monkeypatch.setattr(linalg_exact, "_eliminate", counted)
-    for target, count in (("r13", 59), ("so13", 73), ("full-hyp", 77), ("full-ads", 77),
-                          ("full-hp", 77)):
+    for target, count in (("r13", 55), ("so13", 67), ("full-hyp", 71), ("full-ads", 71),
+                          ("full-hp", 71)):
         steps.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["cohomology", "--target", target]) == 0
@@ -397,3 +400,51 @@ def test_one_pass_report_matches_two_pass_reference(rho0_report, so13_report,
         for got, want in ((report.z1_basis, z1), (report.h1_representatives, reps)):
             assert got.den == want.den, name
             assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b), name
+
+
+frac = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+field_entry = st.builds(QSqrt2, frac, frac)
+
+
+def _values(data, count, elements=field_entry):
+    return [data.draw(elements) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 5), st.data())
+def test_h1_reading_matches_the_full_pivot_pass(k, extra, n, data):
+    # Z: a diagonal row per column, shuffled among ``extra`` other rows;
+    # C = Z Y with zero, free and dependent columns in Y
+    diag = _values(data, k, field_entry.filter(lambda q: q != 0))
+    rows = [[diag[j] if i == j else QSqrt2(0) for j in range(k)] for i in range(k)]
+    rows += [_values(data, k) for _ in range(extra)]
+    order = data.draw(st.permutations(range(k + extra)))
+    Z = PairMatrix.of([rows[i] for i in order])
+    cols = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["zero", "free", "dependent"]))
+        if kind == "dependent" and cols:
+            i, j = data.draw(st.lists(st.integers(0, len(cols) - 1), min_size=2, max_size=2))
+            c = data.draw(field_entry)
+            cols.append([c * x + y for x, y in zip(cols[i], cols[j])])
+        else:
+            cols.append(_values(data, k) if kind == "free" else [QSqrt2(0)] * k)
+    Y = PairMatrix.of([list(row) for row in zip(*cols)])
+    assume(Y.den > 1 and Y.b.any())
+    C = Z @ Y
+    pivots = exact_pivots(PairMatrix.concat([C, Z], axis=1))
+    want = sum(p < n for p in pivots), [p - n for p in pivots if p >= n]
+    assert coh._h1_reading(Z, C) == want
+    # a coboundary candidate outside span(Z) breaks B^1 <= Z^1
+    v = PairMatrix.of(_values(data, k + extra))
+    if not exact_in_span([Z[:, j] for j in range(k)], v):
+        at = data.draw(st.integers(0, n))
+        outside = PairMatrix.concat([C[:, :at], v[:, None], C[:, at:]], axis=1)
+        with pytest.raises(coh.CohomologyError):
+            coh._h1_reading(Z, outside)
+
+
+def test_h1_reading_needs_a_unit_row_per_column():
+    Z = PairMatrix.of(np.array([[1, 1], [1, 2], [0, 3]]))
+    with pytest.raises(coh.CohomologyError):
+        coh._h1_reading(Z, Z)

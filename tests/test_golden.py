@@ -125,6 +125,34 @@ def test_trace_reports_independent_of_blas_threads(threads):
                          if (GOLDEN / name).exists()}, stem
 
 
+def cohomology_reports():
+    """{target: the report that cohomology --target prints} for all five targets."""
+    out = {}
+    for target in ("r13", "so13", "full-hyp", "full-ads", "full-hp"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["cohomology", "--target", target]) == 0
+        out[target] = stdout.getvalue()
+    return out
+
+
+def test_cohomology_reports_independent_of_blas_threads():
+    # exact products below 2**53 run on float64 BLAS: one fresh interpreter per
+    # OpenBLAS thread count, and the same bytes from both
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
+              "from test_golden import cohomology_reports; print(json.dumps(cohomology_reports()))")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-B", "-c", script, str(GOLDEN.parent),
+                               str(GOLDEN.parent.parent / "src")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["full-hyp"] == (GOLDEN / "cohomology-full-hyp.json").read_text()
+
+
 def test_user_lift_in_any_row_order(tmp_path):
     # the same lift with its vectors listed in reverse: the images still go to
     # the generators they belong to, so the report is unchanged

@@ -364,6 +364,44 @@ def test_entrywise_division_matches_object_arrays(n, k, data):
         py / PairMatrix.zeros((n, k))
 
 
+near_2_25 = st.integers(2 ** 25 - 2 ** 10, 2 ** 25) | st.integers(-2 ** 25, -2 ** 25 + 2 ** 10)
+
+
+def _pair_operand(data, shape):
+    """A PairMatrix of ``shape`` on int64 or Python-int arrays, entries up to
+    2**25 and the first entry of a near it; or all near 2**25 and positive,
+    so that the sums come close to the bound."""
+    size = int(np.prod(shape))
+    aligned = data.draw(st.booleans())
+    entries = st.integers(2 ** 25 - 2 ** 10, 2 ** 25) if aligned else near_2_25 | small
+    a, b = (data.draw(st.lists(entries, min_size=size, max_size=size)) for _ in "ab")
+    if not aligned:
+        a[0] = data.draw(near_2_25)
+    dtype = data.draw(st.sampled_from([np.int64, object]))
+    return PairMatrix(np.array(a, dtype=dtype).reshape(shape),
+                      np.array(b, dtype=dtype).reshape(shape), data.draw(st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_float_products_match_the_integer_path(terms, data):
+    # 3 * m1 * m2 * terms is below 2**53 for terms 1 and 2 (float64 BLAS) and
+    # above it for 3 and 4 (int64), with m1, m2 within 2**10 of 2**25
+    n, m, T = (data.draw(st.integers(1, 3)) for _ in range(3))
+    left, right = data.draw(st.sampled_from([
+        ((n, terms), (terms, m)), ((T, n, terms), (T, terms, m)), ((T, n, terms), (terms, m)),
+        ((1, n, terms), (T, terms, m)), ((terms,), (terms, m)), ((terms,), (terms,))]))
+    x, y = _pair_operand(data, left), _pair_operand(data, right)
+    m1, m2 = (max(np.abs(p.a).max(), np.abs(p.b).max()) for p in (x, y))
+    assert (3 * m1 * m2 * terms < 2 ** 53) == (terms < 3)
+    got = x @ y
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg_exact, "_FLOAT_EXACT", 0)
+        want = x @ y
+    assert _identical(got, want) and got.a.dtype == np.int64
+
+
 # -- blocks in lockstep against the elimination of whole members ----------------
 
 def _reference_echelon(pm, ncols):
