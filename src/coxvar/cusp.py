@@ -33,7 +33,11 @@ onto the norm + commutation variety of that base only (the norm targets
 are read off the base; the tangency conditions are deliberately left
 out: their preservation is the claim under test), and classify the
 result.  The projection problem is compiled once per experiment, and the
-trials are projected and classified in stacks of TRIAL_CHUNK.  In
+trials are projected and classified in stacks of TRIAL_CHUNK.  Trial k
+perturbs by NumPy's ``default_rng([seed, k]).uniform`` stream, which
+``_trial_noise`` computes for a whole stack at once (SeedSequence and
+PCG64 by jump-ahead on integer arrays), so ``numpy.random`` is never
+loaded.  In
 dimension 4 every projected configuration must come back a cusp group;
 in dimension 3 the rectangle group is flexible and splits into one
 intersecting and one disjoint opposite pair.
@@ -41,8 +45,10 @@ intersecting and one disjoint opposite pair.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -341,13 +347,86 @@ def _problem(geometry, group, base):
     return params, F, J, classify_at
 
 
+# NumPy's SeedSequence hash constants and the PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _MASK32 = 0xca01f9dd, 0x4973f715, 0xffffffff
+_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
+
+
+@cache
+def _pcg_jumps(n):
+    """(hi, lo) words of M^(j+1) and 1 + M + ... + M^j, j = 1..n, shaped (2, 1, n)."""
+    m, c, rows = _PCG_MULT, 1, []
+    for _ in range(n):
+        m, c = m * _PCG_MULT % 2**128, (c + m) % 2**128
+        rows.append((m, c))
+    words = np.array(rows, dtype=object).T[:, None, :]
+    return (words >> 64).astype(np.uint64), (words & 2**64 - 1).astype(np.uint64)
+
+
+def _trial_noise(seed, ks, noise, n):
+    """np.random.default_rng([seed, k]).uniform(-noise, noise, n) for each k in ks, stacked.
+
+    NumPy's SeedSequence mixing on the entropy (the 32-bit words of seed,
+    then k < 2^32) and PCG64 (XSL-RR 128/64) seeding, for all ks at once;
+    draw j is read off the state M^(j+1) u + (1 + ... + M^j) inc mod 2^128
+    (u = inc + initial state) without stepping.  Every wrapping operation
+    runs on arrays, which wrap silently.
+    """
+    ks = np.asarray(ks, dtype=np.uint32)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full_like(ks, w) for w in words] + [ks]
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * _MULT_A & _MASK32)
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ks)) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for e in entropy[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(e))
+    h, state = _INIT_B, []
+    for i in range(8):  # generate_state(4, uint64), little-endian word pairs
+        v = (pool[i % 4] ^ h) * (h := h * _MULT_B & _MASK32)
+        state.append((v ^ v >> 16).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    u_lo = init_lo + inc_lo
+    u_hi = init_hi + inc_hi + (u_lo < inc_lo)
+    # the jumps times (u, inc) mod 2^128, the high word of lo * lo by 32-bit halves
+    a_hi, a_lo = _pcg_jumps(n)
+    b_hi, b_lo = np.stack([u_hi, inc_hi])[..., None], np.stack([u_lo, inc_lo])[..., None]
+    al, ah, bl, bh = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    ll, lh, hl = al * bl, al * bh, ah * bl
+    mid = (ll >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    hi = ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    lo = a_lo * b_lo
+    lo_sum = lo[0] + lo[1]
+    hi_sum = hi[0] + hi[1] + (lo_sum < lo[0])
+    x, rot = hi_sum ^ lo_sum, hi_sum >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    low = -float(noise)
+    return low + (float(noise) - low) * ((x >> 11).astype(np.float64) * 2.0**-53)
+
+
 def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
                         tol_class=DEFAULT_CLASS_TOL):
     """Perturb-project-classify statistics around a (collapsed) cusp.
 
     Each trial draws uniform per-coordinate noise in [-noise, noise]
-    (per-trial generators seeded by (seed, trial) so the outcome is
-    independent of scheduling), projects back onto the norm +
+    (NumPy's ``default_rng([seed, trial]).uniform`` stream, drawn for a
+    whole stack by ``_trial_noise`` without ``numpy.random``, so the
+    outcome is independent of scheduling), projects back onto the norm +
     commutation variety of the base (norm targets read off the base, see
     ``_problem``), and classifies.  Tangency conditions are not
     projected onto: whether they survive is exactly what the experiment
@@ -362,8 +441,15 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     """
     if not (isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    if not isfinite(noise - -noise):
+        raise OverflowError("high - low range exceeds valid bounds")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > 2**32:  # the trial number enters the seed as one 32-bit word
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     params, F, J, classify_at = _problem(geometry, group, base)
     base_class = classify_at(params[None], tol_class)[0]
     if base_class.kind not in (CuspKind.CUSP, CuspKind.COLLAPSED):
@@ -372,8 +458,7 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     records = []
     for first in range(0, trials, TRIAL_CHUNK):
         ks = range(first, min(first + TRIAL_CHUNK, trials))
-        x0 = np.array([params + np.random.default_rng([seed, k]).uniform(
-            -noise, noise, size=len(params)) for k in ks])
+        x0 = params + _trial_noise(seed, ks, noise, len(params))
         try:
             x, iters, res = gauss_newton(F, J, x0, None, MAX_ITER, TOL_RES)
         except NonFiniteResidual as exc:

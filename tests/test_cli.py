@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -388,6 +390,38 @@ def test_linalg_error_is_numerical_failure(capfd, geometry, group):
     assert err.splitlines() == [
         "numerical failure: non-finite residual nan after 0 Gauss-Newton steps"]
     assert "DLASCL" not in out
+
+
+@pytest.mark.parametrize("option, code, err", [
+    (["--seed", "-1"], 2, "error: expected non-negative integer"),
+    (["--noise", "1e308"], 3, "numerical failure: high - low range exceeds valid bounds"),
+    (["--trials", "4294967297"], 2, "error: trials must be at most 2**32, got 4294967297"),
+])
+def test_cusp_experiment_arguments_checked_up_front(monkeypatch, capsys, option, code, err):
+    # the exit codes numpy's errors gave from the first stack of trials, before any trial runs
+    def refuse(*args):
+        raise AssertionError("a trial ran before the arguments were checked")
+
+    monkeypatch.setattr(cli.cuspmod, "gauss_newton", refuse)
+    code_got, err_got = _single_error(capsys, ["cusp", "--geometry", "hyp", "--group", "rect3",
+                                               "--experiment", *option])
+    assert (code_got, err_got) == (code, [err])
+    assert capsys.readouterr().out == ""
+
+
+def test_cusp_experiment_does_not_load_numpy_random(tmp_path):
+    # the trial noise is drawn without numpy.random, which costs a fresh
+    # process about 15 ms and 6.5 MB to load
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:2]; from coxvar import cli; "
+              "codes = [cli.main(['cusp', '--geometry', g, '--group', k, '--experiment', "
+              "'--trials', '5', '--output', sys.argv[2]]) "
+              "for g, k in (('hyp', 'rect3'), ('hp', 'cube4'))]; "
+              "print(json.dumps([codes, sorted(m for m in sys.modules if 'numpy.random' in m)]))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(src), str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], []]
 
 
 @pytest.mark.parametrize("exc, code", [(OverlappingConstraint, 2), (AmbiguousNearThreshold, 2),

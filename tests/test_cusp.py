@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxvar import cusp
 from coxvar.cusp import (TRIAL_CHUNK, CuspClass, CuspKind, PatternViolation, _problem,
-                         _rect_class, base_cube, base_rect_ads, base_rect_hp, base_rect_hyp,
-                         classify_cube, classify_rect, rigidity_experiment)
+                         _rect_class, _trial_noise, base_cube, base_rect_ads, base_rect_hp,
+                         base_rect_hyp, classify_cube, classify_rect, rigidity_experiment)
 from coxvar.geometry import (MixedTypePair, NotUnitSpacelike, PairClassHyp, QuadraticSpace,
                              classify_pair_ads, classify_pair_hyp, coincident, reflection_matrix)
 from coxvar.coxeter import GAMMA22_NAMES
@@ -342,3 +344,50 @@ def test_rigidity_experiment_rejects_bad_input(kwargs, name):
 def test_rigidity_zero_trials():
     stats = rigidity_experiment("hyp", "rect", base_rect_hyp(), 0)
     assert (stats.base_class, stats.counts, stats.records) == ("cusp", {}, [])
+
+
+@pytest.mark.parametrize("trials, kwargs, error, message", [
+    (0, {"seed": -1}, ValueError, "expected non-negative integer"),
+    (3, {"seed": -1}, ValueError, "expected non-negative integer"),
+    (0, {"noise": 1e308}, OverflowError, "high - low range exceeds valid bounds"),
+    (3, {"noise": 1e308}, OverflowError, "high - low range exceeds valid bounds"),
+    # trial k seeds its stream as one 32-bit word, so k stops at 2**32 - 1
+    (2**32 + 1, {}, ValueError, r"trials must be at most 2\*\*32, got 4294967297"),
+])
+def test_rigidity_experiment_checks_arguments_up_front(monkeypatch, trials, kwargs, error,
+                                                       message):
+    # numpy's errors for a negative seed and an overflowing 2 * noise, raised
+    # before the projection problem is built, also when no trial would run
+    def refuse(*args):
+        raise AssertionError("the experiment started before its arguments were checked")
+
+    monkeypatch.setattr(cusp, "_problem", refuse)
+    with pytest.raises(error, match=f"^{message}$"):
+        rigidity_experiment("hyp", "rect", base_rect_hyp(), trials, **kwargs)
+
+
+_NOISE_KS = [*range(131), 2**31, 2**32 - 1]
+_NOISE_LEVELS = (0.0, 1e-3, 30, 8.988465674311579e307)  # the last: 2 * noise is the largest float
+
+
+def _assert_numpy_noise(seed, ks, noise, n):
+    got = _trial_noise(seed, ks, noise, n)
+    want = np.array([np.random.default_rng([seed, k]).uniform(-noise, noise, n) for k in ks])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 == 0.0 above
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64, 2**100 + 7])
+@pytest.mark.parametrize("n", [1, 14, 16, 28, 30])
+def test_trial_noise_is_numpys_stream(seed, n):
+    # n: 1 and the parameter counts of the six bases; 2**100 + 7 has four
+    # 32-bit words, so with k the entropy is longer than SeedSequence's pool
+    for noise in _NOISE_LEVELS:
+        _assert_numpy_noise(seed, _NOISE_KS, noise, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200), ks=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       n=st.integers(1, 30), noise=st.sampled_from(_NOISE_LEVELS))
+def test_trial_noise_is_numpys_stream_for_any_seed(seed, ks, n, noise):
+    _assert_numpy_noise(seed, ks, noise, n)
