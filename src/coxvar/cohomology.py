@@ -138,8 +138,8 @@ def _coboundary_candidates(images):
 def cocycle_space(rep):
     """Exact basis of Z^1, one cocycle per column.
 
-    The square conditions are solved first, one stacked elimination for
-    the kernels of id + rho(s) of all distinct images; the pair conditions
+    The square conditions are solved first: the kernels of id + rho(s)
+    of all the images, one stack in one elimination; the pair conditions
     then form one global system on the concatenated kernel coordinates,
     cut from the one stacked product (id - rho(s)) @ [all kernels].
     """
@@ -147,15 +147,10 @@ def cocycle_space(rep):
     ident = PairMatrix.identity(dimV)
     names = rep.racg.generators
     R = rep.images
-    # over the common denominator of R, equal integer rows are equal images
-    slots = {}
-    which = [slots.setdefault((tuple(ra), tuple(rb)), len(slots))
-             for ra, rb in zip(R.a.reshape(len(names), -1).tolist(),
-                               R.b.reshape(len(names), -1).tolist())]
-    bases = exact_nullspace(ident + R[[which.index(s) for s in range(len(slots))]])
+    bases = exact_nullspace(ident + R)
     # tau(s) on the kernel coordinates of s: the columns that s owns
-    kernels = PairMatrix.concat([bases[s] for s in which], axis=1)
-    sizes = [bases[s].shape[1] for s in which]
+    kernels = PairMatrix.concat(bases, axis=1)
+    sizes = [basis.shape[1] for basis in bases]
     owner = np.repeat(np.arange(len(names)), sizes)
     # moved[i] is (id - rho(i)) applied to every kernel column
     moved = (ident - R) @ kernels
@@ -297,7 +292,9 @@ def adjoint_rep(racg, images, basis):
     product and all coordinates from one solve.
     Raises ValueError for an image that is not an involution, and
     BasisNotClosed when conjugation leaves the span of the given basis
-    elements.
+    elements.  That error names the generator owning the first pivot
+    of [basis | all conjugates] past the basis: its first conjugate
+    outside the span, as every conjugate before it lies inside.
     """
     names = racg.generators
     stack = PairMatrix.stack(basis)
@@ -311,12 +308,8 @@ def adjoint_rep(racg, images, basis):
     conj = ((G[:, None] @ stack) @ G[:, None]).reshape(len(names) * k, -1).T
     coeff = exact_solve(flat_basis, conj)
     if coeff is None or not (flat_basis @ coeff - conj).is_zero():
-        for i, n in enumerate(names):  # name the first generator that leaves the span
-            block = conj[:, i * k:(i + 1) * k]
-            c = exact_solve(flat_basis, block)
-            if c is None or not (flat_basis @ c - block).is_zero():
-                break
-        raise BasisNotClosed(f"Ad(rho({n})) leaves the basis span")
+        p = next(q for q in exact_pivots(PairMatrix.concat([flat_basis, conj], axis=1)) if q >= k)
+        raise BasisNotClosed(f"Ad(rho({names[(p - k) // k]})) leaves the basis span")
     # coeff[j', i * k + j] is entry (j', j) of the image of generator i
     return LinearRep(racg, coeff.reshape(k, len(names), k).swapaxes(0, 1))
 

@@ -80,11 +80,15 @@ class RACG:
     def from_json(cls, text):
         data = json.loads(text)
         try:
-            generators = tuple(data["generators"])
-            pairs = frozenset(tuple(sorted(p)) for p in data["commuting_pairs"])
+            generators, pairs = data["generators"], data["commuting_pairs"]
+            # a string would pass as its letters, a boolean as the index 0 or 1
+            if not isinstance(generators, list) or any(
+                    not isinstance(p, list) or any(isinstance(i, bool) for i in p) for p in pairs):
+                raise TypeError("expected a list of names and lists of integer index pairs")
+            pairs = frozenset(tuple(sorted(p)) for p in pairs)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed group JSON: {type(exc).__name__} {exc}") from None
-        return cls(generators, pairs)
+        return cls(tuple(generators), pairs)
 
 
 # -- the 22-generator group and its tables ------------------------------

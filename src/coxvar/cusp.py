@@ -200,9 +200,6 @@ class ExperimentStats:
     counts: dict
     records: list = field(default_factory=list)
 
-    def count(self, name):
-        return self.counts.get(name, 0)
-
 
 def _problem(geometry, group, base):
     """Unknowns, constraint maps and classifier of the configurations near ``base``.

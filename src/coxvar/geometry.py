@@ -72,7 +72,7 @@ class QuadraticSpace:
     def __post_init__(self):
         if self.dim <= 0 or len(self.signature) != self.dim:
             raise DimensionMismatch("signature length must equal dim")
-        if any(s not in (-1, 0, 1) for s in self.signature):
+        if any(isinstance(s, bool) or s not in (-1, 0, 1) for s in self.signature):
             raise ValueError("signature entries must be -1, 0 or +1")
 
     @classmethod

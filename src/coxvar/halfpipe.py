@@ -189,16 +189,13 @@ def reflection_span_coefficient(refl):
     raise ValueError("zero normal vector")
 
 
+@dataclass(frozen=True)
 class HPPairReport:
     """Relative position of two HP reflections, by kind of pair."""
 
-    def __init__(self, kind, position=None, commuting=None):
-        self.kind = kind            # "degenerate", "nondegenerate", or "mixed"
-        self.position = position    # PairClassHyp / HPPointsClass / None
-        self.commuting = commuting
-
-    def __repr__(self):
-        return f"HPPairReport(kind={self.kind!r}, position={self.position!r}, commuting={self.commuting!r})"
+    kind: str  # "degenerate", "nondegenerate", or "mixed"
+    position: object = None  # PairClassHyp / HPPointsClass / None
+    commuting: object = None
 
 
 def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
@@ -211,18 +208,16 @@ def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
     deg1 = isinstance(r1, DegenerateReflection)
     deg2 = isinstance(r2, DegenerateReflection)
     if deg1 and deg2:
+        kind = "degenerate"
         try:
             pos = classify_pair_hyp(r1.X, r2.X, tol)
         except GeometryError:
             pos = None
-        commuting = hp_commute(r1.isometry(), r2.isometry(), tol)
-        return HPPairReport("degenerate", pos, commuting)
-    if not deg1 and not deg2:
-        pos = classify_hp_dual_points(r1.p, r2.p, tol)
-        commuting = hp_commute(r1.isometry(), r2.isometry(), tol)
-        return HPPairReport("nondegenerate", pos, commuting)
-    commuting = hp_commute(r1.isometry(), r2.isometry(), tol)
-    return HPPairReport("mixed", None, commuting)
+    elif not deg1 and not deg2:
+        kind, pos = "nondegenerate", classify_hp_dual_points(r1.p, r2.p, tol)
+    else:
+        kind, pos = "mixed", None
+    return HPPairReport(kind, pos, hp_commute(r1.isometry(), r2.isometry(), tol))
 
 
 # -- the explicit half-pipe representations ----------------------------------

@@ -23,8 +23,8 @@ over Z[sqrt 2] (Bareiss, Math. Comp. 22, 1968) directly on the a, b
 arrays: each pivot is one array step on every row that meets its
 column, each such row then divided by its gcd.  A (T, m, n) stack is
 eliminated in lockstep, every member with its own pivots, so T small
-systems (the kernels of id + rho(s) of a cocycle space) cost one pass
-of numpy calls.  No step leaves a connected block of rows and pivot
+systems (the kernels of id + rho(s) of a cocycle space, all 22 images
+in one stack) cost one pass of numpy calls.  No step leaves a connected block of rows and pivot
 columns, so the blocks of every member (so(1,3) and R^{1,3} in an
 adjoint) run in lockstep too, as members of one stack: a pass costs
 as many steps as the widest block has columns.  One int64/Python-int

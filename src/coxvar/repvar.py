@@ -107,7 +107,7 @@ class Lift:
                 or self.norm_targets.keys() != set(self.names)):
             raise ValueError("a lift needs one vector and one norm target for each of its "
                              "(one or more, distinct) names")
-        if any(t not in (-1, 1) for t in self.norm_targets.values()):
+        if any(isinstance(t, bool) or t not in (-1, 1) for t in self.norm_targets.values()):
             raise ValueError("norm targets must be +1 or -1")
         if not self.exact:
             table = np.array(self.table, dtype=float)
@@ -164,6 +164,8 @@ class Lift:
             rows = dict(data["vectors"])
             targets = dict(data["norm_targets"])
             for n, row in rows.items():
+                if not isinstance(row, list):  # a string would pass as its characters
+                    raise TypeError(f"vector {n!r} is not a list")
                 if len(row) != len(sig):
                     raise DimensionMismatch(f"vector {n!r} has {len(row)} entries, space has "
                                             f"dim {len(sig)}")
@@ -401,7 +403,6 @@ class RankReport:
     numeric_rank: int
     kernel_dim: int
     kernel_basis: np.ndarray
-    tolerance_used: float
     gap_ratio: float
 
 
@@ -494,7 +495,6 @@ def kernel_report(system, lift, tol=DEFAULT_RANK_TOL):
         numeric_rank=rank,
         kernel_dim=J.shape[1] - rank,
         kernel_basis=vt[rank:],
-        tolerance_used=tol,
         gap_ratio=gap,
     )
 

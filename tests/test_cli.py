@@ -267,7 +267,13 @@ _LIFT = {"signature": [-1, 1, 1], "norm_targets": {"a": 1, "b": 1},
     (_GROUP, {**_LIFT, "norm_targets": {"a": 1}}),                 # KeyError at the parent
     ({**_GROUP, "generators": ["x", "y"]}, _LIFT),                 # DimensionMismatch at the parent
     (_GROUP, {**_LIFT, "vectors": {**_LIFT["vectors"], "b": ["0", "0"]}}),  # one entry short
-], ids=["pair-0-0", "missing-norm-target", "names-differ", "ragged-row"])
+    ({**_GROUP, "generators": "ab"}, _LIFT),                        # not the names "a", "b"
+    ({**_GROUP, "commuting_pairs": [[True, 0]]}, _LIFT),            # not the pair (0, 1)
+    (_GROUP, {**_LIFT, "norm_targets": {"a": True, "b": 1}}),       # not the target +1
+    (_GROUP, {**_LIFT, "vectors": {"a": "010", "b": "001"}}),       # not the rows of _LIFT
+    (_GROUP, {**_LIFT, "signature": [-1, True, 1]}),                # not the entry +1
+], ids=["pair-0-0", "missing-norm-target", "names-differ", "ragged-row", "generators-string",
+        "pair-bool", "norm-target-bool", "row-string", "signature-bool"])
 def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"
@@ -282,6 +288,14 @@ def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
     lf.write_text(json.dumps(_LIFT))
     assert main(["verify", "--geometry", "hyp", "--group-file", str(gf),
                  "--lift-file", str(lf)]) == 0
+
+
+def test_cusp_lift_without_cusp_subgroup(capsys):
+    # near the AdS end the cube4 family has no cusp subgroup left: bad input
+    code, err = _single_error(capsys, ["cusp", "--geometry", "ads", "--group", "cube4",
+                                       "--t", "0.999999999"])
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "has no cusp subgroup" in err[0]
 
 
 @pytest.mark.parametrize("vectors", [

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from coxvar import cohomology as coh
 from coxvar import linalg_exact
 from coxvar.cli import main
-from coxvar.coxeter import cuboctahedron_vectors, gamma_co, gamma_rect, verify_representation
+from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma_co, gamma_rect,
+                            verify_representation)
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse, exact_pivots
@@ -39,6 +40,24 @@ def test_linear_rep_validation():
     bad = PairMatrix.stack([2 * PairMatrix.identity(2)] * 4)
     with pytest.raises(ValueError):
         coh.LinearRep(racg, bad)
+
+
+def test_linear_rep_rejects_non_square_images(racg22):
+    with pytest.raises(ValueError, match=r"a stack of 22 square matrices, got shape \(22, 4, 5\)"):
+        coh.LinearRep(racg22, PairMatrix.zeros((22, 4, 5)))
+
+
+def test_is_coboundary_rejects_a_misshapen_cocycle(rho0_report):
+    rep, _ = rho0_report
+    with pytest.raises(ValueError, match="a cocycle is a vector of 4 values per generator"):
+        coh.is_coboundary(rep, PairMatrix.zeros((22, 5)))
+
+
+def test_reduce_mod_coboundary_rejects_a_non_cocycle():
+    tau = np.zeros((22, 4), dtype=int)
+    tau[GAMMA22_NAMES.index("A"), 0] = 1  # no coboundary takes this value on A and 0 on B, C, D
+    with pytest.raises(ValueError, match="tau is not a cocycle"):
+        coh.reduce_mod_coboundary(tau)
 
 
 def test_trivial_representation(racg22):
@@ -328,8 +347,20 @@ def test_adjoint_rep_runs_one_elimination(eliminations, geometry):
     assert len(eliminations) == 1
 
 
+@pytest.mark.parametrize("copies", [1, 2], ids=["one", "dependent"])
+def test_basis_not_closed_runs_two_eliminations(eliminations, copies):
+    # the failed solve, then one pivot pass over [basis | all conjugates]
+    # names the generator, also when the basis itself has non-pivot columns
+    racg = gamma_rect()
+    r = reflection_matrix(MINK, CUBO["A"])
+    images = PairMatrix.stack([PairMatrix.identity(4), PairMatrix.identity(4), r, r])
+    with pytest.raises(coh.BasisNotClosed, match=r"Ad\(rho\(s2\)\) leaves"):
+        coh.adjoint_rep(racg, images, [coh.so13_basis()[1]] * copies)
+    assert len(eliminations) == 2
+
+
 @pytest.mark.parametrize("target", ["r13", "so13", "full"])
-def test_cocycle_space_one_kernel_per_distinct_image(racg22, eliminations, target):
+def test_cocycle_space_one_kernel_stack(racg22, eliminations, target):
     rep = {"r13": coh.rho0_rep, "so13": coh.so13_adjoint_rep,
            "full": lambda: coh.adjoint_collapsed_rep("hp")}[target]()
     distinct = {str((m.den, m.a.tolist(), m.b.tolist()))
@@ -337,7 +368,8 @@ def test_cocycle_space_one_kernel_per_distinct_image(racg22, eliminations, targe
     assert len(distinct) == 15  # of 22 generators
     eliminations.clear()
     coh.cocycle_space(rep)
-    # the 15 kernels in one stacked elimination, then the pair system
+    # the kernels of all 22 images, repeats included, in one stacked
+    # elimination, then the pair system
     assert len(eliminations) == 2
 
 

@@ -86,6 +86,17 @@ def test_racg_json_roundtrip():
     assert RACG.from_json(g.to_json()) == g
 
 
+def test_racg_rejects_a_non_string_name():
+    with pytest.raises(ValueError, match="generator names must be strings"):
+        RACG(("s", 1), frozenset())
+
+
+def test_verify_representation_needs_one_image_per_generator():
+    images = np.stack([np.eye(3)] * 3)  # gamma_rect has four generators
+    with pytest.raises(ValueError, match=r"expected one image per generator, a \(4, d, d\)"):
+        verify_representation(gamma_rect(), images)
+
+
 def _reflection_images(lift):
     return reflection_matrix(lift.space, lift.table)
 

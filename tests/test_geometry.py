@@ -40,6 +40,11 @@ def test_eval_form_dimension_mismatch():
         eval_form(H4, _vec(1, 0, 0))
 
 
+def test_quadratic_space_rejects_a_signature_entry_two():
+    with pytest.raises(ValueError, match="signature entries must be -1, 0 or \\+1"):
+        QuadraticSpace(2, (-1, 2))
+
+
 def test_eval_bilinear_examples():
     assert eval_bilinear(H4, TABLE["A"], TABLE["0+"]).item() == 0
     assert eval_bilinear(H4, TABLE["A"], TABLE["B"]).item() == -1

@@ -182,6 +182,17 @@ def test_classify_hp_reflection_pairs():
     assert mixed.commuting
 
 
+def test_classify_hp_degenerate_pair_over_one_wall_has_no_position():
+    # X and -X give one hyperplane of H^3, which the position check rejects
+    X = np.array([0.0, 1.0, 0.0, 0.0])
+    a, b = DegenerateReflection(X, 0.5 * X), DegenerateReflection(-X, np.zeros(4))
+    rep = classify_hp_reflection_pair(a, b)
+    assert (rep.kind, rep.position) == ("degenerate", None)
+    assert rep.commuting == hp_commute(a.isometry(), b.isometry())
+    assert repr(rep) == ("HPPairReport(kind='degenerate', position=None, "
+                         f"commuting={rep.commuting!r})")
+
+
 def test_degenerate_reflection_validation():
     X = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):

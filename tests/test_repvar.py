@@ -106,6 +106,12 @@ def test_lift_table_shape():
         Lift(lift.space, ("0+", "0+"), lift.table[:2], {"0+": 1})
 
 
+def test_lift_rejects_a_norm_target_two():
+    lift = standard_lift(0.3, "hyp")
+    with pytest.raises(ValueError, match="norm targets must be \\+1 or -1"):
+        Lift(lift.space, lift.names, lift.table, {**lift.norm_targets, "A": 2})
+
+
 def test_lift_from_json_checks_rows():
     data = json.loads(table_lift_exact().to_json())
     data["vectors"]["3-"] = data["vectors"]["3-"][:4]
