@@ -32,9 +32,9 @@ from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
 from .halfpipe import HalfPipeError, phi_to_projective, rho_lambda
-from .repvar import (IllConditioned, Lift, NoConvergence, RepVarError, SliceDegenerate,
-                     build_constraints, constraint_system, gram_matrix, kernel_report,
-                     residual_max, standard_lift, table_lift_exact)
+from .repvar import (DEFAULT_RANK_TOL, IllConditioned, Lift, NoConvergence, RepVarError,
+                     SliceDegenerate, build_constraints, constraint_system, gram_matrix,
+                     kernel_report, residual_max, standard_lift, table_lift_exact)
 from .scalars import format_scalar
 
 SCHEMA_VERSION = 1
@@ -314,7 +314,7 @@ def build_parser():
     t.add_argument("--geometry", choices=("hyp", "ads"), required=True)
     t.add_argument("--system", choices=("g", "g0"), default="g0")
     t.add_argument("--grid", required=True, help="start:stop:count or comma list")
-    t.add_argument("--rank-tol", type=_relative_tol, default=1e-9)
+    t.add_argument("--rank-tol", type=_relative_tol, default=DEFAULT_RANK_TOL)
     t.add_argument("--output")
 
     c = sub.add_parser("cohomology", help="exact H^1 report")
@@ -330,7 +330,7 @@ def build_parser():
     k.add_argument("--trials", type=int, default=1000)
     k.add_argument("--noise", type=_nonnegative_float, default=1e-3)
     k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--class-tol", type=_nonnegative_float, default=1e-7)
+    k.add_argument("--class-tol", type=_nonnegative_float, default=cuspmod.DEFAULT_CLASS_TOL)
     k.add_argument("--output")
     k.add_argument("--summary", help="write a JSON histogram here")
 

@@ -7,13 +7,16 @@ when one opposite pair of generators shares its reflection.
 
 Inside this module a configuration has one representation: the packed
 unknown vector of ``_problem``, the vector the perturbation trials move.
-``_problem`` compiles the norm + commutation rows of the group once, and
-the pattern check reads them: an adjacent pair commutes iff its row is
-at most the tolerance in absolute value.  Half-pipe reflection kinds are
-checked when the configuration is packed.  COLLAPSED is returned for the
-first coinciding opposite pair; what is left reads positions off the
-blocks of the vector.  For the cube the shared ideal point is detected
-linearly: a common b-orthogonal null vector of the six normals (in
+``_problem``, the one packer of all three geometries, compiles the norm +
+commutation rows of the group once, and the pattern check reads them: an
+adjacent pair commutes iff its row is at most the tolerance in absolute
+value.  The rows keep each geometry's order (sorted pairs for hyp/ads,
+cyclic for hp), because a least-squares step depends on the row order in
+its last bits.  Half-pipe reflection kinds are checked when the
+configuration is packed.  COLLAPSED is returned for the first coinciding
+opposite pair; what is left reads positions off the blocks of the
+vector.  For the cube the shared ideal point is detected linearly: a
+common b-orthogonal null vector of the six normals (in
 half-pipe geometry, a common boundary point of the dual data), which
 avoids accumulating pairwise tolerance errors.  For the rectangle the
 classification is by the two opposite-pair positions, read in the terms
@@ -53,18 +56,14 @@ from math import isfinite
 
 import numpy as np
 
-from .coxeter import gamma_cube, gamma_rect
 from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, coincident, eval_form,
                        pair_positions)
 from .halfpipe import (DegenerateReflection, NonDegenerateReflection,
                        reflection_span_coefficient, rho_lambda)
-from .repvar import (ConstraintSystem, NonFiniteResidual, Pair, build_constraints,
-                     find_cusp_subgroups, gauss_newton, standard_lift)
+from .repvar import (TOL_RES, ConstraintSystem, NonFiniteResidual, Pair, find_cusp_subgroups,
+                     gauss_newton, standard_lift)
 
 DEFAULT_CLASS_TOL = 1e-7
-# Gauss-Newton stopping rule of the perturb-project trials
-MAX_ITER = 50
-TOL_RES = 1e-12
 # trials per stacked Gauss-Newton + classification pass; bounds peak memory
 TRIAL_CHUNK = 128
 
@@ -204,14 +203,22 @@ class ExperimentStats:
 def _problem(geometry, group, base):
     """Unknowns, constraint maps and classifier of the configurations near ``base``.
 
+    One packer for every geometry: one loop writes each slot's vector
+    into the unknowns, and one list of Pair rows makes the system.
     hyp/ads: one block per normal; the rows are the norm + commutation
     system of the group, each norm target the sign of q on the base
     normal, so every perturbation is projected onto the variety of the
     base.  hp: per degenerate slot the normal X and the coefficient c of
     its translation c X, per non-degenerate slot the dual point p; the
-    rows are q_1(X) = 1, b_1(X_i, X_j) = 0 for adjacent degenerate pairs
-    and b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate
-    pairs ((r_X, cX) and (-id, 2p) commute iff (id - r_X)(2p) = 2 c X).
+    rows are q_1(X) = 1 (the sign of q_1 on a unit spacelike X),
+    b_1(X_i, X_j) = 0 for adjacent degenerate pairs and
+    b_1(X_j, 2 p_k) = c_j for adjacent degenerate/non-degenerate pairs
+    ((r_X, cX) and (-id, 2p) commute iff (id - r_X)(2p) = 2 c X).
+    The commutation rows run over sorted _ADJACENT for hyp/ads (the
+    order build_constraints gives the rectangle and cube groups) and
+    over cyclic _ADJACENT for hp: a least-squares step depends on the
+    row order in its last bits, and every recorded trial was drawn in
+    these orders.
     Packing checks the hp reflection kinds of the opposite pairs, then
     refuses an adjacent non-degenerate pair: (-id, 2p) and (-id, 2q)
     commute only when p = q, so no row can stand for it.
@@ -223,21 +230,8 @@ def _problem(geometry, group, base):
         raise ValueError(f"unknown group {group!r}")
     opposite, adjacent = _OPPOSITE[group], _ADJACENT[group]
     hp = geometry == "hp"
-    if not hp:
-        racg = gamma_rect() if group == "rect" else gamma_cube()
-        vectors = [np.asarray(v, dtype=float) for v in base]
-        dim = len(vectors[0])
-        space = QuadraticSpace.for_geometry(geometry, dim - 1)
-        targets = {n: 1 if eval_form(space, v) > 0 else -1
-                   for n, v in zip(racg.generators, vectors)}
-        system = build_constraints(racg, targets)
-        walls = [k * dim for k in range(len(vectors))]
-        start = dict(zip(racg.generators, walls))
-        pairs = sorted(racg.commuting_pairs)
-        rows = np.array([len(walls) + pairs.index(ij) for ij in adjacent])
-        params, normal = np.concatenate(vectors), [True] * len(walls)
-    else:
-        normal = [isinstance(r, DegenerateReflection) for r in base]
+    normal = [not hp or isinstance(r, DegenerateReflection) for r in base]
+    if hp:
         mixed = [(i, j) for i, j in opposite if normal[i] != normal[j]]
         if group == "rect" and (mixed or normal[0] == normal[1]):
             raise PatternViolation("opposite pairs must be one non-degenerate and one degenerate")
@@ -246,33 +240,36 @@ def _problem(geometry, group, base):
         for i, j in adjacent:
             if not (normal[i] or normal[j]):
                 raise PatternViolation(f"generators {i} and {j} must commute")
-        params, start = [], {}
-        for k, r in enumerate(base):
-            start[str(k)] = len(params)
-            vec = np.asarray(r.X if normal[k] else r.p, dtype=float)
-            params.extend(vec)
-            if normal[k]:
-                start[f"c{k}"] = len(params)
-                params.append(float(reflection_span_coefficient(r)))
-        params, dim = np.array(params), len(vec)
-        walls = [start[str(k)] for k in range(len(base))]
-        cons = [Pair(str(k), str(k), 1) for k in range(len(base)) if normal[k]]
-        for i, j in adjacent:
-            if normal[i] and normal[j]:
-                cons.append(Pair(str(i), str(j), 0))
-            else:
-                x, p = (i, j) if normal[i] else (j, i)
-                cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
-        rows = slice(-len(adjacent), None)
-        system = ConstraintSystem(tuple(cons))
-        space = QuadraticSpace.minkowski(dim)
+    params, start = [], {}
+    for k, r in enumerate(base):
+        start[str(k)] = len(params)
+        vec = np.asarray((r.X if normal[k] else r.p) if hp else r, dtype=float)
+        params.extend(vec)
+        if hp and normal[k]:
+            start[f"c{k}"] = len(params)
+            params.append(float(reflection_span_coefficient(r)))
+    params, dim = np.array(params), len(vec)
+    space = (QuadraticSpace.minkowski(dim) if hp
+             else QuadraticSpace.for_geometry(geometry, dim - 1))
+    walls = [start[str(k)] for k in range(len(base))]
+    blocks = np.array(walls)[:, None] + np.arange(dim)
+    cons = [Pair(str(k), str(k), 1 if eval_form(space, params[blocks[k]]) > 0 else -1)
+            for k in range(len(base)) if normal[k]]
+    order = adjacent if hp else sorted(adjacent)
+    for i, j in order:
+        if normal[i] and normal[j]:
+            cons.append(Pair(str(i), str(j), 0))
+        else:
+            x, p = (i, j) if normal[i] else (j, i)
+            cons.append(Pair(str(x), str(p), 0, scale=2, linear=f"c{x}"))
+    rows = np.array([len(cons) - len(order) + order.index(ij) for ij in adjacent])
+    system = ConstraintSystem(tuple(cons))
     F, J = system.maps(space.signature, start)
     sig = np.array(space.signature, dtype=float)
     # hp: (y, y_n) lies on the wall over H_X iff b_1(X, y) = 0, and on the
     # wall dual to p iff b_1(p, y) + y_n = 0
     null_form = np.concatenate([sig, [0.0]]) if hp else sig
     on_dual = np.array([[0.0 if n else 1.0] for n in normal])
-    blocks = np.array(walls)[:, None] + np.arange(dim)
     # every coordinate outside the normals: the hp dual points and coefficients c
     translations = np.setdiff1d(np.arange(len(params)), blocks[normal])
     # the rectangle class (or the error) of each pair of position codes
@@ -432,9 +429,9 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
     The trials run in stacks of TRIAL_CHUNK: one gauss_newton and one
     classify_at per stack, every row as it would run alone, so the
     records do not depend on the chunk size.  A trial whose projection
-    does not converge in MAX_ITER steps is tallied as no_convergence
-    (residual nan); an error is raised for the lowest trial that has
-    one, as if the trials ran one after the other.
+    is still above repvar.TOL_RES after gauss_newton's 50 steps is
+    tallied as no_convergence (residual nan); an error is raised for the
+    lowest trial that has one, as if the trials ran one after the other.
     """
     if not (isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
@@ -457,10 +454,10 @@ def rigidity_experiment(geometry, group, base, trials, noise=1e-3, seed=0,
         ks = range(first, min(first + TRIAL_CHUNK, trials))
         x0 = params + _trial_noise(seed, ks, noise, len(params))
         try:
-            x, iters, res = gauss_newton(F, J, x0, None, MAX_ITER, TOL_RES)
+            x, iters, res = gauss_newton(F, J, x0)
         except NonFiniteResidual as exc:
             # the trials before the failing one come first, errors included
-            x, _, res = gauss_newton(F, J, x0[:exc.row], None, MAX_ITER, TOL_RES)
+            x, _, res = gauss_newton(F, J, x0[:exc.row])
             classify_at(x[res <= TOL_RES], tol_class)
             raise
         converged = res <= TOL_RES

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import cuboctahedron_vectors
-from .geometry import (DEFAULT_TOL, GeometryError, HPPointsClass, QuadraticSpace,
-                       classify_pair, classify_pair_hyp, eval_form, reflection_matrix)
+from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair,
+                       classify_pair_hyp, eval_form, reflection_matrix)
 from .linalg_exact import PairMatrix, is_exact
 
 
@@ -75,10 +75,10 @@ class MinkowskiIsometry:
     def is_form_preserving(self, tol=DEFAULT_TOL):
         """Does every linear part satisfy A^T J A = J?  One stacked product."""
         J = QuadraticSpace.minkowski(self.dim).form_matrix()
+        diff = self.linear.swapaxes(-1, -2) @ J @ self.linear - J
         if self.exact:
-            J = PairMatrix.of(J)
-            return (self.linear.swapaxes(-1, -2) @ J @ self.linear - J).is_zero()
-        diff = np.max(np.abs(self.linear.swapaxes(-1, -2) @ J @ self.linear - J), axis=(-2, -1))
+            return diff.is_zero()
+        diff = np.max(np.abs(diff), axis=(-2, -1))
         # A^T J A accumulates error like |A|^2 eps: compare each member at that scale
         scale = np.maximum(1.0, np.max(np.abs(self.linear), axis=(-2, -1)) ** 2)
         return bool(np.all(diff <= tol * scale))
@@ -113,15 +113,12 @@ def phi_to_projective(iso, tol=DEFAULT_TOL):
     if not iso.is_form_preserving(tol):
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
-    shape = (*iso.linear.shape[:-2], n + 1, n + 1)
-    J = QuadraticSpace.minkowski(n).form_matrix()
-    row = -(iso.translation[..., None, :] @ (PairMatrix.of(J) if iso.exact else J) @ iso.linear)
-    if iso.exact:
-        return PairMatrix.assemble(shape, [(0, 0, iso.linear), (n, 0, row),
-                                           (n, n, np.ones((1, 1), dtype=int))])
-    out = np.zeros(shape)
-    out[..., :n, :n], out[..., n:, :n], out[..., n, n] = iso.linear, row, 1.0
-    return out
+    lead = iso.linear.shape[:-2]
+    row = -(iso.translation[..., None, :] @ QuadraticSpace.minkowski(n).form_matrix()
+            @ iso.linear)
+    cat, dtype = (PairMatrix.concat, int) if iso.exact else (np.concatenate, float)
+    return cat([cat([iso.linear, np.zeros(lead + (n, 1), dtype=dtype)], axis=-1),
+                cat([row, np.ones(lead + (1, 1), dtype=dtype)], axis=-1)], axis=-2)
 
 
 def hp_commute(a, b, tol=DEFAULT_TOL):

@@ -11,9 +11,12 @@ every product and partial sum is then an integer that float64 holds
 exactly, whatever the order of summation or the thread count.  Nested
 QSqrt2 or rational scalars and integer numpy arrays enter through
 PairMatrix.of; single entries leave as QSqrt2 through item, exact signs
-through sign, and np.asarray(m, dtype=float) is the float view.  An
-entrywise quotient (/) multiplies by the conjugates over the lcm of the
-norms a^2 - 2 b^2, so no scalar is built there either.
+through sign, and np.asarray(m, dtype=float) is the float view.  The
+operators @, *, + and / take whatever PairMatrix.of does, so exact and
+integer operands mix freely, and block matrices are joined with
+PairMatrix.concat, as np.concatenate joins float ones.  An entrywise
+quotient (/) multiplies by the conjugates over the lcm of the norms
+a^2 - 2 b^2, so no scalar is built there either.
 is_exact tells exact data from float data by type.  Every function
 here accepts whatever PairMatrix.of does and returns PairMatrix, ranks
 or pivot columns.
@@ -159,22 +162,6 @@ class PairMatrix:
         """One (N, ...) stack of N equal-shape matrices over their common denominator."""
         return cls.concat([cls.of(m)[None] for m in mats])
 
-    @classmethod
-    def assemble(cls, shape, blocks):
-        """The array of ``shape`` that is zero outside the given blocks: each
-        (row, col, m) writes m on the last two axes with its top-left entry at
-        (row, col), broadcast over the leading axes."""
-        if not blocks:
-            return cls.zeros(shape)
-        parts, den = _common([cls.of(m) for _, _, m in blocks])
-        a = np.zeros(shape, dtype=parts[0][0].dtype)
-        b = np.zeros(shape, dtype=parts[0][0].dtype)
-        for (r, c, _), (pa, pb) in zip(blocks, parts):
-            h, w = pa.shape[-2:]
-            a[..., r:r + h, c:c + w] = pa
-            b[..., r:r + h, c:c + w] = pb
-        return cls(a, b, den)
-
     @property
     def shape(self):
         return self.a.shape
@@ -217,7 +204,8 @@ class PairMatrix:
                           self.den * other.den)
 
     def __matmul__(self, other):
-        return self._product(other, np.matmul, self.shape[-1])
+        """Matrix product with anything ``of`` converts, stacked as in numpy."""
+        return self._product(PairMatrix.of(other), np.matmul, self.shape[-1])
 
     def __mul__(self, other):
         """Entrywise product with anything ``of`` converts, broadcast as in numpy."""

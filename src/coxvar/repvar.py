@@ -55,6 +55,8 @@ from .scalars import format_scalar, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
 MIN_GAP_RATIO = 1e3
+# Gauss-Newton stops once max|F| <= TOL_RES
+TOL_RES = 1e-12
 
 
 class RepVarError(Exception):
@@ -161,8 +163,10 @@ class Lift:
         data = json.loads(text)
         try:
             sig = tuple(data["signature"])
-            rows = dict(data["vectors"])
-            targets = dict(data["norm_targets"])
+            rows, targets = data["vectors"], data["norm_targets"]
+            # dict() would also read a list of [name, value] pairs
+            if not (isinstance(rows, dict) and isinstance(targets, dict)):
+                raise TypeError("vectors and norm_targets must be JSON objects")
             for n, row in rows.items():
                 if not isinstance(row, list):  # a string would pass as its characters
                     raise TypeError(f"vector {n!r} is not a list")
@@ -579,17 +583,19 @@ def _lstsq(a, b):
     return x[..., 0]
 
 
-def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
+def gauss_newton(F, J, x0, free_idx=None, max_iter=50):
     """Gauss-Newton least-squares iteration x <- x + lstsq(J(x), -F(x)) over a stack.
 
     x0 is one point (n,) or a stack (T, n); F and J act on the last axis
     as ConstraintSystem.maps does.  Only the coordinates in free_idx
     move (all of them when None).  Every row iterates as it would alone:
-    it retires at the first iteration where max|F| <= tol_res, and the
-    rows still active share one stacked least-squares step.
+    it retires at the first iteration where max|F| <= TOL_RES, and the
+    rows still active share one stacked least-squares step.  max_iter is
+    50 for a projection (project_to_variety, the cusp trials) and 25 for
+    a corrector step of trace_path.
 
     A stack returns (x, iterations, residual) as arrays over its rows; a
-    row still above tol_res after max_iter steps keeps its last iterate,
+    row still above TOL_RES after max_iter steps keeps its last iterate,
     iterations max_iter and its last residual.  A single point returns
     (x, iterations, residual) as one vector and two scalars, and raises
     NoConvergence instead.  A non-finite residual raises
@@ -614,7 +620,7 @@ def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
             k = bad[0]
             failed = (int(active[k]), it, float(res_a[k]))
             active, xa, r, res_a = active[:k], xa[:k], r[:k], res_a[:k]
-        done = res_a <= tol_res
+        done = res_a <= TOL_RES
         iters[active[done]] = it
         res[active] = res_a
         if it == max_iter:
@@ -628,34 +634,35 @@ def gauss_newton(F, J, x0, free_idx=None, max_iter=50, tol_res=1e-12):
         raise NonFiniteResidual(*failed)
     if np.ndim(x0) > 1:
         return x, iters, res
-    if res[0] > tol_res:
+    if res[0] > TOL_RES:
         raise NoConvergence(f"residual {res[0]:.3g} after {max_iter} Gauss-Newton steps")
     return x[0], int(iters[0]), float(res[0])
 
 
-def project_to_variety(system, start, max_iter=50, tol_res=1e-12):
+def project_to_variety(system, start):
     """Gauss-Newton least-squares projection onto the constraint variety.
 
-    Returns (lift, iterations); raises NoConvergence outside the basin.
+    Returns (lift, iterations); raises NoConvergence when the residual is
+    still above TOL_RES after 50 steps (outside the basin).
     """
     lift = start.as_float()
-    x, iters, _ = gauss_newton(*_lift_maps(system, lift), lift.flatten(), None,
-                               max_iter, tol_res)
+    x, iters, _ = gauss_newton(*_lift_maps(system, lift), lift.flatten())
     return lift.with_flat(x), iters
 
 
 @_one_blas_thread()
 def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
-               orient=None, tol_res=1e-12, max_iter=25, rank_tol=DEFAULT_RANK_TOL):
+               orient=None, rank_tol=DEFAULT_RANK_TOL):
     """Predictor-corrector continuation in the gauge slice.
 
     The gauge freezes the coordinates of the given generators (by
     default the letters A, B, C, D), which kills the 10-dimensional
     conjugation orbit; the kernel of the Jacobian restricted to the
     remaining coordinates must be exactly one-dimensional, and is the
-    step direction.  ``orient`` fixes the sign of the first step.  The
-    rank cut is gap-checked as in kernel_report, and the whole trace
-    runs on one BLAS thread.
+    step direction.  ``orient`` fixes the sign of the first step.  Each
+    corrector is a gauss_newton of at most 25 steps to TOL_RES, raising
+    NoConvergence beyond.  The rank cut is gap-checked as in
+    kernel_report, and the whole trace runs on one BLAS thread.
     """
     lift = start.as_float()
     F, Jmap = _lift_maps(system, lift)
@@ -679,7 +686,7 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
             k = int(np.argmax(np.abs(tangent)))
             if tangent[k] < 0:
                 tangent = -tangent
-        x, _, _ = gauss_newton(F, Jmap, x + step_size * tangent, free_idx, max_iter, tol_res)
+        x, _, _ = gauss_newton(F, Jmap, x + step_size * tangent, free_idx, 25)
         prev = tangent
         path.append(lift.with_flat(x))
     return path

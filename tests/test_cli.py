@@ -272,8 +272,10 @@ _LIFT = {"signature": [-1, 1, 1], "norm_targets": {"a": 1, "b": 1},
     (_GROUP, {**_LIFT, "norm_targets": {"a": True, "b": 1}}),       # not the target +1
     (_GROUP, {**_LIFT, "vectors": {"a": "010", "b": "001"}}),       # not the rows of _LIFT
     (_GROUP, {**_LIFT, "signature": [-1, True, 1]}),                # not the entry +1
+    (_GROUP, {**_LIFT, "norm_targets": [["a", 1], ["b", 1]],        # not JSON objects
+              "vectors": [["a", ["0", "1", "0"]], ["b", ["0", "0", "1"]]]}),
 ], ids=["pair-0-0", "missing-norm-target", "names-differ", "ragged-row", "generators-string",
-        "pair-bool", "norm-target-bool", "row-string", "signature-bool"])
+        "pair-bool", "norm-target-bool", "row-string", "signature-bool", "pairs-list"])
 def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"

@@ -177,8 +177,10 @@ def test_split_h1_rejects_unadapted_basis(racg22):
 
 def test_collapsed_adjoint_is_block_sum():
     """Ad rho_0 = Ad_so(1,3) rho_0 + rho_0: one integer stack in all three geometries."""
-    block_sum = PairMatrix.assemble((22, 10, 10), [(0, 0, coh.so13_adjoint_rep().images),
-                                                   (6, 6, coh.rho0_rep().images)])
+    so13, r13 = coh.so13_adjoint_rep().images, coh.rho0_rep().images
+    block_sum = PairMatrix.concat(
+        [PairMatrix.concat([so13, np.zeros((22, 6, 4), dtype=int)], axis=-1),
+         PairMatrix.concat([np.zeros((22, 4, 6), dtype=int), r13], axis=-1)], axis=-2)
     for geometry in ("hyp", "ads", "hp"):
         images = coh.adjoint_collapsed_rep(geometry).images
         assert images.den == 1, geometry

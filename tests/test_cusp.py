@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from coxvar import cusp
 from coxvar.cusp import (TRIAL_CHUNK, CuspClass, CuspKind, PatternViolation, _problem,
                          _rect_class, _trial_noise, base_cube, base_rect_ads, base_rect_hp,
                          base_rect_hyp, classify_cube, classify_rect, rigidity_experiment)
-from coxvar.geometry import (MixedTypePair, NotUnitSpacelike, PairClassHyp, QuadraticSpace,
-                             classify_pair_ads, classify_pair_hyp, coincident, reflection_matrix)
-from coxvar.coxeter import GAMMA22_NAMES
-from coxvar.halfpipe import HPPointsClass, classify_hp_dual_points, rho_lambda
-from coxvar.repvar import (NonFiniteResidual, collapsed_lift_exact, find_cusp_subgroups,
-                           gauss_newton, standard_lift)
+from coxvar.geometry import (HPPointsClass, MixedTypePair, NotUnitSpacelike, PairClassHyp,
+                             QuadraticSpace, classify_pair_ads, classify_pair_hyp, coincident,
+                             eval_form, reflection_matrix)
+from coxvar.coxeter import GAMMA22_NAMES, gamma_cube, gamma_rect
+from coxvar.halfpipe import classify_hp_dual_points, rho_lambda
+from coxvar.repvar import (NonFiniteResidual, build_constraints, collapsed_lift_exact,
+                           find_cusp_subgroups, gauss_newton, standard_lift)
 
 
 def test_classify_rect_hyp_examples():
@@ -254,6 +256,33 @@ def test_stacked_rect_classes_match_pair_classifiers(geometry):
         expected = [_rect_reference(geometry, row, tol) for row in x]
         assert classify_at(x, tol) == expected
         assert len({c.kind for c in expected}) >= 2
+
+
+@pytest.mark.parametrize("group, racg", [("rect", gamma_rect()), ("cube", gamma_cube())])
+def test_cusp_tables_are_the_group_presentations(group, racg):
+    every_pair = set(combinations(range(racg.rank), 2))
+    assert len(cusp._ADJACENT[group]) == len(racg.commuting_pairs)
+    assert set(cusp._ADJACENT[group]) == racg.commuting_pairs
+    assert set(cusp._OPPOSITE[group]) == every_pair - racg.commuting_pairs
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads"])
+@pytest.mark.parametrize("group", ["rect", "cube"])
+def test_problem_maps_are_the_group_system(geometry, group):
+    # the hyp/ads rows are build_constraints' rows, in its order: the golden
+    # trials were recorded in that order
+    racg = gamma_rect() if group == "rect" else gamma_cube()
+    base = (base_cube(geometry) if group == "cube"
+            else {"hyp": base_rect_hyp, "ads": base_rect_ads}[geometry]())
+    dim = len(base[0])
+    space = QuadraticSpace.for_geometry(geometry, dim - 1)
+    targets = {n: 1 if eval_form(space, v) > 0 else -1 for n, v in zip(racg.generators, base)}
+    F0, J0 = build_constraints(racg, targets).maps(
+        space.signature, {n: k * dim for k, n in enumerate(racg.generators)})
+    params, F, J, _ = _problem(geometry, group, base)
+    x = params + np.random.default_rng(4).uniform(-0.5, 0.5, (16, len(params)))
+    assert F(x).tobytes() == F0(x).tobytes()
+    assert J(x).tobytes() == J0(x).tobytes()
 
 
 def test_rigidity_experiment_requires_cusp_base():

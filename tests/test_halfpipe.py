@@ -6,8 +6,8 @@ import pytest
 from coxvar.cohomology import is_coboundary, rho0_rep
 from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma22, gamma_co,
                             verify_representation)
-from coxvar.geometry import PairClassHyp, QuadraticSpace, reflection_matrix
-from coxvar.halfpipe import (DegenerateReflection, HPPointsClass, MinkowskiIsometry,
+from coxvar.geometry import HPPointsClass, PairClassHyp, QuadraticSpace, reflection_matrix
+from coxvar.halfpipe import (DegenerateReflection, MinkowskiIsometry,
                              NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
                              classify_hp_reflection_pair, hp_commute,
                              phi_to_projective, rho_lambda)

@@ -147,10 +147,6 @@ def test_pair_arithmetic_matches_object_arrays(n, k, m, data):
     assert _same(px @ py - pz, x @ y - z)
     assert _same(pz + pz, z + z)
     assert _same(PairMatrix.concat([px @ py, pz], axis=1), np.hstack([x @ y, z]))
-    # scattering blocks into zeros gives what concatenating with zero blocks gives
-    zeros = np.full((n, 2), QSqrt2(0), dtype=object)
-    assert _same(PairMatrix.assemble((2 * n, m + 2), [(0, 0, pz), (n, 2, px @ py)]),
-                 np.block([[z, zeros], [zeros, x @ y]]))
     assert _same(pz * pz, z * z) and _same(2 * pz, 2 * z)
     assert (px @ py - pz).is_zero() == all(v == 0 for v in (x @ y - z).reshape(-1))
     assert (pz - pz).is_zero()
