@@ -32,9 +32,9 @@ from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
 from .halfpipe import HalfPipeError, phi_to_projective, rho_lambda
-from .repvar import (DEFAULT_RANK_TOL, IllConditioned, Lift, NoConvergence, RepVarError,
-                     SliceDegenerate, build_constraints, constraint_system, gram_matrix,
-                     kernel_report, residual_max, standard_lift, table_lift_exact)
+from .repvar import (DEFAULT_RANK_TOL, GRAM_TOL, IllConditioned, Lift, NoConvergence,
+                     RepVarError, SliceDegenerate, build_constraints, constraint_system,
+                     gram_matrix, kernel_report, residual_max, standard_lift, table_lift_exact)
 from .scalars import format_scalar
 
 SCHEMA_VERSION = 1
@@ -233,9 +233,6 @@ def cmd_cusp(args):
 
 
 # -- gram --------------------------------------------------------------------
-
-GRAM_TOL = 1e-9  # label tolerance: orthogonality, unit norms and positions
-
 
 def cmd_gram(args):
     lift = standard_lift(args.t, args.geometry)

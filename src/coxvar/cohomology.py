@@ -36,7 +36,7 @@ from .coxeter import gamma22
 from .geometry import QuadraticSpace, reflection_matrix
 from .halfpipe import phi_to_projective, rho_lambda
 from .linalg_exact import PairMatrix, exact_nullspace, exact_pivots, exact_rank, exact_solve
-from .repvar import collapsed_lift_exact
+from .repvar import collapsed_lift_exact, form_algebra_basis
 
 
 H_BLOCK = 6  # dim so(1,3): the horizontal block of the adapted basis
@@ -244,42 +244,28 @@ def rho0_rep():
     return LinearRep(gamma22(), rho0_linear())
 
 
-def _so13_matrices(size):
-    """Integer so(1,3) basis in the top-left 4x4 block of size x size zeros:
-    three boosts then three rotations."""
-    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-        m = np.zeros((size, size), dtype=int)
-        m[i, j] = 1
-        m[j, i] = 1 if i == 0 else -1
-        yield m
-
-
 def so13_basis():
     """Exact basis of so(1,3): three boosts then three rotations."""
-    return [PairMatrix.of(m) for m in _so13_matrices(4)]
+    return [PairMatrix.of(m) for m in form_algebra_basis(QuadraticSpace.minkowski(4))]
 
 
 def adapted_basis(geometry):
     """Basis of the 10-dimensional ambient Lie algebra, split 6 + 4.
 
-    The first six elements are so(1,3) acting on {x_4 = 0}; the last
-    four are the R^{1,3} block: for hyp/ads the matrices with column
-    -+w and row w^T J, for hp the infinitesimal translations.
+    The first six elements are so(1,3) acting on {x_4 = 0}: the matrices
+    of so13_basis padded to 5x5.  The last four are the R^{1,3} block,
+    one per w = e_k: the column -w for hyp and +w otherwise, and the row
+    w^T J for hyp/ads (for hp, no row: the infinitesimal translations).
     """
-    J = QuadraticSpace.minkowski(4).form_matrix()
-    basis = list(_so13_matrices(5))
+    if geometry not in ("hyp", "ads", "hp"):
+        raise ValueError(f"unknown geometry {geometry!r}")
+    mink = QuadraticSpace.minkowski(4)
+    basis = [np.pad(m, (0, 1)) for m in form_algebra_basis(mink)]
     for k in range(4):
-        m = np.zeros((5, 5), dtype=int)  # w = e_k
-        if geometry == "hyp":
-            m[k, 4] = -1
-            m[4, :4] = J[k]
-        elif geometry == "ads":
-            m[k, 4] = 1
-            m[4, :4] = J[k]
-        elif geometry == "hp":
-            m[k, 4] = 1
-        else:
-            raise ValueError(f"unknown geometry {geometry!r}")
+        m = np.zeros((5, 5), dtype=int)
+        m[k, 4] = -1 if geometry == "hyp" else 1
+        if geometry != "hp":
+            m[4, k] = mink.signature[k]  # the row w^T J
         basis.append(m)
     return [PairMatrix.of(m) for m in basis]
 

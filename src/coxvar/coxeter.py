@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import QuadraticSpace
-from .linalg_exact import PairMatrix, is_exact
+from .linalg_exact import PairMatrix, identity_like, is_exact
 
 
 class RelationError(Exception):
@@ -190,10 +190,6 @@ def gamma_co():
 
 # -- word evaluation and representation checks --------------------------
 
-def _identity_like(images):
-    return (PairMatrix.identity if is_exact(images) else np.eye)(images.shape[-1])
-
-
 def evaluate_word(racg, images, word):
     """Ordered product of generator images; the empty word is the identity.
 
@@ -208,7 +204,7 @@ def evaluate_word(racg, images, word):
             raise IndexOutOfRange(f"no image for generator {w!r}")
         letters.append(k)
     if not letters:
-        return _identity_like(images)
+        return identity_like(images)
     out = images[letters[0]]
     for k in letters[1:]:
         out = out @ images[k]
@@ -250,7 +246,7 @@ def verify_representation(racg, images, tol=1e-10):
         raise ValueError(f"expected one image per generator, a ({racg.rank}, d, d) stack, "
                          f"got shape {M.shape}")
     i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
-    squares, square_ok = _defects(M @ M - _identity_like(M), tol)
+    squares, square_ok = _defects(M @ M - identity_like(M), tol)
     commutators, commute_ok = _defects(M[i] @ M[j] - M[j] @ M[i], tol)
     coincide = _defects(M[i] - M[j], tol)[1]
     failures = [f"square:{n}" for n, ok in zip(racg.generators, square_ok) if not ok]

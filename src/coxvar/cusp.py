@@ -146,6 +146,13 @@ def _cube_class(rows, null_form, tol, hp):
     """Cusp iff the walls with these rows share one point, and it is null.
 
     ``rows`` is a stack (T, 6, c) of wall rows; one CuspClass per entry.
+    The cut stays its own, relative to ``tol``, and is not repvar's
+    _rank_cut: near a cusp the last singular value is rounding noise of
+    the projection, above _rank_cut's floor max(shape) * eps * sigma_max
+    (in 2000 cube trials per geometry at noise 1e-3, seed 7, 3846 of
+    6003 decisions had sigma_min / sigma_max above 6 eps, at most
+    1.85e-13), so _rank_cut would raise IllConditioned although the gap
+    is wide (sigma_5 / sigma_max >= 0.238 in the same trials).
     """
     u, s, vt = np.linalg.svd(rows)
     small = np.sum(s <= tol * s[:, :1], axis=-1) + max(0, rows.shape[-1] - s.shape[-1])

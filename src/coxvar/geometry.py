@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg_exact import PairMatrix, is_exact
+from .linalg_exact import PairMatrix, identity_like, is_exact
 
 DEFAULT_TOL = 1e-9
 
@@ -170,28 +170,24 @@ def eval_bilinear(space, x, y):
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0
 
 
-def reflection_matrix(space, X, tol=DEFAULT_TOL):
+def reflection_matrix(space, X):
     """Matrix of the reflection r_X: fixes X-perp, sends X to -X.
 
-    r_X = I - (2/q(X)) X (JX)^T, an involution in O(q): a PairMatrix for
-    exact X, where q(X) = 0 is tested exactly, else a float array.  A stack
-    of normals (last axis) gives the stack of their reflections, each with
-    the bits of its lone reflection (PairMatrix.unstack splits an exact one).
+    r_X = I - (2/q(X)) X (JX)^T, an involution in O(q), by one body for
+    both backends: a reduced PairMatrix for exact X, where q(X) = 0 is
+    tested exactly, else a float array, where |q(X)| <= DEFAULT_TOL is
+    refused.  A stack of normals (last axis) gives the stack of their
+    reflections, each with the bits of its lone reflection
+    (PairMatrix.unstack splits an exact one).
     """
-    sig = np.array(space.signature)
-    if is_exact(X):
-        JX = X * sig
-        q = X[..., None, :] @ JX[..., :, None]
-        if ((q.a == 0) & (q.b == 0)).any():
-            raise DegenerateNormal("q(X) = 0: no reflection")
-        outer = X[..., :, None] @ JX[..., None, :]
-        return (PairMatrix.identity(space.dim) - outer * (2 / q)).reduced()
+    X = _data(X)
+    exact = is_exact(X)
     q = eval_form(space, X)
-    if (np.abs(q) <= tol).any():
-        raise DegenerateNormal("q(X) = 0 within tolerance: no reflection")
-    X = np.asarray(X, dtype=float)
-    outer = X[..., :, None] * (sig * X)[..., None, :]
-    return np.eye(space.dim) - (2.0 / q)[..., None, None] * outer
+    if (_dist(q, 0) <= (0 if exact else DEFAULT_TOL)).any():
+        raise DegenerateNormal("q(X) = 0: no reflection")
+    outer = X[..., :, None] * (X * np.array(space.signature))[..., None, :]
+    r = identity_like(X) - (2 / q)[..., None, None] * outer
+    return r.reduced() if exact else r
 
 
 def _against(x, c):

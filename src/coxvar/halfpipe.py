@@ -33,7 +33,7 @@ import numpy as np
 from .coxeter import cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair,
                        classify_pair_hyp, eval_form, reflection_matrix)
-from .linalg_exact import PairMatrix, is_exact
+from .linalg_exact import PairMatrix, identity_like, is_exact
 
 
 class HalfPipeError(Exception):
@@ -145,10 +145,8 @@ class NonDegenerateReflection:
     p: np.ndarray
 
     def isometry(self):
-        if is_exact(self.p):
-            return MinkowskiIsometry(-PairMatrix.identity(self.p.size), self.p * 2)
-        p = np.asarray(self.p, dtype=float)
-        return MinkowskiIsometry(-np.eye(len(p)), 2.0 * p)
+        p = self.p if is_exact(self.p) else np.asarray(self.p, dtype=float)
+        return MinkowskiIsometry(-identity_like(p), p * 2)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ integer operands mix freely, and block matrices are joined with
 PairMatrix.concat, as np.concatenate joins float ones.  An entrywise
 quotient (/) multiplies by the conjugates over the lcm of the norms
 a^2 - 2 b^2, so no scalar is built there either.
-is_exact tells exact data from float data by type.  Every function
-here accepts whatever PairMatrix.of does and returns PairMatrix, ranks
-or pivot columns.
+is_exact tells exact data from float data by type, and identity_like
+gives the identity on the backend of its argument, so one body serves
+both.  Every elimination here accepts whatever PairMatrix.of does and
+returns PairMatrix, ranks or pivot columns.
 
 Rank, nullspace and solving use fraction-free Gauss-Jordan elimination
 over Z[sqrt 2] (Bareiss, Math. Comp. 22, 1968) directly on the a, b
@@ -93,7 +94,8 @@ def _reduce_members(a, b, dens):
     top = np.maximum(np.abs(flat_a).max(axis=1, initial=0),
                      np.abs(flat_b).max(axis=1, initial=0)).tolist()
     # a zero member's gcd is its whole den, which int64 arrays may not divide by
-    return [PairMatrix(*_int_arrays(m // x, a[t, ...] // x, b[t, ...] // x), d // x) if m
+    return [PairMatrix(*_int_arrays(m // x, _as_array(a[t, ...] // x), _as_array(b[t, ...] // x)),
+                       d // x) if m
             else PairMatrix.zeros(a.shape[1:])
             for t, (m, d, x) in enumerate(zip(top, dens, map(gcd, dens, g)))]
 
@@ -232,7 +234,7 @@ class PairMatrix:
         # den / (a + b r) = den (a - b r) / norm with norm = a^2 - 2 b^2, zero
         # only where a = b = 0 (r = sqrt 2 is irrational), over L = lcm of the norms
         a, b = _int_arrays(3 * max(_max_abs(self.a), _max_abs(self.b)) ** 2, self.a, self.b)
-        norm = a * a - 2 * b * b
+        norm = _as_array(a * a - 2 * b * b)
         if not norm.all():
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
         L = lcm(*norm.reshape(-1).tolist())
@@ -299,6 +301,13 @@ class PairMatrix:
 def is_exact(x):
     """Is x exact data, a PairMatrix or a QSqrt2 or rational scalar, rather than float data?"""
     return isinstance(x, (PairMatrix, QSqrt2, Rational))
+
+
+def identity_like(x):
+    """The identity on the last axis of x, on its backend: a PairMatrix for
+    exact x, else a float array."""
+    n = x.shape[-1]
+    return PairMatrix.identity(n) if is_exact(x) else np.eye(n)
 
 
 # -- fraction-free elimination on the integer arrays ----------------------

@@ -48,12 +48,14 @@ from math import isfinite, sqrt
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .coxeter import _SIGNS, GAMMA22_NAMES, LETTER_NAMES, gamma22_vectors
+from .coxeter import _SIGNS, GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22_vectors
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
 from .linalg_exact import PairMatrix, is_exact
 from .scalars import format_scalar, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
+# |b| = 1 and b = 0 within GRAM_TOL: the Gram censuses and ``coxvar gram`` labels
+GRAM_TOL = 1e-9
 MIN_GAP_RATIO = 1e3
 # Gauss-Newton stops once max|F| <= TOL_RES
 TOL_RES = 1e-12
@@ -221,14 +223,17 @@ def table_lift_exact():
 
 
 def collapsed_lift_exact(geometry):
-    """Exact lift at t = 0, where the representation preserves H^3."""
+    """Exact lift at t = 0, where the representation preserves H^3.
+
+    i+ = x4 e_4, and the i- and the letters (rows 8-21) are the 14
+    cuboctahedron normals of cuboctahedron_vectors with x4 = 0: the
+    table that halfpipe.rho_lambda reads too, so rho_0 is one holonomy
+    seen from the hyperbolic, AdS and half-pipe sides.
+    """
     space = QuadraticSpace.for_geometry(geometry, 4)
-    # i+ = x4 e_4 and i- = (sqrt2, x1, x2, x3, 0), the letters from the table
-    a, b = np.zeros((16, 5), dtype=np.int64), np.zeros((16, 5), dtype=np.int64)
-    a[:8, 4] = _SIGNS[:, 3]
-    a[8:, 1:4], b[8:, 0] = _SIGNS[:, :3], 1
-    table = PairMatrix.concat([PairMatrix(a, b), gamma22_vectors()[16:]])
-    return Lift(space, GAMMA22_NAMES, table, _norm_targets(space))
+    positives = _SIGNS[:, 3:] * np.eye(5, dtype=int)[4]
+    walls = PairMatrix.concat([cuboctahedron_vectors(), np.zeros((14, 1), dtype=int)], axis=1)
+    return Lift(space, GAMMA22_NAMES, PairMatrix.concat([positives, walls]), _norm_targets(space))
 
 
 # -- constraint systems ----------------------------------------------------
@@ -332,8 +337,8 @@ def build_constraints(racg, norm_targets, tangency_pairs=None):
     return ConstraintSystem(tuple(cons))
 
 
-def find_tangency_pairs(lift, tol=1e-9):
-    """All generator pairs with |b| = 1 within tol, with the sign of b.
+def find_tangency_pairs(lift):
+    """All generator pairs with |b| = 1 within tol = GRAM_TOL, with the sign of b.
 
     Read off gram_matrix, so an exact lift is censused on its float Gram
     matrix.  Raises AmbiguousNearThreshold when a pair sits between tol
@@ -344,9 +349,9 @@ def find_tangency_pairs(lift, tol=1e-9):
     for (i, a), (j, b) in combinations(enumerate(lift.names), 2):
         v = gram[i, j]
         gap = abs(abs(v) - 1)
-        if gap <= tol:
+        if gap <= GRAM_TOL:
             out.append(((a, b), 1 if v > 0 else -1))
-        elif gap <= 10 * tol:
+        elif gap <= 10 * GRAM_TOL:
             raise AmbiguousNearThreshold(
                 f"pair ({a}, {b}) has |b| = {abs(v)!r}, within 10*tol of 1 but not within tol")
     return out
@@ -437,22 +442,15 @@ def _rank_cut(s, tol, shape):
 
 @cache
 def _blas_thread_setter():
-    """openblas_set_num_threads_local of the OpenBLAS numpy loaded, or None.
+    """openblas_set_num_threads_local of the BLAS numpy's SVDs run on, or None.
 
-    The library is the one mapped file whose name contains "openblas";
-    None when there is none (no /proc, MKL, Accelerate), more than one,
-    or it lacks the symbol (OpenBLAS before 0.3.27).
+    dlsym on numpy's own LAPACK module searches the libraries that module
+    links, so the symbol found is the one of the OpenBLAS its LAPACK calls
+    go to, whatever its file is named.  None when that BLAS lacks it
+    (MKL, Accelerate, OpenBLAS before 0.3.27).
     """
     try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(None, 5)[5].strip() for line in maps
-                     if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:
-        return None
-    if len(paths) != 1:
-        return None
-    try:
-        setter = ctypes.CDLL(paths.pop()).openblas_set_num_threads_local
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
     except (OSError, AttributeError):
         return None
     setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
@@ -504,18 +502,20 @@ def kernel_report(system, lift, tol=DEFAULT_RANK_TOL):
 
 
 def form_algebra_basis(space):
-    """Basis of the Lie algebra so(q) = {a : a^T Q + Q a = 0}, Q diagonal."""
+    """Integer basis of the Lie algebra so(q) = {a : a^T Q + Q a = 0}, Q diagonal.
+
+    One matrix per i < j, in order: a[i, j] = 1 and a[j, i] = -sig[i] * sig[j].
+    On R^{1,3} these are the three boosts, then the three rotations, the
+    so(1,3) basis of the exact cohomology too.
+    """
     if any(s == 0 for s in space.signature):
         raise ValueError("so(q) basis requires a nondegenerate form")
-    d = space.dim
-    sig = space.signature
+    d, sig = space.dim, space.signature
     basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            a = np.zeros((d, d))
-            a[i, j] = 1.0
-            a[j, i] = -sig[i] / sig[j]
-            basis.append(a)
+    for i, j in combinations(range(d), 2):
+        a = np.zeros((d, d), dtype=int)
+        a[i, j], a[j, i] = 1, -sig[i] * sig[j]
+        basis.append(a)
     return basis
 
 
@@ -723,13 +723,13 @@ def nearest_standard_t(lift, geometry):
     return t
 
 
-def find_cusp_subgroups(lift, tol=1e-9):
+def find_cusp_subgroups(lift):
     """Six-element subsets whose Gram pattern is the cube.
 
     A subset qualifies when it splits into 3 disjoint pairs with
-    |b| = 1 and all 12 remaining pairs are orthogonal.  Subsets are
-    returned in cube order (a1, b1, c1, a2, b2, c2) with opposite pairs
-    (a1, a2), (b1, b2), (c1, c2).
+    |b| = 1 and all 12 remaining pairs are orthogonal, both within
+    GRAM_TOL.  Subsets are returned in cube order (a1, b1, c1, a2, b2,
+    c2) with opposite pairs (a1, a2), (b1, b2), (c1, c2).
 
     Two tangent pairs are compatible when they are disjoint and all four
     cross pairings are orthogonal, so a cube is three mutually compatible
@@ -745,8 +745,8 @@ def find_cusp_subgroups(lift, tol=1e-9):
     """
     names = lift.names
     gram = np.abs(gram_matrix(lift))
-    a, b = np.nonzero(np.triu(np.abs(gram - 1) <= tol, 1))  # the tangent pairs a < b
-    orthogonal = gram <= tol
+    a, b = np.nonzero(np.triu(np.abs(gram - 1) <= GRAM_TOL, 1))  # the tangent pairs a < b
+    orthogonal = gram <= GRAM_TOL
     compatible = (orthogonal[a][:, a] & orthogonal[a][:, b] & orthogonal[b][:, a]
                   & orthogonal[b][:, b] & (a[:, None] != a) & (a[:, None] != b)
                   & (b[:, None] != a) & (b[:, None] != b))

@@ -15,7 +15,7 @@ from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma_co, gamm
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse, exact_pivots
-from coxvar.repvar import collapsed_lift_exact
+from coxvar.repvar import collapsed_lift_exact, form_algebra_basis
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -190,6 +190,29 @@ def test_collapsed_adjoint_is_block_sum():
 def test_adjoint_collapsed_rep_unknown_geometry():
     with pytest.raises(ValueError, match="unknown geometry 'foo'"):
         coh.adjoint_collapsed_rep("foo")
+
+
+@pytest.mark.parametrize("geometry", ["hyp", "ads"])
+def test_the_collapse_is_the_cuboctahedron(geometry):
+    """The i- and letter normals of the collapsed lift are the cuboctahedron
+    normals with x4 = 0, the table rho_lambda reads."""
+    walls = collapsed_lift_exact(geometry).table[8:]
+    cubo = cuboctahedron_vectors()
+    assert walls.den == cubo.den
+    assert np.array_equal(walls.a, np.pad(cubo.a, ((0, 0), (0, 1))))
+    assert np.array_equal(walls.b, np.pad(cubo.b, ((0, 0), (0, 1))))
+
+
+def test_so13_is_the_form_algebra_of_minkowski_space():
+    so13 = form_algebra_basis(MINK)
+    assert len(so13) == 6 and all(m.dtype.kind == "i" for m in so13)
+    bases = [(coh.so13_basis(), so13)]
+    bases += [(coh.adapted_basis(g)[:6], [np.pad(m, (0, 1)) for m in so13])
+              for g in ("hyp", "ads", "hp")]
+    for got, want in bases:
+        for m, w in zip(got, want, strict=True):
+            assert m.den == 1 and m.a.dtype.kind == "i" and not m.b.any()
+            assert np.array_equal(m.a, w)
 
 
 def test_adjoint_rep_basics(racg22):

@@ -139,6 +139,12 @@ def test_exact_reflections_match_scalar_reference(space, count, data):
     assert _identical(reflection_matrix(space, X[0]), _reference_reflection(space, X[0]))
 
 
+def test_exact_reflection_of_one_vector_beyond_int64():
+    # q(X) = 2**63 is a 0-d array of Python ints, which numpy hands back as ints
+    X = PairMatrix.of([0, 0, 0, QSqrt2(0, 2 ** 31)])
+    assert _identical(reflection_matrix(MINK, X), _reference_reflection(MINK, X))
+
+
 def test_exact_reflection_stack_rejects_a_null_normal():
     normals = PairMatrix.stack([CUBO["A"], _vec(1, 1, 0, 0), CUBO["0"]])
     with pytest.raises(DegenerateNormal):

@@ -1,7 +1,10 @@
-"""Source hygiene of the package: no module imports a name it does not use.
+"""Source hygiene of the package: no module imports a name it does not use,
+and no private helper outlives its last caller.
 
 A deletion can leave an import behind that nothing reads any more; the
 package re-exports through ``__init__.py`` only, so that file is exempt.
+A module-level ``_name`` function or class is the package's own, so some
+code in the package must read it outside its own definition.
 """
 
 import ast
@@ -34,3 +37,32 @@ def test_every_import_is_used(path):
 def test_unused_imports_finds_a_dead_name():
     source = "import os\nfrom math import sqrt, pi as tau\nfrom . import cusp\nprint(tau)\n"
     assert unused_imports(source) == ["os", "sqrt", "cusp"]
+
+
+def dead_private_helpers(sources):
+    """The module-level ``_name`` functions and classes of ``sources`` (module
+    name -> text) that no code reads outside their own definition, as
+    ``module.name`` in order."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                own = node.name
+                defined.append((module, own))
+            read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []
+
+
+def test_dead_private_helpers_finds_a_dead_helper():
+    sources = {"m": "def _dead():\n    return 1\n\n\ndef _used():\n    return 2\n\n\n"
+                    "class _Loop:\n    def again(self):\n        return _Loop()\n",
+               "n": "from . import m\nx = m._used()\n"}
+    assert dead_private_helpers(sources) == ["m._dead", "m._Loop"]

@@ -334,6 +334,15 @@ def test_zero_matrix_reduces_to_den_one():
         assert _identical(member, PairMatrix.zeros(2))
 
 
+def test_zero_d_quotients_and_reductions_beyond_int64():
+    # numpy returns 0-d object-array arithmetic as Python ints
+    x, y = PairMatrix.of(QSqrt2(2 ** 40, 3)), PairMatrix.of(QSqrt2(2 ** 70, -3))
+    xv, yv = PairMatrix.of([QSqrt2(2 ** 40, 3)]), PairMatrix.of([QSqrt2(2 ** 70, -3)])
+    for got, one in [(2 / x, 2 / xv), (y / x, yv / xv), ((y * 2).reduced(), (yv * 2).reduced())]:
+        assert got.shape == ()
+        assert got.item() == one.item(0)
+
+
 def test_unstack_reduces_each_member():
     stack = PairMatrix.stack([PairMatrix.of([[Fraction(1, 2), 0]]),
                               PairMatrix.of([[QSqrt2(0, Fraction(1, 3)), 1]]),

@@ -196,7 +196,7 @@ def test_find_tangency_ambiguous():
     from dataclasses import replace
 
     with pytest.raises(AmbiguousNearThreshold):
-        find_tangency_pairs(replace(lift, table=table), tol=1e-9)
+        find_tangency_pairs(replace(lift, table=table))
 
 
 @pytest.mark.parametrize("geometry,t", [("hyp", 0.3), ("ads", -0.6)])
@@ -526,6 +526,23 @@ def test_one_blas_thread_keeps_trace_bits(monkeypatch, geometry):
     monkeypatch.setattr(repvar, "_blas_thread_setter", lambda: None)
     default = trace_path(system, start, 3, 0.1)
     assert [p.table.tobytes() for p in scoped] == [p.table.tobytes() for p in default]
+
+
+def test_blas_thread_setter_found_for_numpys_openblas():
+    """Where numpy's build reports OpenBLAS 0.3.27 or later, the setter is
+    found and sets the count, so the one-thread SVDs do run on one thread."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    version = tuple(int(v) for v in str(blas.get("version", "")).split(".")[:3] if v.isdigit())
+    if "openblas" not in blas.get("name", "") or version < (0, 3, 27):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')} {blas.get('version')}")
+    setter = repvar._blas_thread_setter()
+    assert setter is not None
+    original = setter(2)
+    try:
+        assert setter(1) == 2
+        assert setter(2) == 1
+    finally:
+        setter(original)
 
 
 @pytest.fixture
