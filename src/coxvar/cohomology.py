@@ -320,23 +320,21 @@ def so13_adjoint_rep():
     return adjoint_rep(gamma22(), rho0_linear(), so13_basis())
 
 
-def split_h1(rep, report=None):
+def split_h1(rep, report):
     """Dimensions of the projections of H^1 to the two adapted blocks.
 
     Requires every Ad-image to be block diagonal for the (so(1,3),
     rest) splitting of the adapted basis, whose first H_BLOCK = 6
     elements span so(1,3); returns (horizontal_dim, vertical_dim).
-    ``report`` must be this rep's cohomology_report, whose
-    representatives are independent modulo B^1.  Elimination keeps each
-    of them in one block, and B^1 splits too, so the dimensions are the
-    counts of representatives per block; one that meets both blocks
-    raises BasisNotAdapted.
+    ``report`` is this rep's cohomology_report, which every caller has
+    already built; its representatives are independent modulo B^1.
+    Elimination keeps each of them in one block, and B^1 splits too, so
+    the dimensions are the counts of representatives per block; one that
+    meets both blocks raises BasisNotAdapted.
     """
     R = rep.images
     if not (R[:, :H_BLOCK, H_BLOCK:].is_zero() and R[:, H_BLOCK:, :H_BLOCK].is_zero()):
         raise BasisNotAdapted("Ad images are not block diagonal in this basis")
-    if report is None:
-        report = cohomology_report(rep)
     reps = report.h1_representatives.reshape(R.shape[0], rep.dimV, -1)
     nonzero = (reps.a != 0) | (reps.b != 0)
     horizontal = nonzero[:, :H_BLOCK].any(axis=(0, 1))

@@ -212,12 +212,6 @@ def coincident(X, Y, tol):
     return (np.max(_dist(X, Y), axis=-1) <= tol) | (np.max(_dist(X, -Y), axis=-1) <= tol)
 
 
-def _resolve_tol(X, tol):
-    if tol is not None:
-        return tol
-    return 0 if is_exact(X) else DEFAULT_TOL
-
-
 def pair_positions(geometry, X, Y, tol):
     """Positions of the hyperplane pairs (X, Y), vectors along the last axis.
 
@@ -263,7 +257,9 @@ def pair_positions(geometry, X, Y, tol):
 def classify_pair(geometry, X, Y, tol=None):
     """The class of one pair: pair_positions on one pair, raising the
     exception of the first check it fails."""
-    code, errors = pair_positions(geometry, X, Y, _resolve_tol(X, tol))
+    if tol is None:
+        tol = 0 if is_exact(X) else DEFAULT_TOL
+    code, errors = pair_positions(geometry, X, Y, tol)
     for mask, exc in errors:
         if mask:
             raise exc

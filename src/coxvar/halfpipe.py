@@ -63,17 +63,14 @@ class MinkowskiIsometry:
     def exact(self):
         return is_exact(self.linear)
 
-    @classmethod
-    def identity(cls, dim=4):
-        return cls(np.eye(dim), np.zeros(dim))
-
     def __matmul__(self, other):
         """(A1, v1) o (A2, v2) = (A1 A2, A1 v2 + v1)."""
         return MinkowskiIsometry(self.linear @ other.linear,
                                  self.linear @ other.translation + self.translation)
 
-    def is_form_preserving(self, tol=DEFAULT_TOL):
-        """Does every linear part satisfy A^T J A = J?  One stacked product."""
+    def is_form_preserving(self):
+        """Does every linear part satisfy A^T J A = J?  One stacked product: exact
+        parts exactly, float parts entrywise within DEFAULT_TOL * max(1, max|A|^2)."""
         J = QuadraticSpace.minkowski(self.dim).form_matrix()
         diff = self.linear.swapaxes(-1, -2) @ J @ self.linear - J
         if self.exact:
@@ -81,7 +78,7 @@ class MinkowskiIsometry:
         diff = np.max(np.abs(diff), axis=(-2, -1))
         # A^T J A accumulates error like |A|^2 eps: compare each member at that scale
         scale = np.maximum(1.0, np.max(np.abs(self.linear), axis=(-2, -1)) ** 2)
-        return bool(np.all(diff <= tol * scale))
+        return bool(np.all(diff <= DEFAULT_TOL * scale))
 
     def max_difference(self, other):
         """Largest |entry| of the difference of two float isometries."""
@@ -103,14 +100,15 @@ class MinkowskiIsometry:
                 for a, t, m in zip(lin, v, minus_id)]
 
 
-def phi_to_projective(iso, tol=DEFAULT_TOL):
+def phi_to_projective(iso):
     """The duality isomorphism into the projective half-pipe group.
 
     phi is a group homomorphism: the dual action on the hyperplane
     coordinates (x_hat, x_n) is x_hat -> A x_hat, x_n -> x_n - v^T J A x_hat.
-    A stack of isometries maps to the stack of their matrices.
+    A stack of isometries maps to the stack of their matrices; one that
+    fails is_form_preserving raises NotFormPreserving.
     """
-    if not iso.is_form_preserving(tol):
+    if not iso.is_form_preserving():
         raise NotFormPreserving("linear part does not preserve the Minkowski form")
     n = iso.dim
     lead = iso.linear.shape[:-2]

@@ -48,7 +48,8 @@ from math import isfinite, sqrt
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .coxeter import _SIGNS, GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22_vectors
+from .coxeter import (_SIGNS, GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors, gamma22,
+                      gamma22_vectors)
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
 from .linalg_exact import PairMatrix, is_exact
 from .scalars import format_scalar, parse_scalar
@@ -130,10 +131,6 @@ class Lift:
     def exact(self):
         return is_exact(self.table)
 
-    @property
-    def n_coords(self):
-        return self.table.size
-
     def flatten(self):
         """The normals one after the other, as a new flat array."""
         return self.table.flatten()
@@ -161,7 +158,10 @@ class Lift:
 
     @classmethod
     def from_json(cls, text):
-        """Parse a lift; decimal rows make a float table, exact rows a PairMatrix."""
+        """Parse a lift; decimal rows make a float table, exact rows a PairMatrix.
+
+        A decimal entry must be finite: "nan", "inf" or "1e400" raise ValueError.
+        """
         data = json.loads(text)
         try:
             sig = tuple(data["signature"])
@@ -180,6 +180,8 @@ class Lift:
                 raise MixedBackends("a lift mixes exact and decimal vectors")
             if decimal == {True}:
                 table = np.array([[float(s) for s in row] for row in rows.values()])
+                if not np.isfinite(table).all():
+                    raise ValueError("a decimal lift entry is not finite")
             else:
                 table = PairMatrix.of([[parse_scalar(s) for s in row] for row in rows.values()])
         except (KeyError, TypeError, AttributeError) as exc:
@@ -370,8 +372,6 @@ def canonical_tangency_pairs(geometry):
 
 def constraint_system(geometry, with_tangencies=True):
     """The quadratic system of the 22-generator group: g (102) or g0 (138)."""
-    from .coxeter import gamma22
-
     targets = _norm_targets(QuadraticSpace.for_geometry(geometry, 4))
     tang = canonical_tangency_pairs(geometry) if with_tangencies else None
     return build_constraints(gamma22(), targets, tang)
@@ -523,8 +523,9 @@ def orbit_tangent(lift):
     """The tangent space of the conjugation orbit: the directions s -> a . f(s), a in so(q).
 
     Returns (rows, dim): a list of dim orthonormal flat vectors spanning
-    the orbit directions, read off one SVD of the (basis, n_coords) orbit
-    matrix with the gap-checked rank cut of kernel_report.
+    the orbit directions, read off one SVD of the orbit matrix (a row per
+    basis element, a column per coordinate of the lift's table) with the
+    gap-checked rank cut of kernel_report.
     """
     table = lift.as_float().table
     basis = np.array(form_algebra_basis(lift.space))
@@ -678,7 +679,7 @@ def trace_path(system, start, steps, step_size, gauge=LETTER_NAMES[:4],
         null_dim = J.shape[1] - _rank_cut(s, rank_tol, J.shape)[0]
         if null_dim != 1:
             raise SliceDegenerate(f"gauge-restricted kernel has dimension {null_dim}, expected 1")
-        tangent = np.zeros(lift.n_coords)
+        tangent = np.zeros(lift.table.size)
         tangent[free_idx] = vt[-1]
         if prev is not None and np.dot(tangent, prev) < 0:
             tangent = -tangent

@@ -104,52 +104,40 @@ class QSqrt2:
         return f"{self.a}{sep}{abs(self.b)}*sqrt2"
 
 
-ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
 
-_TERM = re.compile(r"^([+-]?(?:\d[\d/]*)?)\s*\*?\s*(sqrt2)?$")
+_TERM = r"(?:\d+(?:/\d+)?(?:\*?sqrt2)?|sqrt2)"
+_SCALAR = re.compile(rf"([+-]?{_TERM})([+-]{_TERM})?")
 
 
 def parse_scalar(text):
     """Parse 'a', 'a+b*sqrt2', '-1/2*sqrt2' style strings into QSqrt2.
 
-    Decimal strings (containing '.' or exponents) are rejected; those
-    belong to the float backend.
+    Spaces are dropped, then the whole string must match the grammar:
+    a signed term, then at most one more term, which must carry its
+    sign; a term is a rational p or p/q, optionally followed by sqrt2
+    (the '*' may be omitted), or sqrt2 alone.  Anything else, such as
+    a doubled or trailing sign, a '*' not followed by sqrt2 or a
+    decimal string (those belong to the float backend), raises
+    ValueError.
     """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    # split into at most two signed terms
-    parts = re.findall(r"[+-]?[^+-]+", s)
-    if not parts or len(parts) > 2:
+    m = _SCALAR.fullmatch(text.replace(" ", ""))
+    if m is None:
         raise ValueError(f"cannot parse scalar {text!r}")
-    a = Fraction(0)
-    b = Fraction(0)
-    for part in parts:
-        m = _TERM.match(part)
-        if not m or (not m.group(1) and not m.group(2)):
-            raise ValueError(f"cannot parse scalar {text!r}")
-        coeff = m.group(1)
-        if coeff in ("", "+", "-"):
-            if not m.group(2):
-                raise ValueError(f"cannot parse scalar {text!r}")
-            coeff = coeff + "1"
+    parts = {"": Fraction(0), "sqrt2": Fraction(0)}
+    for term in filter(None, m.groups()):
+        coeff, root, _ = term.lstrip("+-").partition("sqrt2")
         try:
-            value = Fraction(coeff)
+            value = Fraction(coeff.rstrip("*") or 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {text!r}") from None
-        if m.group(2):
-            b += value
-        else:
-            a += value
-    return QSqrt2(a, b)
+        parts[root] += -value if term[0] == "-" else value
+    return QSqrt2(parts[""], parts["sqrt2"])
 
 
 def format_scalar(x):
     """Render a scalar for reports: exact values verbatim, floats at 17 digits."""
-    if isinstance(x, QSqrt2):
-        return str(x)
-    if isinstance(x, Rational):
+    if isinstance(x, (QSqrt2, Rational)):
         return str(x)
     return format(float(x), ".17g")

@@ -274,8 +274,18 @@ _LIFT = {"signature": [-1, 1, 1], "norm_targets": {"a": 1, "b": 1},
     (_GROUP, {**_LIFT, "signature": [-1, True, 1]}),                # not the entry +1
     (_GROUP, {**_LIFT, "norm_targets": [["a", 1], ["b", 1]],        # not JSON objects
               "vectors": [["a", ["0", "1", "0"]], ["b", ["0", "0", "1"]]]}),
+    # an exact entry with a doubled sign, a trailing sign, or a '*' with no coefficient
+    (_GROUP, {**_LIFT, "vectors": {**_LIFT["vectors"], "a": ["0", "--1", "0"]}}),
+    (_GROUP, {**_LIFT, "vectors": {**_LIFT["vectors"], "a": ["0", "1+", "0"]}}),
+    (_GROUP, {**_LIFT, "vectors": {**_LIFT["vectors"], "a": ["0", "*sqrt2", "0"]}}),
+    # a decimal table with one entry that is not finite
+    (_GROUP, {**_LIFT, "vectors": {"a": ["nan", "1.0", "0"], "b": ["0.0", "0.0", "1.0"]}}),
+    (_GROUP, {**_LIFT, "vectors": {"a": ["inf", "1.0", "0"], "b": ["0.0", "0.0", "1.0"]}}),
+    (_GROUP, {**_LIFT, "vectors": {"a": ["1e400", "1.0", "0"], "b": ["0.0", "0.0", "1.0"]}}),
 ], ids=["pair-0-0", "missing-norm-target", "names-differ", "ragged-row", "generators-string",
-        "pair-bool", "norm-target-bool", "row-string", "signature-bool", "pairs-list"])
+        "pair-bool", "norm-target-bool", "row-string", "signature-bool", "pairs-list",
+        "entry-double-sign", "entry-trailing-sign", "entry-bare-star",
+        "entry-nan", "entry-inf", "entry-overflow"])
 def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
     gf = tmp_path / "group.json"
     lf = tmp_path / "lift.json"

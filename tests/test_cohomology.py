@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from coxvar import cohomology as coh
 from coxvar import linalg_exact
 from coxvar.cli import main
-from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma_co, gamma_rect,
+from coxvar.coxeter import (GAMMA22_NAMES, RACG, _orthogonality_pairs, cuboctahedron_vectors,
+                            gamma22, gamma22_vectors, gamma_co, gamma_rect,
                             verify_representation)
 from coxvar.geometry import QuadraticSpace, reflection_matrix
 from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse, exact_pivots
-from coxvar.repvar import collapsed_lift_exact, form_algebra_basis
+from coxvar.repvar import collapsed_lift_exact, form_algebra_basis, table_lift_exact
 from coxvar.scalars import QSqrt2
 
 MINK = QuadraticSpace.minkowski(4)
@@ -172,7 +173,7 @@ def test_split_h1_rejects_unadapted_basis(racg22):
     basis[0], basis[9] = basis[9], basis[0]  # mix the blocks
     rep = coh.adjoint_rep(racg22, images, basis)
     with pytest.raises(coh.BasisNotAdapted):
-        coh.split_h1(rep)
+        coh.split_h1(rep, coh.cohomology_report(rep))
 
 
 def test_collapsed_adjoint_is_block_sum():
@@ -213,6 +214,47 @@ def test_so13_is_the_form_algebra_of_minkowski_space():
         for m, w in zip(got, want, strict=True):
             assert m.den == 1 and m.a.dtype.kind == "i" and not m.b.any()
             assert np.array_equal(m.a, w)
+
+
+def _gamma24():
+    """The 24 walls of the ideal right-angled 24-cell: the 22 normals of
+    gamma22_vectors() and e0 +- sqrt2 e4, over den 2."""
+    a, b = np.zeros((2, 5), np.int64), np.zeros((2, 5), np.int64)
+    a[:, 0] = 2
+    b[0, 4], b[1, 4] = 2, -2
+    vectors = PairMatrix.concat([gamma22_vectors(), PairMatrix(a, b, 2)])
+    pairs = _orthogonality_pairs(vectors, QuadraticSpace.hyperbolic(4))
+    return RACG(GAMMA22_NAMES + ("G", "H"), pairs), QuadraticSpace.hyperbolic(4), vectors
+
+
+# (group, space, normals), the adapted basis of its so(q), and dim Z^1/B^1/H^1
+_KNOWN_ANSWERS = {
+    # 24 octahedral facets with 8 neighbours each; a finite-volume lattice of
+    # SO(4,1) is locally rigid (Garland-Raghunathan): H^1 = 0
+    "gamma24": (_gamma24, lambda: coh.adapted_basis("hyp"), (10, 10, 0)),
+    # removing the walls G, H frees Kerckhoff and Storm's path: H^1 = 1 at t = 1
+    "gamma22": (lambda: (gamma22(), table_lift_exact().space, table_lift_exact().table),
+                lambda: coh.adapted_basis("hyp"), (11, 10, 1)),
+    # one parameter per four-valent ideal vertex of the cuboctahedron, as Dehn
+    # filling counts its 12 rectangular cusps: H^1 = 12
+    "gamma_co": (lambda: (gamma_co(), MINK, cuboctahedron_vectors()), coh.so13_basis,
+                 (18, 6, 12)),
+}
+
+
+@pytest.mark.parametrize("basis", ["adapted", "form_algebra"])
+@pytest.mark.parametrize("group", list(_KNOWN_ANSWERS))
+def test_known_answers_from_the_lineage(group, basis):
+    """Groups whose H^1 is known from outside this repo, through both bases."""
+    build, adapted, dims = _KNOWN_ANSWERS[group]
+    racg, space, vectors = build()
+    if group == "gamma24":
+        assert len(racg.commuting_pairs) == 96
+    chosen = (adapted() if basis == "adapted"
+              else [PairMatrix.of(m) for m in form_algebra_basis(space)])
+    report = coh.cohomology_report(coh.adjoint_rep(racg, reflection_matrix(space, vectors),
+                                                   chosen))
+    assert (report.dimZ1, report.dimB1, report.dimH1) == dims
 
 
 def test_adjoint_rep_basics(racg22):

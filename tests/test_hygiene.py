@@ -1,10 +1,12 @@
 """Source hygiene of the package: no module imports a name it does not use,
-and no private helper outlives its last caller.
+no private helper outlives its last caller, and no function imports.
 
 A deletion can leave an import behind that nothing reads any more; the
 package re-exports through ``__init__.py`` only, so that file is exempt.
 A module-level ``_name`` function or class is the package's own, so some
-code in the package must read it outside its own definition.
+code in the package must read it outside its own definition.  The
+package has no import cycle that a deferred import would have to break,
+so every import sits at the top of its module.
 """
 
 import ast
@@ -66,3 +68,36 @@ def test_dead_private_helpers_finds_a_dead_helper():
                     "class _Loop:\n    def again(self):\n        return _Loop()\n",
                "n": "from . import m\nx = m._used()\n"}
     assert dead_private_helpers(sources) == ["m._dead", "m._Loop"]
+
+
+def imports_inside_functions(source):
+    """The functions of ``source`` whose bodies hold an import statement, named
+    with their enclosing classes and functions (``C.m``), in source order."""
+    found = []
+
+    def visit(node, path, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.append(path)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function or isinstance(child, ast.ClassDef):
+                visit(child, f"{path}.{child.name}".lstrip("."), in_function or is_function)
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source), "", False)
+    return list(dict.fromkeys(found))
+
+
+def test_no_import_inside_a_function():
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in imports_inside_functions(p.read_text())]
+    assert found == []
+
+
+def test_imports_inside_functions_finds_a_deferred_import():
+    source = ("import os\n\n\ndef f():\n    import sys\n    from math import pi\n\n"
+              "    def g():\n        from . import m\n\n\n"
+              "class C:\n    import re\n\n    def m(self):\n        if self:\n"
+              "            import json\n\n\ndef h():\n    return os\n")
+    assert imports_inside_functions(source) == ["f", "f.g", "C.m"]

@@ -97,7 +97,7 @@ def test_lift_owns_its_table():
 
 def test_lift_table_shape():
     lift = standard_lift(0.3, "hyp")
-    assert lift.n_coords == 110 and lift.table.shape == (22, 5)
+    assert lift.table.size == 110 and lift.table.shape == (22, 5)
     with pytest.raises(DimensionMismatch):
         Lift(lift.space, lift.names, lift.table[:, :4], lift.norm_targets)
     with pytest.raises(DimensionMismatch):

@@ -102,6 +102,26 @@ def test_parse_and_format_roundtrip():
         parse_scalar("1/0*sqrt2")
 
 
+@pytest.mark.parametrize("text", ["--1", "1+", "*sqrt2", "2*", "+", "1+2+3", "1/2/3",
+                                  "sqrt2*2", ""])
+def test_parse_refuses_stray_operators(text):
+    # the whole string must be one or two signed terms: nothing is skipped
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2sqrt2", QSqrt2(0, 2)),
+    ("1/2*sqrt2+3", QSqrt2(3, Fraction(1, 2))),
+    ("sqrt2+sqrt2", QSqrt2(0, 2)),
+    ("+sqrt2", SQRT2),
+    ("1 / 2", QSqrt2(Fraction(1, 2))),
+    ("1+2", QSqrt2(3)),
+])
+def test_parse_grammar_values(text, value):
+    assert parse_scalar(text) == value
+
+
 def test_format_float():
     assert format_scalar(0.1) == "0.10000000000000001"
 
