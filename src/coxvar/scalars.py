@@ -118,8 +118,8 @@ def parse_scalar(text):
     a signed term, then at most one more term, which must carry its
     sign; a term is a rational p or p/q, optionally followed by sqrt2
     (the '*' may be omitted), or sqrt2 alone.  Anything else, such as
-    a doubled or trailing sign, a '*' not followed by sqrt2 or a
-    decimal string (those belong to the float backend), raises
+    a doubled or trailing sign, a '*' not between a rational and sqrt2
+    or a decimal string (those belong to the float backend), raises
     ValueError.
     """
     m = _SCALAR.fullmatch(text.replace(" ", ""))
