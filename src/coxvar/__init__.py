@@ -9,7 +9,7 @@ classification, and a CLI reproducing the headline numbers.
 """
 
 from .coxeter import (RACG, cuboctahedron_vectors, gamma22, gamma22_vectors, gamma_co,
-                      gamma_cube, gamma_rect, evaluate_word, verify_representation)
+                      gamma_cube, gamma_rect, verify_representation)
 from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, classify_pair_ads,
                        classify_pair_hyp, eval_bilinear, eval_form, reflection_matrix)
 from .repvar import (ConstraintSystem, Lift, RankReport, build_constraints,

@@ -14,8 +14,8 @@ commuting pairs.  The groups used throughout:
 
 Each table is one linalg_exact.PairMatrix, a row per generator, built
 from integer sign patterns.  A representation is one (generators, d, d)
-stack of images in generator order, a float array or a PairMatrix; word
-evaluation and representation verification read that stack directly.
+stack of images in generator order, a float array or a PairMatrix, and
+verify_representation checks every relation on that stack directly.
 """
 
 from __future__ import annotations
@@ -188,28 +188,9 @@ def gamma_co():
     return RACG(names, pairs)
 
 
-# -- word evaluation and representation checks --------------------------
-
-def evaluate_word(racg, images, word):
-    """Ordered product of generator images; the empty word is the identity.
-
-    ``images`` is the (generators, d, d) stack of the representation;
-    ``word`` is a sequence of generator names or indices into
-    ``racg.generators``.
-    """
-    letters = []
-    for w in word:
-        k = racg.index(w) if w in racg.generators else w
-        if not (isinstance(k, int) and 0 <= k < racg.rank):
-            raise IndexOutOfRange(f"no image for generator {w!r}")
-        letters.append(k)
-    if not letters:
-        return identity_like(images)
-    out = images[letters[0]]
-    for k in letters[1:]:
-        out = out @ images[k]
-    return out
-
+# -- representation checks ---------------------------------------------
+# every relation is checked on the whole (generators, d, d) stack at once;
+# an exact stack is decided exactly, a float view only reports max_defect
 
 @dataclass
 class VerificationReport:
@@ -221,14 +202,13 @@ class VerificationReport:
         return not self.failing_relations
 
 
-def _defects(stack, tol):
-    """Per matrix: the largest |entry| in the float view, and is every |entry| <= tol?
-    An exact stack decides that exactly, so a defect the float view rounds to 0 counts."""
-    size = np.max(np.abs(np.asarray(stack, dtype=float)), axis=(-2, -1))
-    within = size <= tol  # nan is never within tol
+def _within(stack, tol):
+    """Per matrix of the stack: is every |entry| <= tol?  An exact stack is
+    decided exactly, with no float view, so a defect the float view would
+    round to 0 still counts and huge exact entries cannot overflow."""
     if is_exact(stack):
-        within = ((abs(stack) - Fraction(tol)).sign() <= 0).all(axis=(-2, -1))
-    return size.tolist(), within.tolist()
+        return ((abs(stack) - Fraction(tol)).sign() <= 0).all(axis=(-2, -1)).tolist()
+    return (np.max(np.abs(stack), axis=(-2, -1)) <= tol).tolist()  # nan is never within
 
 
 def verify_representation(racg, images, tol=1e-10):
@@ -236,23 +216,25 @@ def verify_representation(racg, images, tol=1e-10):
 
     ``images`` is the (generators, d, d) stack of the representation, a
     float array or a PairMatrix, with rows in ``racg.generators`` order.
-    Failures are reported rather than raised; max_defect is the largest
-    deviation from the identity over all relation checks.  A non-finite
-    defect fails its check and makes max_defect non-finite too.  Each kind
-    of check is one stacked product (or difference) of the images.
+    Failures are reported rather than raised.  An exact stack is decided
+    exactly; max_defect, the largest |entry| of the square and commutator
+    defects, is read off their float view.  A non-finite defect fails its
+    check and makes max_defect non-finite too.  Each kind of check is one
+    stacked product (or difference) of the images.
     """
     M = images
     if len(M.shape) != 3 or M.shape[0] != racg.rank:
         raise ValueError(f"expected one image per generator, a ({racg.rank}, d, d) stack, "
                          f"got shape {M.shape}")
     i, j = np.array(sorted(racg.commuting_pairs), dtype=int).reshape(-1, 2).T
-    squares, square_ok = _defects(M @ M - identity_like(M), tol)
-    commutators, commute_ok = _defects(M[i] @ M[j] - M[j] @ M[i], tol)
-    coincide = _defects(M[i] - M[j], tol)[1]
+    squares, commutators = M @ M - identity_like(M), M[i] @ M[j] - M[j] @ M[i]
+    square_ok, commute_ok = _within(squares, tol), _within(commutators, tol)
+    coincide = _within(M[i] - M[j], tol)
     failures = [f"square:{n}" for n, ok in zip(racg.generators, square_ok) if not ok]
     for (a, b), ok, same in zip(racg.commuting_name_pairs(), commute_ok, coincide):
         if not ok:
             failures.append(f"commutator:{a},{b}")
         if same:
             failures.append(f"coincide:{a},{b}")
-    return VerificationReport(float(np.max([0.0] + squares + commutators)), failures)
+    view = [np.asarray(D, dtype=float).ravel() for D in (squares, commutators)]
+    return VerificationReport(float(np.max(np.abs(np.concatenate(view)), initial=0.0)), failures)

@@ -115,15 +115,12 @@ _KIND_OF_POSITIONS = {
     frozenset({PairClassAdS.INTERSECTING, PairClassAdS.SPACELIKE_INTERSECTION}):
         CuspKind.ADS_RECT_SPACELIKE_MEET,
 }
-_ADS_SPACELIKE = {PairClassAdS.INTERSECTING, PairClassAdS.TANGENT_AT_INFINITY,
-                  PairClassAdS.DISJOINT}
 
 
 def _rect_class(geometry, classes):
-    """The rectangle class of the positions of its two opposite pairs."""
+    """The rectangle class of the positions of its two opposite pairs; an AdS
+    pair of equal types is refused by classify_at before this table is read."""
     opposite = _OPPOSITE["rect"]
-    if geometry == "ads" and (classes[0] in _ADS_SPACELIKE) == (classes[1] in _ADS_SPACELIKE):
-        raise PatternViolation("an AdS rectangle needs one spacelike and one timelike pair")
     kind = _KIND_OF_POSITIONS.get(frozenset(classes))
     if kind is None:
         return CuspClass(CuspKind.UNCLASSIFIED,
@@ -279,14 +276,10 @@ def _problem(geometry, group, base):
     on_dual = np.array([[0.0 if n else 1.0] for n in normal])
     # every coordinate outside the normals: the hp dual points and coefficients c
     translations = np.setdiff1d(np.arange(len(params)), blocks[normal])
-    # the rectangle class (or the error) of each pair of position codes
+    # the rectangle class of each pair of position codes
     positions = tuple(PairClassAdS if geometry == "ads" else PairClassHyp)
     rect_classes = np.empty((len(positions),) * 2, dtype=object)
-    for c0, c1 in np.ndindex(rect_classes.shape):
-        try:
-            rect_classes[c0, c1] = _rect_class(geometry, [positions[c0], positions[c1]])
-        except PatternViolation as exc:  # raised when a row lands here
-            rect_classes[c0, c1] = exc.with_traceback(None)
+    rect_classes[...] = [[_rect_class(geometry, [c0, c1]) for c1 in positions] for c0 in positions]
 
     def same(x, w, i, j, tol):
         if not normal[i]:
@@ -333,6 +326,9 @@ def _problem(geometry, group, base):
                 for mask, exc in errors:
                     settle(mask, exc)
                 sides.append(side)
+            if geometry == "ads":  # codes 0-2 are spacelike pairs, 3-5 timelike
+                settle((sides[0] < 3) == (sides[1] < 3), PatternViolation(
+                    "an AdS rectangle needs one spacelike and one timelike pair"))
             out[pending] = rect_classes[sides[0][pending], sides[1][pending]]
         elif pending.any():
             cube_rows = sig * w[pending]

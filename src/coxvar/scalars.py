@@ -1,8 +1,9 @@
 """Exact scalars of the quadratic field Q(sqrt 2).
 
 QSqrt2 is one number a + b*sqrt(2) with a, b rational, on top of
-fractions.Fraction, with the field operations and equality; it
-interoperates with int and Fraction operands.  It is what the package
+fractions.Fraction, with the field operations and equality; each reads
+an int, bool or Fraction operand as QSqrt2(x, 0), on either side, and
+refuses any other (_field_op).  It is what the package
 hands out and reads as a single exact value: parsed and formatted
 report values, parameters such as lambda, and the entries that
 linalg_exact.PairMatrix.item returns.  Exact vectors and matrices (the
@@ -14,15 +15,22 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from numbers import Rational
 
 
-def _coerce(x):
-    if isinstance(x, QSqrt2):
-        return x
-    if isinstance(x, Rational):
-        return QSqrt2(x, 0)
-    return None
+def _field_op(op):
+    """``op(self, o)`` for any operand: a Rational o is read as QSqrt2(o, 0),
+    any other type (float, str, ...) gives NotImplemented, so + - * / raise
+    TypeError and == is False."""
+    @wraps(op)
+    def coerced(self, other):
+        if not isinstance(other, QSqrt2):
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = QSqrt2(other, 0)
+        return op(self, other)
+    return coerced
 
 
 class QSqrt2:
@@ -36,53 +44,39 @@ class QSqrt2:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __add__(self, o):
         return QSqrt2(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __sub__(self, o):
         return QSqrt2(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rsub__(self, o):
         return QSqrt2(o.a - self.a, o.b - self.b)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __mul__(self, o):
         return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __truediv__(self, o):
         n = o.a * o.a - 2 * o.b * o.b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
         return QSqrt2((self.a * o.a - 2 * self.b * o.b) / n, (self.b * o.a - self.a * o.b) / n)
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rtruediv__(self, o):
         return o / self
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __eq__(self, o):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
@@ -104,7 +98,6 @@ class QSqrt2:
         return f"{self.a}{sep}{abs(self.b)}*sqrt2"
 
 
-ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
 
 _TERM = r"(?:\d+(?:/\d+)?(?:\*?sqrt2)?|sqrt2)"

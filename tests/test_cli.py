@@ -302,6 +302,31 @@ def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
                  "--lift-file", str(lf)]) == 0
 
 
+
+def _pell_past(bound):
+    """The first (x, y) with x^2 - 2 y^2 = 1 and x > bound."""
+    x, y = 3, 2
+    while x <= bound:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    return x, y
+
+
+@pytest.mark.parametrize("x, y", [(4478554083, 3166815962), _pell_past(10**400)],
+                         ids=["10-digits", "past-1e400"])
+def test_verify_exact_lift_is_decided_exactly(capsys, tmp_path, x, y):
+    # q(a) = x^2 - 2 y^2 = 1 exactly and b(a, b) = 0, so every relation holds; the
+    # float view of a rounds q(a) to 0 (10 digits) or overflows (past 1e400)
+    assert x * x - 2 * y * y == 1
+    gf = tmp_path / "group.json"
+    lf = tmp_path / "lift.json"
+    gf.write_text(json.dumps(_GROUP))
+    lf.write_text(json.dumps({**_LIFT, "vectors": {"a": [f"{y}*sqrt2", str(x), "0"],
+                                                   "b": ["0", "0", "1"]}}))
+    code, out = run(capsys, "verify", "--geometry", "hyp", "--group-file", str(gf),
+                    "--lift-file", str(lf))
+    assert code == 0
+    assert out.splitlines()[1:] == ["residual_max: 0", "relation_defect: 0"]
+
 def test_cusp_lift_without_cusp_subgroup(capsys):
     # near the AdS end the cube4 family has no cusp subgroup left: bad input
     code, err = _single_error(capsys, ["cusp", "--geometry", "ads", "--group", "cube4",

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from coxvar.cohomology import LinearRep
-from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, IndexOutOfRange, evaluate_word,
-                            gamma22, gamma_co, gamma_cube, gamma_rect, verify_representation)
+from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, gamma22, gamma_co, gamma_cube,
+                            gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
 from coxvar.halfpipe import phi_to_projective, rho_lambda
 from coxvar.linalg_exact import PairMatrix
@@ -101,29 +101,10 @@ def _reflection_images(lift):
     return reflection_matrix(lift.space, lift.table)
 
 
-def test_evaluate_word():
-    lift = standard_lift(0.5, "hyp")
-    rep = _reflection_images(lift)
-    g = gamma22()
-    ident = evaluate_word(g, rep, [])
-    assert np.allclose(ident, np.eye(5))
-    assert np.max(np.abs(evaluate_word(g, rep, ["A", "A"]) - np.eye(5))) < 1e-12
-    w = ["0+", "0-", "0+", "0-"]
-    assert np.max(np.abs(evaluate_word(g, rep, w) - np.eye(5))) < 1e-12
-    assert np.allclose(evaluate_word(g, rep, [21]), rep[g.index("F")])
-    with pytest.raises(IndexOutOfRange):
-        evaluate_word(g, rep, ["nope"])
-    with pytest.raises(IndexOutOfRange):
-        evaluate_word(g, rep, [99])
-
-
 def test_commuting_words_evaluate_to_identity():
     lift = standard_lift(-0.4, "ads")
-    rep = _reflection_images(lift)
-    g = gamma22()
-    for a, b in g.commuting_name_pairs():
-        word = [a, b, a, b]
-        assert np.max(np.abs(evaluate_word(g, rep, word) - np.eye(5))) < 1e-12
+    report = verify_representation(gamma22(), _reflection_images(lift), tol=1e-12)
+    assert report.ok, report.failing_relations
 
 
 def test_verify_standard_representation():

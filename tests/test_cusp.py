@@ -216,6 +216,32 @@ def test_classify_at_stack_raises_for_lowest_row():
         classify_at(np.array([params, broken, unit]), 1e-7)
 
 
+
+_R2 = math.sqrt(2)
+# AdS rectangles (q_{-1} = -x0^2 + x1^2 + x2^2 - x3^2) whose opposite pairs have
+# one type: both spacelike (q = -1), or both timelike (q = +1)
+_ADS_SAME_TYPE = {
+    "spacelike": [np.eye(4)[0], np.eye(4)[3], np.array([_R2, 1, 0, 0]), np.array([0, 0, 1, _R2])],
+    "timelike": [np.eye(4)[1], np.eye(4)[2], np.array([0, _R2, 0, 1]), np.array([1, 0, _R2, 0])],
+}
+_SAME_TYPE = r"^an AdS rectangle needs one spacelike and one timelike pair$"
+
+
+@pytest.mark.parametrize("pairs", sorted(_ADS_SAME_TYPE))
+def test_ads_rectangle_of_one_type_is_refused(pairs):
+    data = _ADS_SAME_TYPE[pairs]
+    with pytest.raises(PatternViolation, match=_SAME_TYPE):
+        cusp.classify("ads", "rect", data)
+    with pytest.raises(PatternViolation, match=_SAME_TYPE):
+        rigidity_experiment("ads", "rect", data, 3)
+    # in a stack, after a valid rectangle, the row raises as it does alone
+    params, _, _, classify_at = _problem("ads", "rect", base_rect_ads())
+    bad = np.concatenate(data)
+    assert classify_at(params[None], 1e-7)[0].kind == CuspKind.CUSP
+    for stack in (bad[None], np.array([params, bad]), np.array([params, params, bad])):
+        with pytest.raises(PatternViolation, match=_SAME_TYPE):
+            classify_at(stack, 1e-7)
+
 _HP_POSITION = {HPPointsClass.INTERSECT: PairClassHyp.INTERSECTING,
                 HPPointsClass.BOUNDARY_TANGENT: PairClassHyp.TANGENT_AT_INFINITY,
                 HPPointsClass.DISJOINT: PairClassHyp.DISJOINT}

@@ -1,21 +1,28 @@
 """Source hygiene of the package: no module imports a name it does not use,
-no private helper outlives its last caller, and no function imports.
+no private helper outlives its last caller, no function imports, and
+every module name the README writes exists.
 
 A deletion can leave an import behind that nothing reads any more; the
 package re-exports through ``__init__.py`` only, so that file is exempt.
 A module-level ``_name`` function or class is the package's own, so some
 code in the package must read it outside its own definition.  The
 package has no import cycle that a deferred import would have to break,
-so every import sits at the top of its module.
+so every import sits at the top of its module.  A README reference such
+as `repvar.Lift` or `repvar.Lift.to_json` names the package's API, so it
+must resolve after a rename or a deletion too.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxvar"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source):
@@ -101,3 +108,35 @@ def test_imports_inside_functions_finds_a_deferred_import():
               "class C:\n    import re\n\n    def m(self):\n        if self:\n"
               "            import json\n\n\ndef h():\n    return os\n")
     assert imports_inside_functions(source) == ["f", "f.g", "C.m"]
+
+
+def readme_references(text, modules):
+    """The ``module.name`` and ``module.name.attr`` references that start an
+    inline code span of ``text`` for a module of ``modules`` (name -> module),
+    in order, each with whether getattr resolves it."""
+    found = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = re.match(r"(\w+)((?:\.\w+){1,2})", span)
+        if m is None or m[1] not in modules:
+            continue
+        obj, ok = modules[m[1]], True
+        for attr in m[2].split(".")[1:]:
+            ok = ok and hasattr(obj, attr)
+            obj = getattr(obj, attr, None)
+        found.append((m[0], ok))
+    return found
+
+
+def test_readme_names_resolve():
+    modules = {p.stem: importlib.import_module(f"coxvar.{p.stem}") for p in MODULES}
+    found = readme_references(README.read_text(), modules)
+    assert found
+    assert [ref for ref, ok in found if not ok] == []
+
+
+def test_readme_references_finds_a_stale_name():
+    m = SimpleNamespace(f=len, C=SimpleNamespace(meth=len))
+    text = ("`m.f(x)` and `m.gone`, `m.C.meth` but `m.C.nope = 1`;\n"
+            "`n.f` is no module and `m` alone is no reference")
+    assert readme_references(text, {"m": m}) == [
+        ("m.f", True), ("m.gone", False), ("m.C.meth", True), ("m.C.nope", False)]

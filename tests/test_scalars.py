@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvar.linalg_exact import PairMatrix
-from coxvar.scalars import ONE, SQRT2, QSqrt2, format_scalar, parse_scalar
+from coxvar.scalars import SQRT2, QSqrt2, format_scalar, parse_scalar
 
 
 def test_basic_arithmetic():
@@ -25,7 +25,35 @@ def test_division_and_inverse():
     assert x * (1 / x) == 1
     assert (QSqrt2(2) / SQRT2) == SQRT2
     with pytest.raises(ZeroDivisionError):
-        _ = ONE / QSqrt2(0, 0)
+        _ = QSqrt2(1) / QSqrt2(0, 0)
+
+
+def test_rational_operands_combine_on_either_side():
+    x = QSqrt2(Fraction(1, 3), 2)
+    assert 1 - x == QSqrt2(Fraction(2, 3), -2)
+    assert x - 1 == QSqrt2(Fraction(-2, 3), 2)
+    assert Fraction(1, 2) * x == x * Fraction(1, 2) == QSqrt2(Fraction(1, 6), 1)
+    assert 2 / SQRT2 == SQRT2 and SQRT2 / 2 == QSqrt2(0, Fraction(1, 2))
+    assert True + x == x + 1 and x * False == 0
+    assert 3 + x == x + 3 == QSqrt2(Fraction(10, 3), 2)
+
+
+@pytest.mark.parametrize("other", [0.5, 1.0, "1"], ids=["float", "integral-float", "str"])
+def test_other_operands_are_refused(other):
+    x = QSqrt2(1, 1)
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
+               lambda p, q: p / q):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+
+
+def test_equality_with_other_operands():
+    assert (QSqrt2(1) == 0.5) is False
+    assert (QSqrt2(1) == 1.0) is False  # a float is not read as an exact value
+    assert (QSqrt2(1) == 1) is True and (1 == QSqrt2(1)) is True
+    assert (QSqrt2(1) == Fraction(2, 2)) is True and (QSqrt2(1) != "1") is True
 
 
 def _pell(n):
