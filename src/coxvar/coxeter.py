@@ -188,9 +188,7 @@ def gamma_co():
     return RACG(names, pairs)
 
 
-# -- representation checks ---------------------------------------------
-# every relation is checked on the whole (generators, d, d) stack at once;
-# an exact stack is decided exactly, a float view only reports max_defect
+# -- representation checks ----------------------------------------------
 
 @dataclass
 class VerificationReport:

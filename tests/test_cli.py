@@ -302,7 +302,6 @@ def test_user_group_and_lift_bad_input(capsys, tmp_path, group, lift):
                  "--lift-file", str(lf)]) == 0
 
 
-
 def _pell_past(bound):
     """The first (x, y) with x^2 - 2 y^2 = 1 and x > bound."""
     x, y = 3, 2
@@ -326,6 +325,7 @@ def test_verify_exact_lift_is_decided_exactly(capsys, tmp_path, x, y):
                     "--lift-file", str(lf))
     assert code == 0
     assert out.splitlines()[1:] == ["residual_max: 0", "relation_defect: 0"]
+
 
 def test_cusp_lift_without_cusp_subgroup(capsys):
     # near the AdS end the cube4 family has no cusp subgroup left: bad input

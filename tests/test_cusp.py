@@ -216,7 +216,6 @@ def test_classify_at_stack_raises_for_lowest_row():
         classify_at(np.array([params, broken, unit]), 1e-7)
 
 
-
 _R2 = math.sqrt(2)
 # AdS rectangles (q_{-1} = -x0^2 + x1^2 + x2^2 - x3^2) whose opposite pairs have
 # one type: both spacelike (q = -1), or both timelike (q = +1)
@@ -241,6 +240,7 @@ def test_ads_rectangle_of_one_type_is_refused(pairs):
     for stack in (bad[None], np.array([params, bad]), np.array([params, params, bad])):
         with pytest.raises(PatternViolation, match=_SAME_TYPE):
             classify_at(stack, 1e-7)
+
 
 _HP_POSITION = {HPPointsClass.INTERSECT: PairClassHyp.INTERSECTING,
                 HPPointsClass.BOUNDARY_TANGENT: PairClassHyp.TANGENT_AT_INFINITY,

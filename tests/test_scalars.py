@@ -1,3 +1,4 @@
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
@@ -41,8 +42,7 @@ def test_rational_operands_combine_on_either_side():
 @pytest.mark.parametrize("other", [0.5, 1.0, "1"], ids=["float", "integral-float", "str"])
 def test_other_operands_are_refused(other):
     x = QSqrt2(1, 1)
-    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q,
-               lambda p, q: p / q):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(TypeError):
             op(x, other)
         with pytest.raises(TypeError):
