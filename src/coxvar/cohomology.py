@@ -28,7 +28,7 @@ its flat vector: every system below is cut from those arrays directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .coxeter import gamma22
 from .geometry import QuadraticSpace, reflection_matrix
 from .halfpipe import phi_to_projective, rho_lambda
 from .linalg_exact import PairMatrix, exact_nullspace, exact_pivots, exact_rank, exact_solve
+from .records import Record
 from .repvar import collapsed_lift_exact, form_algebra_basis
 
 
@@ -64,8 +65,7 @@ def _first_nonzero(stack):
     return int(np.argmax(nonzero)) if nonzero.any() else None
 
 
-@dataclass(frozen=True)
-class LinearRep:
+class LinearRep(Record):
     """Exact representation of a RACG on V, validated on construction.
 
     ``images`` is the (generators, dimV, dimV) stack of the generator
@@ -73,10 +73,15 @@ class LinearRep:
     converts and stored as one PairMatrix.
     """
 
-    racg: object
-    images: PairMatrix
+    __slots__ = _fields = ("racg", "images")
+
+    def __init__(self, racg, images):
+        self._set(racg=racg, images=images)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The check construction runs (looked up on the class, so a wrapper
+        set there sees every construction)."""
         names = self.racg.generators
         R = PairMatrix.of(self.images)
         if len(R.shape) != 3 or R.shape[0] != len(names) or R.shape[1] != R.shape[2]:
@@ -101,8 +106,7 @@ class LinearRep:
         return self.images[self.racg.index(name)]
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Dimensions plus two PairMatrix cocycle bases.
 
     Each column of ``z1_basis`` and ``h1_representatives`` is a cocycle:

@@ -21,15 +21,16 @@ verify_representation checks every relation on that stack directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import QuadraticSpace
 from .linalg_exact import PairMatrix, identity_like, is_exact
+from .records import Record
 
 
 class RelationError(Exception):
@@ -40,22 +41,22 @@ class IndexOutOfRange(RelationError):
     pass
 
 
-@dataclass(frozen=True)
-class RACG:
-    """Right-angled Coxeter group presentation."""
+class RACG(Record):
+    """Right-angled Coxeter group presentation: a tuple of generator names
+    and a frozenset of commuting (i, j) index pairs with i < j."""
 
-    generators: tuple
-    commuting_pairs: frozenset  # of (i, j) index pairs with i < j
+    __slots__ = _fields = ("generators", "commuting_pairs")
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if not all(isinstance(g, str) for g in self.generators):
+    def __init__(self, generators, commuting_pairs):
+        n = len(generators)
+        if not all(isinstance(g, str) for g in generators):
             raise ValueError("generator names must be strings")
-        for p in self.commuting_pairs:
+        for p in commuting_pairs:
             if not (len(p) == 2 and all(isinstance(i, int) for i in p) and 0 <= p[0] < p[1] < n):
                 raise IndexOutOfRange(f"bad commuting pair {p}")
-        if len(set(self.generators)) != n:
+        if len(set(generators)) != n:
             raise ValueError("duplicate generator names")
+        self._set(generators=generators, commuting_pairs=commuting_pairs)
 
     @property
     def rank(self):
@@ -190,8 +191,7 @@ def gamma_co():
 
 # -- representation checks ----------------------------------------------
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_defect: float
     failing_relations: list
 

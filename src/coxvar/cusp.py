@@ -49,10 +49,10 @@ intersecting and one disjoint opposite pair.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,9 @@ from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, coincident, e
                        pair_positions)
 from .halfpipe import (DegenerateReflection, NonDegenerateReflection,
                        reflection_span_coefficient, rho_lambda)
-from .repvar import (TOL_RES, ConstraintSystem, NonFiniteResidual, Pair, find_cusp_subgroups,
-                     gauss_newton, standard_lift)
+from .records import Record
+from .repvar import (MIN_GAP_RATIO, TOL_RES, ConstraintSystem, NonFiniteResidual, Pair,
+                     find_cusp_subgroups, gauss_newton, standard_lift)
 
 DEFAULT_CLASS_TOL = 1e-7
 # trials per stacked Gauss-Newton + classification pass; bounds peak memory
@@ -85,13 +86,18 @@ class CuspKind(Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class CuspClass:
-    kind: CuspKind
-    pair: tuple = None               # coinciding pair, for COLLAPSED
-    intersecting_pair: tuple = None  # for RECT_SPLIT
-    disjoint_pair: tuple = None
-    reason: str = None               # for UNCLASSIFIED
+class CuspClass(Record):
+    """A CuspKind, with the coinciding ``pair`` for COLLAPSED, the
+    ``intersecting_pair`` and ``disjoint_pair`` for RECT_SPLIT and the
+    ``reason`` for UNCLASSIFIED.  Not a tuple: classify_at stores one
+    instance into many slots of an object array at once."""
+
+    __slots__ = _fields = ("kind", "pair", "intersecting_pair", "disjoint_pair", "reason")
+
+    def __init__(self, kind, pair=None, intersecting_pair=None, disjoint_pair=None,
+                 reason=None):
+        self._set(kind=kind, pair=pair, intersecting_pair=intersecting_pair,
+                  disjoint_pair=disjoint_pair, reason=reason)
 
     @property
     def name(self):
@@ -117,7 +123,7 @@ _KIND_OF_POSITIONS = {
 }
 
 
-def _rect_class(geometry, classes):
+def _rect_class(classes):
     """The rectangle class of the positions of its two opposite pairs; an AdS
     pair of equal types is refused by classify_at before this table is read."""
     opposite = _OPPOSITE["rect"]
@@ -136,7 +142,8 @@ _CUBE_CLASSES = (CuspClass(CuspKind.CUSP),
                  *(CuspClass(CuspKind.UNCLASSIFIED, reason=r) for r in (
                      "no common fixed point", "degenerate configuration",
                      "common point not at infinity",
-                     "common point only at the degenerate end")))
+                     "common point only at the degenerate end",
+                     "no spectral gap at the cut")))
 
 
 def _cube_class(rows, null_form, tol, hp):
@@ -149,14 +156,24 @@ def _cube_class(rows, null_form, tol, hp):
     (in 2000 cube trials per geometry at noise 1e-3, seed 7, 3846 of
     6003 decisions had sigma_min / sigma_max above 6 eps, at most
     1.85e-13), so _rank_cut would raise IllConditioned although the gap
-    is wide (sigma_5 / sigma_max >= 0.238 in the same trials).
+    is wide (sigma_5 / sigma_max >= 0.238 in the same trials).  The gap
+    is checked as _rank_cut checks it: where the cut splits s, the last
+    value kept must reach MIN_GAP_RATIO times the first value cut, else
+    the count is meaningless and the entry is unclassified (in those
+    trials, and in 1000 trials on each of 8 more seeds, every gap was at
+    least 1.08e12).
     """
     u, s, vt = np.linalg.svd(rows)
-    small = np.sum(s <= tol * s[:, :1], axis=-1) + max(0, rows.shape[-1] - s.shape[-1])
+    n_cut = np.sum(s <= tol * s[:, :1], axis=-1)
+    small = n_cut + max(0, rows.shape[-1] - s.shape[-1])
+    kept, t = s.shape[-1] - n_cut, np.arange(len(s))
+    narrow = (kept > 0) & (n_cut > 0) & (
+        s[t, kept - 1] < MIN_GAP_RATIO * s[t, np.minimum(kept, s.shape[-1] - 1)])
     point = vt[:, -1]
     qval = np.sum(null_form * point * point, axis=-1)
     degenerate_end = hp & (np.max(np.abs(point[:, :-1]), axis=-1) <= tol)
-    code = np.select([small == 0, small > 1, np.abs(qval) > tol, degenerate_end], [1, 2, 3, 4])
+    code = np.select([small == 0, narrow, small > 1, np.abs(qval) > tol, degenerate_end],
+                     [1, 5, 2, 3, 4])
     return [_CUBE_CLASSES[c] for c in code]
 
 
@@ -189,19 +206,22 @@ def classify(geometry, group, data, tol=DEFAULT_CLASS_TOL):
 
 # -- perturbation experiments -------------------------------------------------
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial: int
     klass: str
     residual: float
     iterations: int
 
 
-@dataclass
-class ExperimentStats:
-    base_class: str
-    counts: dict
-    records: list = field(default_factory=list)
+class ExperimentStats(Record):
+    """The base's class name, the count of each trial class and the
+    TrialRecords in trial order (a new empty list by default)."""
+
+    __slots__ = _fields = ("base_class", "counts", "records")
+
+    def __init__(self, base_class, counts, records=None):
+        self._set(base_class=base_class, counts=counts,
+                  records=[] if records is None else records)
 
 
 def _problem(geometry, group, base):
@@ -279,7 +299,7 @@ def _problem(geometry, group, base):
     # the rectangle class of each pair of position codes
     positions = tuple(PairClassAdS if geometry == "ads" else PairClassHyp)
     rect_classes = np.empty((len(positions),) * 2, dtype=object)
-    rect_classes[...] = [[_rect_class(geometry, [c0, c1]) for c1 in positions] for c0 in positions]
+    rect_classes[...] = [[_rect_class([c0, c1]) for c1 in positions] for c0 in positions]
 
     def same(x, w, i, j, tol):
         if not normal[i]:

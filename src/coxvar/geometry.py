@@ -24,12 +24,12 @@ Exact vectors and reflections are linalg_exact.PairMatrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .linalg_exact import PairMatrix, identity_like, is_exact
+from .records import Record
 
 DEFAULT_TOL = 1e-9
 
@@ -62,18 +62,17 @@ class MixedTypePair(GeometryError):
     """One spacelike and one timelike AdS normal: no classification exists."""
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
+class QuadraticSpace(Record):
     """Dimension and diagonal signature of an ambient quadratic form."""
 
-    dim: int
-    signature: tuple
+    __slots__ = _fields = ("dim", "signature")
 
-    def __post_init__(self):
-        if self.dim <= 0 or len(self.signature) != self.dim:
+    def __init__(self, dim, signature):
+        if dim <= 0 or len(signature) != dim:
             raise DimensionMismatch("signature length must equal dim")
-        if any(isinstance(s, bool) or s not in (-1, 0, 1) for s in self.signature):
+        if any(isinstance(s, bool) or s not in (-1, 0, 1) for s in signature):
             raise ValueError("signature entries must be -1, 0 or +1")
+        self._set(dim=dim, signature=signature)
 
     @classmethod
     def hyperbolic(cls, n):
@@ -149,7 +148,8 @@ def _data(x):
 def eval_bilinear(space, x, y):
     """b(x, y), the symmetric bilinear form polarising q, along the last axis.
 
-    Float arrays or PairMatrix alike.  The float terms s x_k y_k with s != 0
+    Float arrays or PairMatrix alike.  Exact data takes one product x y,
+    whose parts the signs +-1 scale.  The float terms s x_k y_k with s != 0
     are added left to right from 0, as Python's sum adds them, so every
     entry of a stack has the bits of the sum over its lone vectors.
     """
@@ -160,9 +160,10 @@ def eval_bilinear(space, x, y):
     if 0 in space.signature:
         keep = np.flatnonzero(sig)
         sig, x, y = sig[keep], x[..., keep], y[..., keep]
+    if isinstance(x, PairMatrix) or isinstance(y, PairMatrix):
+        xy = PairMatrix.of(x) * y
+        return PairMatrix(xy.a * sig, xy.b * sig, xy.den).sum(axis=-1)
     terms = sig * x * y
-    if isinstance(terms, PairMatrix):
-        return terms.sum(axis=-1)
     if not terms.shape[-1]:
         return terms.sum(axis=-1)  # no term: 0 per vector
     # accumulate adds left to right; the final + 0 turns -0.0 into 0.0, as
@@ -192,8 +193,11 @@ def reflection_matrix(space, X):
 
 def _against(x, c):
     """(x, c) for float data; for exact data (the sign of x - c, 0), which
-    every comparison of x with c below then decides exactly."""
-    return ((x - c).sign(), 0) if isinstance(x, PairMatrix) else (x, c)
+    every comparison of x with c below then decides exactly.  Against 0 the
+    sign is read off x itself, with no subtraction."""
+    if not isinstance(x, PairMatrix):
+        return x, c
+    return (x - c if c else x).sign(), 0
 
 
 def _dist(x, c):

@@ -26,7 +26,7 @@ reflections runs on floats with a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .coxeter import cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair,
                        classify_pair_hyp, eval_form, reflection_matrix)
 from .linalg_exact import PairMatrix, identity_like, is_exact
+from .records import Record
 
 
 class HalfPipeError(Exception):
@@ -44,16 +45,18 @@ class NotFormPreserving(HalfPipeError):
     pass
 
 
-@dataclass(frozen=True)
-class MinkowskiIsometry:
+class MinkowskiIsometry(Record):
     """Pair (A, v): x -> A x + v with A preserving the Minkowski form.
 
-    A and v are float arrays, or PairMatrix for an exact isometry.  With a
-    (N, n, n) A and a (N, n) v it is a stack of N isometries, one per row.
+    A = ``linear`` and v = ``translation`` are float arrays, or PairMatrix
+    for an exact isometry.  With a (N, n, n) A and a (N, n) v it is a stack
+    of N isometries, one per row.
     """
 
-    linear: np.ndarray
-    translation: np.ndarray
+    __slots__ = _fields = ("linear", "translation")
+
+    def __init__(self, linear, translation):
+        self._set(linear=linear, translation=translation)
 
     @property
     def dim(self):
@@ -136,19 +139,20 @@ def classify_hp_dual_points(p, q, tol=DEFAULT_TOL):
 
 # -- reflections -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonDegenerateReflection:
+class NonDegenerateReflection(Record):
     """The unique HP reflection fixing the hyperplane dual to p: (-id, 2p)."""
 
-    p: np.ndarray
+    __slots__ = _fields = ("p",)
+
+    def __init__(self, p):
+        self._set(p=p)
 
     def isometry(self):
         p = self.p if is_exact(self.p) else np.asarray(self.p, dtype=float)
         return MinkowskiIsometry(-identity_like(p), p * 2)
 
 
-@dataclass(frozen=True)
-class DegenerateReflection:
+class DegenerateReflection(Record):
     """An HP reflection (r_X, v) fixing the degenerate hyperplane over H_X.
 
     X must be unit spacelike and v parallel to X; each v gives a
@@ -156,17 +160,16 @@ class DegenerateReflection:
     X and v are read as float arrays.
     """
 
-    X: np.ndarray
-    v: np.ndarray
+    __slots__ = _fields = ("X", "v")
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if abs(eval_form(QuadraticSpace.minkowski(len(X)), X) - 1) > 1e-7:
+    def __init__(self, X, v):
+        Xf, vf = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
+        if abs(eval_form(QuadraticSpace.minkowski(len(Xf)), Xf) - 1) > 1e-7:
             raise ValueError("degenerate reflection requires q_1(X) = 1")
-        lam = float(X @ v) / float(X @ X)
-        if np.max(np.abs(v - lam * X)) > 1e-7 * max(1.0, np.abs(v).max()):
+        lam = float(Xf @ vf) / float(Xf @ Xf)
+        if np.max(np.abs(vf - lam * Xf)) > 1e-7 * max(1.0, np.abs(vf).max()):
             raise ValueError("v must lie in span(X)")
+        self._set(X=X, v=v)
 
     def isometry(self):
         X = np.asarray(self.X, dtype=float)
@@ -182,8 +185,7 @@ def reflection_span_coefficient(refl):
     raise ValueError("zero normal vector")
 
 
-@dataclass(frozen=True)
-class HPPairReport:
+class HPPairReport(NamedTuple):
     """Relative position of two HP reflections, by kind of pair."""
 
     kind: str  # "degenerate", "nondegenerate", or "mixed"

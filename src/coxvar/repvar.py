@@ -40,10 +40,10 @@ import json
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
 from math import isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -52,6 +52,7 @@ from .coxeter import (_SIGNS, GAMMA22_NAMES, LETTER_NAMES, cuboctahedron_vectors
                       gamma22_vectors)
 from .geometry import DimensionMismatch, ParameterOutOfRange, QuadraticSpace, eval_bilinear
 from .linalg_exact import PairMatrix, is_exact
+from .records import Record
 from .scalars import format_scalar, parse_scalar
 
 DEFAULT_RANK_TOL = 1e-9
@@ -92,35 +93,31 @@ class MixedBackends(RepVarError, ValueError):
 
 # -- lifts ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Record):
     """One normal vector per generator, with norm targets.
 
-    ``table`` holds the normals as one (len(names), space.dim) array, row
-    k the normal of names[k]: a float array, or a PairMatrix for an exact
-    lift.  A float table is copied in and made read-only, so a lift never
-    shares its numbers with its caller.
+    ``space`` is a QuadraticSpace, ``names`` a tuple, ``norm_targets`` a
+    dict name -> +-1.  ``table`` holds the normals as one
+    (len(names), space.dim) array, row k the normal of names[k]: a float
+    array, or a PairMatrix for an exact lift.  A float table is copied in
+    and made read-only, so a lift never shares its numbers with its caller.
     """
 
-    space: QuadraticSpace
-    names: tuple
-    table: object
-    norm_targets: dict
+    __slots__ = _fields = ("space", "names", "table", "norm_targets")
 
-    def __post_init__(self):
-        if (not self.names or len(set(self.names)) != len(self.names)
-                or self.norm_targets.keys() != set(self.names)):
+    def __init__(self, space, names, table, norm_targets):
+        if not names or len(set(names)) != len(names) or norm_targets.keys() != set(names):
             raise ValueError("a lift needs one vector and one norm target for each of its "
                              "(one or more, distinct) names")
-        if any(isinstance(t, bool) or t not in (-1, 1) for t in self.norm_targets.values()):
+        if any(isinstance(t, bool) or t not in (-1, 1) for t in norm_targets.values()):
             raise ValueError("norm targets must be +1 or -1")
-        if not self.exact:
-            table = np.array(self.table, dtype=float)
+        if not is_exact(table):
+            table = np.array(table, dtype=float)
             table.flags.writeable = False
-            object.__setattr__(self, "table", table)
-        if self.table.shape != (len(self.names), self.space.dim):
-            raise DimensionMismatch(f"the table has shape {self.table.shape}, expected "
-                                    f"{len(self.names)} vectors of dim {self.space.dim}")
+        if table.shape != (len(names), space.dim):
+            raise DimensionMismatch(f"the table has shape {table.shape}, expected "
+                                    f"{len(names)} vectors of dim {space.dim}")
+        self._set(space=space, names=names, table=table, norm_targets=norm_targets)
 
     @property
     def vectors(self):
@@ -137,10 +134,12 @@ class Lift:
 
     def with_flat(self, flat):
         """The lift whose normals are read, in order, from a flat array."""
-        return replace(self, table=flat.reshape(self.table.shape))
+        return Lift(self.space, self.names, flat.reshape(self.table.shape), self.norm_targets)
 
     def as_float(self):
-        return replace(self, table=np.asarray(self.table, dtype=float)) if self.exact else self
+        if not self.exact:
+            return self
+        return Lift(self.space, self.names, np.asarray(self.table, dtype=float), self.norm_targets)
 
     def to_json(self):
         """The lift as JSON; a float entry 1 is written 1.0, so it reads back as a float."""
@@ -240,8 +239,7 @@ def collapsed_lift_exact(geometry):
 
 # -- constraint systems ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
     """One row  scale * b(x_a, x_b) - x_linear = target  over named blocks.
 
     A norm q(f(s)) = target is the pair (s, s); ``linear`` names a
@@ -255,26 +253,26 @@ class Pair:
     linear: str = None
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Record):
     """Bilinear rows, compiled once to index arrays over their blocks.
 
-    ``names`` lists the blocks the rows touch, in order of first use;
-    ``maps`` binds them to flat coordinates.
+    ``constraints`` is a tuple of Pair rows.  ``names`` lists the blocks
+    the rows touch, in order of first use; ``maps`` binds them to flat
+    coordinates.
     """
 
-    constraints: tuple
+    _fields = ("constraints",)
+    __slots__ = _fields + ("names", "_rows", "_linear")
 
-    def __post_init__(self):
-        cons = self.constraints
-        names = tuple(dict.fromkeys(n for c in cons for n in (c.a, c.b, c.linear)
+    def __init__(self, constraints):
+        names = tuple(dict.fromkeys(n for c in constraints for n in (c.a, c.b, c.linear)
                                     if n is not None))
         slot = {n: k for k, n in enumerate(names)}
-        rows = [(slot[c.a], slot[c.b], c.target, c.scale) for c in cons]
-        linear = [(r, slot[c.linear]) for r, c in enumerate(cons) if c.linear is not None]
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_rows", np.array(rows, dtype=int).reshape(-1, 4))
-        object.__setattr__(self, "_linear", np.array(linear, dtype=int).reshape(-1, 2))
+        rows = [(slot[c.a], slot[c.b], c.target, c.scale) for c in constraints]
+        linear = [(r, slot[c.linear]) for r, c in enumerate(constraints) if c.linear is not None]
+        self._set(constraints=constraints, names=names,
+                  _rows=np.array(rows, dtype=int).reshape(-1, 4),
+                  _linear=np.array(linear, dtype=int).reshape(-1, 2))
 
     def __len__(self):
         return len(self.constraints)
@@ -406,8 +404,7 @@ def jacobian(system, lift):
 
 # -- rank / kernel reports -------------------------------------------------
 
-@dataclass
-class RankReport:
+class RankReport(NamedTuple):
     singular_values: np.ndarray
     numeric_rank: int
     kernel_dim: int

@@ -183,6 +183,19 @@ def test_classify_cube_unclassified():
     assert "not at infinity" in got.reason
 
 
+@pytest.mark.parametrize("sigma_kept, narrow", [(5e-7, True), (1e-4, False)])
+def test_cube_cut_needs_a_spectral_gap(sigma_kept, narrow):
+    # one singular value cut at tol 1e-7; the last kept one is 50x (narrow)
+    # or 1e4x (wide, >= MIN_GAP_RATIO) above it
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    v, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    s = np.array([1.0, 1.0, 1.0, sigma_kept, 1e-8])
+    rows = (u[:, :5] * s) @ v.T
+    got = cusp._cube_class(rows[None], np.array([-1.0, 1, 1, 1, 1]), 1e-7, False)[0]
+    assert (got.reason == "no spectral gap at the cut") == narrow
+
+
 def test_classification_invariant_under_signs_and_isometries():
     lift = standard_lift(0.4, "ads")
     sub = find_cusp_subgroups(lift)[3]
@@ -265,7 +278,7 @@ def _rect_reference(geometry, x, tol):
                 return CuspClass(CuspKind.COLLAPSED, pair=(i, j))
         pair = classify_pair_ads if geometry == "ads" else classify_pair_hyp
         classes = [pair(w[0], w[2], tol), pair(w[1], w[3], tol)]
-    return _rect_class(geometry, classes)
+    return _rect_class(classes)
 
 
 @pytest.mark.parametrize("geometry", ["hyp", "ads", "hp"])

@@ -10,11 +10,20 @@ package has no import cycle that a deferred import would have to break,
 so every import sits at the top of its module.  A README reference such
 as `repvar.Lift` or `repvar.Lift.to_json` names the package's API, so it
 must resolve after a rename or a deletion too.
+
+No module imports ``dataclasses``, and importing the CLI does not load
+it: a dataclass generates and compiles its methods each time its class
+is created, and that code generation was 18.5% of the benchmark's
+set-up (which imports coxvar afresh) before the package's 16
+dataclasses became records and named tuples.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -140,3 +149,29 @@ def test_readme_references_finds_a_stale_name():
             "`n.f` is no module and `m` alone is no reference")
     assert readme_references(text, {"m": m}) == [
         ("m.f", True), ("m.gone", False), ("m.C.meth", True), ("m.C.nope", False)]
+
+
+def imports_dataclasses(source):
+    """Does ``source`` import the dataclasses module or a name from it?"""
+    return any((isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_no_module_imports_dataclasses():
+    assert [p.stem for p in sorted(SRC.glob("*.py")) if imports_dataclasses(p.read_text())] == []
+
+
+def test_imports_dataclasses_finds_both_forms():
+    assert imports_dataclasses("import os, dataclasses\n")
+    assert imports_dataclasses("def f():\n    from dataclasses import dataclass\n")
+    assert not imports_dataclasses("from .records import Record\nx = 'dataclasses'\n")
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, coxvar.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -193,10 +193,8 @@ def test_find_tangency_ambiguous():
     table = lift.table.copy()
     # pushes b(A, B) into the ambiguous band for tol = 1e-9
     table[lift.names.index("A"), 0] += 5e-9
-    from dataclasses import replace
-
     with pytest.raises(AmbiguousNearThreshold):
-        find_tangency_pairs(replace(lift, table=table))
+        find_tangency_pairs(Lift(lift.space, lift.names, table, lift.norm_targets))
 
 
 @pytest.mark.parametrize("geometry,t", [("hyp", 0.3), ("ads", -0.6)])
