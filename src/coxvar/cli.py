@@ -31,7 +31,7 @@ from . import cohomology as coh
 from . import cusp as cuspmod
 from .coxeter import RACG, RelationError, gamma22, verify_representation
 from .geometry import POSITION_CLASSES, GeometryError, pair_positions, reflection_matrix
-from .halfpipe import HalfPipeError, phi_to_projective, rho_lambda
+from .halfpipe import rho_lambda
 from .repvar import (DEFAULT_RANK_TOL, GRAM_TOL, IllConditioned, Lift, NoConvergence,
                      RepVarError, SliceDegenerate, build_constraints, constraint_system,
                      gram_matrix, kernel_report, residual_max, standard_lift, table_lift_exact)
@@ -99,7 +99,7 @@ def cmd_verify(args):
                   f"{len(racg.commuting_pairs)} commuting pairs\n")
     elif args.geometry == "hp":
         racg, lam = gamma22(), args.t
-        images = phi_to_projective(rho_lambda(int(lam) if float(lam).is_integer() else lam))
+        images = rho_lambda(int(lam) if float(lam).is_integer() else lam)
         out.write(f"geometry: hp  lambda: {format_scalar(lam)}\n")
     else:
         racg, lift = gamma22(), standard_lift(args.t, args.geometry)
@@ -355,7 +355,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, GeometryError, RelationError, RepVarError,
-            cuspmod.CuspError, HalfPipeError, coh.CohomologyError) as exc:
+            cuspmod.CuspError, coh.CohomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .coxeter import gamma22
 from .geometry import QuadraticSpace, reflection_matrix
-from .halfpipe import phi_to_projective, rho_lambda
+from .halfpipe import _table, rho_lambda
 from .linalg_exact import PairMatrix, exact_nullspace, exact_pivots, exact_rank, exact_solve
 from .records import Record
 from .repvar import collapsed_lift_exact, form_algebra_basis
@@ -239,8 +239,9 @@ def is_coboundary(rep, tau):
 
 def rho0_linear():
     """rho_0 as the exact (22, 4, 4) stack in O(1,3): positives to -id, the
-    rest to cuboctahedron reflections; the linear part of every rho_lambda."""
-    return rho_lambda(0).linear
+    rest to cuboctahedron reflections; the top-left blocks of every
+    rho_lambda."""
+    return rho_lambda(0)[:, :4, :4]
 
 
 def rho0_rep():
@@ -258,8 +259,9 @@ def adapted_basis(geometry):
 
     The first six elements are so(1,3) acting on {x_4 = 0}: the matrices
     of so13_basis padded to 5x5.  The last four are the R^{1,3} block,
-    one per w = e_k: the column -w for hyp and +w otherwise, and the row
-    w^T J for hyp/ads (for hp, no row: the infinitesimal translations).
+    one per w = e_k: the row w^T J, plus the column -w for hyp and +w for
+    ads (for hp, no column: the infinitesimal translations, which
+    rho_lambda carries in its last row).
     """
     if geometry not in ("hyp", "ads", "hp"):
         raise ValueError(f"unknown geometry {geometry!r}")
@@ -267,9 +269,9 @@ def adapted_basis(geometry):
     basis = [np.pad(m, (0, 1)) for m in form_algebra_basis(mink)]
     for k in range(4):
         m = np.zeros((5, 5), dtype=int)
-        m[k, 4] = -1 if geometry == "hyp" else 1
         if geometry != "hp":
-            m[4, k] = mink.signature[k]  # the row w^T J
+            m[k, 4] = -1 if geometry == "hyp" else 1
+        m[4, k] = mink.signature[k]  # the row w^T J
         basis.append(m)
     return [PairMatrix.of(m) for m in basis]
 
@@ -308,11 +310,11 @@ def adjoint_collapsed_rep(geometry):
     """Ad rho_0 on the ambient Lie algebra, in the adapted basis.
 
     rho_0 is built as the paths build their holonomies: the reflections
-    in the collapsed lift for hyp/ads, phi of rho_lambda(0) for hp.
+    in the collapsed lift for hyp/ads, rho_lambda(0) for hp.
     """
     basis = adapted_basis(geometry)  # first: it names an unknown geometry
     if geometry == "hp":
-        images = phi_to_projective(rho_lambda(0))
+        images = rho_lambda(0)
     else:
         lift = collapsed_lift_exact(geometry)
         images = reflection_matrix(lift.space, lift.table)
@@ -352,8 +354,8 @@ def split_h1(rep, report):
 
 def tau_lambda_cocycle(lam):
     """tau_lambda as the exact (22, 4) table of its R^{1,3} values (PairMatrix),
-    a row per generator."""
-    return rho_lambda(PairMatrix.of(lam)).translation
+    a row per generator: c_s v_s, zero on the letters (halfpipe._table)."""
+    return _table(PairMatrix.of(lam))[2]
 
 
 def reduce_mod_coboundary(tau):

@@ -59,7 +59,7 @@ import numpy as np
 from .geometry import (PairClassAdS, PairClassHyp, QuadraticSpace, coincident, eval_form,
                        pair_positions)
 from .halfpipe import (DegenerateReflection, NonDegenerateReflection,
-                       reflection_span_coefficient, rho_lambda)
+                       reflection_span_coefficient, rho_lambda_reflections)
 from .records import Record
 from .repvar import (MIN_GAP_RATIO, TOL_RES, ConstraintSystem, NonFiniteResidual, Pair,
                      find_cusp_subgroups, gauss_newton, standard_lift)
@@ -525,6 +525,6 @@ def base_cube(geometry, t=0.4, lam=1):
         raise CuspError(f"the lift at t = {t} has no cusp subgroup")
     rows = [lift.names.index(n) for n in subsets[0]]
     if geometry == "hp":
-        refls = rho_lambda(float(lam)).as_reflections()
+        refls = rho_lambda_reflections(lam)
         return [refls[r] for r in rows]
     return list(lift.table[rows])

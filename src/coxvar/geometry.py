@@ -145,50 +145,76 @@ def _data(x):
     return x if isinstance(x, PairMatrix) else np.asarray(x)
 
 
+def _along(space, *xs):
+    """The data of each x, checked to run along a last axis of length space.dim."""
+    xs = [_data(x) for x in xs]
+    if any(x.shape[-1:] != (space.dim,) for x in xs):
+        raise DimensionMismatch(f"vectors must run along a last axis of length {space.dim}")
+    return xs
+
+
 def eval_bilinear(space, x, y):
     """b(x, y), the symmetric bilinear form polarising q, along the last axis.
 
     Float arrays or PairMatrix alike.  Exact data takes one product x y,
     whose parts the signs +-1 scale.  The float terms s x_k y_k with s != 0
-    are added left to right from 0, as Python's sum adds them, so every
-    entry of a stack has the bits of the sum over its lone vectors.
+    are added as _total adds them.
     """
-    x, y = _data(x), _data(y)
-    if x.shape[-1:] != (space.dim,) or y.shape[-1:] != (space.dim,):
-        raise DimensionMismatch(f"vectors must run along a last axis of length {space.dim}")
+    x, y = _along(space, x, y)
     sig = np.array(space.signature)
     if 0 in space.signature:
         keep = np.flatnonzero(sig)
         sig, x, y = sig[keep], x[..., keep], y[..., keep]
     if isinstance(x, PairMatrix) or isinstance(y, PairMatrix):
         xy = PairMatrix.of(x) * y
-        return PairMatrix(xy.a * sig, xy.b * sig, xy.den).sum(axis=-1)
-    terms = sig * x * y
-    if not terms.shape[-1]:
-        return terms.sum(axis=-1)  # no term: 0 per vector
+        terms = PairMatrix(xy.a * sig, xy.b * sig, xy.den)
+    else:
+        terms = sig * x * y
+    return _total(terms)
+
+
+def _total(terms):
+    """The sum along the last axis: exact terms exactly, float terms added
+    left to right from 0, as Python's sum adds them, so every entry of a
+    stack has the bits of the sum over its lone vectors."""
+    if isinstance(terms, PairMatrix) or not terms.shape[-1]:
+        return terms.sum(axis=-1)  # no float term: 0 per vector
     # accumulate adds left to right; the final + 0 turns -0.0 into 0.0, as
     # a sum started at 0 does, and changes no other value
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0
 
 
+def reflection(P, beta):
+    """The projective reflection R(P, beta) = I - 2 P beta^T / beta(P).
+
+    It fixes the hyperplane ker(beta) and sends its pole P to -P.  Every
+    reflection of the package is built here, by one body for both
+    backends, on which P and beta agree: a reduced PairMatrix for exact
+    data, where beta(P) = 0 is tested exactly, else a float array, where
+    |beta(P)| <= DEFAULT_TOL is refused.  Stacks of poles and forms (last
+    axis) give the stack of their reflections, each with the bits of its
+    lone reflection (PairMatrix.unstack splits an exact one).
+    """
+    P, beta = _data(P), _data(beta)
+    exact = is_exact(P)
+    q = _total(beta * P)
+    if (_dist(q, 0) <= (0 if exact else DEFAULT_TOL)).any():
+        raise DegenerateNormal("beta(P) = 0: no reflection")
+    outer = P[..., :, None] * beta[..., None, :]
+    r = identity_like(P) - (2 / q)[..., None, None] * outer
+    return r.reduced() if exact else r
+
+
 def reflection_matrix(space, X):
     """Matrix of the reflection r_X: fixes X-perp, sends X to -X.
 
-    r_X = I - (2/q(X)) X (JX)^T, an involution in O(q), by one body for
-    both backends: a reduced PairMatrix for exact X, where q(X) = 0 is
-    tested exactly, else a float array, where |q(X)| <= DEFAULT_TOL is
-    refused.  A stack of normals (last axis) gives the stack of their
-    reflections, each with the bits of its lone reflection
-    (PairMatrix.unstack splits an exact one).
+    r_X = I - (2/q(X)) X (JX)^T, an involution in O(q): the reflection
+    R(X, J X) with pole X and form b(X, .), J the diagonal Gram matrix,
+    exact for exact X.  A stack of normals (last axis) gives the stack of
+    their reflections.
     """
-    X = _data(X)
-    exact = is_exact(X)
-    q = eval_form(space, X)
-    if (_dist(q, 0) <= (0 if exact else DEFAULT_TOL)).any():
-        raise DegenerateNormal("q(X) = 0: no reflection")
-    outer = X[..., :, None] * (X * np.array(space.signature))[..., None, :]
-    r = identity_like(X) - (2 / q)[..., None, None] * outer
-    return r.reduced() if exact else r
+    X, = _along(space, X)
+    return reflection(X, X * np.array(space.signature))
 
 
 def _against(x, c):

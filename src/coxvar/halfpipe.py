@@ -1,26 +1,26 @@
-"""Half-pipe geometry through its Minkowski duality.
+"""Half-pipe geometry as a projective geometry.
 
 HP^n is the space of spacelike affine hyperplanes of R^{1,n-1}, and its
-transformation group is O(1,n-1) x| R^{1,n-1} acting on those
-hyperplanes.  We therefore store half-pipe transformations as pairs
-(A, v) -- a Lorentz matrix and a translation -- and convert to 5x5
-projective matrices only at the boundary, via the homomorphism
-
-    phi(A, v) = [[A, 0], [-v^T J A, 1]],   J = diag(-1, 1, ..., 1).
+transformations act on RP^n: the affine map (A, v) of R^{1,n-1}, with A
+preserving J = diag(-1, 1, ..., 1), acts on hyperplane coordinates
+(x_hat, x_n) by the matrix [[A, 0], [-v^T J A, 1]].  Every half-pipe
+reflection is the projective reflection geometry.reflection(P, beta) of
+a pole P and a form beta, the one builder that also makes the hyperbolic
+and AdS reflections; a projective matrix is fixed only up to sign.
 
 Reflections come in two kinds: the unique reflection (-id, 2p) fixing
-the non-degenerate hyperplane dual to a point p, and a one-parameter
-family (r_X, v), v in span(X), fixing the degenerate hyperplane over a
-hyperplane H_X of H^{n-1}.  The explicit representations rho_lambda of
-the 22-generator group deform only the translation part; at lambda = 0
-they reduce to the collapsed representation shared with the hyperbolic
-and AdS paths.
+the non-degenerate hyperplane dual to a point p, which is
+-R(e_n, (J p, 1)), and a one-parameter family (r_X, c X) fixing the
+degenerate hyperplane over a hyperplane H_X of H^{n-1}, which is
+R((X, -c/2), (J X, 0)) for a unit spacelike X.  The explicit
+representations rho_lambda of the 22-generator group deform only the
+translation part; at lambda = 0 they reduce to the collapsed
+representation shared with the hyperbolic and AdS paths.
 
-A representation is one MinkowskiIsometry stack: a (22, 4, 4) linear
-part and a (22, 4) translation, a row per generator, which phi maps to
-the (22, 5, 5) stack of projective matrices in one step.  Exact
-transformations (rho_lambda for exact lambda) hold PairMatrix parts and
-map to PairMatrix projective matrices; everything that classifies
+A representation is one (22, 5, 5) stack of projective matrices, a
+member per generator, built from one table of normals v and coefficients
+c that tau_lambda and the float reflections of cusp classification read
+too.  Exact lambda gives PairMatrix matrices; everything that classifies
 reflections runs on floats with a tolerance.
 """
 
@@ -32,99 +32,35 @@ import numpy as np
 
 from .coxeter import cuboctahedron_vectors
 from .geometry import (DEFAULT_TOL, GeometryError, QuadraticSpace, classify_pair,
-                       classify_pair_hyp, eval_form, reflection_matrix)
-from .linalg_exact import PairMatrix, identity_like, is_exact
+                       classify_pair_hyp, eval_form, reflection, reflection_matrix)
+from .linalg_exact import PairMatrix, is_exact
 from .records import Record
 
 
-class HalfPipeError(Exception):
-    pass
+def _with_last(x, last):
+    """x (..., n) with one more coordinate ``last`` (a number, or one per
+    vector) at the end of its last axis, on x's backend."""
+    if not isinstance(last, (PairMatrix, np.ndarray)):
+        last = np.full(x.shape[:-1], last)
+    cat = PairMatrix.concat if is_exact(x) else np.concatenate
+    return cat([x, last[..., None]], axis=-1)
 
 
-class NotFormPreserving(HalfPipeError):
-    pass
+def _dual(x):
+    """J x: the vector of the form b_1(x, .) on R^{1,n-1}."""
+    return x * np.array(QuadraticSpace.minkowski(x.shape[-1]).signature)
 
 
-class MinkowskiIsometry(Record):
-    """Pair (A, v): x -> A x + v with A preserving the Minkowski form.
-
-    A = ``linear`` and v = ``translation`` are float arrays, or PairMatrix
-    for an exact isometry.  With a (N, n, n) A and a (N, n) v it is a stack
-    of N isometries, one per row.
-    """
-
-    __slots__ = _fields = ("linear", "translation")
-
-    def __init__(self, linear, translation):
-        self._set(linear=linear, translation=translation)
-
-    @property
-    def dim(self):
-        return self.linear.shape[-1]
-
-    @property
-    def exact(self):
-        return is_exact(self.linear)
-
-    def __matmul__(self, other):
-        """(A1, v1) o (A2, v2) = (A1 A2, A1 v2 + v1)."""
-        return MinkowskiIsometry(self.linear @ other.linear,
-                                 self.linear @ other.translation + self.translation)
-
-    def is_form_preserving(self):
-        """Does every linear part satisfy A^T J A = J?  One stacked product: exact
-        parts exactly, float parts entrywise within DEFAULT_TOL * max(1, max|A|^2)."""
-        J = QuadraticSpace.minkowski(self.dim).form_matrix()
-        diff = self.linear.swapaxes(-1, -2) @ J @ self.linear - J
-        if self.exact:
-            return diff.is_zero()
-        diff = np.max(np.abs(diff), axis=(-2, -1))
-        # A^T J A accumulates error like |A|^2 eps: compare each member at that scale
-        scale = np.maximum(1.0, np.max(np.abs(self.linear), axis=(-2, -1)) ** 2)
-        return bool(np.all(diff <= DEFAULT_TOL * scale))
-
-    def max_difference(self, other):
-        """Largest |entry| of the difference of two float isometries."""
-        return float(max(np.max(np.abs(self.linear - other.linear)),
-                         np.max(np.abs(self.translation - other.translation))))
-
-    def as_reflections(self):
-        """The members as float HP reflections in row order, for cusp classification.
-
-        Exact parts are read through their float view; the axis of a
-        degenerate reflection needs a square root, which Q(sqrt 2) does
-        not always have.
-        """
-        lin = np.asarray(self.linear, dtype=float)
-        v = np.asarray(self.translation, dtype=float)
-        minus_id = np.max(np.abs(lin + np.eye(self.dim)), axis=(-2, -1)) < 1e-9
-        return [NonDegenerateReflection(t * 0.5) if m
-                else DegenerateReflection(_reflection_axis(a), t)
-                for a, t, m in zip(lin, v, minus_id)]
+def _dual_point(p):
+    """Pole e_n and form (J p, 1): minus their reflection is (-id, 2p)."""
+    zeros = PairMatrix.zeros(p.shape) if is_exact(p) else np.zeros(p.shape, dtype=int)
+    return _with_last(zeros, 1), _with_last(_dual(p), 1)
 
 
-def phi_to_projective(iso):
-    """The duality isomorphism into the projective half-pipe group.
-
-    phi is a group homomorphism: the dual action on the hyperplane
-    coordinates (x_hat, x_n) is x_hat -> A x_hat, x_n -> x_n - v^T J A x_hat.
-    A stack of isometries maps to the stack of their matrices; one that
-    fails is_form_preserving raises NotFormPreserving.
-    """
-    if not iso.is_form_preserving():
-        raise NotFormPreserving("linear part does not preserve the Minkowski form")
-    n = iso.dim
-    lead = iso.linear.shape[:-2]
-    row = -(iso.translation[..., None, :] @ QuadraticSpace.minkowski(n).form_matrix()
-            @ iso.linear)
-    cat, dtype = (PairMatrix.concat, int) if iso.exact else (np.concatenate, float)
-    return cat([cat([iso.linear, np.zeros(lead + (n, 1), dtype=dtype)], axis=-1),
-                cat([row, np.ones(lead + (1, 1), dtype=dtype)], axis=-1)], axis=-2)
-
-
-def hp_commute(a, b, tol=DEFAULT_TOL):
-    """Do two float Minkowski isometries commute (as half-pipe transformations)?"""
-    return (a @ b).max_difference(b @ a) <= tol
+def _wall(X, c):
+    """Pole (X, -c/2) and form (J X, 0): their reflection is (r_X, c X) for
+    a unit spacelike X."""
+    return _with_last(X, -c / 2), _with_last(_dual(X), 0)
 
 
 def classify_hp_dual_points(p, q, tol=DEFAULT_TOL):
@@ -147,9 +83,9 @@ class NonDegenerateReflection(Record):
     def __init__(self, p):
         self._set(p=p)
 
-    def isometry(self):
-        p = self.p if is_exact(self.p) else np.asarray(self.p, dtype=float)
-        return MinkowskiIsometry(-identity_like(p), p * 2)
+    def matrix(self):
+        """The projective matrix, as floats."""
+        return -reflection(*_dual_point(np.asarray(self.p, dtype=float)))
 
 
 class DegenerateReflection(Record):
@@ -166,15 +102,18 @@ class DegenerateReflection(Record):
         Xf, vf = np.asarray(X, dtype=float), np.asarray(v, dtype=float)
         if abs(eval_form(QuadraticSpace.minkowski(len(Xf)), Xf) - 1) > 1e-7:
             raise ValueError("degenerate reflection requires q_1(X) = 1")
-        lam = float(Xf @ vf) / float(Xf @ Xf)
-        if np.max(np.abs(vf - lam * Xf)) > 1e-7 * max(1.0, np.abs(vf).max()):
+        # the span check on v scaled into [-1, 1]: X @ v overflows for v near
+        # the top of the float range
+        u = vf / max(1.0, np.abs(vf).max())
+        lam = float(Xf @ u) / float(Xf @ Xf)
+        if np.max(np.abs(u - lam * Xf)) > 1e-7:
             raise ValueError("v must lie in span(X)")
         self._set(X=X, v=v)
 
-    def isometry(self):
-        X = np.asarray(self.X, dtype=float)
-        return MinkowskiIsometry(reflection_matrix(QuadraticSpace.minkowski(len(X)), X),
-                                 np.asarray(self.v, dtype=float))
+    def matrix(self):
+        """The projective matrix, as floats."""
+        return reflection(*_wall(np.asarray(self.X, dtype=float),
+                                 reflection_span_coefficient(self)))
 
 
 def reflection_span_coefficient(refl):
@@ -198,7 +137,8 @@ def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
 
     Two degenerate reflections are compared through their projections
     to H^{n-1}; two non-degenerate ones through their dual points; a
-    mixed pair only carries a commutation status.
+    mixed pair only carries a commutation status.  The pair commutes
+    when its matrices R1 R2 and R2 R1 agree entrywise within tol.
     """
     deg1 = isinstance(r1, DegenerateReflection)
     deg2 = isinstance(r2, DegenerateReflection)
@@ -212,10 +152,46 @@ def classify_hp_reflection_pair(r1, r2, tol=DEFAULT_TOL):
         kind, pos = "nondegenerate", classify_hp_dual_points(r1.p, r2.p, tol)
     else:
         kind, pos = "mixed", None
-    return HPPairReport(kind, pos, hp_commute(r1.isometry(), r2.isometry(), tol))
+    a, b = r1.matrix(), r2.matrix()
+    return HPPairReport(kind, pos, bool(np.max(np.abs(a @ b - b @ a)) <= tol))
 
 
 # -- the explicit half-pipe representations ----------------------------------
+
+def _table(lam):
+    """The data of rho_lambda, a row per generator in GAMMA22_NAMES order.
+
+    Returns (c, v, tau): the cuboctahedron normals v (v_i on both i+ and
+    i-), the coefficients c_s = (-1)^i lam on i+ and i- and 0 on the
+    letters, and the translations tau_lambda(s) = c_s v_s.  Exact
+    (PairMatrix) for exact lam, else float; the letters' translations are
+    zero rows, with none of the signed zeros of a float 0 * v.
+    """
+    exact = is_exact(lam)
+    normals = cuboctahedron_vectors()
+    if not exact:
+        normals = np.asarray(normals, dtype=float)
+    cat = PairMatrix.concat if exact else np.concatenate
+    v = cat([normals[:8], normals])
+    c = (PairMatrix.of(lam) if exact else float(lam)) * np.array([(-1) ** i for i in range(8)] * 2)
+    tau = cat([c[:, None] * v[:16], np.zeros((6, 4), dtype=int)])
+    return cat([c, np.zeros(6, dtype=int)]), v, tau
+
+
+def rho_lambda(lam):
+    """The half-pipe representations rho_lambda = (rho_0, tau_lambda).
+
+    The (22, 5, 5) stack of projective reflections, a member per
+    generator in GAMMA22_NAMES order: -R(e_5, (J p, 1)) with
+    p = tau_lambda(i+)/2 on each positive generator (the pair (-id, 2p)),
+    and R((v, -c/2), (J v, 0)) on the others (the pair (r_v, c v)), from
+    _table.  Exact over Q(sqrt 2), as a PairMatrix, for exact lam.
+    """
+    c, v, tau = _table(lam)
+    cat = PairMatrix.concat if is_exact(lam) else np.concatenate
+    (p0, f0), (p1, f1) = _dual_point(tau[:8] / 2), _wall(v[8:], c[8:])
+    return reflection(cat([p0, p1]), cat([f0, f1])) * np.array([-1] * 8 + [1] * 14)[:, None, None]
+
 
 def _reflection_axis(lin):
     """Unit spacelike X with lin = r_X (float).
@@ -233,26 +209,16 @@ def _reflection_axis(lin):
     return X / np.sqrt(q)
 
 
-def rho_lambda(lam):
-    """The half-pipe representations rho_lambda = (rho_0, tau_lambda).
+def rho_lambda_reflections(lam):
+    """rho_lambda's members as float HP reflections in GAMMA22_NAMES order,
+    for cusp classification.
 
-    One MinkowskiIsometry stack with a row per generator, in GAMMA22_NAMES
-    order.  The linear part sends each positive generator to -id and each
-    other generator to the Minkowski reflection in its cuboctahedron
-    normal; the translation part is tau(i+) = tau(i-) = (-1)^i lam v_i and
-    zero on the letters.  Exact over Q(sqrt 2), as PairMatrix parts, for
-    exact lam.
+    NonDegenerateReflection(tau/2) on the positive generators; on the
+    others DegenerateReflection(X, tau) with X the unit axis read off the
+    Minkowski reflection in v (the axis of a reflection needs a square
+    root, which Q(sqrt 2) does not always have).
     """
-    # the 8 triangle normals, then the 6 quads: one stack of reflections
-    normals = cuboctahedron_vectors()
-    signs = np.array([(-1) ** i for i in range(8)])
-    exact = is_exact(lam)
-    if not exact:
-        normals = np.asarray(normals, dtype=float)
-    refls = reflection_matrix(QuadraticSpace.minkowski(4), normals)
-    taus = ((PairMatrix.of(lam) if exact else float(lam)) * signs)[:, None] * normals[:8]
-    minus_id = np.broadcast_to(-np.eye(4, dtype=int), (8, 4, 4))
-    cat = PairMatrix.concat if exact else np.concatenate
-    # rows 0+..7+, then 0-..7- and A..F: the order of GAMMA22_NAMES
-    return MinkowskiIsometry(cat([minus_id, refls]),
-                             cat([taus, taus, np.zeros((6, 4), dtype=int)]))
+    _, v, tau = _table(float(lam))
+    axes = map(_reflection_axis, reflection_matrix(QuadraticSpace.minkowski(4), v[8:]))
+    return ([NonDegenerateReflection(t * 0.5) for t in tau[:8]]
+            + [DegenerateReflection(X, t) for X, t in zip(axes, tau[8:])])

@@ -7,8 +7,8 @@ read-only, and it is compared, hashed, printed and pickled by its
 fields, as a frozen dataclass would be.  The other records are
 ``typing.NamedTuple``s.  A record stays a Record when it has a check,
 a default built per instance, or a use where numpy would read a tuple
-as a sequence: an isometry or reflection passed where an array is
-expected, a CuspClass stored into the slots of an object array.
+as a sequence: a reflection passed where an array is expected, a
+CuspClass stored into the slots of an object array.
 Creating a Record class generates no code, and creating a NamedTuple
 only its ``__new__``.  A dataclass generates and compiles all its
 methods on every import: in the benchmark's set-up, which imports the

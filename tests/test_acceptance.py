@@ -11,7 +11,7 @@ from coxvar import cohomology as coh
 from coxvar.coxeter import GAMMA22_NAMES, gamma22_vectors, gamma_co, verify_representation
 from coxvar.cusp import CuspKind, base_cube, base_rect_hyp, classify_cube, rigidity_experiment
 from coxvar.geometry import QuadraticSpace, eval_bilinear, eval_form
-from coxvar.halfpipe import phi_to_projective, rho_lambda
+from coxvar.halfpipe import rho_lambda, rho_lambda_reflections
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import (collapsed_lift_exact, constraint_system, find_cusp_subgroups,
                            gram_matrix, jacobian, kernel_report, known_tangent,
@@ -88,7 +88,7 @@ def test_criterion_05_exact_cohomology_dimensions(rho0_report, so13_report,
 
 
 def test_criterion_06_geometric_generator(racg22, rho0_report):
-    report = verify_representation(racg22, phi_to_projective(rho_lambda(1)), tol=0)
+    report = verify_representation(racg22, rho_lambda(1), tol=0)
     assert report.ok and report.max_defect == 0.0
     rep0, coh_report = rho0_report
     tau1 = coh.tau_lambda_cocycle(1)
@@ -149,7 +149,7 @@ def test_criterion_08_cusp_census():
             assert classify_cube(geometry, data).kind == CuspKind.COLLAPSED
     for lam, expected in ((1.0, CuspKind.CUSP), (0.6, CuspKind.CUSP),
                           (-2.0, CuspKind.CUSP), (0.0, CuspKind.COLLAPSED)):
-        refl = rho_lambda(lam).as_reflections()
+        refl = rho_lambda_reflections(lam)
         for sub in reference:
             data = [refl[GAMMA22_NAMES.index(n)] for n in sub]
             assert classify_cube("hp", data).kind == expected, lam

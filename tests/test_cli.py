@@ -125,10 +125,12 @@ def test_cusp_base_only(capsys):
 
 
 def test_cusp_hp_cube_large_lambda(capsys):
-    # rho_lambda is rho_1 rescaled (an exit 2 commutation error at the parent)
-    code, out = run(capsys, "cusp", "--geometry", "hp", "--group", "cube4", "--lam", "1e8")
-    assert code == 0
-    assert out.splitlines()[-1] == "-1,cusp,0,0"
+    # rho_lambda is rho_1 rescaled (at 1e8 an exit 2 commutation error once;
+    # at 1e308 an exit 2 overflow in the degenerate reflections' span check)
+    for lam in ("1e8", "1e308"):
+        code, out = run(capsys, "cusp", "--geometry", "hp", "--group", "cube4", "--lam", lam)
+        assert code == 0, lam
+        assert out.splitlines()[-1] == "-1,cusp,0,0", lam
 
 
 def test_cusp_experiment(capsys, tmp_path):

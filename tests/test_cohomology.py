@@ -14,7 +14,7 @@ from coxvar.coxeter import (GAMMA22_NAMES, RACG, _orthogonality_pairs, cuboctahe
                             gamma22, gamma22_vectors, gamma_co, gamma_rect,
                             verify_representation)
 from coxvar.geometry import QuadraticSpace, reflection_matrix
-from coxvar.halfpipe import MinkowskiIsometry, phi_to_projective
+from coxvar.halfpipe import rho_lambda
 from coxvar.linalg_exact import PairMatrix, exact_in_span, exact_inverse, exact_pivots
 from coxvar.repvar import collapsed_lift_exact, form_algebra_basis, table_lift_exact
 from coxvar.scalars import QSqrt2
@@ -94,9 +94,15 @@ def test_cocycles_integrate_to_representations(racg22, rho0_report):
     """Every Z^1 element gives an affine representation satisfying all relations."""
     rep, report = rho0_report
     images = coh.rho0_linear()
+    J = MINK.form_matrix()
     for j in range(report.dimZ1):
-        isos = MinkowskiIsometry(images, report.z1_basis[:, j].reshape(22, 4))
-        vr = verify_representation(racg22, phi_to_projective(isos), tol=0)
+        tau = report.z1_basis[:, j].reshape(22, 1, 4)
+        # s -> [[rho_0(s), 0], [-tau(s)^T J rho_0(s), 1]], the affine map (rho_0(s), tau(s))
+        affine = PairMatrix.concat([
+            PairMatrix.concat([images, np.zeros((22, 4, 1), dtype=int)], axis=2),
+            PairMatrix.concat([-(tau @ J @ images), np.ones((22, 1, 1), dtype=int)], axis=2)],
+            axis=1)
+        vr = verify_representation(racg22, affine, tol=0)
         assert vr.ok and vr.max_defect == 0.0
 
 
@@ -110,6 +116,15 @@ def test_full_adjoint_dimensions(racg22, full_adjoint_reports):
     for geometry, (rep, report) in full_adjoint_reports.items():
         assert rep.dimV == 10
         assert (report.dimZ1, report.dimB1, report.dimH1) == (23, 10, 13), geometry
+
+
+@pytest.mark.parametrize("lam", [1, Fraction(1, 3), QSqrt2(0, 1)], ids=["1", "1/3", "sqrt2"])
+def test_hp_adjoint_off_the_collapse(racg22, lam):
+    # rho_lambda carries its translation in the last row, which the hp
+    # adapted basis holds (BasisNotClosed while that basis held a column)
+    rep = coh.adjoint_rep(racg22, rho_lambda(lam), coh.adapted_basis("hp"))
+    report = coh.cohomology_report(rep)
+    assert (report.dimZ1, report.dimB1, report.dimH1) == (11, 10, 1)
 
 
 def test_split_h1(full_adjoint_reports):

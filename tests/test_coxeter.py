@@ -8,7 +8,7 @@ from coxvar.cohomology import LinearRep
 from coxvar.coxeter import (GAMMA22_NAMES, LETTER_NAMES, RACG, gamma22, gamma_co, gamma_cube,
                             gamma_rect, verify_representation)
 from coxvar.geometry import eval_bilinear, reflection_matrix
-from coxvar.halfpipe import phi_to_projective, rho_lambda
+from coxvar.halfpipe import rho_lambda
 from coxvar.linalg_exact import PairMatrix
 from coxvar.repvar import collapsed_lift_exact, standard_lift
 
@@ -217,7 +217,7 @@ def test_verify_matches_reference_where_the_float_view_rounds_to_zero():
 
 def test_verify_matches_relation_by_relation_reference_exact():
     g = gamma22()
-    mats = phi_to_projective(rho_lambda(1)).unstack()
+    mats = rho_lambda(1).unstack()
     mats[g.index("A")] = mats[g.index("A")] * 2  # not an involution
     mats[g.index("B")] = mats[g.index("0-")]  # B commutes with 0-: a coincident pair
     mats[g.index("C")] = mats[g.index("1+")]  # C commutes with 0+, 1+ does not

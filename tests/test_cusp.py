@@ -14,7 +14,7 @@ from coxvar.geometry import (HPPointsClass, MixedTypePair, NotUnitSpacelike, Pai
                              QuadraticSpace, classify_pair_ads, classify_pair_hyp, coincident,
                              eval_form, reflection_matrix)
 from coxvar.coxeter import GAMMA22_NAMES, gamma_cube, gamma_rect
-from coxvar.halfpipe import classify_hp_dual_points, rho_lambda
+from coxvar.halfpipe import classify_hp_dual_points, rho_lambda_reflections
 from coxvar.repvar import (NonFiniteResidual, build_constraints, collapsed_lift_exact,
                            find_cusp_subgroups, gauss_newton, standard_lift)
 
@@ -161,11 +161,11 @@ def test_classify_cube_standard_family(geometry):
 def test_classify_cube_hp():
     lift = standard_lift(0.4, "hyp")
     subs = find_cusp_subgroups(lift)
-    refl = rho_lambda(1.0).as_reflections()
+    refl = rho_lambda_reflections(1.0)
     for sub in subs:
         data = [refl[GAMMA22_NAMES.index(n)] for n in sub]
         assert classify_cube("hp", data).kind == CuspKind.CUSP
-    refl0 = rho_lambda(0.0).as_reflections()
+    refl0 = rho_lambda_reflections(0.0)
     got = classify_cube("hp", [refl0[GAMMA22_NAMES.index(n)] for n in subs[0]])
     assert got.kind == CuspKind.COLLAPSED
 

@@ -3,14 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coxvar.cohomology import is_coboundary, rho0_rep
+from coxvar.cohomology import is_coboundary, rho0_rep, tau_lambda_cocycle
 from coxvar.coxeter import (GAMMA22_NAMES, cuboctahedron_vectors, gamma22, gamma_co,
                             verify_representation)
-from coxvar.geometry import HPPointsClass, PairClassHyp, QuadraticSpace, reflection_matrix
-from coxvar.halfpipe import (DegenerateReflection, MinkowskiIsometry,
-                             NonDegenerateReflection, NotFormPreserving, classify_hp_dual_points,
-                             classify_hp_reflection_pair, hp_commute,
-                             phi_to_projective, rho_lambda)
+from coxvar.geometry import (HPPointsClass, PairClassHyp, QuadraticSpace, reflection,
+                             reflection_matrix)
+from coxvar.halfpipe import (DegenerateReflection, NonDegenerateReflection, _dual_point, _table,
+                             _wall, classify_hp_dual_points, classify_hp_reflection_pair,
+                             rho_lambda, rho_lambda_reflections)
 from coxvar.linalg_exact import PairMatrix
 from coxvar.scalars import QSqrt2
 
@@ -22,92 +22,62 @@ def _exact_vec(name):
     return PairMatrix.of(CUBO[name])
 
 
-def _random_lorentz(rng):
-    """Product of reflections in random spacelike normals (float)."""
-    m = np.eye(4)
-    for _ in range(3):
-        while True:
-            v = rng.normal(size=4)
-            q = float(-v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
-            if q > 0.2:
-                break
-        m = m @ reflection_matrix(MINK, v / np.sqrt(q))
-    return m
+def _affine(linear, tau):
+    """[[A, 0], [-tau^T J A, 1]]: the affine map (A, tau) of R^{1,3} acting on
+    hyperplane coordinates."""
+    row = -(PairMatrix.of(tau)[None] @ MINK.form_matrix() @ linear)
+    return PairMatrix.concat([PairMatrix.concat([linear, np.zeros((4, 1), dtype=int)], axis=1),
+                              PairMatrix.concat([row, np.ones((1, 1), dtype=int)], axis=1)])
 
 
-def test_phi_identity_and_involution():
-    assert np.allclose(phi_to_projective(MinkowskiIsometry(np.eye(4), np.zeros(4))), np.eye(5))
-    p = _exact_vec("0")
-    refl = NonDegenerateReflection(p).isometry()
-    sq = refl @ refl
-    assert (sq.linear - PairMatrix.identity(4)).is_zero() and sq.translation.is_zero()
-    m = phi_to_projective(refl)
-    assert (m @ m - PairMatrix.identity(5)).is_zero()
-
-
-def test_phi_homomorphism_float():
-    rng = np.random.default_rng(99)
-    for _ in range(10_000 // 100):
-        # batch of 100 via 10 isometries, all pairs
-        isos = [MinkowskiIsometry(_random_lorentz(rng), rng.normal(size=4)) for _ in range(10)]
-        for a in isos:
-            for b in isos:
-                lhs = phi_to_projective(a) @ phi_to_projective(b)
-                rhs = phi_to_projective(a @ b)
-                scale = max(1.0, np.max(np.abs(rhs)))
-                assert np.max(np.abs(lhs - rhs)) / scale < 1e-11
-
-
-def test_phi_homomorphism_exact():
-    rng = np.random.default_rng(5)
-    space = MINK
-    names = list(CUBO)
-    refls = [reflection_matrix(space, CUBO[n]) for n in names]
-
-    def random_iso():
-        m = refls[rng.integers(len(refls))] @ refls[rng.integers(len(refls))]
-        v = PairMatrix.of([int(rng.integers(-3, 4)) for _ in range(4)])
-        return MinkowskiIsometry(m, v)
-
-    for _ in range(50):
-        a, b = random_iso(), random_iso()
-        assert (phi_to_projective(a) @ phi_to_projective(b)
-                - phi_to_projective(a @ b)).is_zero()
-
-
-def test_phi_rejects_non_isometry():
-    with pytest.raises(NotFormPreserving):
-        phi_to_projective(MinkowskiIsometry(2 * np.eye(4), np.zeros(4)))
+@pytest.mark.parametrize("lam", [0, 1, Fraction(1, 3), QSqrt2(1, 1), Fraction(-5, 2)],
+                         ids=["0", "1", "1/3", "1+sqrt2", "-5/2"])
+def test_rho_lambda_is_the_affine_pair(lam):
+    # member s is (rho_0(s), tau_lambda(s)): rho_0 = -id on the positives and the
+    # Minkowski reflection in the normal elsewhere, tau_lambda(i+-) = (-1)^i lam v_i
+    # and 0 on the letters, all built here apart from the package's tables
+    stack = rho_lambda(lam)
+    assert stack.shape == (22, 5, 5)
+    for k, name in enumerate(GAMMA22_NAMES):
+        wall, sign = name[0], name[1:]
+        if sign:
+            tau = _exact_vec(wall) * (lam * (-1) ** int(wall))
+        else:
+            tau = PairMatrix.zeros(4)
+        linear = -PairMatrix.identity(4) if sign == "+" else reflection_matrix(MINK, CUBO[wall])
+        assert (stack[k] - _affine(linear, tau)).is_zero(), name
 
 
 def test_hp_commute_cases():
     X = np.array([0.0, 1.0, 0.0, 0.0])
     v = 0.7 * X
-    a = DegenerateReflection(X, v).isometry()
-    b = MinkowskiIsometry(-np.eye(4), v)
-    assert hp_commute(a, b)
-    c = MinkowskiIsometry(-np.eye(4), np.zeros(4))
-    d = MinkowskiIsometry(-np.eye(4), np.array([1.0, 0, 0, 0]))
-    assert not hp_commute(c, d)
+    a = DegenerateReflection(X, v)
+    b = NonDegenerateReflection(v / 2)  # (-id, v)
+    assert classify_hp_reflection_pair(a, b).commuting
+    c = NonDegenerateReflection(np.zeros(4))
+    d = NonDegenerateReflection(np.array([0.5, 0, 0, 0]))  # (-id, e_0)
+    assert not classify_hp_reflection_pair(c, d).commuting
     Y = np.array([0.0, 0.0, 1.0, 0.0])
-    assert hp_commute(DegenerateReflection(X, 0 * X).isometry(),
-                      DegenerateReflection(Y, 0 * Y).isometry())
+    assert classify_hp_reflection_pair(DegenerateReflection(X, 0 * X),
+                                       DegenerateReflection(Y, 0 * Y)).commuting
 
 
 def test_hp_commute_matches_closed_form():
+    # the projective matrices of (r_X, cX) and (-id, w) commute iff
+    # (id - r_X) w = 2 c X, the row cusp._problem packs as b_1(X, w) = c
     rng = np.random.default_rng(11)
-    for _ in range(200):
+    for k in range(200):
         X = rng.normal(size=4)
         q = float(-X[0] ** 2 + np.sum(X[1:] ** 2))
         if q < 0.2:
             continue
         X = X / np.sqrt(q)
-        c = rng.normal()
         w = rng.normal(size=4)
-        a = DegenerateReflection(X, c * X).isometry()
-        b = MinkowskiIsometry(-np.eye(4), w)
-        closed = np.max(np.abs((np.eye(4) - a.linear) @ w - 2 * c * X)) < 1e-9
-        assert hp_commute(a, b, tol=1e-9) == closed
+        c = float(X @ MINK.form_matrix() @ w) if k % 2 else rng.normal()
+        a = DegenerateReflection(X, c * X).matrix()
+        b = NonDegenerateReflection(w / 2).matrix()
+        closed = np.max(np.abs((np.eye(4) - reflection_matrix(MINK, X)) @ w - 2 * c * X)) < 1e-9
+        assert (np.max(np.abs(a @ b - b @ a)) <= 1e-9) == closed
 
 
 def test_classify_hp_dual_points():
@@ -120,13 +90,15 @@ def test_classify_hp_dual_points():
 
 def test_rho_lambda_zero():
     rep = rho_lambda(0)
-    assert rep.translation.is_zero()
-    # the linear part is the collapsed holonomy on R^{1,3}
-    assert (rep.linear - rho0_rep().images).is_zero()
+    # no translation: every member is block diagonal with last row e_4
+    assert (rep[:, 4, :4].is_zero() and rep[:, :4, 4].is_zero()
+            and (rep[:, 4, 4] - PairMatrix.of(np.ones(22, dtype=int))).is_zero())
+    # the top-left blocks are the collapsed holonomy on R^{1,3}
+    assert (rep[:, :4, :4] - rho0_rep().images).is_zero()
 
 
 def test_rho_lambda_cocycle_values():
-    tau = dict(zip(GAMMA22_NAMES, rho_lambda(1).translation.unstack()))
+    tau = dict(zip(GAMMA22_NAMES, tau_lambda_cocycle(1).unstack()))
     v1 = _exact_vec("1")
     assert (tau["1+"] + v1).is_zero()
     assert (tau["1-"] + v1).is_zero()
@@ -135,7 +107,7 @@ def test_rho_lambda_cocycle_values():
 
 
 def test_rho_lambda_is_exact_representation():
-    report = verify_representation(gamma22(), phi_to_projective(rho_lambda(1)), tol=0)
+    report = verify_representation(gamma22(), rho_lambda(1), tol=0)
     assert report.ok
     assert report.max_defect == 0.0
 
@@ -143,25 +115,25 @@ def test_rho_lambda_is_exact_representation():
 def test_rho_lambda_linear_part_constant():
     r1 = rho_lambda(1)
     r2 = rho_lambda(QSqrt2(0, 1))  # lambda = sqrt2
-    assert (r1.linear - r2.linear).is_zero()
+    assert (r1[:, :4, :4] - r2[:, :4, :4]).is_zero()
 
 
 def test_tau_lambda_is_not_coboundary():
     rep = rho0_rep()
-    tau = rho_lambda(1).translation
+    tau = tau_lambda_cocycle(1)
     assert not is_coboundary(rep, tau)
     zero = PairMatrix.zeros((len(GAMMA22_NAMES), 4))
     assert is_coboundary(rep, zero)
 
 
 def test_reflections_square_to_identity():
-    for r in rho_lambda(1).as_reflections():
-        iso = r.isometry()
-        assert (iso @ iso).max_difference(MinkowskiIsometry(np.eye(4), np.zeros(4))) <= 1e-12
+    for r in rho_lambda_reflections(1):
+        m = r.matrix()
+        assert np.max(np.abs(m @ m - np.eye(5))) <= 1e-12
 
 
 def test_classify_hp_reflection_pairs():
-    refl = dict(zip(GAMMA22_NAMES, rho_lambda(1).as_reflections()))
+    refl = dict(zip(GAMMA22_NAMES, rho_lambda_reflections(1)))
     # two degenerate reflections over orthogonal walls: intersecting, commuting
     rep = classify_hp_reflection_pair(refl["0-"], refl["A"])
     assert rep.kind == "degenerate"
@@ -188,7 +160,8 @@ def test_classify_hp_degenerate_pair_over_one_wall_has_no_position():
     a, b = DegenerateReflection(X, 0.5 * X), DegenerateReflection(-X, np.zeros(4))
     rep = classify_hp_reflection_pair(a, b)
     assert (rep.kind, rep.position) == ("degenerate", None)
-    assert rep.commuting == hp_commute(a.isometry(), b.isometry())
+    # (r_X, X/2)(r_X, 0) = (id, X/2), but (r_X, 0)(r_X, X/2) = (id, -X/2)
+    assert rep.commuting is False
     assert repr(rep) == ("HPPairReport(kind='degenerate', position=None, "
                          f"commuting={rep.commuting!r})")
 
@@ -199,37 +172,25 @@ def test_degenerate_reflection_validation():
         DegenerateReflection(2 * X, 0 * X)  # not unit
     with pytest.raises(ValueError):
         DegenerateReflection(X, np.array([0.0, 0, 1, 0]))  # v not parallel
+    # v near the top of the float range: the span check itself does not overflow
+    DegenerateReflection(X, 1.7e308 * X)
+    with pytest.raises(ValueError):
+        DegenerateReflection(X, np.array([0.0, 1.7e308, 1e302, 0]))
 
 
-
-# -- the stacked half-pipe path: one call on the (22, 4, 4) stack ---------------
-
-def _members(iso):
-    return [MinkowskiIsometry(iso.linear[k], iso.translation[k]) for k in range(22)]
-
+# -- the stacked builder: one call on the poles and forms of rho_lambda ----------
 
 @pytest.mark.parametrize("lam", [1, 1.0, Fraction(1, 2), 0.5], ids=["1", "1.0", "1/2", "0.5"])
-def test_stacked_phi_matches_member_loop(lam):
-    rep = rho_lambda(lam)
-    members = _members(rep)
-    assert rep.is_form_preserving() == all(m.is_form_preserving() for m in members)
-    stack = phi_to_projective(rep)
-    for k, m in enumerate(members):
-        one = phi_to_projective(m)
-        if rep.exact:
-            got, want = stack[k].reduced(), one.reduced()
-            assert got.den == want.den
-            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+def test_stacked_rho_lambda_matches_member_loop(lam):
+    c, v, tau = _table(lam)
+    stack = rho_lambda(lam)
+    positive, wall = _dual_point(tau[:8] / 2), _wall(v[8:], c[8:])
+    lone = ([-reflection(positive[0][k], positive[1][k]) for k in range(8)]
+            + [reflection(wall[0][k], wall[1][k]) for k in range(14)])
+    for k, one in enumerate(lone):
+        if isinstance(stack, PairMatrix):
+            got = stack[k].reduced()
+            assert got.den == one.den
+            assert np.array_equal(got.a, one.a) and np.array_equal(got.b, one.b)
         else:
             assert np.array_equal(stack[k], one)
-
-
-def test_stacked_form_check_rejects_one_bad_member():
-    rep = rho_lambda(0.5)
-    linear = rep.linear.copy()
-    linear[5] = linear[5] * 1.001  # scaled: no longer preserves the form
-    bad = MinkowskiIsometry(linear, rep.translation)
-    assert not bad.is_form_preserving()
-    assert [m.is_form_preserving() for m in _members(bad)].count(False) == 1
-    with pytest.raises(NotFormPreserving):
-        phi_to_projective(bad)

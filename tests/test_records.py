@@ -11,8 +11,7 @@ from coxvar.cohomology import LinearRep
 from coxvar.coxeter import RACG, gamma_rect
 from coxvar.cusp import CuspClass, CuspKind, ExperimentStats
 from coxvar.geometry import QuadraticSpace
-from coxvar.halfpipe import (DegenerateReflection, HPPairReport, MinkowskiIsometry,
-                             NonDegenerateReflection, rho_lambda)
+from coxvar.halfpipe import DegenerateReflection, HPPairReport, NonDegenerateReflection
 from coxvar.repvar import ConstraintSystem, Pair, standard_lift
 
 X = np.array([0.0, 1.0, 0.0, 0.0])
@@ -28,7 +27,6 @@ READ_ONLY = {
     "Lift": (lambda: standard_lift(0.5, "hyp"), "table"),
     "Pair": (lambda: Pair("0", "1", 0), "target"),
     "ConstraintSystem": (lambda: ConstraintSystem((Pair("0", "0", 1),)), "constraints"),
-    "MinkowskiIsometry": (lambda: rho_lambda(1), "translation"),
     "NonDegenerateReflection": (lambda: NonDegenerateReflection(X), "p"),
     "DegenerateReflection": (lambda: DegenerateReflection(X, 0.5 * X), "v"),
     "HPPairReport": (lambda: HPPairReport("mixed"), "kind"),
