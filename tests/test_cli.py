@@ -125,8 +125,8 @@ def test_cusp_base_only(capsys):
 
 
 def test_cusp_hp_cube_large_lambda(capsys):
-    # rho_lambda is rho_1 rescaled (at 1e8 an exit 2 commutation error once;
-    # at 1e308 an exit 2 overflow in the degenerate reflections' span check)
+    # rho_lambda is rho_1 rescaled (both exited 2 before: 1e8 with a commutation
+    # error, 1e308 with an overflow in the degenerate reflections' span check)
     for lam in ("1e8", "1e308"):
         code, out = run(capsys, "cusp", "--geometry", "hp", "--group", "cube4", "--lam", lam)
         assert code == 0, lam
